@@ -52,6 +52,7 @@ fuzz:
 	$(GO) test -fuzz FuzzStreamEquivalence -fuzztime 30s ./internal/stream/
 	$(GO) test -fuzz FuzzSnapshotDecode -fuzztime 30s ./internal/persist/
 	$(GO) test -fuzz FuzzDenseEquivalence -fuzztime 30s ./internal/dense/
+	$(GO) test -fuzz FuzzCursorEquivalence -fuzztime 30s ./internal/dense/
 	$(GO) test -fuzz FuzzBatchEquivalence -fuzztime 30s ./internal/server/
 	$(GO) test -fuzz FuzzCzsearchEquivalence -fuzztime 30s ./internal/czsearch/
 

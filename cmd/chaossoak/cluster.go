@@ -174,6 +174,7 @@ func runClusterSoak(bin string, n int, duration time.Duration, seed uint64, plan
 	var (
 		ok, shed, retried atomic.Int64
 		streamErrTrailer  atomic.Int64
+		streamEngines     engineTally
 		mismatches        atomic.Int64
 	)
 	firstMismatch := make(chan string, 1)
@@ -199,7 +200,7 @@ func runClusterSoak(bin string, n int, duration time.Duration, seed uint64, plan
 				case 1:
 					doLZRoundTrip(base, lzPayloads[(c*31+i)%len(lzPayloads)], &ok, &shed, &retried, mismatch)
 				case 2:
-					doStream(base, id, text, oracle, ac, wantHits, &ok, &shed, &streamErrTrailer, mismatch)
+					doStream(base, id, text, oracle, ac, wantHits, &ok, &shed, &streamErrTrailer, &streamEngines, mismatch)
 				case 3:
 					doCompressedMatch(base, id, container, len(text), oracle, ac, wantHits, &ok, &shed, mismatch)
 				}
@@ -317,6 +318,7 @@ func runClusterSoak(bin string, n int, duration time.Duration, seed uint64, plan
 
 	log.Printf("%v cluster soak (%d nodes, victim %s): %d ok (%d after retries), %d shed, %d streams error-trailed, %d mismatches, %d replication pulls",
 		duration, n, victim.name, ok.Load(), retried.Load(), shed.Load(), streamErrTrailer.Load(), mismatches.Load(), pulls)
+	log.Print(streamEngines.report())
 	if mm := mismatches.Load(); mm > 0 {
 		log.Fatalf("FAIL: %d oracle mismatches; first: %s", mm, <-firstMismatch)
 	}

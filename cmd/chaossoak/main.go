@@ -198,6 +198,7 @@ func main() {
 	var (
 		ok, shed, retried atomic.Int64 // 200s; 429/500/503s; 200s with attempts > 1
 		streamErrTrailer  atomic.Int64 // streams ended by an explicit error line
+		streamEngines     engineTally  // completed streams by the summary's engine
 		mismatches        atomic.Int64
 	)
 	firstMismatch := make(chan string, 1)
@@ -222,7 +223,7 @@ func main() {
 				case 1:
 					doLZRoundTrip(base, lzPayloads[(c*31+i)%len(lzPayloads)], &ok, &shed, &retried, mismatch)
 				case 2:
-					doStream(base, id, text, oracle, ac, wantHits, &ok, &shed, &streamErrTrailer, mismatch)
+					doStream(base, id, text, oracle, ac, wantHits, &ok, &shed, &streamErrTrailer, &streamEngines, mismatch)
 				case 3:
 					doCompressedMatch(base, id, container, len(text), oracle, ac, wantHits, &ok, &shed, mismatch)
 				}
@@ -252,6 +253,7 @@ func main() {
 
 	log.Printf("%v soak: %d ok (%d after retries), %d shed (429/500/503), %d streams error-trailed, %d mismatches",
 		*duration, ok.Load(), retried.Load(), shed.Load(), streamErrTrailer.Load(), mismatches.Load())
+	log.Print(streamEngines.report())
 	for _, line := range strings.Split(strings.TrimRight(serverLog.String(), "\n"), "\n") {
 		if strings.Contains(line, "chaos:") {
 			log.Print(line)
@@ -487,8 +489,17 @@ func doCompressedMatch(base, id string, container []byte, textLen int, oracle []
 	ok.Add(1)
 }
 
+// engineTally counts completed /match/stream requests by the engine their
+// summary names: "tree" until the background compile publishes (and on a
+// sampled divergence), "dense" — the carried-state cursor — after.
+type engineTally struct{ dense, tree atomic.Int64 }
+
+func (e *engineTally) report() string {
+	return fmt.Sprintf("streams by engine: %d dense, %d tree", e.dense.Load(), e.tree.Load())
+}
+
 func doStream(base, id string, text []byte, oracle []int32, ac *ahocorasick.Automaton, wantHits int,
-	ok, shed, streamErrTrailer *atomic.Int64, mismatch func(string, ...any)) {
+	ok, shed, streamErrTrailer *atomic.Int64, engines *engineTally, mismatch func(string, ...any)) {
 	resp, err := http.Post(fmt.Sprintf("%s/v1/dicts/%s/match/stream?segment=2048", base, id),
 		"application/octet-stream", bytes.NewReader(text))
 	if err != nil {
@@ -515,6 +526,15 @@ func doStream(base, id string, text []byte, oracle []int32, ac *ahocorasick.Auto
 			sawTrailer = true
 			if events != wantHits {
 				mismatch("stream: %d events before summary, oracle says %d", events, wantHits)
+				return
+			}
+			switch {
+			case bytes.Contains(line, []byte(`"engine":"dense"`)):
+				engines.dense.Add(1)
+			case bytes.Contains(line, []byte(`"engine":"tree"`)):
+				engines.tree.Add(1)
+			default:
+				mismatch("stream: summary %q names no engine", line)
 				return
 			}
 			continue

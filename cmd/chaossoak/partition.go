@@ -184,6 +184,7 @@ func runPartitionSoak(bin string, n int, duration time.Duration, seed uint64, cl
 	var (
 		ok, shed, retried atomic.Int64
 		streamErrTrailer  atomic.Int64
+		streamEngines     engineTally
 		mismatches        atomic.Int64
 	)
 	firstMismatch := make(chan string, 1)
@@ -209,7 +210,7 @@ func runPartitionSoak(bin string, n int, duration time.Duration, seed uint64, cl
 				case 1:
 					doLZRoundTrip(base, lzPayloads[(c*31+i)%len(lzPayloads)], &ok, &shed, &retried, mismatch)
 				case 2:
-					doStream(base, id, text, oracle, ac, wantHits, &ok, &shed, &streamErrTrailer, mismatch)
+					doStream(base, id, text, oracle, ac, wantHits, &ok, &shed, &streamErrTrailer, &streamEngines, mismatch)
 				case 3:
 					doCompressedMatch(base, id, container, len(text), oracle, ac, wantHits, &ok, &shed, mismatch)
 				}
@@ -340,6 +341,7 @@ func runPartitionSoak(bin string, n int, duration time.Duration, seed uint64, cl
 
 	log.Printf("%v partition soak (%d nodes, victim %s): %d ok (%d during partition, %d after retries), %d shed, %d streams error-trailed, %d mismatches, %d injected faults",
 		duration, n, victim.name, ok.Load(), okDuringPartition, retried.Load(), shed.Load(), streamErrTrailer.Load(), mismatches.Load(), injectedTotal)
+	log.Print(streamEngines.report())
 	if mm := mismatches.Load(); mm > 0 {
 		log.Fatalf("FAIL: %d oracle mismatches; first: %s", mm, <-firstMismatch)
 	}

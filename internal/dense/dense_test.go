@@ -52,20 +52,7 @@ func assertSameMatches(t *testing.T, want, got []core.Match, label string) {
 // tree-walk matcher across dictionary/text shapes, including overlapping and
 // nested patterns.
 func TestEquivalence(t *testing.T) {
-	cases := []struct {
-		name     string
-		patterns [][]byte
-		text     []byte
-	}{
-		{"classic", toBytes("he", "she", "his", "hers"), []byte("ushers say hershel is his")},
-		{"nested", toBytes("a", "aa", "aaa", "aaaa"), []byte("aaaaaabaaaa")},
-		{"overlapping", toBytes("abab", "baba", "ab", "ba"), []byte("abababababa")},
-		{"suffix-chain", toBytes("x", "yx", "zyx", "wzyx"), []byte("wzyxwzyxzyx")},
-		{"no-match", toBytes("qqq", "zzz"), []byte("abcdefgh")},
-		{"full-alphabet", [][]byte{allBytes(), []byte{0}, []byte{255}}, append(allBytes(), allBytes()...)},
-		{"single-byte-dict", toBytes("k"), []byte("kkkkkk")},
-	}
-	for _, tc := range cases {
+	for _, tc := range equivalenceCorpus() {
 		t.Run(tc.name, func(t *testing.T) {
 			a := mustCompile(t, tc.patterns)
 			got := a.Match(tc.text)
@@ -269,6 +256,31 @@ func TestSeparatorByte(t *testing.T) {
 	b := mustCompile(t, full)
 	if _, ok := b.SeparatorByte(); ok {
 		t.Fatal("full-alphabet dictionary reported a separator byte")
+	}
+}
+
+// equivCase is one dictionary/text pair of the equivalence corpus.
+type equivCase struct {
+	name     string
+	patterns [][]byte
+	text     []byte
+}
+
+// equivalenceCorpus is the hand-picked part of the corpus every dense
+// matcher is held to: TestEquivalence runs MatchInto over it against both
+// oracles, TestCursorEquivalence every chunking of it against MatchInto.
+func equivalenceCorpus() []equivCase {
+	return []equivCase{
+		{"classic", toBytes("he", "she", "his", "hers"), []byte("ushers say hershel is his")},
+		{"nested", toBytes("a", "aa", "aaa", "aaaa"), []byte("aaaaaabaaaa")},
+		{"overlapping", toBytes("abab", "baba", "ab", "ba"), []byte("abababababa")},
+		{"suffix-chain", toBytes("x", "yx", "zyx", "wzyx"), []byte("wzyxwzyxzyx")},
+		{"no-match", toBytes("qqq", "zzz"), []byte("abcdefgh")},
+		{"full-alphabet", [][]byte{allBytes(), []byte{0}, []byte{255}}, append(allBytes(), allBytes()...)},
+		{"single-byte-dict", toBytes("k"), []byte("kkkkkk")},
+		{"duplicates", toBytes("dup", "x", "dup", "dupdup"), []byte("adupdupb")},
+		{"empty-text", toBytes("ab", "abc"), nil},
+		{"shorter-than-longest", toBytes("ab", "abcdefgh"), []byte("abcab")},
 	}
 }
 

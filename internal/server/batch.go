@@ -250,7 +250,7 @@ func (s *Server) execMatchBatchDense(e *Entry, a *dense.Automaton, live []*batch
 		off = end + 1
 		res := matchResult{matches: out[start:end], attempts: 1, engine: engineDense}
 		completeDemux(r, func() (matchResult, error) {
-			if n := e.denseReqs.Add(1); n == 1 || n%verifySampleEvery == 0 {
+			if e.denseSampled() {
 				if verified, served := s.denseVerify(e, r.Text, res.matches); !served {
 					return matchResult{matches: verified, attempts: 1, engine: engineTree}, nil
 				}

@@ -54,9 +54,14 @@ type clusterState struct {
 }
 
 type replicaPull struct {
-	done chan struct{}
-	err  error
+	done  chan struct{}
+	entry *Entry
+	err   error
 }
+
+// pinnedEntryKey is the request-context key under which clusterDict hands
+// the entry it found resident, or pulled, to the handler (see entryFor).
+type pinnedEntryKey struct{}
 
 // probeClientTimeout bounds one health probe; it doubles as the ceiling a
 // black-holed probe waits before counting as a breaker failure.
@@ -151,12 +156,20 @@ func (s *Server) clusterDict(streaming bool, h http.HandlerFunc) http.HandlerFun
 		}
 		id := r.PathValue("id")
 		if r.Header.Get(clusterFromHeader) != "" || c.membership.OwnsSelf(id) {
-			if !s.reg.Has(id) {
-				if err := s.ensureReplica(r.Context(), id); err != nil {
+			e, ok := s.reg.peek(id)
+			if !ok {
+				var err error
+				if e, err = s.ensureReplica(r.Context(), id); err != nil {
 					// The handler's own lookup produces the 404; just record
 					// why the pull could not fill the gap.
 					s.cfg.Log.Printf("cluster: replication pull of %s failed: %v", id, err)
 				}
+			}
+			if e != nil {
+				// Pin the entry on the request: when the working set
+				// overflows the registry, concurrent pulls can evict it
+				// before the handler's lookup runs.
+				r = r.WithContext(context.WithValue(r.Context(), pinnedEntryKey{}, e))
 			}
 			h(w, r)
 			return
@@ -461,41 +474,42 @@ func (s *Server) tryServeStale(w http.ResponseWriter, r *http.Request, id string
 }
 
 // ensureReplica makes dictionary id resident, pulling its snapshot bundle
-// from a peer (or the local store) if needed. Concurrent callers for the
-// same id share one pull.
-func (s *Server) ensureReplica(ctx context.Context, id string) error {
+// from a peer (or the local store) if needed, and returns its entry — the
+// caller's to keep even if the registry evicts it again. Concurrent callers
+// for the same id share one pull.
+func (s *Server) ensureReplica(ctx context.Context, id string) (*Entry, error) {
 	c := s.cluster
 	c.pullMu.Lock()
-	if s.reg.Has(id) {
+	if e, ok := s.reg.peek(id); ok {
 		c.pullMu.Unlock()
-		return nil
+		return e, nil
 	}
 	if p, ok := c.pulls[id]; ok {
 		c.pullMu.Unlock()
 		select {
 		case <-p.done:
-			return p.err
+			return p.entry, p.err
 		case <-ctx.Done():
-			return ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
 	p := &replicaPull{done: make(chan struct{})}
 	c.pulls[id] = p
 	c.pullMu.Unlock()
 
-	p.err = s.pullReplica(ctx, id)
+	p.entry, p.err = s.pullReplica(ctx, id)
 	close(p.done)
 	c.pullMu.Lock()
 	delete(c.pulls, id)
 	c.pullMu.Unlock()
-	return p.err
+	return p.entry, p.err
 }
 
 // pullReplica restores id from the cheapest source that has it: the local
 // snapshot store (a warm restart already paid the disk write), then each
 // owner peer, then every remaining peer. Either way the restore is a table
 // read — no §3 preprocessing runs on a replica.
-func (s *Server) pullReplica(ctx context.Context, id string) error {
+func (s *Server) pullReplica(ctx context.Context, id string) (*Entry, error) {
 	c := s.cluster
 	key, isKey := keyFromID(id)
 
@@ -505,7 +519,7 @@ func (s *Server) pullReplica(ctx context.Context, id string) error {
 			s.metrics.recordLoad(time.Since(start))
 			e, _ := s.reg.RegisterPreparedDenseID(id, d, aut, "cache", id, time.Since(start).Nanoseconds())
 			s.armDense(e, s.denseUpgradeFunc(e, key))
-			return nil
+			return e, nil
 		}
 	}
 
@@ -559,7 +573,7 @@ func (s *Server) pullReplica(ctx context.Context, id string) error {
 		if err != nil {
 			lastErr = err
 			if ctx.Err() != nil {
-				return ctx.Err()
+				return nil, ctx.Err()
 			}
 			continue
 		}
@@ -580,9 +594,9 @@ func (s *Server) pullReplica(ctx context.Context, id string) error {
 			s.armDense(e, nil)
 		}
 		s.cfg.Log.Printf("cluster: pulled %s from %s (%d bytes)", id, p.Name, len(data))
-		return nil
+		return e, nil
 	}
-	return lastErr
+	return nil, lastErr
 }
 
 // forwardCreate proxies a dictionary create to the owners of its content

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -48,14 +49,30 @@ func startTestCluster(t *testing.T, n, replicas int, mut func(i int, cfg *Config
 		lns[i] = ln
 		peers[i] = cluster.Peer{Name: fmt.Sprintf("n%d", i+1), URL: "http://" + ln.Addr().String()}
 	}
-	root := t.TempDir()
+	// Not t.TempDir: a background dense compile may still be upgrading its
+	// snapshot in a node's cache directory when the test ends (nothing waits
+	// for it), and TempDir fails the test if the tree is not empty on the
+	// first try. Registered before the nodes, so it runs after they stop.
+	root, err := os.MkdirTemp("", "cluster-test-")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		for deadline := time.Now().Add(5 * time.Second); os.RemoveAll(root) != nil && time.Now().Before(deadline); {
+			time.Sleep(10 * time.Millisecond)
+		}
+	})
 	nodes := make([]*clusterNode, n)
 	for i := range nodes {
 		cfg := Config{
-			Procs:                2,
-			MaxDicts:             8,
-			MaxInflight:          128,
-			ShutdownGrace:        2 * time.Second,
+			Procs:       2,
+			MaxDicts:    8,
+			MaxInflight: 128,
+			// Above net/http's 5 s: Shutdown treats a connection that has
+			// not sent a request yet (a canceled hedge's dial) as busy
+			// until it is that old, and a shorter grace made stopping a
+			// node fail one run in eight.
+			ShutdownGrace:        6 * time.Second,
 			CacheDir:             filepath.Join(root, peers[i].Name),
 			Log:                  quietLogger(),
 			ClusterSelf:          peers[i].Name,
@@ -494,5 +511,51 @@ func TestTenantQuota(t *testing.T) {
 	getJSON(t, base+"/metrics", &m)
 	if !m.Quota.Enabled || m.Quota.Rejected != 1 || m.Quota.PerTenant != 1 {
 		t.Fatalf("quota metrics: %+v", m.Quota)
+	}
+}
+
+// TestClusterOwnerServesThrashedRegistry: with more dictionaries on disk
+// than registry slots and concurrent clients over all of them, an owner
+// reloads the evicted ones from its own -cache-dir — and must serve the
+// entry a reload produced even when other reloads evict it again before the
+// handler's lookup runs. (It used to answer 404 "no dictionary" for a
+// dictionary it held on disk; E21's K2 row hit that on every run.)
+func TestClusterOwnerServesThrashedRegistry(t *testing.T) {
+	nodes := startTestCluster(t, 1, 1, func(_ int, cfg *Config) {
+		cfg.MaxDicts = 2
+		cfg.DenseMode = DenseOff
+		cfg.BatchMode = BatchOff
+	})
+	base := nodes[0].base
+	const dicts, clients, perClient = 6, 16, 24
+	ids := make([]string, dicts)
+	for i := range ids {
+		_, pats := textgen.New(uint64(300+i)).PlantedDictionary(1<<10, 32, 6, 60, 4)
+		patStrs := make([]string, len(pats))
+		for j, p := range pats {
+			patStrs[j] = string(p)
+		}
+		ids[i] = createClusterDict(t, base, patStrs).ID
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				id := ids[(c*5+i)%dicts]
+				status, body := postJSON(t, base+"/v1/dicts/"+id+"/match", map[string]string{"text": "abracadabra"})
+				if status != http.StatusOK {
+					errs <- fmt.Errorf("match %s: %d %s", id[:8], status, body)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

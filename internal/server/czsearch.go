@@ -216,10 +216,8 @@ func (ct *cappedTee) Write(p []byte) (int, error) {
 // container bytes in (chunked encoding welcome, MaxBodyBytes deliberately
 // not applied), NDJSON match events out, {"summary":...} trailer on success.
 func (s *Server) handleMatchCompressed(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	e, ok := s.reg.Get(id)
+	e, ok := s.entryFor(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no dictionary %q", id)
 		return
 	}
 
@@ -264,7 +262,7 @@ func (s *Server) handleMatchCompressed(w http.ResponseWriter, r *http.Request) {
 			events = append(events, ev)
 		}
 		s.metrics.streamEvents.Add(1)
-		if _, err := fmt.Fprintf(bw, `{"pos":%d,"pattern":%d,"length":%d}`+"\n", ev.Pos, ev.PatternID, ev.Length); err != nil {
+		if _, err := bw.Write(appendEvent(bw.AvailableBuffer(), ev.Pos, ev.PatternID, ev.Length)); err != nil {
 			return err
 		}
 		if pending++; pending >= czFlushEvery {
@@ -320,10 +318,8 @@ type matchCompressedResponse struct {
 // request deadline), and a sampled oracle divergence fails it with a clean
 // 500 instead of a mid-stream trailer.
 func (s *Server) handleMatchCompressedBuffered(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	e, ok := s.reg.Get(id)
+	e, ok := s.entryFor(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no dictionary %q", id)
 		return
 	}
 	var req matchCompressedRequest

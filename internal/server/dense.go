@@ -144,7 +144,7 @@ func (s *Server) serveMatchSolo(ctx context.Context, e *Entry, text []byte) ([]c
 	matches, counters := denseMatchSharded(a, text, s.cfg.Procs)
 	s.metrics.ChargePRAM("match", counters.Work, counters.Depth)
 
-	if n := e.denseReqs.Add(1); n == 1 || n%verifySampleEvery == 0 {
+	if e.denseSampled() {
 		want, _, _, err := e.MatchChecked(ctx, text, s.cfg.Procs, s.metrics)
 		switch {
 		case err != nil:
@@ -166,6 +166,14 @@ func (s *Server) serveMatchSolo(ctx context.Context, e *Entry, text []byte) ([]c
 	}
 	s.metrics.denseServed.Add(1)
 	return matches, 1, engineDense, nil
+}
+
+// denseSampled counts one dense-served request — a buffered match, a batch
+// member or a whole stream — and reports whether it is an oracle sample: the
+// entry's first and every verifySampleEvery-th after it.
+func (e *Entry) denseSampled() bool {
+	n := e.denseReqs.Add(1)
+	return n == 1 || n%verifySampleEvery == 0
 }
 
 // patterns returns the entry's pattern set. The slice is immutable after

@@ -249,15 +249,30 @@ func (s *Server) registerBundle(id string, d *core.Dictionary, aut *dense.Automa
 	return s.reg.RegisterPreparedDenseID(id, d, aut, source, snapKey, prepNs)
 }
 
+// entryFor resolves the route's {id} to its entry and answers 404 itself
+// when there is none. An entry clusterDict pinned on the request still
+// counts after the LRU evicted it: eviction only unlinks, holders keep using
+// the entry safely.
+func (s *Server) entryFor(w http.ResponseWriter, r *http.Request) (*Entry, bool) {
+	id := r.PathValue("id")
+	if e, ok := s.reg.Get(id); ok {
+		return e, true
+	}
+	if e, ok := r.Context().Value(pinnedEntryKey{}).(*Entry); ok && e.ID == id {
+		e.hits.Add(1)
+		return e, true
+	}
+	writeError(w, http.StatusNotFound, "no dictionary %q", id)
+	return nil, false
+}
+
 func (s *Server) handleDictList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"dicts": s.reg.Infos()})
 }
 
 func (s *Server) handleDictGet(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	e, ok := s.reg.Get(id)
+	e, ok := s.entryFor(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no dictionary %q", id)
 		return
 	}
 	writeJSON(w, http.StatusOK, e.Info())
@@ -296,10 +311,8 @@ type matchResponse struct {
 // Large texts are sharded across a worker pool with a pattern-length halo
 // on either path.
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	e, ok := s.reg.Get(id)
+	e, ok := s.entryFor(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no dictionary %q", id)
 		return
 	}
 	var req textPayload
@@ -355,10 +368,8 @@ type parseResponse struct {
 }
 
 func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	e, ok := s.reg.Get(id)
+	e, ok := s.entryFor(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no dictionary %q", id)
 		return
 	}
 	var req textPayload
@@ -409,10 +420,8 @@ type expandResponse struct {
 }
 
 func (s *Server) handleExpand(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	e, ok := s.reg.Get(id)
+	e, ok := s.entryFor(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no dictionary %q", id)
 		return
 	}
 	var req expandRequest

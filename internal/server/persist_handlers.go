@@ -34,10 +34,8 @@ func (s *Server) handleDictSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "no snapshot store: start the server with -cache-dir")
 		return
 	}
-	id := r.PathValue("id")
-	e, ok := s.reg.Get(id)
+	e, ok := s.entryFor(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no dictionary %q", id)
 		return
 	}
 	data := e.SnapshotBytes()
@@ -62,10 +60,8 @@ func (s *Server) handleDictSnapshot(w http.ResponseWriter, r *http.Request) {
 // (under its read lock), so the download always reflects the entry's
 // current state, reseeds and compiled dense automaton included.
 func (s *Server) handleDictSnapshotGet(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	e, ok := s.reg.Get(id)
+	e, ok := s.entryFor(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no dictionary %q", id)
 		return
 	}
 	data := e.SnapshotBytes()

@@ -275,10 +275,19 @@ func (r *Registry) Get(id string) (*Entry, bool) {
 // hit count (the cluster router asks "do I hold this?" before deciding to
 // pull or proxy; that question is not a use of the entry).
 func (r *Registry) Has(id string) bool {
+	_, ok := r.peek(id)
+	return ok
+}
+
+// peek is Has returning the entry.
+func (r *Registry) peek(id string) (*Entry, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	_, ok := r.byID[id]
-	return ok
+	el, ok := r.byID[id]
+	if !ok {
+		return nil, false
+	}
+	return el.Value.(*Entry), true
 }
 
 // Remove deletes the entry for id, reporting whether it was resident.

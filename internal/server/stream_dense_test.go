@@ -1,0 +1,347 @@
+package server
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"log"
+	"net/http"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/dense"
+	"repro/internal/pram"
+)
+
+// streamLines posts body to a /match/stream URL and returns the raw event
+// lines and the decoded trailer (summary or error).
+func streamLines(t *testing.T, url string, body []byte) ([]string, ndLine) {
+	t.Helper()
+	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		out, _ := io.ReadAll(resp.Body)
+		t.Fatalf("POST %s: status %d: %s", url, resp.StatusCode, out)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	var lines []string
+	for sc.Scan() {
+		lines = append(lines, sc.Text())
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(lines) == 0 {
+		t.Fatal("empty NDJSON stream")
+	}
+	var trailer ndLine
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &trailer); err != nil {
+		t.Fatalf("bad trailer %q: %v", lines[len(lines)-1], err)
+	}
+	if trailer.Summary == nil && trailer.Error == "" {
+		t.Fatalf("last line %q is neither summary nor error", lines[len(lines)-1])
+	}
+	return lines[:len(lines)-1], trailer
+}
+
+// eventLines renders the oracle's M[] as the NDJSON the stream must carry.
+func eventLines(want []core.Match) []string {
+	var out []string
+	for i, m := range want {
+		if m.Length > 0 {
+			out = append(out, fmt.Sprintf(`{"pos":%d,"pattern":%d,"length":%d}`, i, m.PatternID, m.Length))
+		}
+	}
+	return out
+}
+
+func sameLines(a, b []string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAppendEventMatchesPrintf: the shared encoder writes the line the two
+// fmt.Fprintf call sites it replaced wrote.
+func TestAppendEventMatchesPrintf(t *testing.T) {
+	for _, c := range []struct {
+		pos     int64
+		pattern int32
+		length  int32
+	}{{0, 0, 1}, {7, 3, 12}, {1<<40 + 5, 1<<31 - 1, 1<<31 - 1}, {-1, -1, 0}} {
+		want := fmt.Sprintf(`{"pos":%d,"pattern":%d,"length":%d}`+"\n", c.pos, c.pattern, c.length)
+		if got := string(appendEvent([]byte("x"), c.pos, c.pattern, c.length)); got != "x"+want {
+			t.Fatalf("appendEvent = %q, want %q appended", got, want)
+		}
+	}
+}
+
+// TestStreamDenseMatchesTree: the same text streamed to a dense entry and to
+// a -dense=off server yields identical event lines, at a small segment and
+// at the default, and each summary names the engine that served it. Dense
+// streams count in the dense section of /metrics like buffered requests.
+func TestStreamDenseMatchesTree(t *testing.T) {
+	text, patterns, strs := densePatternStrings(t, 91)
+	m := pram.NewSequential()
+	want, _ := core.Preprocess(m, patterns, core.Options{Seed: 7}).MatchLasVegas(m, text)
+	wantLines := eventLines(want)
+	if len(wantLines) == 0 {
+		t.Fatal("degenerate workload: no matches")
+	}
+
+	got := map[string][]string{}
+	for _, mode := range []string{DenseOn, DenseOff} {
+		srv, base, shutdown := startServer(t, Config{Addr: "127.0.0.1:0", Procs: 1, DenseMode: mode})
+		id := createDict(t, base, strs...)
+		for _, query := range []string{"?segment=1024", ""} {
+			lines, trailer := streamLines(t, base+"/v1/dicts/"+id+"/match/stream"+query, text)
+			if trailer.Summary == nil {
+				t.Fatalf("%s%s: error trailer %q", mode, query, trailer.Error)
+			}
+			if !sameLines(lines, wantLines) {
+				t.Fatalf("%s%s: %d event lines, oracle has %d (or they differ)", mode, query, len(lines), len(wantLines))
+			}
+			got[mode+query] = lines
+			sum := trailer.Summary
+			if sum.N != int64(len(text)) || sum.Events != int64(len(wantLines)) || sum.Work <= 0 {
+				t.Fatalf("%s%s: summary %+v", mode, query, sum)
+			}
+			switch mode {
+			case DenseOn:
+				if sum.Engine != engineDense || sum.Rounds != 1 || sum.Work != sum.N || sum.Depth != sum.N {
+					t.Fatalf("dense%s: summary %+v, want engine dense, 1 round, work = depth = bytes scanned", query, sum)
+				}
+				// An unsampled dense stream keeps one segment resident, no halo.
+				if query == "" && sum.MaxResident > len(text) {
+					t.Fatalf("dense: maxResident %d exceeds the text", sum.MaxResident)
+				}
+			case DenseOff:
+				if sum.Engine != engineTree {
+					t.Fatalf("off%s: engine %q", query, sum.Engine)
+				}
+			}
+		}
+		d := srv.Metrics().Snapshot(srv.Registry(), srv.Limiter()).Dense
+		switch mode {
+		case DenseOn:
+			// Stream 1 was the entry's first dense request: sampled.
+			if d.Served != 2 || d.VerifyPass != 1 || d.VerifyFail != 0 || d.Fallback != 0 {
+				t.Fatalf("dense counters after two dense streams: %+v", d)
+			}
+		case DenseOff:
+			if d.Served != 0 || d.Fallback != 0 {
+				t.Fatalf("dense counters with dense off: %+v", d)
+			}
+		}
+		if err := shutdown(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !sameLines(got[DenseOn+"?segment=1024"], got[DenseOff+"?segment=1024"]) || !sameLines(got[DenseOn], got[DenseOff]) {
+		t.Fatal("dense and tree streams differ")
+	}
+}
+
+// registerWithAutomaton registers patterns directly (no compile is armed)
+// and, when aut is non-nil, publishes it on the entry as the compile would.
+func registerWithAutomaton(srv *Server, patterns [][]byte, aut *dense.Automaton) *Entry {
+	e, _ := srv.Registry().Register(pram.NewSequential(), patterns, core.Options{})
+	if aut != nil {
+		e.denseElect.Store(true)
+		e.denseAut.Store(aut)
+	}
+	return e
+}
+
+// TestStreamDenseVerifyDivergence is TestDenseVerifyDivergence for streams:
+// a wrong automaton is caught by the first stream's oracle turn window by
+// window, before anything is written — the client sees the oracle's events
+// and a summary (engine "tree"), and the failure is counted and logged.
+func TestStreamDenseVerifyDivergence(t *testing.T) {
+	var logBuf syncBuffer
+	srv, base, shutdown := startServer(t, Config{
+		Addr: "127.0.0.1:0", Procs: 1, DenseMode: DenseAuto, Log: log.New(&logBuf, "", 0),
+	})
+	defer func() {
+		if err := shutdown(); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	patterns := [][]byte{[]byte("abc"), []byte("bcd")}
+	wrong, err := dense.Compile([][]byte{[]byte("zab"), []byte("cdx")}, dense.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := registerWithAutomaton(srv, patterns, wrong)
+
+	text := []byte(strings.Repeat("xabcdxzabcdx", 400))
+	m := pram.NewSequential()
+	want, _ := core.Preprocess(m, patterns, core.Options{Seed: 7}).MatchLasVegas(m, text)
+	lines, trailer := streamLines(t, base+"/v1/dicts/"+e.ID+"/match/stream?segment=1024", text)
+	if trailer.Summary == nil {
+		t.Fatalf("divergent stream ended in an error trailer: %q", trailer.Error)
+	}
+	if !sameLines(lines, eventLines(want)) {
+		t.Fatalf("divergent stream did not serve the oracle's events (%d lines, oracle %d)", len(lines), len(eventLines(want)))
+	}
+	if trailer.Summary.Engine != engineTree || trailer.Summary.Events != int64(len(lines)) {
+		t.Fatalf("summary %+v, want engine tree and the oracle's event count", trailer.Summary)
+	}
+	d := srv.Metrics().Snapshot(srv.Registry(), srv.Limiter()).Dense
+	if d.VerifyFail != 1 || d.VerifyPass != 0 || d.Served != 0 {
+		t.Fatalf("dense counters after a divergent stream: %+v", d)
+	}
+	if !strings.Contains(logBuf.String(), "dense stream diverged from oracle") {
+		t.Fatalf("divergence not logged; log: %q", logBuf.String())
+	}
+}
+
+// syncBuffer is a log sink safe to read while the server writes.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+// TestStreamDenseServesDegradedEntry: an entry whose tree walk has tripped
+// the breaker keeps streaming from the automaton — the sampled oracle turn
+// abstains instead of failing the stream. (With dense off the same entry's
+// stream ends in an error trailer.)
+func TestStreamDenseServesDegradedEntry(t *testing.T) {
+	for _, mode := range []string{DenseOn, DenseOff} {
+		srv, base, shutdown := startServer(t, Config{Addr: "127.0.0.1:0", Procs: 1, DenseMode: mode})
+		id := createDict(t, base, "abra", "cad")
+		e, ok := srv.Registry().Get(id)
+		if !ok {
+			t.Fatal("entry missing")
+		}
+		e.degraded.Store(true)
+		lines, trailer := streamLines(t, base+"/v1/dicts/"+id+"/match/stream", []byte("abracadabra"))
+		switch mode {
+		case DenseOn:
+			if trailer.Summary == nil || trailer.Summary.Engine != engineDense || len(lines) != 3 {
+				t.Fatalf("degraded entry, dense on: %d events, trailer %+v", len(lines), trailer)
+			}
+			d := srv.Metrics().Snapshot(srv.Registry(), srv.Limiter()).Dense
+			if d.Served != 1 || d.VerifyPass != 0 || d.VerifyFail != 0 {
+				t.Fatalf("dense counters: %+v (the abstaining oracle verified nothing)", d)
+			}
+		case DenseOff:
+			if trailer.Error == "" || len(lines) != 0 {
+				t.Fatalf("degraded entry, dense off: %d events, trailer %+v — want an error trailer", len(lines), trailer)
+			}
+		}
+		if err := shutdown(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestStreamBeforeCompilePublishes: in auto mode a stream that arrives
+// before the background compile has published is served by the tree walk,
+// says so, and counts as a dense fallback; the next one, after the publish,
+// is dense.
+func TestStreamBeforeCompilePublishes(t *testing.T) {
+	srv, base, shutdown := startServer(t, Config{Addr: "127.0.0.1:0", Procs: 1, DenseMode: DenseAuto})
+	defer func() {
+		if err := shutdown(); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	patterns := [][]byte{[]byte("abra"), []byte("cad")}
+	e := registerWithAutomaton(srv, patterns, nil) // compile pending
+	url := base + "/v1/dicts/" + e.ID + "/match/stream"
+
+	lines, trailer := streamLines(t, url, []byte("abracadabra"))
+	if trailer.Summary == nil || trailer.Summary.Engine != engineTree || len(lines) != 3 {
+		t.Fatalf("before publish: %d events, trailer %+v", len(lines), trailer)
+	}
+	if d := srv.Metrics().Snapshot(srv.Registry(), srv.Limiter()).Dense; d.Fallback != 1 || d.Served != 0 {
+		t.Fatalf("dense counters before publish: %+v", d)
+	}
+
+	aut, err := dense.Compile(patterns, dense.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.denseAut.Store(aut)
+	after, trailer := streamLines(t, url, []byte("abracadabra"))
+	if trailer.Summary == nil || trailer.Summary.Engine != engineDense || !sameLines(after, lines) {
+		t.Fatalf("after publish: %d events, trailer %+v", len(after), trailer)
+	}
+}
+
+// discardResponse is an http.ResponseWriter that drops the body, so a
+// handler's own allocations can be measured.
+type discardResponse struct{ h http.Header }
+
+func (d *discardResponse) Header() http.Header         { return d.h }
+func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardResponse) WriteHeader(int)             {}
+
+// TestStreamDenseHandlerAllocation: an unsampled dense stream of a 128 KiB
+// body allocates less than 1 MiB in the handler — the segment buffer grown
+// to the body, the response buffer and the cursor's ring; no per-window
+// match array, no up-front segment buffers (4.4 MB with those).
+func TestStreamDenseHandlerAllocation(t *testing.T) {
+	srv, err := New(Config{Procs: 1, DenseMode: DenseOn, Log: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, patterns, _ := densePatternStrings(t, 91)
+	text = append(text, text...) // 128 KiB
+	aut, err := dense.Compile(patterns, dense.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := registerWithAutomaton(srv, patterns, aut)
+	h := srv.Handler()
+	serve := func() {
+		req, err := http.NewRequest("POST", "/v1/dicts/"+e.ID+"/match/stream", bytes.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.ServeHTTP(&discardResponse{h: http.Header{}}, req)
+	}
+	serve() // the entry's first dense request takes the oracle turn
+	const runs = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		serve()
+	}
+	runtime.ReadMemStats(&after)
+	if served := srv.Metrics().denseServed.Load(); served != runs+1 {
+		t.Fatalf("dense.served = %d, want %d", served, runs+1)
+	}
+	t.Logf("per-stream allocation: %d bytes", (after.TotalAlloc-before.TotalAlloc)/runs)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1<<20 {
+		t.Fatalf("a dense stream of %d bytes allocated %d bytes, want < 1 MiB", len(text), per)
+	}
+}

@@ -31,18 +31,41 @@ import (
 
 // entryMatcher adapts a registry entry to stream.TextMatcher: per-window
 // checked (Las Vegas) matching under the entry's read lock, charging the
-// service PRAM ledgers.
+// service PRAM ledgers. As the sampled oracle of a dense stream (abstain
+// set) it answers nil instead of failing when the entry's Las Vegas state is
+// in trouble — the rule serveMatchSolo applies: the oracle's trouble cannot
+// indict the deterministic scan.
 type entryMatcher struct {
-	e     *Entry
-	procs int
-	mt    *Metrics
+	e       *Entry
+	procs   int
+	mt      *Metrics
+	abstain bool
 }
 
 func (em entryMatcher) MaxPatternLen() int { return em.e.MaxPatLen }
 
 func (em entryMatcher) MatchWindow(ctx context.Context, window []byte) ([]core.Match, int, pram.Counters, error) {
 	matches, attempts, cost, err := em.e.MatchChecked(ctx, window, em.procs, em.mt)
+	if err != nil && em.abstain {
+		var de *DegradedError
+		var fe *FingerprintExhaustedError
+		if errors.As(err, &de) || errors.As(err, &fe) {
+			return nil, attempts, cost, nil
+		}
+	}
 	return matches, attempts, cost, err
+}
+
+// appendEvent appends one NDJSON match-event line — the encoding of every
+// event on /match/stream and /match/compressed.
+func appendEvent(b []byte, pos int64, pattern, length int32) []byte {
+	b = append(b, `{"pos":`...)
+	b = strconv.AppendInt(b, pos, 10)
+	b = append(b, `,"pattern":`...)
+	b = strconv.AppendInt(b, int64(pattern), 10)
+	b = append(b, `,"length":`...)
+	b = strconv.AppendInt(b, int64(length), 10)
+	return append(b, "}\n"...)
 }
 
 // matchStreamSink writes NDJSON events and flushes per segment.
@@ -54,7 +77,8 @@ type matchStreamSink struct {
 
 func (k *matchStreamSink) MatchEvent(e stream.MatchEvent) error {
 	k.mt.streamEvents.Add(1)
-	_, err := fmt.Fprintf(k.bw, `{"pos":%d,"pattern":%d,"length":%d}`+"\n", e.Pos, e.PatternID, e.Length)
+	// Encoded in place in the writer's free space when the line fits.
+	_, err := k.bw.Write(appendEvent(k.bw.AvailableBuffer(), e.Pos, e.PatternID, e.Length))
 	return err
 }
 
@@ -75,13 +99,14 @@ func (k *matchStreamSink) SegmentDone(info stream.SegmentInfo) error {
 
 // streamSummary is the NDJSON trailer on success.
 type streamSummary struct {
-	N           int64 `json:"n"`
-	Segments    int64 `json:"segments"`
-	Events      int64 `json:"events"`
-	Rounds      int   `json:"rounds"`
-	Work        int64 `json:"work"`
-	Depth       int64 `json:"depth"`
-	MaxResident int   `json:"maxResident"`
+	N           int64  `json:"n"`
+	Engine      string `json:"engine"` // "dense" or "tree"
+	Segments    int64  `json:"segments"`
+	Events      int64  `json:"events"`
+	Rounds      int    `json:"rounds"`
+	Work        int64  `json:"work"`
+	Depth       int64  `json:"depth"`
+	MaxResident int    `json:"maxResident"`
 }
 
 // handleMatchStream matches a streamed text — raw bytes, chunked encoding
@@ -89,10 +114,8 @@ type streamSummary struct {
 // "POST /v1/dicts/{id}/match/stream"; the optional ?segment=N query
 // overrides the server's segment size within [1 KiB, 64 MiB].
 func (s *Server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	e, ok := s.reg.Get(id)
+	e, ok := s.entryFor(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "no dictionary %q", id)
 		return
 	}
 	segSize := s.cfg.SegmentBytes
@@ -116,7 +139,41 @@ func (s *Server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 	_ = rc.EnableFullDuplex()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	sink := &matchStreamSink{bw: bufio.NewWriterSize(w, 32<<10), rc: rc, mt: s.metrics}
-	st, err := stream.Match(r.Context(), entryMatcher{e: e, procs: s.cfg.Procs, mt: s.metrics}, r.Body, sink, stream.Config{SegmentBytes: segSize})
+	cfg := stream.Config{SegmentBytes: segSize}
+	tree := entryMatcher{e: e, procs: s.cfg.Procs, mt: s.metrics}
+
+	// Engine choice, by serveMatchSolo's rule: the compiled automaton when
+	// the entry has one, else the checked tree walk. A dense stream counts
+	// as one dense request, so it takes the same sampled oracle turns.
+	var st stream.Stats
+	var err error
+	engine := engineTree
+	if a := e.denseAut.Load(); a == nil || s.cfg.DenseMode == DenseOff {
+		if s.cfg.DenseMode != DenseOff {
+			s.metrics.denseFallback.Add(1)
+		}
+		st, err = stream.Match(r.Context(), tree, r.Body, sink, cfg)
+	} else {
+		var oracle *stream.Oracle
+		if e.denseSampled() {
+			tree.abstain = true
+			oracle = &stream.Oracle{Matcher: tree, Patterns: e.patterns()}
+		}
+		st, err = stream.MatchDense(r.Context(), a, oracle, r.Body, sink, cfg)
+		s.metrics.ChargePRAM("match", st.Work, st.Depth)
+		switch {
+		case st.Diverged > 0:
+			// The oracle's events were served for those windows.
+			s.metrics.denseVerifyFail.Add(1)
+			e.logf("entry %s: dense stream diverged from oracle in %d of %d windows; served the oracle's events", e.ID, st.Diverged, st.Verified)
+		case err == nil:
+			engine = engineDense
+			s.metrics.denseServed.Add(1)
+			if st.Verified > 0 {
+				s.metrics.denseVerifyPass.Add(1)
+			}
+		}
+	}
 	if err != nil {
 		if r.Context().Err() != nil {
 			// Client went away or the connection died: nothing to tell.
@@ -129,8 +186,8 @@ func (s *Server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 		sink.bw.Flush()
 		return
 	}
-	fmt.Fprintf(sink.bw, `{"summary":{"n":%d,"segments":%d,"events":%d,"rounds":%d,"work":%d,"depth":%d,"maxResident":%d}}`+"\n",
-		st.TextBytes, st.Segments, st.Events, st.Rounds, st.Work, st.Depth, st.MaxResident)
+	fmt.Fprintf(sink.bw, `{"summary":{"n":%d,"engine":%q,"segments":%d,"events":%d,"rounds":%d,"work":%d,"depth":%d,"maxResident":%d}}`+"\n",
+		st.TextBytes, engine, st.Segments, st.Events, st.Rounds, st.Work, st.Depth, st.MaxResident)
 	sink.bw.Flush()
 }
 

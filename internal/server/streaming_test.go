@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -163,10 +164,17 @@ func TestStreamMatchBeyondBodyCap(t *testing.T) {
 }
 
 // TestStreamMatchDisconnectAborts checks that a client that vanishes
-// mid-stream releases the server promptly: the handler returns, the
-// in-flight gauge drops to zero, and the limiter slot frees.
+// mid-stream releases the server promptly, whichever engine serves the
+// stream: the handler returns, the in-flight gauge drops to zero, the
+// limiter slot frees, and no pipeline goroutine is left blocked on the body.
 func TestStreamMatchDisconnectAborts(t *testing.T) {
-	srv, base, shutdown := startServer(t, Config{Addr: "127.0.0.1:0", Procs: 2})
+	for _, mode := range []string{DenseOn, DenseOff} {
+		t.Run("dense="+mode, func(t *testing.T) { testStreamDisconnect(t, mode) })
+	}
+}
+
+func testStreamDisconnect(t *testing.T, denseMode string) {
+	srv, base, shutdown := startServer(t, Config{Addr: "127.0.0.1:0", Procs: 2, DenseMode: denseMode})
 	defer func() {
 		if err := shutdown(); err != nil {
 			t.Errorf("shutdown: %v", err)
@@ -212,6 +220,9 @@ func TestStreamMatchDisconnectAborts(t *testing.T) {
 	if got := srv.Metrics().Snapshot(nil, nil).Streams.Active; got != 1 {
 		t.Fatalf("active streams = %d, want 1", got)
 	}
+	if streamGoroutines() == 0 {
+		t.Fatal("no pipeline goroutine while the stream is open; the leak probe is blind")
+	}
 
 	// Vanish.
 	cancel()
@@ -219,18 +230,24 @@ func TestStreamMatchDisconnectAborts(t *testing.T) {
 	resp.Body.Close()
 
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if srv.Metrics().Snapshot(nil, nil).Streams.Active == 0 {
-			break
-		}
+	for srv.Metrics().Snapshot(nil, nil).Streams.Active != 0 || streamGoroutines() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("stream did not abort within 10s of disconnect")
+			t.Fatalf("10s after disconnect: %d active streams, %d pipeline goroutines",
+				srv.Metrics().Snapshot(nil, nil).Streams.Active, streamGoroutines())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	if inflight := srv.Limiter().Inflight(); inflight != 0 {
 		t.Fatalf("limiter still holds %d slots after disconnect", inflight)
 	}
+}
+
+// streamGoroutines counts goroutines inside the stream pipeline (the
+// producer blocked on the body, the consumer running windows).
+func streamGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return strings.Count(string(buf), "repro/internal/stream.runWindows")
 }
 
 func TestStreamDecompress(t *testing.T) {

@@ -96,3 +96,61 @@ func TestChaosCollisionReseedInStream(t *testing.T) {
 		t.Fatalf("Rounds = %d with %d segments — no reseed happened; tune the plan", st.Rounds, st.Segments)
 	}
 }
+
+// denseEngines are the two ways a dense stream runs: the cursor alone, and
+// with the checked tree walk as per-window oracle.
+func denseEngines(d *core.Dictionary, m *pram.Machine) map[string]*Oracle {
+	return map[string]*Oracle{
+		"dense":        nil,
+		"dense+oracle": {Matcher: DictMatcher{Dict: d, M: m}, Patterns: d.Patterns},
+	}
+}
+
+// TestChaosDenseStreamTruncation: the dense engine under an injected reader
+// death — the typed injected error, and a correct prefix before it.
+func TestChaosDenseStreamTruncation(t *testing.T) {
+	m := pram.NewSequential()
+	d := core.Preprocess(m, pats("aba", "ab", "bb"), core.Options{Seed: 7})
+	a := mustCompileDense(t, d)
+	text := textgen.New(60).Uniform(4096, 2)
+	want := oneShotMatches(m, d, text)
+
+	for name, oracle := range denseEngines(d, m) {
+		withPlan(t, 11, "stream.truncate:p=1,every=3,n=1") // die on the 3rd read
+		var sink matchCollector
+		_, err := MatchDense(context.Background(), a, oracle, bytes.NewReader(text), &sink, Config{SegmentBytes: 512})
+		if !chaos.IsInjected(err) {
+			t.Fatalf("%s under truncation: %v, want injected error", name, err)
+		}
+		if len(sink.events) == 0 || len(sink.events) >= len(want) {
+			t.Fatalf("%s: truncated run emitted %d events, oracle has %d", name, len(sink.events), len(want))
+		}
+		for i, e := range sink.events {
+			if e != want[i] {
+				t.Fatalf("%s: event %d = %+v, oracle %+v — truncation tore the prefix", name, i, e, want[i])
+			}
+		}
+	}
+}
+
+// TestChaosDenseStreamStallHarmless: producer stalls do not change a dense
+// stream's output.
+func TestChaosDenseStreamStallHarmless(t *testing.T) {
+	m := pram.NewSequential()
+	d := core.Preprocess(m, pats("aba", "bb"), core.Options{Seed: 8})
+	a := mustCompileDense(t, d)
+	text := textgen.New(61).Uniform(2048, 2)
+	want := oneShotMatches(m, d, text)
+
+	withPlan(t, 12, "stream.stall:p=1,delay=2ms")
+	for name, oracle := range denseEngines(d, m) {
+		var sink matchCollector
+		st, err := MatchDense(context.Background(), a, oracle, bytes.NewReader(text), &sink, Config{SegmentBytes: 256})
+		if err != nil {
+			t.Fatalf("%s under stalls: %v", name, err)
+		}
+		if !matchEventsEqual(sink.events, want) || st.TextBytes != int64(len(text)) {
+			t.Fatalf("%s: stalled run emitted %d events over %d bytes, oracle %d over %d", name, len(sink.events), st.TextBytes, len(want), len(text))
+		}
+	}
+}

@@ -1,0 +1,302 @@
+package stream
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"io"
+	"runtime"
+	"strings"
+	"testing"
+	"testing/iotest"
+
+	"repro/internal/core"
+	"repro/internal/dense"
+	"repro/internal/pram"
+)
+
+func mustCompileDense(t testing.TB, d *core.Dictionary) *dense.Automaton {
+	t.Helper()
+	a, err := dense.CompileDictionary(d, dense.Options{})
+	if err != nil {
+		t.Fatalf("dense compile: %v", err)
+	}
+	return a
+}
+
+// checkDenseLegs runs the dense engine over text both ways — the carried
+// state alone, and with the checked tree walk as per-window oracle — and
+// holds each to want, the events Match emits.
+func checkDenseLegs(t testing.TB, d *core.Dictionary, m *pram.Machine, a *dense.Automaton, text []byte, want []MatchEvent, cfg Config, label string) {
+	t.Helper()
+	for _, oracle := range []*Oracle{nil, {Matcher: DictMatcher{Dict: d, M: m}, Patterns: d.Patterns}} {
+		leg := label + " dense"
+		if oracle != nil {
+			leg += "+oracle"
+		}
+		var sink matchCollector
+		st, err := MatchDense(context.Background(), a, oracle, bytes.NewReader(text), &sink, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", leg, err)
+		}
+		if !matchEventsEqual(sink.events, want) {
+			t.Fatalf("%s: %d events, want %d", leg, len(sink.events), len(want))
+		}
+		if st.TextBytes != int64(len(text)) || st.Events != int64(len(want)) {
+			t.Fatalf("%s: stats %+v for %d bytes, %d events", leg, st, len(text), len(want))
+		}
+		if st.Rounds != 1 || st.Work != int64(len(text)) || st.Depth != int64(len(text)) {
+			t.Fatalf("%s: rounds/work/depth = %d/%d/%d, want 1 and the bytes scanned", leg, st.Rounds, st.Work, st.Depth)
+		}
+		resident := cfg.segmentSize()
+		if oracle != nil {
+			resident += d.MaxPatternLen() - 1
+			if st.Diverged != 0 || (len(text) > 0 && st.Verified == 0) {
+				t.Fatalf("%s: verified %d windows, %d diverged", leg, st.Verified, st.Diverged)
+			}
+		} else if st.WindowBytes != st.TextBytes {
+			t.Fatalf("%s: %d window bytes for %d text bytes — the carried state re-read text", leg, st.WindowBytes, st.TextBytes)
+		}
+		if st.MaxResident > resident {
+			t.Fatalf("%s: MaxResident %d exceeds %d", leg, st.MaxResident, resident)
+		}
+	}
+}
+
+// TestMatchDenseDuplicatePatterns: the automaton and the tree walk may name
+// a duplicated pattern by different ids; the per-window comparison goes by
+// spelling, so that is agreement, not divergence.
+func TestMatchDenseDuplicatePatterns(t *testing.T) {
+	m := pram.NewSequential()
+	d := core.Preprocess(m, pats("dup", "x", "dup", "dupdup", "x"), core.Options{Seed: 5})
+	a := mustCompileDense(t, d)
+	text := bytes.Repeat([]byte("adupdupbxx"), 50)
+	for _, seg := range []int{1, 4, 64} {
+		var sink matchCollector
+		oracle := &Oracle{Matcher: DictMatcher{Dict: d, M: m}, Patterns: d.Patterns}
+		st, err := MatchDense(context.Background(), a, oracle, bytes.NewReader(text), &sink, Config{SegmentBytes: seg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Diverged != 0 || st.Verified == 0 {
+			t.Fatalf("seg %d: verified %d, diverged %d", seg, st.Verified, st.Diverged)
+		}
+		for _, e := range sink.events {
+			if !bytes.Equal(d.Patterns[e.PatternID], text[e.Pos:e.Pos+int64(e.Length)]) {
+				t.Fatalf("seg %d: event %+v does not spell its pattern", seg, e)
+			}
+		}
+	}
+}
+
+// TestMatchDenseDivergenceServesOracle: an automaton that disagrees with the
+// dictionary never reaches the sink on a sampled stream — every window's
+// events are the oracle's, and the divergence is counted.
+func TestMatchDenseDivergenceServesOracle(t *testing.T) {
+	m := pram.NewSequential()
+	d := core.Preprocess(m, pats("abc", "bcd", "dxzabc"), core.Options{Seed: 5})
+	text := []byte(strings.Repeat("xabcdxzabcdx", 40))
+	want := oneShotMatches(m, d, text)
+	// Wrong patterns of the right lengths, and automata that think the
+	// longest pattern shorter, or longer, than the dictionary's.
+	for name, patterns := range map[string][][]byte{
+		"same-lengths": pats("zab", "cdx", "abcdxz"),
+		"shorter":      pats("ab", "cd"),
+		"longer":       pats("abc", "xzabcdxabc"),
+	} {
+		wrong, err := dense.Compile(patterns, dense.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seg := range []int{1, 2, 7, 100, len(text) + 1} {
+			var sink matchCollector
+			oracle := &Oracle{Matcher: DictMatcher{Dict: d, M: m}, Patterns: d.Patterns}
+			st, err := MatchDense(context.Background(), wrong, oracle, bytes.NewReader(text), &sink, Config{SegmentBytes: seg})
+			if err != nil {
+				t.Fatalf("%s seg %d: %v", name, seg, err)
+			}
+			if !matchEventsEqual(sink.events, want) {
+				t.Fatalf("%s seg %d: served %d events, oracle has %d (or they differ)", name, seg, len(sink.events), len(want))
+			}
+			if st.Diverged == 0 || st.Events != int64(len(want)) {
+				t.Fatalf("%s seg %d: diverged %d, events %d", name, seg, st.Diverged, st.Events)
+			}
+		}
+	}
+}
+
+// abstainer is an oracle that cannot answer (a degraded Las Vegas entry).
+type abstainer struct{ maxPat int }
+
+func (ab abstainer) MaxPatternLen() int { return ab.maxPat }
+
+func (abstainer) MatchWindow(context.Context, []byte) ([]core.Match, int, pram.Counters, error) {
+	return nil, 0, pram.Counters{}, nil
+}
+
+// TestMatchDenseOracleAbstains: an oracle without an answer leaves the
+// cursor's events served, and says so by verifying nothing.
+func TestMatchDenseOracleAbstains(t *testing.T) {
+	m := pram.NewSequential()
+	d := core.Preprocess(m, pats("aba", "bb"), core.Options{Seed: 5})
+	a := mustCompileDense(t, d)
+	text := bytes.Repeat([]byte("abbab"), 100)
+	want := oneShotMatches(m, d, text)
+	var sink matchCollector
+	st, err := MatchDense(context.Background(), a, &Oracle{Matcher: abstainer{3}, Patterns: d.Patterns}, bytes.NewReader(text), &sink, Config{SegmentBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !matchEventsEqual(sink.events, want) || st.Verified != 0 || st.Diverged != 0 {
+		t.Fatalf("%d events (want %d), verified %d, diverged %d", len(sink.events), len(want), st.Verified, st.Diverged)
+	}
+}
+
+// failingOracle answers like inner until call number failFrom, then fails.
+type failingOracle struct {
+	inner    TextMatcher
+	calls    int
+	failFrom int
+	err      error
+}
+
+func (fo *failingOracle) MaxPatternLen() int { return fo.inner.MaxPatternLen() }
+
+func (fo *failingOracle) MatchWindow(ctx context.Context, window []byte) ([]core.Match, int, pram.Counters, error) {
+	fo.calls++
+	if fo.calls > fo.failFrom {
+		return nil, 0, pram.Counters{}, fo.err
+	}
+	return fo.inner.MatchWindow(ctx, window)
+}
+
+// TestMatchDenseOracleErrorAborts: an oracle error (a cancelled context, say)
+// ends the stream; the failed window's events are never written.
+func TestMatchDenseOracleErrorAborts(t *testing.T) {
+	m := pram.NewSequential()
+	d := core.Preprocess(m, pats("ab"), core.Options{Seed: 5})
+	a := mustCompileDense(t, d)
+	boom := errors.New("oracle down")
+	oracle := &Oracle{Matcher: &failingOracle{inner: DictMatcher{Dict: d, M: m}, failFrom: 1, err: boom}, Patterns: d.Patterns}
+	var sink matchCollector
+	_, err := MatchDense(context.Background(), a, oracle, bytes.NewReader(bytes.Repeat([]byte("ab"), 400)), &sink, Config{SegmentBytes: 128})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the oracle's", err)
+	}
+	if len(sink.events) == 0 {
+		t.Fatal("the verified first window wrote nothing")
+	}
+	for _, e := range sink.events {
+		if e.Pos >= 128 {
+			t.Fatalf("event at %d written from the window whose oracle failed", e.Pos)
+		}
+	}
+}
+
+// TestMatchDenseCancellationAndSinkError: the dense engine observes
+// cancellation at segment granularity and returns a sink error unchanged,
+// like Match.
+func TestMatchDenseCancellationAndSinkError(t *testing.T) {
+	m := pram.NewSequential()
+	d := core.Preprocess(m, pats("aa"), core.Options{})
+	a := mustCompileDense(t, d)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err := MatchDense(ctx, a, nil, endlessReader{}, &cancelSink{cancel: cancel}, Config{SegmentBytes: 1 << 12})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+
+	text := bytes.Repeat([]byte("a"), 5000)
+	_, err = MatchDense(context.Background(), a, nil, bytes.NewReader(text), &failingSink{after: 3}, Config{SegmentBytes: 512})
+	if err == nil || err.Error() != "sink full" {
+		t.Fatalf("err = %v, want sink full", err)
+	}
+	_, err = MatchDense(context.Background(), a, nil, &readErrReader{n: 3000}, &matchCollector{}, Config{SegmentBytes: 1024})
+	if err == nil || err.Error() != "disk on fire" {
+		t.Fatalf("err = %v, want reader error", err)
+	}
+}
+
+// TestSegmentsIndependentOfReader: how a reader reports the end of its input
+// — io.EOF with the last bytes or on a call of its own, in large reads or
+// single bytes — does not change how the pipeline cuts segments.
+func TestSegmentsIndependentOfReader(t *testing.T) {
+	m := pram.NewSequential()
+	d := core.Preprocess(m, pats("ab", "ba"), core.Options{})
+	a := mustCompileDense(t, d)
+	for _, n := range []int{0, 1, 511, 512, 513, 2048, 2049} {
+		text := bytes.Repeat([]byte("ab"), n/2+1)[:n]
+		wantSegs := int64(n/512 + 1) // full segments, then a short (or empty) last one
+		readers := map[string]func() io.Reader{
+			"plain":         func() io.Reader { return bytes.NewReader(text) },
+			"eof-with-data": func() io.Reader { return iotest.DataErrReader(bytes.NewReader(text)) },
+			"one-byte":      func() io.Reader { return iotest.OneByteReader(bytes.NewReader(text)) },
+			"half":          func() io.Reader { return iotest.HalfReader(bytes.NewReader(text)) },
+		}
+		for name, mk := range readers {
+			st, err := Match(context.Background(), DictMatcher{Dict: d, M: m}, mk(), &matchCollector{}, Config{SegmentBytes: 512})
+			if err != nil || st.Segments != wantSegs || st.TextBytes != int64(n) {
+				t.Fatalf("tree, %s reader, n=%d: %d segments (want %d), %d bytes, err %v", name, n, st.Segments, wantSegs, st.TextBytes, err)
+			}
+			st, err = MatchDense(context.Background(), a, nil, mk(), &matchCollector{}, Config{SegmentBytes: 512})
+			if err != nil || st.Segments != wantSegs || st.TextBytes != int64(n) {
+				t.Fatalf("dense, %s reader, n=%d: %d segments (want %d), %d bytes, err %v", name, n, st.Segments, wantSegs, st.TextBytes, err)
+			}
+		}
+	}
+}
+
+// maxSegment is the largest segment a server lets a client ask for.
+const maxSegment = 64 << 20
+
+// TestTinyBodyMaxSegmentAllocation pins the fix for the stream route's
+// memory amplification: buffers are sized by what has been read, so a tiny
+// input with the largest segment costs kilobytes on either engine (the
+// up-front buffers cost 192 MiB).
+func TestTinyBodyMaxSegmentAllocation(t *testing.T) {
+	const ceiling = 64 << 10
+	m := pram.NewSequential()
+	d := core.Preprocess(m, pats("ab", "ba"), core.Options{})
+	a := mustCompileDense(t, d)
+	cfg := Config{SegmentBytes: maxSegment}
+	engines := map[string]func(r io.Reader) (Stats, error){
+		"tree": func(r io.Reader) (Stats, error) {
+			return Match(context.Background(), DictMatcher{Dict: d, M: m}, r, &matchCollector{}, cfg)
+		},
+		"dense": func(r io.Reader) (Stats, error) {
+			return MatchDense(context.Background(), a, nil, r, &matchCollector{}, cfg)
+		},
+		"dense+oracle": func(r io.Reader) (Stats, error) {
+			return MatchDense(context.Background(), a, &Oracle{Matcher: DictMatcher{Dict: d, M: m}, Patterns: d.Patterns}, r, &matchCollector{}, cfg)
+		},
+	}
+	for name, run := range engines {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		st, err := run(strings.NewReader("a"))
+		runtime.ReadMemStats(&after)
+		if err != nil || st.TextBytes != 1 {
+			t.Fatalf("%s: %+v, %v", name, st, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > ceiling {
+			t.Fatalf("%s: a 1-byte input with segment=%d allocated %d bytes, ceiling %d", name, maxSegment, got, ceiling)
+		}
+	}
+}
+
+// TestBuffersGrowToSegment: a long input still ends up with segment-sized
+// buffers and no more — growth stops at the configured size.
+func TestBuffersGrowToSegment(t *testing.T) {
+	buf := []byte(nil)
+	r := bytes.NewReader(make([]byte, 100<<10))
+	seg, err := readSegment(r, buf, 24<<10)
+	if err != nil || len(seg) != 24<<10 || cap(seg) != 24<<10 {
+		t.Fatalf("first segment: len %d cap %d err %v, want exactly the segment size", len(seg), cap(seg), err)
+	}
+	again, err := readSegment(r, seg, 24<<10)
+	if err != nil || &again[0] != &seg[0] {
+		t.Fatalf("second segment did not reuse the buffer (err %v)", err)
+	}
+}

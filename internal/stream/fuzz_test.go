@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -16,7 +17,8 @@ import (
 // including segments smaller than the longest pattern — that every
 // streaming codec is byte-identical to its one-shot counterpart:
 //
-//   - Match emits exactly the batch MatchLasVegas events,
+//   - Match emits exactly the batch MatchLasVegas events, and so does
+//     MatchDense, with and without the per-window oracle,
 //   - Parse emits exactly the batch FrontierParse phrases (count-equal to
 //     OptimalParse), with word IDs that spell their phrases,
 //   - Uncompress reproduces the text from an lz.Compress container.
@@ -29,6 +31,7 @@ func FuzzStreamEquivalence(f *testing.F) {
 	m := pram.NewSequential()
 	d := core.Preprocess(m, prefixClosed, core.Options{Seed: 2})
 	maxPat := d.MaxPatternLen()
+	a := mustCompileDense(f, d)
 
 	f.Fuzz(func(t *testing.T, data []byte, seg uint16) {
 		if len(data) > 4096 {
@@ -53,6 +56,7 @@ func FuzzStreamEquivalence(f *testing.F) {
 		if !matchEventsEqual(gotM.events, wantM) {
 			t.Fatalf("Match(seg=%d): %d events, batch %d", segSize, len(gotM.events), len(wantM))
 		}
+		checkDenseLegs(t, d, m, a, text, wantM, cfg, fmt.Sprintf("seg=%d", segSize))
 
 		// Parsing. The dictionary is prefix-closed with all single letters,
 		// so every text over {a,b,c} parses.

@@ -1,11 +1,13 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/dense"
 	"repro/internal/pram"
 )
 
@@ -105,4 +107,154 @@ func Match(ctx context.Context, tm TextMatcher, r io.Reader, sink MatchSink, cfg
 		return nil
 	})
 	return st, err
+}
+
+// Oracle makes a MatchDense run a sampled one: every window is also matched
+// by an independent matcher, and the cursor's events for the window are
+// held back until they have been compared with it.
+type Oracle struct {
+	// Matcher is presented with each halo window, exactly as Match would
+	// present it. A nil result for a non-empty window, with a nil error,
+	// means the matcher cannot answer now (a degraded Las Vegas entry); that
+	// window goes unverified, since an oracle's trouble cannot indict the
+	// deterministic scan.
+	Matcher TextMatcher
+	// Patterns is the dictionary both sides number. Ids may differ where
+	// patterns are duplicated (the implementations pick different
+	// representatives); such events agree when they spell the same bytes.
+	Patterns [][]byte
+}
+
+// MatchDense is Match on a compiled automaton: the same events as Match
+// with a checked matcher over the same dictionary, for every SegmentBytes,
+// from one carried-state cursor instead of a matcher run per halo window.
+// The pipeline carries no halo — each segment is scanned once, in the
+// buffer it was read into, and the cursor's ring of MaxPatternLen() open
+// positions is the only state that crosses a segment boundary. Stats follow
+// the dense convention: Rounds is 1, Work and Depth the bytes scanned.
+//
+// With a non-nil oracle the pipeline cuts the halo windows Match would and
+// shows each to oracle.Matcher, feeding the cursor the window's fresh bytes
+// only. Both sides finalize position i at byte i+MaxPatternLen()-1, so
+// after window k both have closed exactly the positions below the window's
+// finalized bound, and the comparison is per window: where the cursor's
+// events differ, the oracle's are emitted in their place and
+// Stats.Diverged counts the window. No event reaches the sink uncompared.
+func MatchDense(ctx context.Context, a *dense.Automaton, oracle *Oracle, r io.Reader, sink MatchSink, cfg Config) (Stats, error) {
+	st := Stats{Rounds: 1}
+	halo := 0
+	if oracle != nil {
+		// The oracle's lookahead, not just the automaton's: an automaton
+		// compiled from the wrong patterns may think them shorter, and the
+		// windows must still be ones the oracle answers exactly. (The
+		// finalized ranges then differ, the windows diverge, and the
+		// oracle's events are what is served — as they should be.)
+		halo = max(a.MaxPatternLen(), oracle.Matcher.MaxPatternLen()) - 1
+	}
+	obs, _ := sink.(SegmentObserver)
+	cur := a.NewCursor()
+	emit := func(pos int64, m core.Match) error {
+		st.Events++
+		return sink.MatchEvent(MatchEvent{Pos: pos, PatternID: m.PatternID, Length: m.Length})
+	}
+	var held []MatchEvent // one window's events, awaiting the oracle
+	hold := func(pos int64, m core.Match) error {
+		held = append(held, MatchEvent{Pos: pos, PatternID: m.PatternID, Length: m.Length})
+		return nil
+	}
+	out := emit
+	if oracle != nil {
+		out = hold
+	}
+	err := runWindows(ctx, r, cfg.segmentSize(), halo, &st, func(window []byte, base int64, final int, last bool) error {
+		fresh := window[cur.Pos()-base:]
+		held = held[:0]
+		if err := cur.Feed(fresh, out); err != nil {
+			return err
+		}
+		if last {
+			if err := cur.Flush(out); err != nil {
+				return err
+			}
+		}
+		st.Work += int64(len(fresh))
+		st.Depth += int64(len(fresh))
+		if oracle != nil && len(window) > 0 {
+			var err error
+			if held, err = oracle.settle(ctx, &st, window, base, final, held); err != nil {
+				return err
+			}
+		}
+		for _, e := range held {
+			st.Events++
+			if err := sink.MatchEvent(e); err != nil {
+				return err
+			}
+		}
+		if obs != nil {
+			return obs.SegmentDone(SegmentInfo{
+				Index: st.Segments - 1, Base: base, WindowLen: len(window),
+				Finalized: final, Last: last, Rounds: 1,
+				Work: int64(len(fresh)), Depth: int64(len(fresh)),
+			})
+		}
+		return nil
+	})
+	return st, err
+}
+
+// settle shows one window to the oracle and returns the events to emit for
+// its finalized range: held, the cursor's, when the oracle agrees (or has no
+// answer), the oracle's own otherwise.
+func (o *Oracle) settle(ctx context.Context, st *Stats, window []byte, base int64, final int, held []MatchEvent) ([]MatchEvent, error) {
+	want, _, _, err := o.Matcher.MatchWindow(ctx, window)
+	if err != nil || want == nil {
+		return held, err
+	}
+	if len(want) != len(window) {
+		return nil, fmt.Errorf("stream: oracle returned %d positions for a %d-byte window", len(want), len(window))
+	}
+	st.Verified++
+	if sameEvents(o.Patterns, held, want[:final], base) {
+		return held, nil
+	}
+	st.Diverged++
+	held = held[:0]
+	for i, m := range want[:final] {
+		if m.Length > 0 {
+			held = append(held, MatchEvent{Pos: base + int64(i), PatternID: m.PatternID, Length: m.Length})
+		}
+	}
+	return held, nil
+}
+
+// sameEvents reports whether got is exactly the matches in want, whose
+// first entry is text position base: same positions, same lengths, and the
+// same spelled pattern where the ids differ.
+func sameEvents(patterns [][]byte, got []MatchEvent, want []core.Match, base int64) bool {
+	k := 0
+	for i, m := range want {
+		if m.Length == 0 {
+			continue
+		}
+		if k == len(got) {
+			return false
+		}
+		g := got[k]
+		k++
+		if g.Pos != base+int64(i) || g.Length != m.Length {
+			return false
+		}
+		if g.PatternID != m.PatternID && !samePattern(patterns, g.PatternID, m.PatternID) {
+			return false
+		}
+	}
+	return k == len(got)
+}
+
+func samePattern(patterns [][]byte, a, b int32) bool {
+	if a < 0 || b < 0 || int(a) >= len(patterns) || int(b) >= len(patterns) {
+		return false
+	}
+	return bytes.Equal(patterns[a], patterns[b])
 }

@@ -15,10 +15,16 @@
 // duplicates. Resident text is O(SegmentBytes + MaxPatternLen) regardless
 // of input length.
 //
+// MatchDense is the exception that needs no halo: a compiled automaton's
+// cursor carries its state across segments, so each segment is scanned
+// once, in place, and only the cursor's ring of MaxPatternLen() open
+// positions crosses a boundary.
+//
 // Reading and computing are double-buffered: a producer goroutine reads
 // segment i+1 from the io.Reader while the consumer runs the PRAM
 // algorithms on window i, with backpressure through a bounded channel (two
-// segment buffers in flight, total). Per-window PRAM work/depth ledger
+// segment buffers in flight, total, each grown on demand to the segment
+// size — see firstBuffer). Per-window PRAM work/depth ledger
 // deltas are aggregated into Stats — the streamed run charges the same
 // work as the batch run on the same text (plus the halo recompute) but
 // sequential-composes the windows, trading depth for memory.
@@ -63,6 +69,10 @@ type Stats struct {
 	Rounds      int   // Las Vegas verification rounds across all windows (match only)
 	Work        int64 // aggregated PRAM work over all windows
 	Depth       int64 // aggregated PRAM depth (windows compose sequentially)
+
+	// MatchDense with an oracle only.
+	Verified int64 // windows compared with the oracle
+	Diverged int64 // of those, windows whose events differed (the oracle's were emitted)
 
 	// Uncompress only.
 	FarthestBack int64 // longest back-reference distance seen
@@ -122,6 +132,42 @@ func (e *WindowPanicError) Unwrap() error {
 	return nil
 }
 
+// firstBuffer is the capacity a segment or window buffer starts at; it
+// doubles from there, up to the configured size, as the input proves to be
+// that long. The pipeline never allocates for bytes it has not read: a
+// one-byte body costs one firstBuffer whatever SegmentBytes says (a server
+// lets clients choose that, up to 64 MiB).
+const firstBuffer = 4 << 10
+
+// growTo returns buf with room for need bytes, at least doubling its
+// capacity but never past limit (need <= limit), contents kept.
+func growTo(buf []byte, need, limit int) []byte {
+	if need <= cap(buf) {
+		return buf
+	}
+	c := min(max(2*cap(buf), firstBuffer, need), limit)
+	grown := make([]byte, len(buf), c)
+	copy(grown, buf)
+	return grown
+}
+
+// readSegment reads the next segSize bytes of r into buf (contents
+// discarded, capacity reused and grown on demand), with io.ReadFull's
+// contract: a full segment comes back with a nil error, a short one with
+// the error that ended it (io.EOF at the end of the input).
+func readSegment(r io.Reader, buf []byte, segSize int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < segSize {
+		buf = growTo(buf, len(buf)+1, segSize)
+		n, err := r.Read(buf[len(buf):cap(buf)]) // growTo keeps cap <= segSize
+		buf = buf[:len(buf)+n]
+		if err != nil && len(buf) < segSize {
+			return buf, err
+		}
+	}
+	return buf, nil
+}
+
 // runWindows drives the double-buffered read loop. fn sees each window
 // (carry + fresh segment), the absolute offset of its first byte, and the
 // count of finalized positions; it must not retain the window slice.
@@ -132,8 +178,9 @@ func runWindows(ctx context.Context, r io.Reader, segSize, halo int, st *Stats, 
 	free := make(chan []byte, 2)
 	done := make(chan struct{})
 	defer close(done)
-	free <- make([]byte, segSize)
-	free <- make([]byte, segSize)
+	// Two segment buffers circulate; each is allocated by its first read.
+	free <- nil
+	free <- nil
 
 	go func() {
 		defer close(segs)
@@ -145,11 +192,11 @@ func runWindows(ctx context.Context, r io.Reader, segSize, halo int, st *Stats, 
 				return
 			}
 			chaos.Sleep(chaos.StreamStall) // injected producer stall (chaos builds)
-			n, err := io.ReadFull(r, buf[:segSize])
-			s := segment{buf: buf[:n]}
+			buf, err := readSegment(r, buf, segSize)
+			s := segment{buf: buf}
 			switch err {
 			case nil:
-			case io.EOF, io.ErrUnexpectedEOF:
+			case io.EOF:
 				s.last = true
 			default:
 				s.err = err
@@ -157,7 +204,7 @@ func runWindows(ctx context.Context, r io.Reader, segSize, halo int, st *Stats, 
 			if s.err == nil && chaos.Fire(chaos.StreamTruncate) {
 				// Injected mid-stream truncation: the reader dies with half a
 				// segment delivered, like a dropped connection.
-				s.buf = s.buf[:n/2]
+				s.buf = s.buf[:len(buf)/2]
 				s.err = &chaos.InjectedError{Point: chaos.StreamTruncate, Op: "read"}
 				s.last = false
 			}
@@ -186,9 +233,14 @@ func callWindow(fn func([]byte, int64, int, bool) error, window []byte, base int
 	return fn(window, base, final, last)
 }
 
-// consumeWindows is the consumer half of runWindows.
+// consumeWindows is the consumer half of runWindows. With a halo it
+// assembles each window — the carry of the previous one plus the fresh
+// segment — in a buffer of its own and hands the segment buffer back before
+// computing; with none (a matcher that carries its state instead of
+// re-reading text) the window is the segment buffer itself, so the input's
+// bytes are copied nowhere between the reader and fn.
 func consumeWindows(ctx context.Context, segs <-chan segment, free chan<- []byte, segSize, halo int, st *Stats, fn func(window []byte, base int64, final int, last bool) error) error {
-	window := make([]byte, 0, segSize+halo)
+	var assembled []byte
 	var base int64
 	carry := 0
 	for s := range segs {
@@ -198,11 +250,16 @@ func consumeWindows(ctx context.Context, segs <-chan segment, free chan<- []byte
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		window = append(window[:carry], s.buf...)
-		if !s.last {
-			// Hand the buffer back before computing: the producer reads
-			// the next segment while fn runs on this window.
-			free <- s.buf[:segSize]
+		window := s.buf
+		if halo > 0 {
+			assembled = growTo(assembled[:carry], carry+len(s.buf), segSize+halo)
+			assembled = append(assembled, s.buf...)
+			window = assembled
+			if !s.last {
+				// The producer reads the next segment while fn runs on this
+				// window.
+				free <- s.buf
+			}
 		}
 		st.Segments++
 		st.TextBytes += int64(len(s.buf))
@@ -212,10 +269,7 @@ func consumeWindows(ctx context.Context, segs <-chan segment, free chan<- []byte
 		}
 		final := len(window)
 		if !s.last {
-			final = len(window) - halo
-			if final < 0 {
-				final = 0
-			}
+			final = max(len(window)-halo, 0)
 		}
 		if err := callWindow(fn, window, base, final, s.last); err != nil {
 			return err
@@ -225,6 +279,10 @@ func consumeWindows(ctx context.Context, segs <-chan segment, free chan<- []byte
 		base += int64(final)
 		if s.last {
 			return nil
+		}
+		if halo == 0 {
+			// The other buffer has been filling meanwhile.
+			free <- s.buf
 		}
 	}
 	return ctx.Err()

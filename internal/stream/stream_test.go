@@ -56,6 +56,7 @@ func oneShotMatches(m *pram.Machine, d *core.Dictionary, text []byte) []MatchEve
 func TestMatchEquivalence(t *testing.T) {
 	m := pram.NewSequential()
 	d := core.Preprocess(m, pats("aba", "ab", "bcb", "aabb", "b", "cccc"), core.Options{Seed: 3})
+	a := mustCompileDense(t, d)
 	rng := rand.New(rand.NewPCG(1, 2))
 	for trial := 0; trial < 30; trial++ {
 		n := rng.IntN(3000)
@@ -82,6 +83,7 @@ func TestMatchEquivalence(t *testing.T) {
 			if st.Events != int64(len(want)) {
 				t.Fatalf("trial %d seg %d: Events %d, want %d", trial, seg, st.Events, len(want))
 			}
+			checkDenseLegs(t, d, m, a, text, want, Config{SegmentBytes: seg}, fmt.Sprintf("trial %d seg %d", trial, seg))
 		}
 	}
 }
