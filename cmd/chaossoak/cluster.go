@@ -18,8 +18,6 @@ import (
 	"time"
 
 	"repro/internal/ahocorasick"
-	"repro/internal/lz"
-	"repro/internal/pram"
 	"repro/internal/textgen"
 )
 
@@ -148,13 +146,7 @@ func runClusterSoak(bin string, n int, duration time.Duration, seed uint64, plan
 	for i := range lzPayloads {
 		lzPayloads[i] = gen.Repetitive(2048+128*i, 64, 0.02)
 	}
-	var enc bytes.Buffer
-	m := pram.NewSequential()
-	if err := lz.EncodeStream(&enc, lz.Compress(m, text)); err != nil {
-		fail("compressing planted text: %v", err)
-	}
-	m.Close()
-	container := enc.Bytes()
+	cz := newCzTraffic(text, ac, fail)
 
 	// Warm every node before traffic so the replica owner pulls the bundle
 	// now — the kill must not catch a cold replica.
@@ -202,7 +194,7 @@ func runClusterSoak(bin string, n int, duration time.Duration, seed uint64, plan
 				case 2:
 					doStream(base, id, text, oracle, ac, wantHits, &ok, &shed, &streamErrTrailer, &streamEngines, mismatch)
 				case 3:
-					doCompressedMatch(base, id, container, len(text), oracle, ac, wantHits, &ok, &shed, mismatch)
+					cz.do(base, id, i/4, ac, &ok, &shed, mismatch)
 				}
 			}
 		}(c)
@@ -319,11 +311,15 @@ func runClusterSoak(bin string, n int, duration time.Duration, seed uint64, plan
 	log.Printf("%v cluster soak (%d nodes, victim %s): %d ok (%d after retries), %d shed, %d streams error-trailed, %d mismatches, %d replication pulls",
 		duration, n, victim.name, ok.Load(), retried.Load(), shed.Load(), streamErrTrailer.Load(), mismatches.Load(), pulls)
 	log.Print(streamEngines.report())
+	log.Print(cz.report())
 	if mm := mismatches.Load(); mm > 0 {
 		log.Fatalf("FAIL: %d oracle mismatches; first: %s", mm, <-firstMismatch)
 	}
 	if ok.Load() == 0 {
 		log.Fatal("FAIL: no request ever succeeded — the soak measured nothing")
+	}
+	if err := cz.check(); err != nil {
+		log.Fatalf("FAIL: %v", err)
 	}
 	if shed.Load() == 0 {
 		log.Fatal("FAIL: a node was SIGKILLed mid-traffic yet nothing shed — the kill never bit")

@@ -19,9 +19,13 @@
 //     trailer required to be a summary or an explicit {"error":...} line —
 //     a stream that just stops is silent truncation, the one unforgivable
 //     outcome
-//   - /match/compressed/buffered on an LZ1R1 container of the same text,
-//     hits checked against the same oracle (the compressed-domain scanner
-//     must be indistinguishable from decompress-then-match)
+//   - /match/compressed/buffered on LZ1R1 containers, hits checked against
+//     the same oracle (the compressed-domain scanner must be
+//     indistinguishable from decompress-then-match): in turn the container
+//     of the planted text, whose short tokens the scanner expands and scans
+//     ("engine":"dense"), and one of a periodic text, whose long tokens it
+//     scans as tokens ("engine":"czsearch"); a reply that names no engine
+//     fails the soak
 //
 // Requests that fail with 500/503 are expected casualties (the plan forces
 // Las Vegas exhaustion now and then; the breaker answers 503 while it
@@ -185,15 +189,7 @@ func main() {
 	for i := range lzPayloads {
 		lzPayloads[i] = gen.Repetitive(2048+128*i, 64, 0.02)
 	}
-	// LZ1R1 container of the planted text, for the compressed-match kind:
-	// same oracle as /match, different engine on the server side.
-	var enc bytes.Buffer
-	m := pram.NewSequential()
-	if err := lz.EncodeStream(&enc, lz.Compress(m, text)); err != nil {
-		fail("compressing planted text: %v", err)
-	}
-	m.Close()
-	container := enc.Bytes()
+	cz := newCzTraffic(text, ac, fail)
 
 	var (
 		ok, shed, retried atomic.Int64 // 200s; 429/500/503s; 200s with attempts > 1
@@ -225,7 +221,7 @@ func main() {
 				case 2:
 					doStream(base, id, text, oracle, ac, wantHits, &ok, &shed, &streamErrTrailer, &streamEngines, mismatch)
 				case 3:
-					doCompressedMatch(base, id, container, len(text), oracle, ac, wantHits, &ok, &shed, mismatch)
+					cz.do(base, id, i/4, ac, &ok, &shed, mismatch)
 				}
 			}
 		}(c)
@@ -254,6 +250,7 @@ func main() {
 	log.Printf("%v soak: %d ok (%d after retries), %d shed (429/500/503), %d streams error-trailed, %d mismatches",
 		*duration, ok.Load(), retried.Load(), shed.Load(), streamErrTrailer.Load(), mismatches.Load())
 	log.Print(streamEngines.report())
+	log.Print(cz.report())
 	for _, line := range strings.Split(strings.TrimRight(serverLog.String(), "\n"), "\n") {
 		if strings.Contains(line, "chaos:") {
 			log.Print(line)
@@ -264,6 +261,9 @@ func main() {
 	}
 	if ok.Load() == 0 {
 		log.Fatal("FAIL: no request ever succeeded — the soak measured nothing")
+	}
+	if err := cz.check(); err != nil {
+		log.Fatalf("FAIL: %v", err)
 	}
 	if !strings.Contains(serverLog.String(), "chaos: armed") {
 		log.Fatal("FAIL: server never armed the chaos plan — was -bin built with -tags chaos?")
@@ -441,16 +441,58 @@ func doLZRoundTrip(base string, payload []byte,
 	}
 }
 
-// doCompressedMatch posts the LZ1R1 container of the planted text to the
-// buffered compressed-match endpoint. The scanner's contract is that its
-// output is indistinguishable from decompress-then-match, so every hit is
-// checked against the same Aho–Corasick oracle doMatch uses. A 500 is an
-// expected casualty: under chaos the sampled server-side oracle fails
-// poisoned requests loudly instead of serving them.
-func doCompressedMatch(base, id string, container []byte, textLen int, oracle []int32, ac *ahocorasick.Automaton, wantHits int,
-	ok, shed *atomic.Int64, mismatch func(string, ...any)) {
+// czTraffic is a soak's compressed-match traffic: two containers over the
+// soak's dictionary, one on each side of the scanner's cutover, and a tally
+// of the engines the replies name.
+type czTraffic struct {
+	cases                 [2]czCase
+	czsearch, dense, tree atomic.Int64
+}
+
+// czCase is one container with the oracle of the text it represents.
+type czCase struct {
+	container []byte
+	oracle    []int32
+	wantHits  int
+}
+
+// newCzTraffic compresses the planted text — random between the plants, so
+// its parse has tokens of a few bytes, which the scanner expands — and a
+// periodic text made of the planted text's first 512 bytes, which parses
+// into one long token after the first period (mean token length ≈ 60 B at
+// 16 periods), the token scanner's ground.
+func newCzTraffic(text []byte, ac *ahocorasick.Automaton, fail func(string, ...any)) *czTraffic {
+	z := &czTraffic{}
+	m := pram.NewSequential()
+	defer m.Close()
+	period := min(len(text), 512)
+	for i, tx := range [][]byte{text, bytes.Repeat(text[:period], max(len(text)/period, 16))} {
+		var enc bytes.Buffer
+		if err := lz.EncodeStream(&enc, lz.Compress(m, tx)); err != nil {
+			fail("compressing soak text %d: %v", i, err)
+		}
+		c := czCase{container: enc.Bytes(), oracle: ac.Match(tx)}
+		for _, p := range c.oracle {
+			if p >= 0 {
+				c.wantHits++
+			}
+		}
+		z.cases[i] = c
+	}
+	return z
+}
+
+// do posts one of the containers (turn picks which) to the buffered
+// compressed-match endpoint. The scanner's contract is that its output is
+// indistinguishable from decompress-then-match, so every hit is checked
+// against the same Aho–Corasick oracle doMatch uses, and the reply must say
+// which engine served it. A 500 is an expected casualty: under chaos the
+// sampled server-side oracle fails poisoned requests loudly instead of
+// serving them.
+func (z *czTraffic) do(base, id string, turn int, ac *ahocorasick.Automaton, ok, shed *atomic.Int64, mismatch func(string, ...any)) {
+	c := &z.cases[turn%len(z.cases)]
 	status, body, err := postJSON(fmt.Sprintf("%s/v1/dicts/%s/match/compressed/buffered", base, id),
-		map[string]any{"dataB64": base64.StdEncoding.EncodeToString(container)})
+		map[string]any{"dataB64": base64.StdEncoding.EncodeToString(c.container)})
 	if err != nil {
 		shed.Add(1)
 		return
@@ -464,8 +506,9 @@ func doCompressedMatch(base, id string, container []byte, textLen int, oracle []
 		return
 	}
 	var mr struct {
-		N       int `json:"n"`
-		Matched int `json:"matched"`
+		N       int    `json:"n"`
+		Matched int    `json:"matched"`
+		Engine  string `json:"engine"`
 		Hits    []struct {
 			Pos     int `json:"pos"`
 			Pattern int `json:"pattern"`
@@ -476,17 +519,42 @@ func doCompressedMatch(base, id string, container []byte, textLen int, oracle []
 		mismatch("compressed match: bad body: %v", err)
 		return
 	}
-	if mr.N != textLen || mr.Matched != wantHits {
-		mismatch("compressed match: %d hits over %d bytes, oracle says %d over %d", mr.Matched, mr.N, wantHits, textLen)
+	if mr.N != len(c.oracle) || mr.Matched != c.wantHits {
+		mismatch("compressed match: %d hits over %d bytes, oracle says %d over %d", mr.Matched, mr.N, c.wantHits, len(c.oracle))
 		return
 	}
 	for _, h := range mr.Hits {
-		if p := oracle[h.Pos]; int(p) != h.Pattern || int(ac.PatternLen(p)) != h.Length {
+		if p := c.oracle[h.Pos]; int(p) != h.Pattern || int(ac.PatternLen(p)) != h.Length {
 			mismatch("compressed match: pos %d pattern %d len %d disagrees with oracle", h.Pos, h.Pattern, h.Length)
 			return
 		}
 	}
+	switch mr.Engine {
+	case "czsearch":
+		z.czsearch.Add(1)
+	case "dense":
+		z.dense.Add(1)
+	case "tree":
+		z.tree.Add(1)
+	default:
+		mismatch("compressed match: reply names engine %q", mr.Engine)
+		return
+	}
 	ok.Add(1)
+}
+
+func (z *czTraffic) report() string {
+	return fmt.Sprintf("compressed by engine: %d czsearch, %d dense, %d tree", z.czsearch.Load(), z.dense.Load(), z.tree.Load())
+}
+
+// check requires that a server whose scanner served at all served in both
+// of its modes: the two containers alternate, so only a cutover gone wrong
+// sends them the same way. (A -dense=off server answers everything "tree".)
+func (z *czTraffic) check() error {
+	if cs, d := z.czsearch.Load(), z.dense.Load(); (cs == 0) != (d == 0) {
+		return fmt.Errorf("%s — one scanner mode never served", z.report())
+	}
+	return nil
 }
 
 // engineTally counts completed /match/stream requests by the engine their

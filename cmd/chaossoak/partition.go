@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
@@ -16,8 +15,6 @@ import (
 	"time"
 
 	"repro/internal/ahocorasick"
-	"repro/internal/lz"
-	"repro/internal/pram"
 	"repro/internal/textgen"
 )
 
@@ -154,13 +151,7 @@ func runPartitionSoak(bin string, n int, duration time.Duration, seed uint64, cl
 	for i := range lzPayloads {
 		lzPayloads[i] = gen.Repetitive(2048+128*i, 64, 0.02)
 	}
-	var enc bytes.Buffer
-	m := pram.NewSequential()
-	if err := lz.EncodeStream(&enc, lz.Compress(m, text)); err != nil {
-		fail("compressing planted text: %v", err)
-	}
-	m.Close()
-	container := enc.Bytes()
+	cz := newCzTraffic(text, ac, fail)
 
 	// Warm every node so the replica owner holds the bundle before the
 	// partition bites.
@@ -212,7 +203,7 @@ func runPartitionSoak(bin string, n int, duration time.Duration, seed uint64, cl
 				case 2:
 					doStream(base, id, text, oracle, ac, wantHits, &ok, &shed, &streamErrTrailer, &streamEngines, mismatch)
 				case 3:
-					doCompressedMatch(base, id, container, len(text), oracle, ac, wantHits, &ok, &shed, mismatch)
+					cz.do(base, id, i/4, ac, &ok, &shed, mismatch)
 				}
 			}
 		}(c)
@@ -342,11 +333,15 @@ func runPartitionSoak(bin string, n int, duration time.Duration, seed uint64, cl
 	log.Printf("%v partition soak (%d nodes, victim %s): %d ok (%d during partition, %d after retries), %d shed, %d streams error-trailed, %d mismatches, %d injected faults",
 		duration, n, victim.name, ok.Load(), okDuringPartition, retried.Load(), shed.Load(), streamErrTrailer.Load(), mismatches.Load(), injectedTotal)
 	log.Print(streamEngines.report())
+	log.Print(cz.report())
 	if mm := mismatches.Load(); mm > 0 {
 		log.Fatalf("FAIL: %d oracle mismatches; first: %s", mm, <-firstMismatch)
 	}
 	if ok.Load() == 0 {
 		log.Fatal("FAIL: no request ever succeeded — the soak measured nothing")
+	}
+	if err := cz.check(); err != nil {
+		log.Fatalf("FAIL: %v", err)
 	}
 	if okDuringPartition == 0 {
 		log.Fatal("FAIL: nothing succeeded while the primary owner was partitioned — rerouting/stale serving never worked")

@@ -274,8 +274,8 @@ func runCompressed(patterns [][]byte, textPath string, procs int, seed uint64, s
 	if stats {
 		fmt.Fprintf(os.Stderr, "represented=%dB tokens=%d dict=%d patterns matches=%d wall=%s\n",
 			st.BytesRepresented, st.Tokens, len(patterns), found, elapsed.Round(time.Microsecond))
-		fmt.Fprintf(os.Stderr, "czsearch: touched=%dB (%.1f%%) syncSkipped=%dB memo=%dB hits=%d resident=%dB\n",
-			st.BytesTouched, 100*float64(st.BytesTouched)/float64(max(st.BytesRepresented, 1)),
+		fmt.Fprintf(os.Stderr, "czsearch: expanded=%v touched=%dB (%.1f%%) syncSkipped=%dB memo=%dB hits=%d resident=%dB\n",
+			st.Expanded, st.BytesTouched, 100*float64(st.BytesTouched)/float64(max(st.BytesRepresented, 1)),
 			st.SyncSkipped, st.MemoBytes, st.MemoHits, st.MaxResident)
 	}
 }

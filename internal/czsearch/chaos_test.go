@@ -25,19 +25,23 @@ func withPlan(t *testing.T, seed uint64, spec string) {
 // repeatedTokenContainer builds a container whose copy tokens repeat the
 // same (entry state, src, len) key over and over — a memo-cache workload an
 // optimal LZ1 parse would never produce, which is exactly why the chaos
-// point needs it.
+// point needs it. The repeated token is a 64-byte block "xy", 60 × 'a',
+// "xy": long enough that the header's mean token length lies above the
+// cutover (the expanded mode has no memo to poison), and "xyxy" and "yx"
+// occur exactly across the block boundaries, so a wrong entry state
+// changes the output.
 func repeatedTokenContainer(t *testing.T, reps int) ([]byte, *dense.Automaton) {
 	t.Helper()
 	aut, err := dense.Compile([][]byte{[]byte("yx"), []byte("xyxy")}, dense.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	toks := []lz.Token{{Lit: 'x'}, {Lit: 'y'}}
+	toks := []lz.Token{{Lit: 'x'}, {Lit: 'y'}, {Lit: 'a'}, {Src: 2, Len: 59}, {Src: 0, Len: 2}}
 	for i := 0; i < reps; i++ {
-		toks = append(toks, lz.Token{Src: 0, Len: 2})
+		toks = append(toks, lz.Token{Src: 0, Len: 64})
 	}
 	var buf bytes.Buffer
-	if err := lz.EncodeStream(&buf, lz.Compressed{N: 2 + 2*reps, Tokens: toks}); err != nil {
+	if err := lz.EncodeStream(&buf, lz.Compressed{N: 64 * (1 + reps), Tokens: toks}); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes(), aut

@@ -28,6 +28,15 @@
 //     repeated tokens entirely: a hit replays the recorded exit state and
 //     relative occurrences without touching a single byte.
 //
+// All of that is bookkeeping per token, and it only pays when tokens are
+// long. Scanner.Run therefore reads the mean token length off the container
+// header before the first token and, below expandBelowMeanToken, runs in
+// expanded mode instead: the same validated expansion into the same
+// retained history, but no state history, no occurrence list and no memo —
+// the fresh bytes go to a carried-state dense.Cursor in long runs, at about
+// the speed of decompress-then-match, where the token scanner ran at a
+// third of it (scanner.go has the measured crossover).
+//
 // Correctness is pinned the repo's usual way: the equivalence suite and
 // FuzzCzsearchEquivalence require byte-identical output to
 // lz.Uncompress+matching across adversarial token shapes (overlapping
@@ -100,8 +109,11 @@ type Config struct {
 // little of it the automaton actually consumed, and where the savings came
 // from. BytesTouched ≤ BytesRepresented always; the gap is SyncSkipped
 // (copy-token bytes fast-forwarded after state coincidence) plus MemoBytes
-// (bytes of memo-hit tokens never touched at all).
+// (bytes of memo-hit tokens never touched at all). Expanded says which mode
+// the Scanner ran in; an expanded run touches every byte, so its
+// SyncSkipped and Memo* are zero.
 type Stats struct {
+	Expanded         bool  `json:"expanded"` // tokens expanded and scanned by a dense.Cursor
 	Tokens           int64 `json:"tokens"`
 	Literals         int64 `json:"literals"`
 	Copies           int64 `json:"copies"`
@@ -113,22 +125,6 @@ type Stats struct {
 	MemoMisses       int64 `json:"memoMisses"`
 	Events           int64 `json:"events"`
 	MaxResident      int   `json:"maxResident"` // peak retained history, bytes
-}
-
-func (s *Stats) add(o Stats) {
-	s.Tokens += o.Tokens
-	s.Literals += o.Literals
-	s.Copies += o.Copies
-	s.BytesRepresented += o.BytesRepresented
-	s.BytesTouched += o.BytesTouched
-	s.SyncSkipped += o.SyncSkipped
-	s.MemoBytes += o.MemoBytes
-	s.MemoHits += o.MemoHits
-	s.MemoMisses += o.MemoMisses
-	s.Events += o.Events
-	if o.MaxResident > s.MaxResident {
-		s.MaxResident = o.MaxResident
-	}
 }
 
 // tokenError wraps a token-level failure with its ordinal so a corrupt

@@ -3,6 +3,7 @@ package czsearch
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -51,20 +52,70 @@ func compress(t testing.TB, text []byte) []byte {
 	return encode(t, lz.Compress(m, text))
 }
 
-// runScanner scans a container and collects events.
-func runScanner(t testing.TB, aut *dense.Automaton, container []byte, cfg Config) ([]Event, Stats) {
+// bothModes are the two forced modes every container of this suite goes
+// through; Run's own choice between them is pinned by TestModeFromHeader.
+var bothModes = []scanMode{modeTokens, modeExpanded}
+
+func (m scanMode) String() string {
+	return [...]string{"header", "tokens", "expanded"}[m]
+}
+
+// forced builds a scanner pinned to one mode.
+func forced(aut *dense.Automaton, cfg Config, mode scanMode) *Scanner {
+	s := NewScanner(aut, cfg)
+	s.force = mode
+	return s
+}
+
+// collect runs s over a container and returns what it emitted.
+func collect(t testing.TB, s *Scanner, container []byte) ([]Event, Stats, error) {
 	t.Helper()
 	dec, err := lz.NewDecoder(bytes.NewReader(container))
 	if err != nil {
 		t.Fatalf("NewDecoder: %v", err)
 	}
 	var evs []Event
-	st, err := NewScanner(aut, cfg).Run(context.Background(), dec, func(e Event) error {
+	st, err := s.Run(context.Background(), dec, func(e Event) error {
 		evs = append(evs, e)
 		return nil
 	})
+	return evs, st, err
+}
+
+// runScanner scans a container in BOTH modes, requires them to agree event
+// for event and on everything the ledger says about the container, and
+// returns the token mode's events and stats (the ones with savings to
+// assert on). Callers compare the events with the oracle.
+func runScanner(t testing.TB, aut *dense.Automaton, container []byte, cfg Config) ([]Event, Stats) {
+	t.Helper()
+	evs, st, err := collect(t, forced(aut, cfg, modeTokens), container)
 	if err != nil {
-		t.Fatalf("Scanner.Run: %v", err)
+		t.Fatalf("Scanner.Run (tokens): %v", err)
+	}
+	xevs, xst, err := collect(t, forced(aut, cfg, modeExpanded), container)
+	if err != nil {
+		t.Fatalf("Scanner.Run (expanded): %v", err)
+	}
+	if st.Expanded || !xst.Expanded {
+		t.Fatalf("Stats.Expanded = %v in token mode, %v in expanded mode", st.Expanded, xst.Expanded)
+	}
+	if len(xevs) != len(evs) {
+		t.Fatalf("expanded mode: %d events, token mode %d", len(xevs), len(evs))
+	}
+	for i := range evs {
+		if xevs[i] != evs[i] {
+			t.Fatalf("expanded mode: event %d = %+v, token mode %+v", i, xevs[i], evs[i])
+		}
+	}
+	if xst.BytesTouched != xst.BytesRepresented || xst.SyncSkipped != 0 || xst.MemoBytes != 0 || xst.MemoHits != 0 {
+		t.Fatalf("expanded mode ledger: %+v, want touched == represented and nothing skipped", xst)
+	}
+	if xst.Tokens != st.Tokens || xst.Literals != st.Literals || xst.Copies != st.Copies ||
+		xst.BytesRepresented != st.BytesRepresented || xst.Events != st.Events {
+		t.Fatalf("modes disagree about the container: expanded %+v, tokens %+v", xst, st)
+	}
+	if xst.MaxResident > st.MaxResident {
+		t.Fatalf("expanded mode retained %d bytes, token mode %d", xst.MaxResident, st.MaxResident)
 	}
 	return evs, st
 }
@@ -90,7 +141,7 @@ func oracleEvents(t testing.TB, aut *dense.Automaton, container []byte) ([]Event
 	return evs, text
 }
 
-func assertSameEvents(t *testing.T, label string, got, want []Event) {
+func assertSameEvents(t testing.TB, label string, got, want []Event) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d events, oracle has %d", label, len(got), len(want))
@@ -104,7 +155,7 @@ func assertSameEvents(t *testing.T, label string, got, want []Event) {
 
 // assertAccounting pins the byte-accounting invariant: every represented
 // byte is touched, sync-skipped, or memo-replayed — exactly once.
-func assertAccounting(t *testing.T, label string, st Stats) {
+func assertAccounting(t testing.TB, label string, st Stats) {
 	t.Helper()
 	if st.BytesTouched+st.SyncSkipped+st.MemoBytes != st.BytesRepresented {
 		t.Fatalf("%s: touched %d + skipped %d + memo %d != represented %d",
@@ -297,13 +348,41 @@ func TestScannerWindowed(t *testing.T) {
 	if small < 1 {
 		small = 1
 	}
-	dec2, err := lz.NewDecoder(bytes.NewReader(container))
-	if err != nil {
-		t.Fatalf("NewDecoder: %v", err)
+	for _, mode := range bothModes {
+		_, _, err = collect(t, forced(aut, Config{Window: small}, mode), container)
+		if !errors.Is(err, ErrWindowExceeded) {
+			t.Fatalf("%v, window %d: err = %v, want ErrWindowExceeded", mode, small, err)
+		}
 	}
-	_, err = NewScanner(aut, Config{Window: small}).Run(context.Background(), dec2, func(Event) error { return nil })
-	if !errors.Is(err, ErrWindowExceeded) {
-		t.Fatalf("window %d: err = %v, want ErrWindowExceeded", small, err)
+}
+
+// TestScannerTrimsMidRun: a window far below the expanded mode's feed run,
+// on a container whose copies stay inside it — the history is cut many times
+// during the run, also while bytes are still waiting for the cursor, and
+// nothing is lost in either mode.
+func TestScannerTrimsMidRun(t *testing.T) {
+	aut := mustAut(t, pats("ab", "bcb", "caa", "aaaa"))
+	toks := []lz.Token{{Lit: 'a'}, {Lit: 'b'}, {Lit: 'c'}}
+	n := 3
+	for i := 0; n < 40000; i++ {
+		l := 1 + (i*7)%23
+		back := 1 + (i*5)%min(n, 60)
+		toks = append(toks, lz.Token{Src: int32(n - back), Len: int32(l)})
+		n += l
+		if i%2 == 0 {
+			toks = append(toks, lz.Token{Lit: 'a' + byte((i*i/2+i/14)%3)})
+			n++
+		}
+	}
+	container := encode(t, lz.Compressed{N: n, Tokens: toks})
+	want, _ := oracleEvents(t, aut, container)
+	if len(want) == 0 {
+		t.Fatal("bad test case: no matches")
+	}
+	got, st := runScanner(t, aut, container, Config{Window: 64})
+	assertSameEvents(t, "window 64", got, want)
+	if st.MaxResident > 2*64+23 {
+		t.Fatalf("resident history %d with window 64", st.MaxResident)
 	}
 }
 
@@ -311,24 +390,118 @@ func TestScannerWindowed(t *testing.T) {
 // mismatches, and output caps — never silent wrong output.
 func TestScannerRejectsCorrupt(t *testing.T) {
 	aut := mustAut(t, pats("ab"))
-	run := func(c lz.Compressed, cfg Config) error {
-		container := encode(t, c)
-		dec, err := lz.NewDecoder(bytes.NewReader(container))
-		if err != nil {
+	for _, mode := range bothModes {
+		run := func(c lz.Compressed, cfg Config) error {
+			_, _, err := collect(t, forced(aut, cfg, mode), encode(t, c))
 			return err
 		}
-		_, err = NewScanner(aut, cfg).Run(context.Background(), dec, func(Event) error { return nil })
-		return err
+		if err := run(lz.Compressed{N: 3, Tokens: []lz.Token{{Lit: 'a'}, {Src: 5, Len: 2}}}, Config{}); err == nil {
+			t.Fatalf("%v: future source accepted", mode)
+		}
+		if err := run(lz.Compressed{N: 9, Tokens: []lz.Token{{Lit: 'a'}, {Src: 0, Len: 3}}}, Config{}); err == nil {
+			t.Fatalf("%v: N mismatch accepted", mode)
+		}
+		// The cap falls in the middle of the copy token.
+		err := run(lz.Compressed{N: 100, Tokens: []lz.Token{{Lit: 'a'}, {Src: 0, Len: 99}}}, Config{MaxOutput: 10})
+		if !errors.Is(err, ErrOutputExceeded) {
+			t.Fatalf("%v: output cap: err = %v, want ErrOutputExceeded", mode, err)
+		}
 	}
-	if err := run(lz.Compressed{N: 3, Tokens: []lz.Token{{Lit: 'a'}, {Src: 5, Len: 2}}}, Config{}); err == nil {
-		t.Fatal("future source accepted")
+}
+
+// rawContainer hand-encodes a container whose header need not tell the
+// truth about the tokens that follow.
+func rawContainer(n, count uint64, toks []lz.Token) []byte {
+	b := binary.AppendUvarint(binary.AppendUvarint([]byte(lz.Magic), n), count)
+	for _, t := range toks {
+		if t.IsLiteral() {
+			b = append(b, 0, t.Lit)
+		} else {
+			b = binary.AppendUvarint(binary.AppendUvarint(append(b, 1), uint64(t.Src)), uint64(t.Len))
+		}
 	}
-	if err := run(lz.Compressed{N: 9, Tokens: []lz.Token{{Lit: 'a'}, {Src: 0, Len: 3}}}, Config{}); err == nil {
-		t.Fatal("N mismatch accepted")
+	return b
+}
+
+// TestModeFromHeader pins Run's own choice: the mean token length N/count of
+// the header, expanded strictly below the cutover.
+func TestModeFromHeader(t *testing.T) {
+	aut := mustAut(t, pats("aaaa", "aa"))
+	for _, tc := range []struct {
+		last     int32 // length of the tenth token
+		n        int
+		expanded bool
+	}{
+		{38, 319, true},  // mean 31.9
+		{39, 320, false}, // mean 32.0
+	} {
+		toks := []lz.Token{{Lit: 'a'}}
+		for i := 0; i < 8; i++ {
+			toks = append(toks, lz.Token{Src: 0, Len: 35})
+		}
+		toks = append(toks, lz.Token{Src: 0, Len: tc.last})
+		container := encode(t, lz.Compressed{N: tc.n, Tokens: toks})
+		want, _ := oracleEvents(t, aut, container)
+		got, st, err := collect(t, NewScanner(aut, Config{}), container)
+		if err != nil {
+			t.Fatalf("n=%d: %v", tc.n, err)
+		}
+		if st.Expanded != tc.expanded {
+			t.Fatalf("n=%d over 10 tokens: Expanded = %v, want %v", tc.n, st.Expanded, tc.expanded)
+		}
+		assertSameEvents(t, fmt.Sprintf("n=%d", tc.n), got, want)
+		assertAccounting(t, fmt.Sprintf("n=%d", tc.n), st)
 	}
-	err := run(lz.Compressed{N: 100, Tokens: []lz.Token{{Lit: 'a'}, {Src: 0, Len: 99}}}, Config{MaxOutput: 10})
-	if !errors.Is(err, ErrOutputExceeded) {
-		t.Fatalf("output cap: err = %v, want ErrOutputExceeded", err)
+}
+
+// TestLyingHeader: the token count in the header is untrusted input. One
+// that is wrong — in the direction that picks the expanded mode or in the
+// one that picks the token scanner — and a container cut short fail the run
+// like they fail lz.DecodeStream, after emitting nothing but true events.
+func TestLyingHeader(t *testing.T) {
+	aut := mustAut(t, pats("abcabc", "ca", "bb"))
+	toks := []lz.Token{{Lit: 'a'}, {Lit: 'b'}, {Lit: 'c'}}
+	n := 3
+	for i := 0; i < 40; i++ {
+		toks = append(toks, lz.Token{Src: int32(i % 3), Len: 40})
+		n += 40
+	}
+	honest := rawContainer(uint64(n), uint64(len(toks)), toks)
+	want, _ := oracleEvents(t, aut, honest)
+	isPrefix := func(label string, got []Event) {
+		t.Helper()
+		if len(got) > len(want) {
+			t.Fatalf("%s: %d events, the text has %d", label, len(got), len(want))
+		}
+		assertSameEvents(t, label, got, want[:len(got)])
+	}
+	for _, tc := range []struct {
+		name      string
+		container []byte
+		expanded  bool
+	}{
+		{"count-too-large", rawContainer(uint64(n), uint64(n), toks), true},
+		{"count-too-small", rawContainer(uint64(n), 2, toks), false},
+		{"truncated", honest[:len(honest)-7], false},
+	} {
+		if _, err := lz.DecodeStream(tc.container); err == nil {
+			t.Fatalf("%s: bad test case, DecodeStream accepts it", tc.name)
+		}
+		got, st, err := collect(t, NewScanner(aut, Config{}), tc.container)
+		if err == nil {
+			t.Fatalf("%s: Run accepted the container", tc.name)
+		}
+		if st.Expanded != tc.expanded {
+			t.Fatalf("%s: Expanded = %v, want %v", tc.name, st.Expanded, tc.expanded)
+		}
+		isPrefix(tc.name, got)
+		for _, mode := range bothModes {
+			got, _, err := collect(t, forced(aut, Config{}, mode), tc.container)
+			if err == nil {
+				t.Fatalf("%s/%v: Run accepted the container", tc.name, mode)
+			}
+			isPrefix(fmt.Sprintf("%s/%v", tc.name, mode), got)
+		}
 	}
 }
 
@@ -336,50 +509,58 @@ func TestScannerRejectsCorrupt(t *testing.T) {
 func TestScannerSinkAbort(t *testing.T) {
 	aut := mustAut(t, pats("ab"))
 	container := compress(t, bytes.Repeat([]byte("ab"), 200))
-	dec, err := lz.NewDecoder(bytes.NewReader(container))
-	if err != nil {
-		t.Fatalf("NewDecoder: %v", err)
-	}
-	boom := errors.New("sink says no")
-	seen := 0
-	_, err = NewScanner(aut, Config{}).Run(context.Background(), dec, func(Event) error {
-		seen++
-		if seen == 3 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want sink error", err)
-	}
-	if seen != 3 {
-		t.Fatalf("sink called %d times after aborting at 3", seen)
-	}
-}
-
-// TestScannerReuse pins pooling semantics: the same Scanner produces
-// identical output across Runs over different containers, with no state
-// (history, memo, pending events) leaking between them.
-func TestScannerReuse(t *testing.T) {
-	gen := textgen.New(23)
-	aut := mustAut(t, pats("ab", "bc", "abc"))
-	s := NewScanner(aut, Config{})
-	for trial := 0; trial < 4; trial++ {
-		text := gen.Repetitive(2048+511*trial, 32, 0.05)
-		container := compress(t, text)
-		want, _ := oracleEvents(t, aut, container)
+	for _, mode := range bothModes {
 		dec, err := lz.NewDecoder(bytes.NewReader(container))
 		if err != nil {
 			t.Fatalf("NewDecoder: %v", err)
 		}
-		var got []Event
-		if _, err := s.Run(context.Background(), dec, func(e Event) error {
-			got = append(got, e)
+		boom := errors.New("sink says no")
+		seen := 0
+		_, err = forced(aut, Config{}, mode).Run(context.Background(), dec, func(Event) error {
+			seen++
+			if seen == 3 {
+				return boom
+			}
 			return nil
-		}); err != nil {
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("%v: err = %v, want sink error", mode, err)
+		}
+		if seen != 3 {
+			t.Fatalf("%v: sink called %d times after aborting at 3", mode, seen)
+		}
+	}
+}
+
+// TestScannerReuse pins pooling semantics: the same Scanner produces
+// identical output across Runs over different containers while it
+// alternates between the two modes (and, at the end, picks its own), with no
+// state (history, memo, pending events, a cursor) leaking between them.
+func TestScannerReuse(t *testing.T) {
+	gen := textgen.New(23)
+	aut := mustAut(t, pats("ab", "bc", "abc"))
+	s := NewScanner(aut, Config{})
+	for trial, mode := range []scanMode{modeTokens, modeExpanded, modeTokens, modeExpanded, modeExpanded, modeTokens, modeFromHeader, modeFromHeader} {
+		text := gen.Repetitive(2048+511*trial, 32, 0.05)
+		if trial == 7 {
+			text = gen.Uniform(3000, 3) // short tokens: the header picks expanded
+		}
+		container := compress(t, text)
+		want, _ := oracleEvents(t, aut, container)
+		s.force = mode
+		got, st, err := collect(t, s, container)
+		if err != nil {
 			t.Fatalf("trial %d: Run: %v", trial, err)
 		}
-		assertSameEvents(t, fmt.Sprintf("trial %d", trial), got, want)
+		label := fmt.Sprintf("trial %d (%v)", trial, mode)
+		assertSameEvents(t, label, got, want)
+		assertAccounting(t, label, st)
+		if mode != modeFromHeader && st.Expanded != (mode == modeExpanded) {
+			t.Fatalf("%s: Expanded = %v", label, st.Expanded)
+		}
+		if trial == 7 && !st.Expanded {
+			t.Fatalf("%s: %d tokens for %d bytes did not expand", label, st.Tokens, st.BytesRepresented)
+		}
 	}
 }
 
@@ -427,5 +608,56 @@ func TestFallbackEquivalence(t *testing.T) {
 	// Non-container input fails at construction with the typed sentinel.
 	if _, err := NewFallback(bytes.NewReader([]byte("not a container")), Config{}); !errors.Is(err, lz.ErrNotLZ1R1) {
 		t.Fatalf("non-container: err = %v, want lz.ErrNotLZ1R1", err)
+	}
+}
+
+// BenchmarkModes re-measures the crossover table beside
+// expandBelowMeanToken: the same container through the token scanner and
+// through the expanded mode, over containers whose mean token length runs
+// from 3 B (uniform text) to ≈ 140 B (a 256-byte block with 0.5 % point
+// mutations), for three pattern-length caps over a dictionary that hardly
+// ever matches — the regime of the table — and once over a dictionary half
+// cut from the text, where the token scanner also pays for replaying every
+// occurrence and the crossover moves up. Compare the MB/s columns of
+// .../tokens and .../expanded; `go test -bench Modes -count 9 -cpu 1`.
+func BenchmarkModes(b *testing.B) {
+	const n = 128 << 10
+	m := pram.NewSequential()
+	gen := textgen.New(1995)
+	texts := [][]byte{gen.Uniform(n, 26)}
+	for _, mutation := range []float64{0.3, 0.1, 0.06, 0.04, 0.02, 0.005} {
+		texts = append(texts, gen.Repetitive(n, 256, mutation))
+	}
+	for _, dict := range []struct {
+		maxPat  int
+		planted int // patterns cut from the text, of 64
+	}{{6, 0}, {16, 0}, {64, 0}, {16, 32}} {
+		for _, text := range texts {
+			patterns := gen.Dictionary(64-dict.planted, dict.maxPat/2, dict.maxPat, 26)
+			for i := 0; i < dict.planted; i++ {
+				at := (i*4099 + 17) % (n - dict.maxPat)
+				patterns = append(patterns, text[at:at+dict.maxPat/2+i%(dict.maxPat/2+1)])
+			}
+			aut := mustAut(b, patterns)
+			parse := lz.CompressSequential(m, text)
+			container := encode(b, parse)
+			mean := float64(n) / float64(len(parse.Tokens))
+			for _, mode := range bothModes {
+				name := fmt.Sprintf("maxpat=%d/planted=%d/mean=%.1f/%v", dict.maxPat, dict.planted, mean, mode)
+				b.Run(name, func(b *testing.B) {
+					s := forced(aut, Config{}, mode)
+					b.SetBytes(n)
+					for i := 0; i < b.N; i++ {
+						dec, err := lz.NewDecoder(bytes.NewReader(container))
+						if err != nil {
+							b.Fatal(err)
+						}
+						if _, err := s.Run(context.Background(), dec, func(Event) error { return nil }); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
 	}
 }

@@ -2,7 +2,6 @@ package czsearch
 
 import (
 	"bytes"
-	"context"
 	"testing"
 
 	"repro/internal/dense"
@@ -12,7 +11,8 @@ import (
 
 // FuzzCzsearchEquivalence is the acceptance-criterion fuzz target: for
 // random texts AND random raw token streams, the compressed-domain scanner
-// must be byte-identical to decompress-then-match on the same automaton.
+// must be byte-identical to decompress-then-match on the same automaton, in
+// both of its modes.
 //
 // Two container sources per input:
 //
@@ -52,30 +52,11 @@ func FuzzCzsearchEquivalence(f *testing.F) {
 				want = append(want, Event{Pos: int64(i), PatternID: mm.PatternID, Length: mm.Length})
 			}
 		}
-		dec, err := lz.NewDecoder(bytes.NewReader(container))
-		if err != nil {
-			t.Fatalf("%s: NewDecoder: %v", label, err)
-		}
-		var got []Event
-		st, err := NewScanner(aut, Config{}).Run(context.Background(), dec, func(e Event) error {
-			got = append(got, e)
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("%s: Run: %v", label, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d events, oracle %d", label, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: event %d = %+v, oracle %+v", label, i, got[i], want[i])
-			}
-		}
-		if st.BytesTouched+st.SyncSkipped+st.MemoBytes != st.BytesRepresented {
-			t.Fatalf("%s: accounting: %d+%d+%d != %d", label,
-				st.BytesTouched, st.SyncSkipped, st.MemoBytes, st.BytesRepresented)
-		}
+		// Both modes against each other and the ledger (runScanner), then
+		// the token mode against the oracle.
+		got, st := runScanner(t, aut, container, Config{})
+		assertSameEvents(t, label, got, want)
+		assertAccounting(t, label, st)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte, tokenSpec []byte) {

@@ -4,11 +4,55 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/dense"
 	"repro/internal/lz"
+)
+
+// expandBelowMeanToken is the cutover between the scanner's two modes, as a
+// mean token length N/TokenCount read from the container header: below it
+// Run expands the tokens and scans the bytes with a dense.Cursor, at or
+// above it the token scanner (resync, replay, memo) runs. Gawrychowski's
+// bound for matching in LZ-compressed text is O(n log(N/n) + m) in the
+// number of phrases n, so at N/n of a few bytes the compressed domain has
+// nothing to give, and what the token scanner pays per token — a memo
+// lookup, a relOcc slice, the appends, ≈ 130 ns — is pure loss.
+//
+// Token scanner ÷ expanded, represented bytes per second, same container
+// (128 KiB texts, lz.CompressSequential, best of 7, one CPU; BenchmarkModes
+// re-measures it), first over dictionaries that hardly ever match:
+//
+//	mean token (B)      3.0   8.7   15.4  22.0  29.4  47.7  137
+//	maxPatLen 6         0.31  0.51  0.79  0.60  1.25  1.70  4.36
+//	maxPatLen 16        0.33  0.54  0.83  0.64  1.20  1.69  4.40
+//	maxPatLen 64        0.32  0.51  0.73  0.97  1.27  1.62  4.55
+//	16, half planted    0.32  0.43  0.44  0.50  0.63  0.78  1.49
+//
+// The tie does not move with MaxPatternLen(): the loss is the per-token
+// bookkeeping, not the ≤ maxPatLen resync run, so the constant is not a
+// function of the dictionary's shape. It does move with match density, which
+// no header knows — the last row's dictionary is half cut from the text, the
+// token scanner replays every occurrence, and the tie sits near 100 B. 32 is
+// just above the low-density tie: the token scanner is kept where it wins
+// even when matches are rare.
+const expandBelowMeanToken = 32
+
+// expandFeedBytes is how many expanded bytes the expanded mode lets
+// accumulate before it runs the cursor over them: long enough that the
+// cursor's loop, not the call into it, is the cost.
+const expandFeedBytes = 16 << 10
+
+// scanMode is a test-only override of Run's choice.
+type scanMode int8
+
+const (
+	modeFromHeader scanMode = iota
+	modeTokens
+	modeExpanded
 )
 
 // occurrence is one pattern occurrence keyed by its END position. The
@@ -78,6 +122,14 @@ type Scanner struct {
 
 	memo map[memoKey]memoEntry
 
+	// Expanded mode only: the carried-state cursor of this run (nil in
+	// token mode) and how much of hist it has consumed.
+	cur  *dense.Cursor
+	fed  int
+	emit func(pos int64, m core.Match) error
+
+	force scanMode // tests only
+
 	sink  Sink
 	stats Stats
 }
@@ -103,6 +155,10 @@ func NewScanner(aut *dense.Automaton, cfg Config) *Scanner {
 		}
 		s.memo = make(map[memoKey]memoEntry)
 	}
+	s.emit = func(pos int64, m core.Match) error {
+		s.stats.Events++
+		return s.sink(Event{Pos: pos, PatternID: m.PatternID, Length: m.Length})
+	}
 	return s
 }
 
@@ -122,19 +178,28 @@ func (s *Scanner) Reset() {
 	s.flushed = 0
 	s.live = 0
 	clear(s.memo)
+	s.cur = nil
+	s.fed = 0
 	s.sink = nil
 	s.stats = Stats{}
 }
 
 // Run consumes every token from dec and emits each represented position's
 // longest match to sink, in position order, exactly as decompress-then-match
-// would. The accounting invariant BytesTouched + SyncSkipped + MemoBytes ==
+// would. The mode comes from the container header (expandBelowMeanToken);
+// the header is untrusted, and a lying token count costs speed and nothing
+// else — both modes validate every token in expand and produce the same
+// events. The accounting invariant BytesTouched + SyncSkipped + MemoBytes ==
 // BytesRepresented holds on success: every represented byte is either fed
 // through the automaton, fast-forwarded after a state coincidence, or
-// replayed from the memo.
+// replayed from the memo (expanded mode: all of them are fed).
 func (s *Scanner) Run(ctx context.Context, dec *lz.Decoder, sink Sink) (Stats, error) {
 	s.Reset()
 	s.sink = sink
+	if s.expands(dec) {
+		s.stats.Expanded = true
+		s.cur = s.aut.NewCursor()
+	}
 	for tok := int64(0); ; tok++ {
 		if tok&0x3ff == 0 {
 			if err := ctx.Err(); err != nil {
@@ -152,25 +217,26 @@ func (s *Scanner) Run(ctx context.Context, dec *lz.Decoder, sink Sink) (Stats, e
 			return s.stats, err
 		}
 		s.stats.Tokens++
-		if t.IsLiteral() {
-			err = s.literal(t.Lit)
-		} else {
-			err = s.copyToken(t, tok)
-		}
+		at, err := s.expand(t, tok)
 		if err != nil {
 			return s.stats, err
 		}
-		// Stream events out promptly: every start more than maxPat behind
-		// the scan frontier is final. O(1) when nothing is pending.
-		if err := s.flushTo(s.pos - int64(s.maxPat) + 1); err != nil {
+		if s.cur != nil {
+			err = s.feed(expandFeedBytes)
+		} else {
+			err = s.scanToken(t, at)
+		}
+		if err != nil {
 			return s.stats, err
 		}
 		if len(s.hist) > s.stats.MaxResident {
 			s.stats.MaxResident = len(s.hist)
 		}
-		s.trim()
+		if err := s.trim(); err != nil {
+			return s.stats, err
+		}
 	}
-	if err := s.flushTo(s.pos); err != nil {
+	if err := s.finish(); err != nil {
 		return s.stats, err
 	}
 	if s.stats.BytesRepresented != int64(dec.N()) {
@@ -179,17 +245,97 @@ func (s *Scanner) Run(ctx context.Context, dec *lz.Decoder, sink Sink) (Stats, e
 	return s.stats, nil
 }
 
-// literal consumes one literal byte: one automaton transition.
-func (s *Scanner) literal(b byte) error {
-	if s.cfg.MaxOutput > 0 && s.stats.BytesRepresented+1 > s.cfg.MaxOutput {
-		return ErrOutputExceeded
+// expands reports whether the header's mean token length N/TokenCount is
+// below the cutover.
+func (s *Scanner) expands(dec *lz.Decoder) bool {
+	if s.force != modeFromHeader {
+		return s.force == modeExpanded
 	}
-	s.hist = append(s.hist, b)
+	return uint64(dec.N()) < expandBelowMeanToken*dec.TokenCount()
+}
+
+// expand validates one token against what has been represented so far — the
+// output cap, and for a copy its source range and the retained window — and
+// materializes its bytes at the end of the history, where they may be the
+// source of later copies. It returns the history index of the token's first
+// byte. This is the only token validation there is; both modes go through
+// it before they look at a byte.
+func (s *Scanner) expand(t lz.Token, tok int64) (int, error) {
+	at := len(s.hist)
+	if t.IsLiteral() {
+		if s.cfg.MaxOutput > 0 && s.pos+1 > s.cfg.MaxOutput {
+			return 0, ErrOutputExceeded
+		}
+		s.hist = append(s.hist, t.Lit)
+		s.pos++
+		s.stats.Literals++
+		s.stats.BytesRepresented++
+		return at, nil
+	}
+	src, n := int64(t.Src), int(t.Len)
+	if src < 0 || src >= s.pos {
+		return 0, tokenError(tok, fmt.Errorf("lz: token source %d out of range (have %d bytes)", t.Src, s.pos))
+	}
+	if s.cfg.MaxOutput > 0 && s.pos+int64(n) > s.cfg.MaxOutput {
+		return 0, ErrOutputExceeded
+	}
+	if src < s.histStart {
+		return 0, tokenError(tok, fmt.Errorf("%w: source %d precedes retained offset %d", ErrWindowExceeded, src, s.histStart))
+	}
+	// Self-referential copies (source overlapping destination) are legal
+	// LZ1; CopyWithin reads each byte only after it is written.
+	s.hist = slices.Grow(s.hist, n)[:at+n]
+	lz.CopyWithin(s.hist, at, int(src-s.histStart), n)
+	s.pos += int64(n)
+	s.stats.Copies++
+	s.stats.BytesRepresented += int64(n)
+	return at, nil
+}
+
+// feed runs the cursor over the expanded bytes it has not consumed yet, once
+// at least min of them are waiting.
+func (s *Scanner) feed(min int) error {
+	fresh := s.hist[s.fed:]
+	if len(fresh) < min {
+		return nil
+	}
+	s.fed = len(s.hist)
+	s.stats.BytesTouched += int64(len(fresh))
+	return s.cur.Feed(fresh, s.emit)
+}
+
+// finish ends the represented text: what is still pending is final.
+func (s *Scanner) finish() error {
+	if s.cur == nil {
+		return s.flushTo(s.pos)
+	}
+	if err := s.feed(0); err != nil {
+		return err
+	}
+	return s.cur.Flush(s.emit)
+}
+
+// scanToken is the token mode's step over one expanded token whose bytes
+// begin at hist[at].
+func (s *Scanner) scanToken(t lz.Token, at int) error {
+	var err error
+	if t.IsLiteral() {
+		err = s.scanLiteral(s.hist[at])
+	} else {
+		err = s.scanCopy(t, at)
+	}
+	if err != nil {
+		return err
+	}
+	// Stream events out promptly: every start more than maxPat behind the
+	// scan frontier is final. O(1) when nothing is pending.
+	return s.flushTo(s.pos - int64(s.maxPat) + 1)
+}
+
+// scanLiteral consumes one literal byte: one automaton transition.
+func (s *Scanner) scanLiteral(b byte) error {
 	s.state = s.aut.Step(s.state, b)
 	s.stateHist = append(s.stateHist, s.state)
-	s.pos++
-	s.stats.Literals++
-	s.stats.BytesRepresented++
 	s.stats.BytesTouched++
 	if s.aut.HasOutputs(s.state) {
 		for _, p := range s.aut.Outputs(s.state) {
@@ -201,38 +347,19 @@ func (s *Scanner) literal(b byte) error {
 	return nil
 }
 
-// copyToken consumes a copy token (src, len): the source bytes are
-// materialized into the history (they may be future copy sources), but the
-// automaton only scans until its state coincides with the recorded state at
-// the same source offset — guaranteed within maxPatLen bytes, because the
-// dense-DFA state is a pure function of the last maxPatLen input bytes and
-// destination and source share those bytes from offset maxPatLen on. The
-// remainder is a bulk state-history copy plus an occurrence replay.
-func (s *Scanner) copyToken(t lz.Token, tok int64) error {
-	srcAbs := int64(t.Src)
+// scanCopy consumes a copy token (src, len) whose bytes expand put at
+// hist[dIdx:]: the automaton only scans until its state coincides with the
+// recorded state at the same source offset — guaranteed within maxPatLen
+// bytes, because the dense-DFA state is a pure function of the last
+// maxPatLen input bytes and destination and source share those bytes from
+// offset maxPatLen on. The remainder is a bulk state-history copy plus an
+// occurrence replay.
+func (s *Scanner) scanCopy(t lz.Token, dIdx int) error {
 	n := int(t.Len)
-	if srcAbs < 0 || srcAbs >= s.pos {
-		return tokenError(tok, fmt.Errorf("lz: token source %d out of range (have %d bytes)", t.Src, s.pos))
-	}
-	if s.cfg.MaxOutput > 0 && s.stats.BytesRepresented+int64(n) > s.cfg.MaxOutput {
-		return ErrOutputExceeded
-	}
-	if srcAbs < s.histStart {
-		return tokenError(tok, fmt.Errorf("%w: source %d precedes retained offset %d", ErrWindowExceeded, srcAbs, s.histStart))
-	}
-	s.stats.Copies++
-	s.stats.BytesRepresented += int64(n)
-
+	srcAbs := int64(t.Src)
 	sIdx := int(srcAbs - s.histStart)
-	dIdx := len(s.hist)
-	dAbs := s.pos
-
-	// Materialize the represented bytes. Self-referential copies (source
-	// overlapping destination) are legal LZ1; the periodic copy reads each
-	// byte only after it is written.
-	s.hist = growBytes(s.hist, dIdx+n)
-	copyPeriodic(s.hist, dIdx, sIdx, n)
-	s.stateHist = growInt32(s.stateHist, dIdx+n)
+	dAbs := s.pos - int64(n)
+	s.stateHist = slices.Grow(s.stateHist, n)[:dIdx+n]
 
 	entry := s.state
 	key := memoKey{state: entry, src: t.Src, len: t.Len}
@@ -249,7 +376,6 @@ func (s *Scanner) copyToken(t lz.Token, tok int64) error {
 				}
 			}
 			s.state = e.exit
-			s.pos += int64(n)
 			s.stats.MemoHits++
 			s.stats.MemoBytes += int64(n)
 			return nil
@@ -279,7 +405,7 @@ func (s *Scanner) copyToken(t lz.Token, tok int64) error {
 		// States coincide at offset `synced`; offsets synced+1..n-1 replay
 		// the source's states and occurrences, shifted by delta.
 		rem := n - synced - 1
-		copyPeriodic(s.stateHist, dIdx+synced+1, sIdx+synced+1, rem)
+		lz.CopyWithin(s.stateHist, dIdx+synced+1, sIdx+synced+1, rem)
 		s.state = s.stateHist[dIdx+n-1]
 		s.stats.SyncSkipped += int64(rem)
 		lo := srcAbs + int64(synced) + 1 // replay source ends in (lo, hi]
@@ -317,7 +443,6 @@ func (s *Scanner) copyToken(t lz.Token, tok int64) error {
 			s.memo[key] = e
 		}
 	}
-	s.pos += int64(n)
 	return nil
 }
 
@@ -365,55 +490,30 @@ func (s *Scanner) flushTo(limit int64) error {
 
 // trim enforces the history window with the uncompressor's lazy discipline:
 // only when the history exceeds twice the window is it cut back to exactly
-// the window. Occurrences whose ends fall behind the retained range can
-// never be replayed again and are dropped in lockstep.
-func (s *Scanner) trim() {
+// the window. What can never be a copy source again goes with it: in token
+// mode the state history and the occurrences whose ends fall behind the
+// retained range; in expanded mode nothing but bytes the cursor has seen,
+// so anything still unfed is fed first.
+func (s *Scanner) trim() error {
 	win := s.cfg.Window
 	if win <= 0 || len(s.hist) <= 2*win {
-		return
+		return nil
 	}
 	cut := len(s.hist) - win
+	if s.cur != nil {
+		if err := s.feed(0); err != nil {
+			return err
+		}
+		s.fed = win
+	} else {
+		copy(s.stateHist, s.stateHist[cut:])
+		s.stateHist = s.stateHist[:win]
+	}
 	s.histStart += int64(cut)
 	copy(s.hist, s.hist[cut:])
 	s.hist = s.hist[:win]
-	copy(s.stateHist, s.stateHist[cut:])
-	s.stateHist = s.stateHist[:win]
-	k := sort.Search(len(s.occ), func(i int) bool { return s.occ[i].end > s.histStart })
-	if k > 0 {
-		n := copy(s.occ, s.occ[k:])
-		s.occ = s.occ[:n]
+	if k := sort.Search(len(s.occ), func(i int) bool { return s.occ[i].end > s.histStart }); k > 0 {
+		s.occ = s.occ[:copy(s.occ, s.occ[k:])]
 	}
-}
-
-// growBytes extends b to length n, reallocating at most geometrically.
-func growBytes(b []byte, n int) []byte {
-	if cap(b) >= n {
-		return b[:n]
-	}
-	nb := make([]byte, n, max(2*n, 1024))
-	copy(nb, b)
-	return nb
-}
-
-// growInt32 is growBytes for state history.
-func growInt32(v []int32, n int) []int32 {
-	if cap(v) >= n {
-		return v[:n]
-	}
-	nv := make([]int32, n, max(2*n, 1024))
-	copy(nv, v)
-	return nv
-}
-
-// copyPeriodic fills a[dst:dst+n] from a[src:src+n] with LZ copy semantics:
-// each element is read only after any earlier write to it, so an
-// overlapping (self-referential) range produces the periodic repetition,
-// not a memmove of the original contents. Runs in O(n/period) copy calls.
-func copyPeriodic[T byte | int32](a []T, dst, src, n int) {
-	period := dst - src
-	for filled := 0; filled < n; {
-		chunk := min(n-filled, period)
-		copy(a[dst+filled:dst+filled+chunk], a[src+filled:src+filled+chunk])
-		filled += chunk
-	}
+	return nil
 }

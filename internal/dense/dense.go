@@ -94,23 +94,6 @@ func (a *Automaton) NumStates() int { return int(a.numStates) }
 // scans need.
 func (a *Automaton) MaxPatternLen() int { return int(a.maxPatLen) }
 
-// SeparatorByte returns the smallest byte value absent from every pattern,
-// and whether one exists (it does unless the dictionary uses all 256 byte
-// values). An absent byte maps to the shared class 0, whose transition row
-// leads to the root from every state: scanning it resets the automaton
-// exactly as if a fresh scan started. Request batching joins texts with it,
-// so one Scan over the joined buffer yields per-slice output identical to
-// scanning each slice alone — no pattern contains the byte, so no match can
-// span a boundary.
-func (a *Automaton) SeparatorByte() (byte, bool) {
-	for c := 0; c < 256; c++ {
-		if a.symClass[c] == 0 {
-			return byte(c), true
-		}
-	}
-	return 0, false
-}
-
 // PatternLen returns the length of pattern id.
 func (a *Automaton) PatternLen(id int32) int32 { return a.patLen[id] }
 

@@ -216,49 +216,6 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestSeparatorByte pins the batching contract: the separator byte resets
-// the automaton to the root from every state, scanning a separator-joined
-// buffer matches each slice independently, and a full-alphabet dictionary
-// reports that no separator exists.
-func TestSeparatorByte(t *testing.T) {
-	patterns := toBytes("he", "she", "his", "hers")
-	a := mustCompile(t, patterns)
-	sep, ok := a.SeparatorByte()
-	if !ok {
-		t.Fatal("no separator byte for a 9-letter alphabet")
-	}
-	for _, p := range patterns {
-		for _, c := range p {
-			if c == sep {
-				t.Fatalf("separator %q occurs in pattern %q", sep, p)
-			}
-		}
-	}
-	texts := [][]byte{[]byte("ushers"), []byte("he"), []byte(""), []byte("hishe")}
-	joined := []byte{}
-	bounds := make([][2]int, len(texts))
-	for i, txt := range texts {
-		bounds[i] = [2]int{len(joined), len(joined) + len(txt)}
-		joined = append(joined, txt...)
-		joined = append(joined, sep)
-	}
-	got := a.Match(joined)
-	for i, txt := range texts {
-		solo := a.Match(txt)
-		assertSameMatches(t, solo, got[bounds[i][0]:bounds[i][1]], "joined slice")
-		if got[bounds[i][1]] != core.None {
-			t.Fatalf("separator position %d matched %+v", bounds[i][1], got[bounds[i][1]])
-		}
-		_ = txt
-	}
-
-	full := [][]byte{allBytes()}
-	b := mustCompile(t, full)
-	if _, ok := b.SeparatorByte(); ok {
-		t.Fatal("full-alphabet dictionary reported a separator byte")
-	}
-}
-
 // equivCase is one dictionary/text pair of the equivalence corpus.
 type equivCase struct {
 	name     string

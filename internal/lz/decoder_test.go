@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand/v2"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/pram"
 )
@@ -62,6 +63,68 @@ func TestDecoderMatchesDecodeStream(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDecoderAcrossRefills: Next parses tokens in place while they lie whole
+// in the read buffer and byte by byte otherwise. However the reader cuts the
+// container — single bytes, odd chunks, all at once — the tokens are
+// DecodeStream's, including the ones that straddle a refill.
+func TestDecoderAcrossRefills(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 9))
+	c := Compressed{}
+	for len(c.Tokens) < 40000 {
+		if c.N == 0 || rng.IntN(3) == 0 {
+			c.Tokens = append(c.Tokens, Token{Lit: byte(rng.IntN(256))})
+			c.N++
+			continue
+		}
+		l := 1 + rng.IntN(1<<uint(rng.IntN(20)))
+		c.Tokens = append(c.Tokens, Token{Src: int32(rng.IntN(c.N)), Len: int32(l)})
+		c.N += l
+	}
+	var buf bytes.Buffer
+	if err := EncodeStream(&buf, c); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() < 2*(64<<10) {
+		t.Fatalf("container of %d bytes does not span the decoder's buffer twice", buf.Len())
+	}
+	for name, r := range map[string]io.Reader{
+		"whole":    bytes.NewReader(buf.Bytes()),
+		"one-byte": iotest.OneByteReader(bytes.NewReader(buf.Bytes())),
+		"chunks":   &chunkReader{data: buf.Bytes(), sizes: []int{1, 70000, 3, 20, 21, 22, 4096, 65535}},
+	} {
+		d, err := NewDecoder(r)
+		if err != nil {
+			t.Fatalf("%s: NewDecoder: %v", name, err)
+		}
+		for i, want := range c.Tokens {
+			if got, err := d.Next(); err != nil || got != want {
+				t.Fatalf("%s: token %d = %+v, %v; want %+v", name, i, got, err, want)
+			}
+		}
+		if _, err := d.Next(); err != io.EOF {
+			t.Fatalf("%s: after the last token: %v, want io.EOF", name, err)
+		}
+	}
+}
+
+// chunkReader hands out data in reads of the given sizes, cycled.
+type chunkReader struct {
+	data  []byte
+	sizes []int
+	turn  int
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	n := min(len(p), len(r.data), r.sizes[r.turn%len(r.sizes)])
+	r.turn++
+	copy(p, r.data[:n])
+	r.data = r.data[n:]
+	return n, nil
 }
 
 // TestDecoderTokenIteration pins the token-iteration surface czsearch

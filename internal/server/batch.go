@@ -3,41 +3,30 @@ package server
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/batch"
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/dense"
 	"repro/internal/pram"
 )
 
-// joinBuf recycles the dense join byte buffer across batches, so the steady
-// state batched dense dispatch allocates only the per-batch output array.
-type joinBuf struct{ bytes []byte }
-
-var joinBufPool = sync.Pool{New: func() any { return new(joinBuf) }}
-
-func getJoinBuf(n int) *joinBuf {
-	b := joinBufPool.Get().(*joinBuf)
-	if cap(b.bytes) < n {
-		b.bytes = make([]byte, 0, n)
-	}
-	return b
-}
-
-func putJoinBuf(b *joinBuf) { joinBufPool.Put(b) }
-
 // Batched request execution. The paper's machine model pays a fixed cost per
-// dispatch — machine setup, super-step barriers, per-request halo plumbing —
+// dispatch — machine setup, super-step barriers, the Las Vegas check round —
 // that dominates when texts are small: a 512-byte match spends more wall
 // time entering the PRAM than scanning. This layer coalesces concurrent
 // small requests against the same resident dictionary into one dispatch over
-// a separator-joined text (core/separator.go for the tree path,
-// dense.SeparatorByte for the compiled path), demultiplexes the result by
+// a separator-joined text (core/separator.go), demultiplexes the result by
 // offset range, and answers each request from its own slice. The separator
 // safety argument guarantees the joined output is byte-identical to solo
 // runs, so batching is invisible to clients except in latency.
+//
+// Coalescing is a tree-walk optimisation only. A dense scan has no dispatch
+// to share — no machine, no barrier, no checker, one table lookup per byte —
+// so a match against an entry with a published automaton never waits for
+// siblings, in any mode (serveMatch); B5 measured the joined dense dispatch
+// at 0.67× of solo before it was deleted. Parse requests and matches on
+// entries without an automaton (still compiling, table over budget,
+// -dense=off) are what the coalescer serves.
 //
 // Admission mechanics (who waits, who executes, what a cancelled waiter
 // does) live in internal/batch; this file owns eligibility, the join, the
@@ -48,8 +37,8 @@ func putJoinBuf(b *joinBuf) { joinBufPool.Put(b) }
 // Batch serving modes (Config.BatchMode).
 const (
 	BatchOff  = "off"  // every request dispatches alone
-	BatchOn   = "on"   // coalesce every match/parse request
-	BatchAuto = "auto" // coalesce only texts below the solo-shard threshold
+	BatchOn   = "on"   // coalesce every tree-walk match and every parse
+	BatchAuto = "auto" // the same, but only texts below the solo-shard threshold
 )
 
 // validBatchMode reports whether s names a batch serving mode.
@@ -107,10 +96,11 @@ func (s *Server) batchEligible(n int) bool {
 	}
 }
 
-// serveMatch answers one match request, through the per-entry coalescer when
-// the mode and text size make it eligible, through the solo path otherwise.
+// serveMatch answers one match request: through the solo path when the dense
+// automaton will serve it (nothing to amortise) or the mode and text size
+// rule coalescing out, through the per-entry coalescer otherwise.
 func (s *Server) serveMatch(ctx context.Context, e *Entry, text []byte) ([]core.Match, int, string, error) {
-	if !s.batchEligible(len(text)) {
+	if s.servingAutomaton(e) != nil || !s.batchEligible(len(text)) {
 		if s.cfg.BatchMode != BatchOff {
 			s.metrics.batchSolo.Add(1)
 		}
@@ -178,10 +168,8 @@ func (s *Server) execMatchBatch(e *Entry, g *batch.Group[matchResult]) {
 		r.Complete(matchResult{matches: matches, attempts: attempts, engine: engine}, err)
 		return
 	}
-	if a := e.denseAut.Load(); s.cfg.DenseMode != DenseOff && a != nil {
-		s.execMatchBatchDense(e, a, live)
-		return
-	}
+	// Only requests that found no automaton at admission get here; one that
+	// was published since serves the next request, not this batch.
 	if s.cfg.DenseMode != DenseOff {
 		s.metrics.denseFallback.Add(int64(len(live)))
 	}
@@ -210,77 +198,6 @@ func (s *Server) execMatchBatchTree(e *Entry, live []*batch.Request[matchResult]
 		res := matchResult{matches: matches[start:end], attempts: attempts, engine: engineTree}
 		completeDemux(r, func() (matchResult, error) { return res, nil })
 	}
-}
-
-// execMatchBatchDense scans the live texts joined over the automaton's
-// separator byte (a byte absent from every pattern, whose transition row
-// resets to the root) in one sharded pass. The join buffer is pooled; the
-// scan itself allocates nothing beyond the per-batch output array, which the
-// per-request slices alias. Sampled oracle verification runs per request on
-// the same schedule as the solo path. A dictionary covering all 256 byte
-// values has no separator; each request then runs the solo path alone.
-func (s *Server) execMatchBatchDense(e *Entry, a *dense.Automaton, live []*batch.Request[matchResult]) {
-	sep, ok := a.SeparatorByte()
-	if !ok {
-		for _, r := range live {
-			matches, attempts, engine, err := s.serveMatchSolo(context.Background(), e, r.Text)
-			r.Complete(matchResult{matches: matches, attempts: attempts, engine: engine}, err)
-		}
-		return
-	}
-	total := 0
-	for _, r := range live {
-		total += len(r.Text) + 1 // +1 for the trailing separator
-	}
-	buf := getJoinBuf(total)
-	joined := buf.bytes[:0]
-	for _, r := range live {
-		joined = append(joined, r.Text...)
-		joined = append(joined, sep)
-	}
-	// The output array is NOT pooled: per-request results alias it, and they
-	// outlive this executor (the waiters read them after Complete).
-	out := make([]core.Match, total)
-	counters := denseMatchShardedInto(a, joined, out, s.cfg.Procs)
-	s.metrics.ChargePRAM("match", counters.Work, counters.Depth)
-
-	off := 0
-	for _, r := range live {
-		start, end := off, off+len(r.Text)
-		off = end + 1
-		res := matchResult{matches: out[start:end], attempts: 1, engine: engineDense}
-		completeDemux(r, func() (matchResult, error) {
-			if e.denseSampled() {
-				if verified, served := s.denseVerify(e, r.Text, res.matches); !served {
-					return matchResult{matches: verified, attempts: 1, engine: engineTree}, nil
-				}
-			}
-			s.metrics.denseServed.Add(1)
-			return res, nil
-		})
-	}
-	buf.bytes = joined
-	putJoinBuf(buf)
-}
-
-// denseVerify cross-checks one batched dense result against the tree-walk
-// oracle. It reports (oracleResult, serveDense): serveDense is false exactly
-// when the oracle disagrees, in which case its verified answer is served.
-// Oracle-side trouble (degraded entry, exhausted fingerprints) cannot indict
-// the deterministic dense result and leaves it served, matching the solo
-// path's policy.
-func (s *Server) denseVerify(e *Entry, text []byte, got []core.Match) ([]core.Match, bool) {
-	want, _, _, err := e.MatchChecked(context.Background(), text, s.cfg.Procs, s.metrics)
-	if err != nil {
-		return nil, true
-	}
-	if sameMatchSets(e.patterns(), got, want) {
-		s.metrics.denseVerifyPass.Add(1)
-		return nil, true
-	}
-	s.metrics.denseVerifyFail.Add(1)
-	e.logf("entry %s: batched dense result diverged from oracle on %d-byte text; serving oracle result", e.ID, len(text))
-	return want, false
 }
 
 // execParseBatch runs one §5 parse over the joined buffer. The separator

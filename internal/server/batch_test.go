@@ -95,8 +95,10 @@ func fireMatch(t *testing.T, base, id string, text []byte) (int, []byte) {
 // TestBatchEquivalence is the acceptance suite for the coalescer: the same
 // request load fired concurrently at a batch=on server and sequentially at a
 // batch=off server must produce byte-identical response bodies, for match
-// and parse, across batch sizes {1, 2, 7, 64}, on both the tree and dense
-// engines.
+// and parse, across batch sizes {1, 2, 7, 64}. With dense off both kinds of
+// request are coalesced; with dense on the matches bypass the coalescer
+// (TestBatchSkipsDenseEntries), so that leg pins "dense + -batch on ≡ solo"
+// for them and the join for the parses.
 func TestBatchEquivalence(t *testing.T) {
 	matchPats, parsePats, text := batchTestDicts()
 	for _, mode := range []string{DenseOff, DenseOn} {
@@ -288,54 +290,116 @@ func TestBatchRejectsBadMode(t *testing.T) {
 	}
 }
 
-// TestBatchDenseJoinZeroAlloc pins the batched dense hot path's allocation
-// contract: with a warm join buffer and a preallocated output array, joining
-// 16 small texts and scanning them in one single-shard pass allocates
-// nothing. The per-batch output array (which request slices alias) is the
-// only allocation the real dispatch adds.
-func TestBatchDenseJoinZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector randomizes sync.Pool reuse; alloc pin is meaningless")
+// burst64 fires 64 concurrent 64-byte matches and returns the bodies.
+func burst64(t *testing.T, base, id string, text []byte) [][]byte {
+	t.Helper()
+	bodies := make([][]byte, 64)
+	var wg sync.WaitGroup
+	for i := range bodies {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			st, body := fireMatch(t, base, id, text[i*64:i*64+64])
+			if st != http.StatusOK {
+				t.Errorf("match %d: %d %s", i, st, body)
+			}
+			bodies[i] = body
+		}(i)
 	}
-	gen := textgen.New(55)
-	patterns := gen.Dictionary(24, 2, 8, 4)
-	a, err := dense.CompileDictionary(mustPreprocess(patterns), dense.Options{})
-	if err != nil {
-		t.Fatalf("compile: %v", err)
+	wg.Wait()
+	return bodies
+}
+
+// TestBatchSkipsDenseEntries pins the first selection: coalescing is a
+// tree-walk optimisation. 64 concurrent 64 B clients against a dense entry
+// under -batch on form no batch at all, are answered exactly as under
+// -batch off, and are still counted and oracle-sampled as dense requests
+// (request 1 and request 64); the same clients against a -dense=off server
+// still coalesce.
+func TestBatchSkipsDenseEntries(t *testing.T) {
+	matchPats, _, text := batchTestDicts()
+	start := func(dense, batch string) (*Server, string, string) {
+		srv, base, shutdown := startServer(t, Config{Addr: "127.0.0.1:0", Procs: 4, DenseMode: dense,
+			BatchMode: batch, BatchMaxRequests: 8, BatchMaxDelay: 20 * time.Millisecond})
+		t.Cleanup(func() {
+			if err := shutdown(); err != nil {
+				t.Errorf("shutdown: %v", err)
+			}
+		})
+		return srv, base, registerPatterns(t, base, matchPats)
 	}
-	sep, ok := a.SeparatorByte()
-	if !ok {
-		t.Fatal("no separator byte")
-	}
-	texts := make([][]byte, 16)
-	total := 0
-	for i := range texts {
-		texts[i] = gen.Uniform(512, 4)
-		total += len(texts[i]) + 1
-	}
-	out := make([]core.Match, total)
-	// Warm the pool so the measured runs reuse the buffer.
-	putJoinBuf(getJoinBuf(total))
-	allocs := testing.AllocsPerRun(20, func() {
-		buf := getJoinBuf(total)
-		joined := buf.bytes[:0]
-		for _, tx := range texts {
-			joined = append(joined, tx...)
-			joined = append(joined, sep)
+
+	srv, base, id := start(DenseOn, BatchOn)
+	got := burst64(t, base, id, text)
+	_, baseOff, idOff := start(DenseOn, BatchOff)
+	for i := range got {
+		_, want := fireMatch(t, baseOff, idOff, text[i*64:i*64+64])
+		if !bytes.Equal(got[i], want) {
+			t.Fatalf("request %d: -batch on %s != -batch off %s", i, got[i], want)
 		}
-		denseMatchShardedInto(a, joined, out[:len(joined)], 1)
-		buf.bytes = joined
-		putJoinBuf(buf)
-	})
-	if allocs != 0 {
-		t.Fatalf("batched dense join+scan allocated %.1f times per run, want 0", allocs)
+		if !bytes.Contains(got[i], []byte(`"engine":"dense"`)) {
+			t.Fatalf("request %d not served by the dense engine: %s", i, got[i])
+		}
+	}
+	snap := srv.Metrics().Snapshot(srv.Registry(), srv.Limiter())
+	if b := snap.Batch; b.Batches != 0 || b.Requests != 0 || b.SoloFallbacks != 64 {
+		t.Fatalf("dense entry under -batch on: %+v, want no batch and 64 solo", b)
+	}
+	if d := snap.Dense; d.Served != 64 || d.VerifyPass != 2 || d.VerifyFail != 0 {
+		t.Fatalf("dense counters: %+v, want 64 served and oracle turns on request 1 and 64", d)
+	}
+
+	srvTree, baseTree, idTree := start(DenseOff, BatchOn)
+	burst64(t, baseTree, idTree, text)
+	if b := srvTree.Metrics().Snapshot(srvTree.Registry(), srvTree.Limiter()).Batch; b.Requests != 64 || b.MeanOccupancy <= 1 {
+		t.Fatalf("-dense=off under -batch on: %+v, want 64 coalesced requests at occupancy > 1", b)
 	}
 }
 
-// mustPreprocess builds a core dictionary on a sequential machine.
-func mustPreprocess(patterns [][]byte) *core.Dictionary {
-	m := pram.NewSequential()
-	return core.Preprocess(m, patterns, core.Options{Seed: 7})
+// TestBatchBeforeCompilePublishes: under -dense auto a match that arrives
+// before the background compile has published finds no automaton, so it is
+// coalesced and served by the tree walk; once the automaton is there the
+// next one bypasses the coalescer.
+func TestBatchBeforeCompilePublishes(t *testing.T) {
+	srv, base, shutdown := startServer(t, Config{Addr: "127.0.0.1:0", Procs: 2, DenseMode: DenseAuto,
+		BatchMode: BatchOn, BatchMaxRequests: 2, BatchMaxDelay: 10 * time.Second})
+	defer func() {
+		if err := shutdown(); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	patterns := [][]byte{[]byte("abra"), []byte("cad")}
+	e := registerWithAutomaton(srv, patterns, nil) // compile pending
+
+	// Two requests fill the batch; a lone one would sit out the 10 s delay.
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st, body := fireMatch(t, base, e.ID, []byte("abracadabra"))
+			if st != http.StatusOK || !bytes.Contains(body, []byte(`"engine":"tree"`)) || !bytes.Contains(body, []byte(`"matched":3`)) {
+				t.Errorf("before publish: %d %s", st, body)
+			}
+		}()
+	}
+	wg.Wait()
+	if b := srv.Metrics().Snapshot(srv.Registry(), srv.Limiter()).Batch; b.Batches != 1 || b.Requests != 2 {
+		t.Fatalf("before publish: %+v, want one batch of two", b)
+	}
+
+	aut, err := dense.Compile(patterns, dense.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.denseAut.Store(aut)
+	st, body := fireMatch(t, base, e.ID, []byte("abracadabra"))
+	if st != http.StatusOK || !bytes.Contains(body, []byte(`"engine":"dense"`)) || !bytes.Contains(body, []byte(`"matched":3`)) {
+		t.Fatalf("after publish: %d %s", st, body)
+	}
+	if b := srv.Metrics().Snapshot(srv.Registry(), srv.Limiter()).Batch; b.Batches != 1 || b.SoloFallbacks != 1 {
+		t.Fatalf("after publish: %+v, want still one batch and one solo", b)
+	}
 }
 
 // Fuzzing -------------------------------------------------------------------

@@ -122,14 +122,6 @@ func newClusterState(cfg *Config, mt *Metrics) (*clusterState, error) {
 // tests/bench).
 func (s *Server) Cluster() bool { return s.cluster != nil }
 
-// Close releases background resources (the cluster health prober). Safe on
-// a non-cluster server and safe to call more than once.
-func (s *Server) Close() {
-	if s.cluster != nil {
-		s.cluster.health.Close()
-	}
-}
-
 // keyFromID recovers the persist.Key a cluster dictionary ID encodes.
 func keyFromID(id string) (persist.Key, bool) {
 	raw, err := hex.DecodeString(id)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -49,19 +48,9 @@ func startTestCluster(t *testing.T, n, replicas int, mut func(i int, cfg *Config
 		lns[i] = ln
 		peers[i] = cluster.Peer{Name: fmt.Sprintf("n%d", i+1), URL: "http://" + ln.Addr().String()}
 	}
-	// Not t.TempDir: a background dense compile may still be upgrading its
-	// snapshot in a node's cache directory when the test ends (nothing waits
-	// for it), and TempDir fails the test if the tree is not empty on the
-	// first try. Registered before the nodes, so it runs after they stop.
-	root, err := os.MkdirTemp("", "cluster-test-")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		for deadline := time.Now().Add(5 * time.Second); os.RemoveAll(root) != nil && time.Now().Before(deadline); {
-			time.Sleep(10 * time.Millisecond)
-		}
-	})
+	// Registered before the nodes' cleanups, so it is removed after they
+	// stopped — and a stopped node (Server.Close) writes nothing any more.
+	root := t.TempDir()
 	nodes := make([]*clusterNode, n)
 	for i := range nodes {
 		cfg := Config{

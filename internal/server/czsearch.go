@@ -38,17 +38,22 @@ import (
 // history, so the cap is the same zip-bomb guard /v1/decompress enforces.
 //
 // Engine selection mirrors the dense serving path: entries with a compiled
-// automaton serve from the czsearch token-stream scanner (engine
-// "czsearch"); the rest decompress through the windowed uncompressor fused
-// to the tree-walk matcher (engine "tree", counted as a fallback). Scanner
-// results are cross-checked against the decompress-then-match oracle on the
-// first request and every verifySampleEvery-th after it — the same sampling
-// the dense path uses — and a divergence fails the request loudly (500 or
-// error trailer) rather than serving unverifiable output: the scanner's
-// memo cache is exactly the kind of state a fault can poison (chaos point
-// czsearch.cache), and the oracle is what detects it.
+// automaton serve from the czsearch scanner, the rest decompress through the
+// windowed uncompressor fused to the tree-walk matcher (engine "tree",
+// counted as a fallback). The scanner itself picks one of two modes from the
+// container header (internal/czsearch): the token scanner proper (engine
+// "czsearch") when tokens are long enough to pay for their bookkeeping, and
+// expand-and-scan on a dense cursor (engine "dense") when they are not.
+// Scanner results of either mode are cross-checked against the
+// decompress-then-match oracle on the first request and every
+// verifySampleEvery-th after it — the same sampling the dense path uses —
+// and a divergence fails the request loudly (500 or error trailer) rather
+// than serving unverifiable output: the scanner's memo cache is exactly the
+// kind of state a fault can poison (chaos point czsearch.cache), and the
+// oracle is what detects it.
 
-// engineCz labels responses answered by the compressed-domain scanner.
+// engineCz labels responses answered by the scanner's token mode; its
+// expanded mode answers as engineDense.
 const engineCz = "czsearch"
 
 // czFlushEvery bounds how many NDJSON events the streaming route buffers
@@ -61,27 +66,30 @@ func (s *Server) czConfig() czsearch.Config {
 	return czsearch.Config{Window: s.cfg.StreamWindow, MaxOutput: s.cfg.MaxExpandBytes}
 }
 
-// czAutomaton returns the entry's compiled automaton if the compressed scan
-// may use it (nil = serve the decompress-and-match fallback).
-func (s *Server) czAutomaton(e *Entry) *dense.Automaton {
-	if s.cfg.DenseMode == DenseOff {
-		return nil
-	}
-	return e.denseAut.Load()
-}
-
 // czRunner is a prepared compressed-domain scan: the container header has
 // been validated (so the handler can still choose a proper HTTP status) but
 // no token has been consumed yet.
 type czRunner struct {
-	n      int    // represented size from the container header
-	engine string // engineCz or engineTree
-	run    func(ctx context.Context, sink czsearch.Sink) (czsearch.Stats, error)
+	n    int  // represented size from the container header
+	tree bool // the decompress-and-tree-walk fallback, not the scanner
+	run  func(ctx context.Context, sink czsearch.Sink) (czsearch.Stats, error)
+}
+
+// engine names what served a finished scan.
+func (r czRunner) engine(st czsearch.Stats) string {
+	switch {
+	case r.tree:
+		return engineTree
+	case st.Expanded:
+		return engineDense
+	default:
+		return engineCz
+	}
 }
 
 // czPrepare validates the container header on body and returns the runner
 // for the fastest correct engine. aut is the caller's automaton decision
-// (czAutomaton), passed in so the engine choice and the caller's sampling
+// (servingAutomaton), passed in so the engine choice and the caller's sampling
 // decision cannot disagree.
 func (s *Server) czPrepare(e *Entry, aut *dense.Automaton, body io.Reader) (czRunner, error) {
 	if aut != nil {
@@ -93,7 +101,7 @@ func (s *Server) czPrepare(e *Entry, aut *dense.Automaton, body io.Reader) (czRu
 		if sc == nil {
 			sc = czsearch.NewScanner(aut, s.czConfig())
 		}
-		return czRunner{n: dec.N(), engine: engineCz, run: func(ctx context.Context, sink czsearch.Sink) (czsearch.Stats, error) {
+		return czRunner{n: dec.N(), run: func(ctx context.Context, sink czsearch.Sink) (czsearch.Stats, error) {
 			st, err := sc.Run(ctx, dec, sink)
 			// Run resets the scanner up front, so pooling it back even after
 			// an error (or a chaos fault) cannot leak state into the next
@@ -106,7 +114,7 @@ func (s *Server) czPrepare(e *Entry, aut *dense.Automaton, body io.Reader) (czRu
 	if err != nil {
 		return czRunner{}, err
 	}
-	return czRunner{n: f.N(), engine: engineTree, run: func(ctx context.Context, sink czsearch.Sink) (czsearch.Stats, error) {
+	return czRunner{n: f.N(), tree: true, run: func(ctx context.Context, sink czsearch.Sink) (czsearch.Stats, error) {
 		tm := entryMatcher{e: e, procs: s.cfg.Procs, mt: s.metrics}
 		return f.Run(ctx, tm, stream.Config{SegmentBytes: s.cfg.SegmentBytes}, sink)
 	}}, nil
@@ -114,9 +122,12 @@ func (s *Server) czPrepare(e *Entry, aut *dense.Automaton, body io.Reader) (czRu
 
 // czObserve folds one successful scan into the service metrics.
 func (s *Server) czObserve(engine string, st czsearch.Stats) {
-	if engine == engineCz {
+	switch engine {
+	case engineCz:
 		s.metrics.czServed.Add(1)
-	} else {
+	case engineDense:
+		s.metrics.czExpanded.Add(1)
+	default:
 		s.metrics.czFallback.Add(1)
 	}
 	s.metrics.czTokens.Add(st.Tokens)
@@ -221,7 +232,7 @@ func (s *Server) handleMatchCompressed(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	aut := s.czAutomaton(e)
+	aut := s.servingAutomaton(e)
 	verify := aut != nil && e.czSampled()
 	body := io.Reader(r.Body)
 	var tee *cappedTee
@@ -289,14 +300,15 @@ func (s *Server) handleMatchCompressed(w http.ResponseWriter, r *http.Request) {
 		bw.Flush()
 		return
 	}
-	s.czObserve(run.engine, st)
+	engine := run.engine(st)
+	s.czObserve(engine, st)
 	if verify && !tee.overflowed && s.czVerify(r.Context(), e, tee.buf.Bytes(), events) < 0 {
 		fmt.Fprintf(bw, `{"error":%q}`+"\n", "compressed match diverged from decompress-then-match oracle")
 		bw.Flush()
 		return
 	}
 	sb, _ := json.Marshal(st)
-	fmt.Fprintf(bw, `{"summary":{"n":%d,"engine":%q,"stats":%s}}`+"\n", run.n, run.engine, sb)
+	fmt.Fprintf(bw, `{"summary":{"n":%d,"engine":%q,"stats":%s}}`+"\n", run.n, engine, sb)
 	bw.Flush()
 }
 
@@ -307,7 +319,7 @@ type matchCompressedRequest struct {
 type matchCompressedResponse struct {
 	N       int            `json:"n"`
 	Matched int            `json:"matched"`
-	Engine  string         `json:"engine"` // "czsearch" or "tree"
+	Engine  string         `json:"engine"` // "czsearch", "dense" or "tree"
 	Stats   czsearch.Stats `json:"stats"`
 	Hits    []matchHit     `json:"hits"`
 }
@@ -332,7 +344,7 @@ func (s *Server) handleMatchCompressedBuffered(w http.ResponseWriter, r *http.Re
 		return
 	}
 
-	aut := s.czAutomaton(e)
+	aut := s.servingAutomaton(e)
 	run, err := s.czPrepare(e, aut, bytes.NewReader(data))
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "bad LZ1R1 stream: %v", err)
@@ -345,7 +357,7 @@ func (s *Server) handleMatchCompressedBuffered(w http.ResponseWriter, r *http.Re
 	}
 
 	verify := aut != nil && e.czSampled()
-	resp := matchCompressedResponse{N: run.n, Engine: run.engine, Hits: []matchHit{}}
+	resp := matchCompressedResponse{N: run.n, Hits: []matchHit{}}
 	var events []czsearch.Event
 	st, err := run.run(r.Context(), func(ev czsearch.Event) error {
 		if verify {
@@ -375,7 +387,8 @@ func (s *Server) handleMatchCompressedBuffered(w http.ResponseWriter, r *http.Re
 		writeError(w, http.StatusUnprocessableEntity, "bad LZ1R1 stream: %v", err)
 		return
 	}
-	s.czObserve(run.engine, st)
+	resp.Engine = run.engine(st)
+	s.czObserve(resp.Engine, st)
 	if verify && s.czVerify(r.Context(), e, data, events) < 0 {
 		writeError(w, http.StatusInternalServerError,
 			"compressed match diverged from decompress-then-match oracle")

@@ -14,10 +14,18 @@ import (
 	"repro/internal/lz"
 )
 
+// czChaosBlock is the 64-byte text of the fixture's repeated token: "xyxy"
+// and "yx" occur exactly across the boundary between two blocks, so a scan
+// that enters a block in the wrong state reports different matches.
+var czChaosBlock = []byte("xy" + strings.Repeat("a", 60) + "xy")
+
 // czChaosFixture registers a dictionary and builds a container whose copy
 // tokens repeat one (entry state, src, len) key over and over — the memo-hit
 // workload the czsearch.cache fault needs (an optimal parse never repeats a
-// token, so the poison would have nothing to land on).
+// token, so the poison would have nothing to land on). The repeated token is
+// 64 bytes long, which puts the container's mean token length above the
+// scanner's cutover: below it the expanded mode would serve, and that has no
+// memo to poison.
 func czChaosFixture(t *testing.T, base string, reps int) (string, []byte) {
 	t.Helper()
 	status, body := postJSON(t, base+"/v1/dicts", map[string]any{"patterns": []string{"yx", "xyxy"}})
@@ -28,12 +36,12 @@ func czChaosFixture(t *testing.T, base string, reps int) (string, []byte) {
 	if err := json.Unmarshal(body, &created); err != nil {
 		t.Fatal(err)
 	}
-	toks := []lz.Token{{Lit: 'x'}, {Lit: 'y'}}
+	toks := []lz.Token{{Lit: 'x'}, {Lit: 'y'}, {Lit: 'a'}, {Src: 2, Len: 59}, {Src: 0, Len: 2}}
 	for i := 0; i < reps; i++ {
-		toks = append(toks, lz.Token{Src: 0, Len: 2})
+		toks = append(toks, lz.Token{Src: 0, Len: 64})
 	}
 	var buf bytes.Buffer
-	if err := lz.EncodeStream(&buf, lz.Compressed{N: 2 + 2*reps, Tokens: toks}); err != nil {
+	if err := lz.EncodeStream(&buf, lz.Compressed{N: 64 * (1 + reps), Tokens: toks}); err != nil {
 		t.Fatal(err)
 	}
 	return created.ID, buf.Bytes()
@@ -87,7 +95,7 @@ func TestChaosCzPoisonedCacheCaught5xx(t *testing.T) {
 	if err := json.Unmarshal(body, &mr); err != nil {
 		t.Fatal(err)
 	}
-	want := oracleHits(t, base, id, bytes.Repeat([]byte("xy"), 51))
+	want := oracleHits(t, base, id, bytes.Repeat(czChaosBlock, 51))
 	if len(mr.Hits) != len(want) {
 		t.Fatalf("request after poison: %d hits, oracle has %d", len(mr.Hits), len(want))
 	}

@@ -26,12 +26,9 @@ func compressPlanted(t *testing.T, text []byte) []byte {
 	return buf.Bytes()
 }
 
-// createCzDict registers a planted dictionary and returns its ID, the
-// planted text, and the text's LZ1R1 container.
-func createCzDict(t *testing.T, base string, seed uint64) (string, []byte, []byte) {
+// registerCz registers patterns and returns the dictionary's ID.
+func registerCz(t *testing.T, base string, patterns [][]byte) string {
 	t.Helper()
-	gen := textgen.New(seed)
-	text, patterns := gen.PlantedDictionary(1<<16, 16, 6, 97, 4)
 	strs := make([]string, len(patterns))
 	for i, p := range patterns {
 		strs[i] = string(p)
@@ -44,7 +41,31 @@ func createCzDict(t *testing.T, base string, seed uint64) (string, []byte, []byt
 	if err := json.Unmarshal(body, &created); err != nil {
 		t.Fatal(err)
 	}
-	return created.ID, text, compressPlanted(t, text)
+	return created.ID
+}
+
+// createCzDict registers a planted dictionary and returns its ID, the
+// planted text, and the text's LZ1R1 container. The text is random between
+// the plants, so its parse has short tokens (mean ≈ 8 B): below the
+// scanner's cutover, served by the expanded mode.
+func createCzDict(t *testing.T, base string, seed uint64) (string, []byte, []byte) {
+	t.Helper()
+	text, patterns := textgen.New(seed).PlantedDictionary(1<<16, 16, 6, 97, 4)
+	return registerCz(t, base, patterns), text, compressPlanted(t, text)
+}
+
+// createCzRepetitive is createCzDict on the other side of the cutover: a
+// 256-byte block repeated with 0.5 % point mutations parses into tokens of
+// ≈ 140 B, the token scanner's own ground. The patterns are cut from the
+// block, so every repetition matches.
+func createCzRepetitive(t *testing.T, base string, seed uint64) (string, []byte, []byte) {
+	t.Helper()
+	text := textgen.New(seed).Repetitive(1<<16, 256, 0.005)
+	patterns := make([][]byte, 16)
+	for i := range patterns {
+		patterns[i] = text[i*13 : i*13+6]
+	}
+	return registerCz(t, base, patterns), text, compressPlanted(t, text)
 }
 
 // oracleHits fetches /v1/dicts/{id}/match for text — the decompress-then-
@@ -64,68 +85,96 @@ func oracleHits(t *testing.T, base, id string, text []byte) []matchHit {
 }
 
 // TestMatchCompressedBufferedEquivalence: the buffered endpoint reports
-// exactly the hits /match reports on the expanded text, serves from the
-// czsearch engine when the automaton is compiled, and the accounting
-// invariant and /metrics czsearch section hold up.
+// exactly the hits /match reports on the expanded text, says which engine
+// served — the token scanner above the cutover (fewer bytes touched than
+// represented), its expanded mode below (engine "dense", every byte
+// touched) — and the accounting invariant and the /metrics czsearch section
+// hold up on both sides.
 func TestMatchCompressedBufferedEquivalence(t *testing.T) {
-	_, base, shutdown := startServer(t, Config{
-		Addr: "127.0.0.1:0", Procs: 2, DenseMode: DenseOn,
-	})
-	id, text, container := createCzDict(t, base, 41)
-	want := oracleHits(t, base, id, text)
-
-	for req := 0; req < 3; req++ {
-		status, body := postJSON(t, base+"/v1/dicts/"+id+"/match/compressed/buffered",
-			map[string]string{"dataB64": base64.StdEncoding.EncodeToString(container)})
-		if status != http.StatusOK {
-			t.Fatalf("request %d: %d %s", req, status, body)
-		}
-		var mr matchCompressedResponse
-		if err := json.Unmarshal(body, &mr); err != nil {
-			t.Fatal(err)
-		}
-		if mr.Engine != engineCz {
-			t.Fatalf("request %d served by %q, want %q", req, mr.Engine, engineCz)
-		}
-		if mr.N != len(text) || mr.Matched != len(want) || len(mr.Hits) != len(want) {
-			t.Fatalf("request %d: n=%d matched=%d, oracle has %d hits over %d bytes",
-				req, mr.N, mr.Matched, len(want), len(text))
-		}
-		for i, h := range mr.Hits {
-			if h != want[i] {
-				t.Fatalf("request %d: hit %d = %+v, oracle %+v", req, i, h, want[i])
+	for _, side := range []struct {
+		name   string
+		create func(*testing.T, string, uint64) (string, []byte, []byte)
+		engine string
+	}{
+		{"above-cutover", createCzRepetitive, engineCz},
+		{"below-cutover", createCzDict, engineDense},
+	} {
+		t.Run(side.name, func(t *testing.T) {
+			_, base, shutdown := startServer(t, Config{
+				Addr: "127.0.0.1:0", Procs: 2, DenseMode: DenseOn,
+			})
+			id, text, container := side.create(t, base, 41)
+			want := oracleHits(t, base, id, text)
+			if len(want) == 0 {
+				t.Fatal("bad fixture: the oracle has no hits")
 			}
-		}
-		st := mr.Stats
-		if st.BytesRepresented != int64(len(text)) {
-			t.Fatalf("bytesRepresented = %d, want %d", st.BytesRepresented, len(text))
-		}
-		if st.BytesTouched+st.SyncSkipped+st.MemoBytes != st.BytesRepresented {
-			t.Fatalf("accounting: %d+%d+%d != %d",
-				st.BytesTouched, st.SyncSkipped, st.MemoBytes, st.BytesRepresented)
-		}
-		if st.BytesTouched >= st.BytesRepresented {
-			t.Fatalf("scanner touched every byte (%d of %d) — no compressed-domain savings",
-				st.BytesTouched, st.BytesRepresented)
-		}
-	}
 
-	var snap MetricsSnapshot
-	if code := getJSON(t, base+"/metrics", &snap); code != http.StatusOK {
-		t.Fatalf("metrics: %d", code)
-	}
-	cz := snap.Cz
-	if cz.Served != 3 || cz.Fallback != 0 {
-		t.Fatalf("cz served=%d fallback=%d, want 3/0", cz.Served, cz.Fallback)
-	}
-	if cz.Tokens == 0 || cz.BytesRepresented != 3*int64(len(text)) || cz.BytesTouched >= cz.BytesRepresented {
-		t.Fatalf("cz accounting counters: %+v", cz)
-	}
-	if cz.VerifyPass < 1 || cz.VerifyFail != 0 {
-		t.Fatalf("cz verify: pass=%d fail=%d", cz.VerifyPass, cz.VerifyFail)
-	}
-	if err := shutdown(); err != nil {
-		t.Fatal(err)
+			for req := 0; req < 3; req++ {
+				status, body := postJSON(t, base+"/v1/dicts/"+id+"/match/compressed/buffered",
+					map[string]string{"dataB64": base64.StdEncoding.EncodeToString(container)})
+				if status != http.StatusOK {
+					t.Fatalf("request %d: %d %s", req, status, body)
+				}
+				var mr matchCompressedResponse
+				if err := json.Unmarshal(body, &mr); err != nil {
+					t.Fatal(err)
+				}
+				if mr.Engine != side.engine {
+					t.Fatalf("request %d served by %q, want %q", req, mr.Engine, side.engine)
+				}
+				if mr.N != len(text) || mr.Matched != len(want) || len(mr.Hits) != len(want) {
+					t.Fatalf("request %d: n=%d matched=%d, oracle has %d hits over %d bytes",
+						req, mr.N, mr.Matched, len(want), len(text))
+				}
+				for i, h := range mr.Hits {
+					if h != want[i] {
+						t.Fatalf("request %d: hit %d = %+v, oracle %+v", req, i, h, want[i])
+					}
+				}
+				st := mr.Stats
+				if st.BytesRepresented != int64(len(text)) {
+					t.Fatalf("bytesRepresented = %d, want %d", st.BytesRepresented, len(text))
+				}
+				if st.BytesTouched+st.SyncSkipped+st.MemoBytes != st.BytesRepresented {
+					t.Fatalf("accounting: %d+%d+%d != %d",
+						st.BytesTouched, st.SyncSkipped, st.MemoBytes, st.BytesRepresented)
+				}
+				if st.Expanded != (side.engine == engineDense) {
+					t.Fatalf("stats.expanded = %v under engine %q", st.Expanded, mr.Engine)
+				}
+				if st.Expanded && st.BytesTouched != st.BytesRepresented {
+					t.Fatalf("expanded run touched %d of %d bytes", st.BytesTouched, st.BytesRepresented)
+				}
+				if !st.Expanded && st.BytesTouched >= st.BytesRepresented {
+					t.Fatalf("scanner touched every byte (%d of %d) — no compressed-domain savings",
+						st.BytesTouched, st.BytesRepresented)
+				}
+			}
+
+			var snap MetricsSnapshot
+			if code := getJSON(t, base+"/metrics", &snap); code != http.StatusOK {
+				t.Fatalf("metrics: %d", code)
+			}
+			cz := snap.Cz
+			wantServed, wantExpanded := int64(3), int64(0)
+			if side.engine == engineDense {
+				wantServed, wantExpanded = 0, 3
+			}
+			if cz.Served != wantServed || cz.Expanded != wantExpanded || cz.Fallback != 0 {
+				t.Fatalf("cz served=%d expanded=%d fallback=%d, want %d/%d/0",
+					cz.Served, cz.Expanded, cz.Fallback, wantServed, wantExpanded)
+			}
+			if cz.Tokens == 0 || cz.BytesRepresented != 3*int64(len(text)) ||
+				(cz.BytesTouched < cz.BytesRepresented) != (side.engine == engineCz) {
+				t.Fatalf("cz accounting counters: %+v", cz)
+			}
+			if cz.VerifyPass < 1 || cz.VerifyFail != 0 {
+				t.Fatalf("cz verify: pass=%d fail=%d", cz.VerifyPass, cz.VerifyFail)
+			}
+			if err := shutdown(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -182,38 +231,44 @@ func postCompressedStream(t *testing.T, url string, container []byte) (int, []ma
 }
 
 // TestMatchCompressedStreaming: the NDJSON route emits the oracle's events
-// in position order and closes with a summary naming the czsearch engine.
+// in position order and closes with a summary naming the engine — the token
+// scanner for the long-token container, "dense" for the short-token one.
 func TestMatchCompressedStreaming(t *testing.T) {
 	_, base, shutdown := startServer(t, Config{
 		Addr: "127.0.0.1:0", Procs: 2, DenseMode: DenseOn,
 	})
-	id, text, container := createCzDict(t, base, 43)
-	want := oracleHits(t, base, id, text)
+	for _, side := range []struct {
+		create func(*testing.T, string, uint64) (string, []byte, []byte)
+		engine string
+	}{{createCzRepetitive, engineCz}, {createCzDict, engineDense}} {
+		id, text, container := side.create(t, base, 43)
+		want := oracleHits(t, base, id, text)
 
-	status, hits, summary, errLine := postCompressedStream(t, base+"/v1/dicts/"+id+"/match/compressed", container)
-	if status != http.StatusOK {
-		t.Fatalf("stream: %d %s", status, errLine)
-	}
-	if errLine != "" {
-		t.Fatalf("stream error: %s", errLine)
-	}
-	if summary == nil {
-		t.Fatal("stream ended without a summary trailer")
-	}
-	if summary.Engine != engineCz || summary.N != int64(len(text)) {
-		t.Fatalf("summary = %+v", summary)
-	}
-	st := summary.Stats
-	if st.BytesTouched+st.SyncSkipped+st.MemoBytes != st.BytesRepresented {
-		t.Fatalf("accounting: %d+%d+%d != %d",
-			st.BytesTouched, st.SyncSkipped, st.MemoBytes, st.BytesRepresented)
-	}
-	if len(hits) != len(want) {
-		t.Fatalf("%d events, oracle has %d", len(hits), len(want))
-	}
-	for i, h := range hits {
-		if h != want[i] {
-			t.Fatalf("event %d = %+v, oracle %+v", i, h, want[i])
+		status, hits, summary, errLine := postCompressedStream(t, base+"/v1/dicts/"+id+"/match/compressed", container)
+		if status != http.StatusOK {
+			t.Fatalf("stream: %d %s", status, errLine)
+		}
+		if errLine != "" {
+			t.Fatalf("stream error: %s", errLine)
+		}
+		if summary == nil {
+			t.Fatal("stream ended without a summary trailer")
+		}
+		if summary.Engine != side.engine || summary.N != int64(len(text)) {
+			t.Fatalf("summary = %+v, want engine %q", summary, side.engine)
+		}
+		st := summary.Stats
+		if st.BytesTouched+st.SyncSkipped+st.MemoBytes != st.BytesRepresented {
+			t.Fatalf("accounting: %d+%d+%d != %d",
+				st.BytesTouched, st.SyncSkipped, st.MemoBytes, st.BytesRepresented)
+		}
+		if len(hits) != len(want) {
+			t.Fatalf("%d events, oracle has %d", len(hits), len(want))
+		}
+		for i, h := range hits {
+			if h != want[i] {
+				t.Fatalf("event %d = %+v, oracle %+v", i, h, want[i])
+			}
 		}
 	}
 	if err := shutdown(); err != nil {

@@ -71,7 +71,7 @@ func (s *Server) armDense(e *Entry, upgrade func(*dense.Automaton)) {
 		s.compileDense(e, upgrade)
 		return
 	}
-	go s.compileDense(e, upgrade)
+	s.background(func() { s.compileDense(e, upgrade) })
 }
 
 // compileDense lowers the entry's dictionary and publishes the automaton.
@@ -117,6 +117,17 @@ func (s *Server) denseUpgradeFunc(e *Entry, key persist.Key) func(*dense.Automat
 	}
 }
 
+// servingAutomaton returns the entry's compiled automaton when requests
+// should be served from it — it is published and -dense is not off — and
+// nil when they get the tree walk. It is the one engine rule: buffered
+// matches, streams, compressed scans and the coalescer's bypass all ask it.
+func (s *Server) servingAutomaton(e *Entry) *dense.Automaton {
+	if s.cfg.DenseMode == DenseOff {
+		return nil
+	}
+	return e.denseAut.Load()
+}
+
 // Engine labels for matchResponse.Engine.
 const (
 	engineDense = "dense"
@@ -132,8 +143,8 @@ const (
 // depend on the poisoned fingerprint state the breaker protects against.
 // (serveMatch in batch.go routes here for requests that bypass coalescing.)
 func (s *Server) serveMatchSolo(ctx context.Context, e *Entry, text []byte) ([]core.Match, int, string, error) {
-	a := e.denseAut.Load()
-	if s.cfg.DenseMode == DenseOff || a == nil {
+	a := s.servingAutomaton(e)
+	if a == nil {
 		if s.cfg.DenseMode != DenseOff {
 			s.metrics.denseFallback.Add(1)
 		}
@@ -168,8 +179,8 @@ func (s *Server) serveMatchSolo(ctx context.Context, e *Entry, text []byte) ([]c
 	return matches, 1, engineDense, nil
 }
 
-// denseSampled counts one dense-served request — a buffered match, a batch
-// member or a whole stream — and reports whether it is an oracle sample: the
+// denseSampled counts one dense-served request — a buffered match or a whole
+// stream — and reports whether it is an oracle sample: the
 // entry's first and every verifySampleEvery-th after it.
 func (e *Entry) denseSampled() bool {
 	n := e.denseReqs.Add(1)
@@ -220,15 +231,6 @@ const denseMinShardLen = 1 << 15
 // re-scans), Depth the largest single-worker span.
 func denseMatchSharded(a *dense.Automaton, text []byte, procs int) ([]core.Match, pram.Counters) {
 	out := make([]core.Match, len(text))
-	counters := denseMatchShardedInto(a, text, out, procs)
-	return out, counters
-}
-
-// denseMatchShardedInto is denseMatchSharded writing into a caller-provided
-// buffer (len(out) must equal len(text)). The single-shard path — every
-// batched small-request dispatch lands here — allocates nothing; the
-// multi-shard path allocates only per-worker halo scratch.
-func denseMatchShardedInto(a *dense.Automaton, text []byte, out []core.Match, procs int) pram.Counters {
 	n := len(text)
 	if procs < 1 {
 		procs = 1
@@ -239,7 +241,7 @@ func denseMatchShardedInto(a *dense.Automaton, text []byte, out []core.Match, pr
 	}
 	if shards <= 1 {
 		a.MatchInto(text, out)
-		return pram.Counters{Work: int64(n), Depth: int64(n)}
+		return out, pram.Counters{Work: int64(n), Depth: int64(n)}
 	}
 
 	per := (n + shards - 1) / shards
@@ -283,5 +285,5 @@ func denseMatchShardedInto(a *dense.Automaton, text []byte, out []core.Match, pr
 	if sp := panicked.Load(); sp != nil {
 		panic(sp)
 	}
-	return pram.Counters{Work: work, Depth: depth}
+	return out, pram.Counters{Work: work, Depth: depth}
 }

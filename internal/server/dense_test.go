@@ -1,9 +1,16 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io/fs"
 	"net/http"
+	"net/http/httptest"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -169,6 +176,81 @@ func TestDenseAutoBackgroundCompile(t *testing.T) {
 	}
 	if err := shutdown(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCloseWaitsForBackgroundCompile: Close returns only when the background
+// dense compile a registration started — and its snapshot upgrade in the
+// cache directory — are over. Registered under -dense auto and closed at
+// once, the server leaves no compileDense goroutine and an upgraded,
+// quiescent cache directory behind, and starts no compile afterwards.
+func TestCloseWaitsForBackgroundCompile(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := New(Config{Procs: 1, DenseMode: DenseAuto, CacheDir: dir, Log: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Large enough that the compile is still running when Close is called.
+	patterns := textgen.New(77).Dictionary(2000, 16, 32, 64)
+	strs := make([]string, len(patterns))
+	for i, p := range patterns {
+		strs[i] = string(p)
+	}
+	body, _ := json.Marshal(map[string]any{"patterns": strs})
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/dicts", bytes.NewReader(body)))
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("dict create: %d %s", rec.Code, rec.Body)
+	}
+	var created dictCreateResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &created); err != nil {
+		t.Fatal(err)
+	}
+	e, _ := srv.Registry().Get(created.ID)
+
+	srv.Close()
+
+	if e.denseAut.Load() == nil {
+		t.Fatal("Close returned before the background compile published")
+	}
+	stacks := make([]byte, 1<<20)
+	stacks = stacks[:runtime.Stack(stacks, true)]
+	if bytes.Contains(stacks, []byte("compileDense")) {
+		t.Fatalf("a compileDense goroutine outlived Close:\n%s", stacks)
+	}
+	listing := func() string {
+		var b strings.Builder
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			info, err := d.Info()
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(&b, "%s %d %v\n", path, info.Size(), info.ModTime())
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	before := listing()
+	if got := srv.Metrics().snapshotSaves.Load(); got != 2 {
+		t.Fatalf("%d snapshot writes before Close returned, want 2 (create + dense upgrade)", got)
+	}
+	time.Sleep(100 * time.Millisecond)
+	if after := listing(); after != before {
+		t.Fatalf("cache directory changed after Close:\nbefore:\n%safter:\n%s", before, after)
+	}
+
+	// A closed server starts no background work: the entry stays on the tree.
+	late, _ := srv.Registry().Register(pram.NewSequential(), patterns[:8], core.Options{})
+	srv.armDense(late, nil)
+	time.Sleep(20 * time.Millisecond)
+	if late.denseAut.Load() != nil {
+		t.Fatal("a compile ran after Close")
 	}
 }
 

@@ -184,13 +184,15 @@ type Metrics struct {
 	denseTableBytes   atomic.Int64
 	denseLoads        atomic.Int64
 
-	// Compressed-domain matching (czsearch.go). czServed/czFallback split the
-	// compressed-match requests by engine (token-stream scanner vs
-	// decompress-and-tree-walk); the byte counters expose the economics —
+	// Compressed-domain matching (czsearch.go). czServed/czExpanded/
+	// czFallback split the compressed-match requests by engine (the
+	// scanner's token mode, its expand-and-scan mode, decompress-and-tree-
+	// walk); the byte counters expose the economics —
 	// czBytesRepresented is what the streams stood for, czBytesTouched what
 	// the automaton actually consumed; czVerifyPass/czVerifyFail count
 	// sampled decompress-then-match oracle cross-checks.
 	czServed           atomic.Int64
+	czExpanded         atomic.Int64
 	czFallback         atomic.Int64
 	czTokens           atomic.Int64
 	czBytesRepresented atomic.Int64
@@ -216,8 +218,9 @@ type Metrics struct {
 
 	// Request coalescing (batch.go). batchBatches counts dispatched groups
 	// (at least one live request); batchRequests the requests they carried;
-	// batchBytes their coalesced payload; batchSolo the eligible-mode
-	// requests that bypassed the coalescer (mode "auto", text at or above
+	// batchBytes their coalesced payload; batchSolo the requests that
+	// bypassed the coalescer although -batch is not off (a match the dense
+	// automaton serves, in any mode; under "auto" also a text at or above
 	// the shard threshold); batchDropped waiters that abandoned a queued
 	// request; batchDelayHist the queue delay (admission → dispatch) in
 	// power-of-two microsecond buckets.
@@ -343,6 +346,7 @@ type denseSnapshot struct {
 // czSnapshot is the JSON shape of the compressed-domain matching counters.
 type czSnapshot struct {
 	Served           int64 `json:"served"`           // requests answered by the token-stream scanner
+	Expanded         int64 `json:"expanded"`         // requests the scanner expanded and ran through a dense cursor
 	Fallback         int64 `json:"fallback"`         // requests decompressed and tree-walked instead
 	Tokens           int64 `json:"tokens"`           // tokens scanned across all requests
 	BytesRepresented int64 `json:"bytesRepresented"` // text bytes the streams stood for
@@ -359,7 +363,7 @@ type batchSnapshot struct {
 	Requests            int64   `json:"requests"`            // requests served through a batch
 	MeanOccupancy       float64 `json:"meanOccupancy"`       // requests per batch
 	CoalescedBytes      int64   `json:"coalescedBytes"`      // payload bytes joined
-	SoloFallbacks       int64   `json:"soloFallbacks"`       // eligible-mode requests served solo
+	SoloFallbacks       int64   `json:"soloFallbacks"`       // requests served solo under -batch on|auto: dense-served matches, large texts
 	Dropped             int64   `json:"dropped"`             // waiters that abandoned a queued request
 	DelayHistPow2Micros []int64 `json:"delayHistPow2Micros"` // queue delay histogram
 }
@@ -495,6 +499,7 @@ func (mt *Metrics) Snapshot(reg *Registry, lim *Limiter) MetricsSnapshot {
 		},
 		Cz: czSnapshot{
 			Served:           mt.czServed.Load(),
+			Expanded:         mt.czExpanded.Load(),
 			Fallback:         mt.czFallback.Load(),
 			Tokens:           mt.czTokens.Load(),
 			BytesRepresented: mt.czBytesRepresented.Load(),

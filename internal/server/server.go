@@ -34,6 +34,7 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -70,8 +71,10 @@ type Config struct {
 
 	// BatchMode selects request coalescing for /v1/dicts/{id}/match and
 	// /parse (batch.go): "off" (default — every request dispatches alone),
-	// "on" (coalesce every request), "auto" (coalesce only texts below the
-	// solo-shard threshold; large texts keep the solo halo-shard path).
+	// "on" (coalesce every parse and every tree-walk match dispatch), "auto"
+	// (the same, but only texts below the solo-shard threshold; large texts
+	// keep the solo halo-shard path). A match the dense automaton serves is
+	// never coalesced: it has no dispatch cost to share.
 	// BatchMaxRequests / BatchMaxBytes / BatchMaxDelay bound one batch
 	// (zero = the internal/batch defaults: 32 requests, 1 MiB, 500 µs).
 	BatchMode        string
@@ -173,6 +176,13 @@ type Server struct {
 	cluster *clusterState  // nil outside cluster mode
 	sweep   persist.SweepReport
 	handler http.Handler
+
+	// Background work that outlives the request that started it (dense
+	// compiles and their snapshot upgrades): Close refuses new work and
+	// waits for what is running.
+	bgMu   sync.Mutex
+	closed bool
+	bg     sync.WaitGroup
 }
 
 // New assembles a server from cfg. With a CacheDir the snapshot store is
@@ -444,6 +454,35 @@ func deadlineHeaderMs(r *http.Request) (int64, bool) {
 		return 0, false
 	}
 	return ms, true
+}
+
+// background runs fn on a goroutine Close waits for. After Close it does
+// not run at all: nothing may touch the cache directory once Close returned.
+func (s *Server) background(fn func()) {
+	s.bgMu.Lock()
+	defer s.bgMu.Unlock()
+	if s.closed {
+		return
+	}
+	s.bg.Add(1)
+	go func() {
+		defer s.bg.Done()
+		fn()
+	}()
+}
+
+// Close stops the cluster health prober and waits for background dense
+// compiles, so that no goroutine of this server runs — or writes into its
+// cache directory — once it returns. Safe on a non-cluster server and safe
+// to call more than once.
+func (s *Server) Close() {
+	if s.cluster != nil {
+		s.cluster.health.Close()
+	}
+	s.bgMu.Lock()
+	s.closed = true
+	s.bgMu.Unlock()
+	s.bg.Wait()
 }
 
 // Run listens on cfg.Addr and serves until ctx is cancelled, then drains

@@ -148,7 +148,7 @@ func (s *Server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 	var st stream.Stats
 	var err error
 	engine := engineTree
-	if a := e.denseAut.Load(); a == nil || s.cfg.DenseMode == DenseOff {
+	if a := s.servingAutomaton(e); a == nil {
 		if s.cfg.DenseMode != DenseOff {
 			s.metrics.denseFallback.Add(1)
 		}

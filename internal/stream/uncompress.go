@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/lz"
 )
@@ -100,12 +101,11 @@ func (u *Uncompressor) Run(ctx context.Context, w io.Writer) (Stats, error) {
 			if win > 0 && total-src > int64(win) {
 				st.Spills++
 			}
-			off := int(src - histStart)
 			// Self-referencing copies (Src+Len past the current end) are
-			// legal LZ1 and must be materialized byte by byte.
-			for k := 0; k < produced; k++ {
-				hist = append(hist, hist[off+k])
-			}
+			// legal LZ1; CopyWithin expands them periodically.
+			at := len(hist)
+			hist = slices.Grow(hist, produced)[:at+produced]
+			lz.CopyWithin(hist, at, int(src-histStart), produced)
 		}
 		if _, err := bw.Write(hist[len(hist)-produced:]); err != nil {
 			return st, err
