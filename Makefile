@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json experiments quick-experiments fuzz serve chaos soak cluster-soak partition-soak fmt-check clean
+.PHONY: all build test race bench bench-json bench-compare experiments quick-experiments fuzz serve chaos soak cluster-soak partition-soak fmt-check clean
 
 all: build test
 
@@ -37,6 +37,13 @@ bench:
 # internal/bench/resilience.go).
 bench-json:
 	$(GO) run ./cmd/benchtab -json BENCH_PR10.json
+
+# Per-row verdict between two matchbench run records (`matchbench -out FILE`),
+# e.g. the parent commit's and this checkout's:
+#   make bench-compare OLD=/tmp/parent.json NEW=/tmp/change.json
+bench-compare:
+	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make bench-compare OLD=old.json NEW=new.json"; exit 2; }
+	$(GO) run ./benchmark/cmd/matchbench -compare $(OLD) $(NEW)
 
 experiments:
 	$(GO) run ./cmd/benchtab | tee experiments_raw.txt

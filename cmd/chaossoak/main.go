@@ -558,12 +558,13 @@ func (z *czTraffic) check() error {
 }
 
 // engineTally counts completed /match/stream requests by the engine their
-// summary names: "tree" until the background compile publishes (and on a
-// sampled divergence), "dense" — the carried-state cursor — after.
-type engineTally struct{ dense, tree atomic.Int64 }
+// summary names: "tree" until the background compile publishes, "dense" —
+// the carried-state cursor — after, "reference" when a sampled oracle turn
+// diverged and its events were served.
+type engineTally struct{ dense, tree, reference atomic.Int64 }
 
 func (e *engineTally) report() string {
-	return fmt.Sprintf("streams by engine: %d dense, %d tree", e.dense.Load(), e.tree.Load())
+	return fmt.Sprintf("streams by engine: %d dense, %d tree, %d reference", e.dense.Load(), e.tree.Load(), e.reference.Load())
 }
 
 func doStream(base, id string, text []byte, oracle []int32, ac *ahocorasick.Automaton, wantHits int,
@@ -601,6 +602,8 @@ func doStream(base, id string, text []byte, oracle []int32, ac *ahocorasick.Auto
 				engines.dense.Add(1)
 			case bytes.Contains(line, []byte(`"engine":"tree"`)):
 				engines.tree.Add(1)
+			case bytes.Contains(line, []byte(`"engine":"reference"`)):
+				engines.reference.Add(1)
 			default:
 				mismatch("stream: summary %q names no engine", line)
 				return

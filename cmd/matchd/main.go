@@ -42,8 +42,9 @@
 // compiled into a flat-table automaton (internal/dense) and
 // /v1/dicts/{id}/match answers from it deterministically; until the
 // background compile lands — or if the table would exceed -dense-max-table —
-// requests fall back to the Las Vegas tree walk, which also cross-validates
-// sampled dense results. Snapshots written with -cache-dir carry the
+// requests fall back to the Las Vegas tree walk. Sampled dense results are
+// cross-validated against a reference Aho–Corasick automaton built on the
+// entry's first sampled request. Snapshots written with -cache-dir carry the
 // compiled form (DENSE section), so a restart skips compilation too. The
 // response's "engine" field and the /metrics "dense" section show which path
 // served.

@@ -69,12 +69,9 @@ var ErrOutputExceeded = errors.New("czsearch: represented output exceeds cap")
 
 // Event is one dictionary match in the represented text: the longest
 // pattern starting at absolute position Pos — the paper's M[i] restricted
-// to positions where a pattern matches, identical to stream.MatchEvent.
-type Event struct {
-	Pos       int64
-	PatternID int32
-	Length    int32
-}
+// to positions where a pattern matches. It is stream.MatchEvent itself, so
+// the two engines' events meet one oracle comparison (stream.SameEvents).
+type Event = stream.MatchEvent
 
 // Sink receives match events in position order, each position exactly once.
 // A non-nil error aborts the scan.

@@ -69,9 +69,7 @@ func (f *Fallback) Run(ctx context.Context, tm stream.TextMatcher, scfg stream.C
 	return stats, ur.err
 }
 
-// fallbackSink adapts a czsearch Sink to the stream matcher's event type.
+// fallbackSink adapts a czsearch Sink to the stream matcher's sink interface.
 type fallbackSink struct{ sink Sink }
 
-func (fs fallbackSink) MatchEvent(e stream.MatchEvent) error {
-	return fs.sink(Event{Pos: e.Pos, PatternID: e.PatternID, Length: e.Length})
-}
+func (fs fallbackSink) MatchEvent(e stream.MatchEvent) error { return fs.sink(e) }

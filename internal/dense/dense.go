@@ -13,9 +13,10 @@
 // one shared "absent" class that always leads back to the root), which keeps
 // the table at states × (σ+1) entries instead of states × 256.
 //
-// Matching here is deterministic — no fingerprints, no Las Vegas loop. The
-// existing checked matcher remains the correctness oracle: the serving layer
-// cross-validates sampled dense results against it (internal/server), the
+// Matching here is deterministic — no fingerprints, no Las Vegas loop — so
+// the §3.4 checker, a soundness certificate for one-sided errors, cannot
+// vouch for it. The serving layer cross-validates sampled dense results
+// against internal/ahocorasick instead (internal/server/oracle.go), the
 // fuzz target FuzzDenseEquivalence compares all three implementations, and
 // the greedy-parsing-optimality literature (arXiv:1211.5350) is the standing
 // reminder that a fast path earns trust by agreeing with a slow one, not by

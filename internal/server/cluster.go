@@ -441,7 +441,8 @@ func (s *Server) tryServeStale(w http.ResponseWriter, r *http.Request, id string
 	if s.cluster == nil || h == nil {
 		return false
 	}
-	if !s.reg.Has(id) {
+	e, ok := s.reg.peek(id)
+	if !ok {
 		key, isKey := keyFromID(id)
 		if !isKey || s.store == nil {
 			return false
@@ -452,9 +453,12 @@ func (s *Server) tryServeStale(w http.ResponseWriter, r *http.Request, id string
 			return false
 		}
 		s.metrics.recordLoad(time.Since(start))
-		e, _ := s.reg.RegisterPreparedDenseID(id, d, aut, "cache", id, time.Since(start).Nanoseconds())
+		e, _ = s.reg.RegisterPreparedDenseID(id, d, aut, "cache", id, time.Since(start).Nanoseconds())
 		s.armDense(e, s.denseUpgradeFunc(e, key))
 	}
+	// Pinned as clusterDict pins: another registration can evict the entry
+	// before the handler's lookup runs.
+	r = r.WithContext(context.WithValue(r.Context(), pinnedEntryKey{}, e))
 	s.metrics.staleServes.Add(1)
 	s.cfg.Log.Printf("cluster: serving %s stale — no reachable owner", id)
 	w.Header().Set("X-Served-Stale", "true")

@@ -12,7 +12,6 @@ import (
 	"net/http"
 
 	"repro/internal/chaos"
-	"repro/internal/core"
 	"repro/internal/czsearch"
 	"repro/internal/dense"
 	"repro/internal/lz"
@@ -45,7 +44,7 @@ import (
 // "czsearch") when tokens are long enough to pay for their bookkeeping, and
 // expand-and-scan on a dense cursor (engine "dense") when they are not.
 // Scanner results of either mode are cross-checked against the
-// decompress-then-match oracle on the first request and every
+// decompress-then-match oracle (oracle.go) on the first request and every
 // verifySampleEvery-th after it — the same sampling the dense path uses —
 // and a divergence fails the request loudly (500 or error trailer) rather
 // than serving unverifiable output: the scanner's memo cache is exactly the
@@ -136,69 +135,21 @@ func (s *Server) czObserve(engine string, st czsearch.Stats) {
 	s.metrics.czMemoHits.Add(st.MemoHits)
 }
 
-// czSampled reports whether this scanner-engine request is an oracle sample:
-// the entry's first compressed request and every verifySampleEvery-th after
-// it, the same cadence the dense match path verifies on.
-func (e *Entry) czSampled() bool {
-	n := e.czReqs.Add(1)
-	return n == 1 || n%verifySampleEvery == 0
-}
-
 // czVerify cross-checks a scanner result against the decompress-then-match
-// oracle: the teed container is expanded and run through the checked
-// tree-walk matcher, and the event sets are compared by spelled pattern
-// (duplicate patterns may legitimately resolve to different ids). Returns
-// +1 on agreement, -1 on divergence, 0 when the oracle could not run (a
-// degraded or exhausted oracle cannot indict the scan — the same rule the
-// dense path applies).
-func (s *Server) czVerify(ctx context.Context, e *Entry, container []byte, got []czsearch.Event) int {
+// oracle — the teed container expanded, the reference run over the whole
+// text — and reports false on a divergence. A turn the request's context
+// ended first verifies nothing and indicts nothing.
+func (s *Server) czVerify(ctx context.Context, e *Entry, container []byte, got []czsearch.Event) bool {
+	var text []byte
 	c, err := lz.DecodeStream(container)
+	if err == nil {
+		text, err = lz.Decode(c)
+	}
 	if err != nil {
-		return 0 // the scanner consumed it, so this cannot happen; don't indict
+		return true // the scanner consumed it, so this cannot happen; don't indict
 	}
-	text, err := lz.Decode(c)
-	if err != nil {
-		return 0
-	}
-	want, _, _, err := e.MatchChecked(ctx, text, s.cfg.Procs, s.metrics)
-	if err != nil {
-		return 0
-	}
-	if czSameEvents(e.patterns(), got, want) {
-		s.metrics.czVerifyPass.Add(1)
-		return 1
-	}
-	s.metrics.czVerifyFail.Add(1)
-	e.logf("entry %s: compressed match diverged from oracle on %d-byte text", e.ID, len(text))
-	return -1
-}
-
-// czSameEvents reports whether the scanner's event stream equals the
-// oracle's M[] output: same positions, same lengths, and the same spelled
-// pattern everywhere.
-func czSameEvents(patterns [][]byte, got []czsearch.Event, want []core.Match) bool {
-	j := 0
-	for i, m := range want {
-		if m.Length == 0 {
-			continue
-		}
-		if j >= len(got) {
-			return false
-		}
-		g := got[j]
-		j++
-		if g.Pos != int64(i) || g.Length != m.Length {
-			return false
-		}
-		if g.PatternID != m.PatternID {
-			if g.PatternID < 0 || m.PatternID < 0 ||
-				int(g.PatternID) >= len(patterns) || int(m.PatternID) >= len(patterns) ||
-				!bytes.Equal(patterns[g.PatternID], patterns[m.PatternID]) {
-				return false
-			}
-		}
-	}
-	return j == len(got)
+	want, _ := s.verify(ctx, e, text, got, &s.metrics.czVerifyPass, &s.metrics.czVerifyFail)
+	return want == nil
 }
 
 // cappedTee records the bytes written through it up to a cap; past the cap
@@ -233,7 +184,7 @@ func (s *Server) handleMatchCompressed(w http.ResponseWriter, r *http.Request) {
 	}
 
 	aut := s.servingAutomaton(e)
-	verify := aut != nil && e.czSampled()
+	verify := aut != nil && sampled(&e.czReqs)
 	body := io.Reader(r.Body)
 	var tee *cappedTee
 	if verify {
@@ -302,7 +253,7 @@ func (s *Server) handleMatchCompressed(w http.ResponseWriter, r *http.Request) {
 	}
 	engine := run.engine(st)
 	s.czObserve(engine, st)
-	if verify && !tee.overflowed && s.czVerify(r.Context(), e, tee.buf.Bytes(), events) < 0 {
+	if verify && !tee.overflowed && !s.czVerify(r.Context(), e, tee.buf.Bytes(), events) {
 		fmt.Fprintf(bw, `{"error":%q}`+"\n", "compressed match diverged from decompress-then-match oracle")
 		bw.Flush()
 		return
@@ -356,7 +307,7 @@ func (s *Server) handleMatchCompressedBuffered(w http.ResponseWriter, r *http.Re
 		return
 	}
 
-	verify := aut != nil && e.czSampled()
+	verify := aut != nil && sampled(&e.czReqs)
 	resp := matchCompressedResponse{N: run.n, Hits: []matchHit{}}
 	var events []czsearch.Event
 	st, err := run.run(r.Context(), func(ev czsearch.Event) error {
@@ -389,7 +340,7 @@ func (s *Server) handleMatchCompressedBuffered(w http.ResponseWriter, r *http.Re
 	}
 	resp.Engine = run.engine(st)
 	s.czObserve(resp.Engine, st)
-	if verify && s.czVerify(r.Context(), e, data, events) < 0 {
+	if verify && !s.czVerify(r.Context(), e, data, events) {
 		writeError(w, http.StatusInternalServerError,
 			"compressed match diverged from decompress-then-match oracle")
 		return

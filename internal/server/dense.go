@@ -1,9 +1,7 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"errors"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -13,6 +11,7 @@ import (
 	"repro/internal/dense"
 	"repro/internal/persist"
 	"repro/internal/pram"
+	"repro/internal/stream"
 )
 
 // Dense serving path. A registered dictionary is lowered to a compiled
@@ -21,9 +20,8 @@ import (
 // same publish discipline the circuit breaker uses for degraded state:
 // requests either see nil (serve the tree walk) or a fully built automaton,
 // never a partial one. The tree-walk Las Vegas matcher stays resident as the
-// fallback for texts the automaton cannot serve yet and as the correctness
-// oracle: the first dense request on an entry and every verifySampleEvery-th
-// after it are re-matched through MatchChecked and compared; a divergence is
+// fallback for entries without an automaton; what an automaton serves is
+// sampled against the reference oracle (oracle.go), and a divergence is
 // counted, logged, and answered with the oracle's result.
 
 // Dense serving modes (Config.DenseMode).
@@ -37,13 +35,6 @@ const (
 func validDenseMode(s string) bool {
 	return s == DenseOff || s == DenseOn || s == DenseAuto
 }
-
-// verifySampleEvery is the sampled-verification period: dense request 1 and
-// every multiple of this count are cross-checked against the oracle. The
-// first-request check catches a wrong automaton before it serves anything in
-// quantity; the steady-state sampling bounds oracle cost to ~1.6% of
-// requests.
-const verifySampleEvery = 64
 
 // denseOptions builds the compile options from the server config.
 func (s *Server) denseOptions() dense.Options {
@@ -130,17 +121,18 @@ func (s *Server) servingAutomaton(e *Entry) *dense.Automaton {
 
 // Engine labels for matchResponse.Engine.
 const (
-	engineDense = "dense"
-	engineTree  = "tree"
+	engineDense     = "dense"
+	engineTree      = "tree"
+	engineReference = "reference" // the oracle's answer, after a sampled divergence
 )
 
 // serveMatchSolo answers one match request through the fastest correct path:
 // the compiled dense automaton when the entry has one (deterministic — no
 // Las Vegas loop, no attempts), otherwise the checked tree-walk matcher.
 // Dense results are sampled against the oracle; on divergence the oracle's
-// verified answer is served and the failure counted. The dense path also
-// serves entries whose circuit breaker is open — the automaton does not
-// depend on the poisoned fingerprint state the breaker protects against.
+// answer is served and the failure counted. The dense path also serves (and
+// verifies) entries whose circuit breaker is open — neither the automaton
+// nor the oracle depends on the fingerprint state the breaker protects.
 // (serveMatch in batch.go routes here for requests that bypass coalescing.)
 func (s *Server) serveMatchSolo(ctx context.Context, e *Entry, text []byte) ([]core.Match, int, string, error) {
 	a := s.servingAutomaton(e)
@@ -155,36 +147,17 @@ func (s *Server) serveMatchSolo(ctx context.Context, e *Entry, text []byte) ([]c
 	matches, counters := denseMatchSharded(a, text, s.cfg.Procs)
 	s.metrics.ChargePRAM("match", counters.Work, counters.Depth)
 
-	if e.denseSampled() {
-		want, _, _, err := e.MatchChecked(ctx, text, s.cfg.Procs, s.metrics)
-		switch {
-		case err != nil:
-			// A degraded entry or exhausted verify attempt cannot indict the
-			// deterministic dense result; serve it and let the breaker's own
-			// machinery handle the oracle's trouble.
-			var de *DegradedError
-			var fe *FingerprintExhaustedError
-			if !errors.As(err, &de) && !errors.As(err, &fe) {
-				return nil, 0, engineDense, err // context cancellation etc.
-			}
-		case sameMatchSets(e.patterns(), matches, want):
-			s.metrics.denseVerifyPass.Add(1)
-		default:
-			s.metrics.denseVerifyFail.Add(1)
-			e.logf("entry %s: dense result diverged from oracle on %d-byte text; serving oracle result", e.ID, len(text))
-			return want, 1, engineTree, nil
+	if sampled(&e.denseReqs) {
+		want, err := s.verify(ctx, e, text, stream.AppendEvents(nil, matches, 0), &s.metrics.denseVerifyPass, &s.metrics.denseVerifyFail)
+		if err != nil {
+			return nil, 0, engineDense, err // the request's context ended first
+		}
+		if want != nil {
+			return want, 1, engineReference, nil
 		}
 	}
 	s.metrics.denseServed.Add(1)
 	return matches, 1, engineDense, nil
-}
-
-// denseSampled counts one dense-served request — a buffered match or a whole
-// stream — and reports whether it is an oracle sample: the
-// entry's first and every verifySampleEvery-th after it.
-func (e *Entry) denseSampled() bool {
-	n := e.denseReqs.Add(1)
-	return n == 1 || n%verifySampleEvery == 0
 }
 
 // patterns returns the entry's pattern set. The slice is immutable after
@@ -192,29 +165,6 @@ func (e *Entry) denseSampled() bool {
 // without the lock is safe.
 func (e *Entry) patterns() [][]byte {
 	return e.dict.Patterns
-}
-
-// sameMatchSets reports whether two M[] outputs agree. Pattern ids may
-// legitimately differ where duplicate patterns exist (implementations
-// collapse duplicates onto different representatives); equality requires the
-// same length and the same spelled pattern at every position.
-func sameMatchSets(patterns [][]byte, got, want []core.Match) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range got {
-		if got[i] == want[i] {
-			continue
-		}
-		if got[i].Length != want[i].Length {
-			return false
-		}
-		if got[i].PatternID < 0 || want[i].PatternID < 0 ||
-			!bytes.Equal(patterns[got[i].PatternID], patterns[want[i].PatternID]) {
-			return false
-		}
-	}
-	return true
 }
 
 // denseMinShardLen is the smallest text shard worth a dedicated worker on

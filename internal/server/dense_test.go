@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io/fs"
 	"net/http"
@@ -17,6 +19,7 @@ import (
 	"repro/internal/ahocorasick"
 	"repro/internal/core"
 	"repro/internal/dense"
+	"repro/internal/lz"
 	"repro/internal/pram"
 	"repro/internal/textgen"
 )
@@ -256,7 +259,8 @@ func TestCloseWaitsForBackgroundCompile(t *testing.T) {
 
 // TestDenseVerifyDivergence: a wrong automaton planted on an entry is caught
 // by the first-request oracle check; the oracle's result is served (engine
-// "tree") and the failure counted.
+// "reference" — no tree ran, so the match and check ledgers hold the dense
+// scan alone) and the failure counted.
 func TestDenseVerifyDivergence(t *testing.T) {
 	srv, err := New(Config{Procs: 1, DenseMode: DenseAuto, Log: quietLogger()})
 	if err != nil {
@@ -264,7 +268,7 @@ func TestDenseVerifyDivergence(t *testing.T) {
 	}
 	patterns := [][]byte{[]byte("abc"), []byte("bcd")}
 	e, _ := srv.Registry().Register(pram.NewSequential(), patterns, core.Options{})
-	// Same pattern count (ids stay in range for sameMatchSets), different
+	// Same pattern count (ids stay in range for the comparison), different
 	// content — the automaton will disagree with the dictionary.
 	wrong, err := dense.Compile([][]byte{[]byte("zzz"), []byte("qqq")}, dense.Options{})
 	if err != nil {
@@ -278,22 +282,41 @@ func TestDenseVerifyDivergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if engine != engineTree {
-		t.Fatalf("divergent result served by %q, want oracle fallback", engine)
+	if engine != engineReference {
+		t.Fatalf("divergent result served by %q, want %q", engine, engineReference)
 	}
 	if got := matches[1]; got.Length != 3 {
 		t.Fatalf("oracle result not served: M[1] = %+v", got)
 	}
+	if got := matches[0]; got != core.None {
+		t.Fatalf("oracle result: M[0] = %+v, want core.None", got)
+	}
 	if srv.Metrics().denseVerifyFail.Load() != 1 {
 		t.Fatalf("verifyFail = %d, want 1", srv.Metrics().denseVerifyFail.Load())
 	}
+	snap := srv.Metrics().Snapshot(srv.Registry(), srv.Limiter())
+	if m, c := snap.PRAM["match"], snap.PRAM["check"]; m.Ops != 1 || m.Work != int64(len(text)) || c.Ops != 0 {
+		t.Fatalf("sampled dense turn charged match=%+v check=%+v, want the %d-byte dense scan only", m, c, len(text))
+	}
+
+	// A cancelled request does not start the (uninterruptible) reference scan.
+	e.denseReqs.Store(verifySampleEvery - 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, _, err := srv.serveMatch(ctx, e, text); !errors.Is(err, context.Canceled) {
+		t.Fatalf("sampled turn under a cancelled context: err = %v", err)
+	}
+	if n := srv.Metrics().denseVerifyFail.Load(); n != 1 {
+		t.Fatalf("verifyFail = %d after a cancelled turn, want 1", n)
+	}
 }
 
-// TestDenseServesDegradedEntry: the compiled automaton carries no Las Vegas
-// fingerprint state, so an entry whose tree walk has tripped the breaker
-// keeps answering 200 from the dense path (the sampled oracle check
-// tolerates DegradedError). With dense off the same entry 503s —
-// TestDegradedEntryServes503 pins that side.
+// TestDenseServesDegradedEntry: neither the compiled automaton nor the
+// reference oracle carries Las Vegas fingerprint state, so an entry whose
+// tree walk has tripped the breaker keeps answering 200 from the dense path,
+// on all three routes — and its first request on each is still verified.
+// With dense off the same entry 503s — TestDegradedEntryServes503 pins that
+// side.
 func TestDenseServesDegradedEntry(t *testing.T) {
 	srv, base, shutdown := startServer(t, Config{
 		Addr: "127.0.0.1:0", Procs: 1, DenseMode: DenseOn,
@@ -322,6 +345,26 @@ func TestDenseServesDegradedEntry(t *testing.T) {
 	}
 	if mr.Engine != engineDense || mr.Matched != 3 {
 		t.Fatalf("degraded entry: engine=%q matched=%d", mr.Engine, mr.Matched)
+	}
+	if n := srv.Metrics().denseVerifyPass.Load(); n != 1 {
+		t.Fatalf("denseVerifyPass = %d after a degraded entry's first dense request, want 1", n)
+	}
+
+	var container bytes.Buffer
+	if err := lz.EncodeStream(&container, lz.Compress(pram.NewSequential(), []byte("abracadabra"))); err != nil {
+		t.Fatal(err)
+	}
+	status, body = postJSON(t, base+"/v1/dicts/"+created.ID+"/match/compressed/buffered",
+		map[string]string{"dataB64": base64.StdEncoding.EncodeToString(container.Bytes())})
+	var cr matchCompressedResponse
+	if err := json.Unmarshal(body, &cr); err != nil || status != http.StatusOK || cr.Matched != 3 {
+		t.Fatalf("degraded compressed match: %d %s (%v)", status, body, err)
+	}
+	if n := srv.Metrics().czVerifyPass.Load(); n != 1 {
+		t.Fatalf("czVerifyPass = %d after a degraded entry's first compressed request, want 1", n)
+	}
+	if n := srv.Metrics().oracleBuilds.Load(); n != 1 {
+		t.Fatalf("oracleBuilds = %d, want 1 — the routes share one reference", n)
 	}
 	if err := shutdown(); err != nil {
 		t.Fatal(err)

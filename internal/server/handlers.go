@@ -299,7 +299,7 @@ type matchResponse struct {
 	N        int        `json:"n"`
 	Attempts int        `json:"attempts"`
 	Matched  int        `json:"matched"`
-	Engine   string     `json:"engine"` // "dense" or "tree"
+	Engine   string     `json:"engine"` // "dense", "tree" or "reference"
 	Hits     []matchHit `json:"hits"`
 }
 

@@ -173,7 +173,8 @@ type Metrics struct {
 	// dense results; denseCompiles/denseCompileNanos/denseCompileFails and
 	// denseTableBytes account the compile stage; denseLoads counts automata
 	// restored from DENSE snapshot sections — dictionaries that skipped
-	// compilation entirely.
+	// compilation entirely. oracleBuilds counts reference automata built
+	// (oracle.go) and oracleNanos the wall time of those builds and scans.
 	denseServed       atomic.Int64
 	denseFallback     atomic.Int64
 	denseVerifyPass   atomic.Int64
@@ -183,6 +184,8 @@ type Metrics struct {
 	denseCompileFails atomic.Int64
 	denseTableBytes   atomic.Int64
 	denseLoads        atomic.Int64
+	oracleBuilds      atomic.Int64
+	oracleNanos       atomic.Int64
 
 	// Compressed-domain matching (czsearch.go). czServed/czExpanded/
 	// czFallback split the compressed-match requests by engine (the
@@ -341,6 +344,9 @@ type denseSnapshot struct {
 	CompileFails int64 `json:"compileFails"` // compiles refused (table budget)
 	TableBytes   int64 `json:"tableBytes"`   // total transition-table bytes compiled
 	Loads        int64 `json:"loads"`        // automata restored from DENSE sections (zero compile)
+	OracleBuilds int64 `json:"oracleBuilds"` // reference automata built, one per sampled entry
+	OracleNanos  int64 `json:"oracleNanos"`  // wall time of sampled turns (dense, stream and czsearch routes)
+	OracleStates int64 `json:"oracleStates"` // reference states resident now
 }
 
 // czSnapshot is the JSON shape of the compressed-domain matching counters.
@@ -496,6 +502,8 @@ func (mt *Metrics) Snapshot(reg *Registry, lim *Limiter) MetricsSnapshot {
 			CompileFails: mt.denseCompileFails.Load(),
 			TableBytes:   mt.denseTableBytes.Load(),
 			Loads:        mt.denseLoads.Load(),
+			OracleBuilds: mt.oracleBuilds.Load(),
+			OracleNanos:  mt.oracleNanos.Load(),
 		},
 		Cz: czSnapshot{
 			Served:           mt.czServed.Load(),
@@ -560,6 +568,7 @@ func (mt *Metrics) Snapshot(reg *Registry, lim *Limiter) MetricsSnapshot {
 	}
 	if reg != nil {
 		snap.Registry = reg.Snapshot()
+		snap.Dense.OracleStates = snap.Registry.oracleStates
 	}
 	if lim != nil {
 		snap.Limiter = limiterSnapshot{

@@ -1,9 +1,12 @@
 package server
 
 import (
+	"net/http"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/ahocorasick"
 )
 
 // TestMetricsConcurrentObserve hammers one route from many goroutines while
@@ -73,6 +76,53 @@ func TestMetricsRouteIdentity(t *testing.T) {
 	mt.route("GET /c")
 	if mt.route("GET /a") != a {
 		t.Fatal("route bucket identity lost across inserts")
+	}
+}
+
+// TestMetricsOracleCounters: the dense section of GET /metrics reports the
+// reference oracle — built by the entry's first sampled turn, timed on every
+// turn, and counted in states only while its entry is resident.
+func TestMetricsOracleCounters(t *testing.T) {
+	_, base, shutdown := startServer(t, Config{Addr: "127.0.0.1:0", Procs: 1, DenseMode: DenseOn})
+	id := createDict(t, base, "abra", "cad", "abracadabra")
+	dense := func() denseSnapshot {
+		t.Helper()
+		var snap MetricsSnapshot
+		if code := getJSON(t, base+"/metrics", &snap); code != http.StatusOK {
+			t.Fatalf("metrics: %d", code)
+		}
+		return snap.Dense
+	}
+	if d := dense(); d.OracleBuilds != 0 || d.OracleNanos != 0 || d.OracleStates != 0 {
+		t.Fatalf("before any request: %+v", d)
+	}
+	wantStates := int64(ahocorasick.New([][]byte{[]byte("abra"), []byte("cad"), []byte("abracadabra")}).NumStates())
+	var nanos int64
+	for req := 1; req <= 2; req++ {
+		matchHits(t, base, id, "abracadabra")
+		d := dense()
+		if d.OracleBuilds != 1 || d.OracleNanos <= 0 || d.OracleStates != wantStates || d.VerifyPass != 1 {
+			t.Fatalf("after request %d: %+v, want 1 build, 1 pass and %d states", req, d, wantStates)
+		}
+		if req == 2 && d.OracleNanos != nanos {
+			t.Fatalf("unsampled request 2 moved oracleNanos %d -> %d", nanos, d.OracleNanos)
+		}
+		nanos = d.OracleNanos
+	}
+	req, err := http.NewRequest(http.MethodDelete, base+"/v1/dicts/"+id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if d := dense(); d.OracleBuilds != 1 || d.OracleStates != 0 {
+		t.Fatalf("after delete: %+v, want the build remembered and no resident states", d)
+	}
+	if err := shutdown(); err != nil {
+		t.Fatal(err)
 	}
 }
 

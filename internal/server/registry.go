@@ -82,6 +82,11 @@ type Entry struct {
 	czPool sync.Pool
 	czReqs atomic.Int64
 
+	// Sampled-verification oracle (oracle.go): built on the entry's first
+	// sampled turn on any route, then shared by all of them.
+	refOnce sync.Once
+	ref     atomic.Pointer[reference]
+
 	// Request coalescing state (batch.go): per-entry batchers for the match
 	// and parse endpoints, built lazily on the first eligible request. The
 	// executors capture the entry, so the batchers live and die with it.
@@ -159,22 +164,17 @@ func (r *Registry) SetLogf(logf func(format string, args ...any)) {
 func (r *Registry) Register(m *pram.Machine, patterns [][]byte, opts core.Options) (*Entry, []string) {
 	start := time.Now()
 	dict := core.Preprocess(m, patterns, opts)
-	return r.insert(dict, "preprocess", "", time.Since(start).Nanoseconds())
+	return r.insertDense("", dict, nil, "preprocess", "", time.Since(start).Nanoseconds())
 }
 
-// RegisterPrepared inserts an already-built dictionary — one loaded from a
-// snapshot rather than preprocessed here. source labels how ("cache" for a
+// RegisterPreparedDense inserts an already-built bundle — loaded from a
+// snapshot rather than preprocessed here: the dictionary plus its compiled
+// dense automaton (nil for none). source labels how ("cache" for a
 // create-time cache hit, "snapshot" for an explicit restore), snapKey is the
-// content-address hex when known, and prepNs the load wall time.
-func (r *Registry) RegisterPrepared(dict *core.Dictionary, source, snapKey string, prepNs int64) (*Entry, []string) {
-	return r.RegisterPreparedDense(dict, nil, source, snapKey, prepNs)
-}
-
-// RegisterPreparedDense is RegisterPrepared for a bundle: the dictionary
-// plus its compiled dense automaton (nil for none), restored together from a
-// DENSE-bearing snapshot. The automaton is published on the entry before
-// insertion, so no request ever observes the entry without it — and no
-// compile election will run for it (the latch is pre-claimed).
+// content-address hex when known, and prepNs the load wall time. The
+// automaton is published on the entry before insertion, so no request ever
+// observes the entry without it — and no compile election will run for it
+// (the latch is pre-claimed).
 func (r *Registry) RegisterPreparedDense(dict *core.Dictionary, aut *dense.Automaton, source, snapKey string, prepNs int64) (*Entry, []string) {
 	return r.insertDense("", dict, aut, source, snapKey, prepNs)
 }
@@ -187,10 +187,6 @@ func (r *Registry) RegisterPreparedDense(dict *core.Dictionary, aut *dense.Autom
 // in-flight requests keep their *Entry safely, as with eviction).
 func (r *Registry) RegisterPreparedDenseID(id string, dict *core.Dictionary, aut *dense.Automaton, source, snapKey string, prepNs int64) (*Entry, []string) {
 	return r.insertDense(id, dict, aut, source, snapKey, prepNs)
-}
-
-func (r *Registry) insert(dict *core.Dictionary, source, snapKey string, prepNs int64) (*Entry, []string) {
-	return r.insertDense("", dict, nil, source, snapKey, prepNs)
 }
 
 func (r *Registry) insertDense(id string, dict *core.Dictionary, aut *dense.Automaton, source, snapKey string, prepNs int64) (*Entry, []string) {
@@ -271,15 +267,9 @@ func (r *Registry) Get(id string) (*Entry, bool) {
 	return e, true
 }
 
-// Has reports whether id is resident without touching its LRU position or
-// hit count (the cluster router asks "do I hold this?" before deciding to
-// pull or proxy; that question is not a use of the entry).
-func (r *Registry) Has(id string) bool {
-	_, ok := r.peek(id)
-	return ok
-}
-
-// peek is Has returning the entry.
+// peek returns the entry for id without touching its LRU position or hit
+// count (the cluster router asks "do I hold this?" before deciding to pull
+// or proxy; that question is not a use of the entry).
 func (r *Registry) peek(id string) (*Entry, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -364,23 +354,27 @@ type RegistrySnapshot struct {
 	Evictions    int64 `json:"evictions"`
 	PatternBytes int64 `json:"patternBytes"`
 	Degraded     int   `json:"degraded"`
+	oracleStates int64 // Σ resident reference states; /metrics shows it under "dense"
 }
 
 // Snapshot returns occupancy counters for GET /metrics.
 func (r *Registry) Snapshot() RegistrySnapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	degraded := 0
-	for el := r.lru.Front(); el != nil; el = el.Next() {
-		if el.Value.(*Entry).Degraded() {
-			degraded++
-		}
-	}
-	return RegistrySnapshot{
+	snap := RegistrySnapshot{
 		Dicts:        r.lru.Len(),
 		Capacity:     r.capacity,
 		Evictions:    r.evictions,
 		PatternBytes: r.bytes,
-		Degraded:     degraded,
 	}
+	for el := r.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*Entry)
+		if e.Degraded() {
+			snap.Degraded++
+		}
+		if ref := e.ref.Load(); ref != nil {
+			snap.oracleStates += int64(ref.ac.NumStates())
+		}
+	}
+	return snap
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -149,6 +151,44 @@ func TestClusterStaleServeWhenAllOwnersDown(t *testing.T) {
 	}
 	if m.Resilience.Rpc.StaleServes == 0 {
 		t.Fatal("stale serve happened but staleServes counter is 0")
+	}
+}
+
+// TestStaleServeSurvivesEviction: tryServeStale hands the handler the entry
+// it found or restored, pinned on the request, so a registration that evicts
+// it between the restore and the handler's own lookup (-max-dicts 1) cannot
+// turn a stale serve into a 404.
+func TestStaleServeSurvivesEviction(t *testing.T) {
+	nodes := startTestCluster(t, 1, 1, func(_ int, cfg *Config) { cfg.MaxDicts = 1 })
+	srv := nodes[0].srv
+	stale := createClusterDict(t, nodes[0].base, []string{"abra", "cad"})
+	other := createClusterDict(t, nodes[0].base, []string{"xyz"}) // evicts stale; its bundle stays on disk
+	if _, resident := srv.reg.peek(stale.ID); resident {
+		t.Fatal("bad fixture: the second create did not evict the first dictionary")
+	}
+
+	req := httptest.NewRequest(http.MethodPost, "/v1/dicts/"+stale.ID+"/match", strings.NewReader(`{"text":"abracadabra"}`))
+	req.SetPathValue("id", stale.ID)
+	rec := httptest.NewRecorder()
+	served := srv.tryServeStale(rec, req, stale.ID, nil, func(w http.ResponseWriter, r *http.Request) {
+		// The window: the restore has registered stale; evict it again.
+		if st, body := postJSON(t, nodes[0].base+"/v1/dicts/"+other.ID+"/match", map[string]any{"text": "xyz"}); st != http.StatusOK {
+			t.Errorf("evicting match: %d %s", st, body)
+		}
+		if _, resident := srv.reg.peek(stale.ID); resident {
+			t.Error("bad fixture: the dictionary was not evicted inside the window")
+		}
+		srv.handleMatch(w, r)
+	})
+	if !served {
+		t.Fatal("tryServeStale found nothing to restore")
+	}
+	var mr matchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &mr); err != nil || rec.Code != http.StatusOK || mr.Matched != 3 {
+		t.Fatalf("stale serve across an eviction: %d %s (%v), want 200 with 3 hits", rec.Code, rec.Body, err)
+	}
+	if rec.Header().Get("X-Served-Stale") != "true" {
+		t.Fatal("stale serve not marked X-Served-Stale")
 	}
 }
 

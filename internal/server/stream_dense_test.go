@@ -171,7 +171,7 @@ func registerWithAutomaton(srv *Server, patterns [][]byte, aut *dense.Automaton)
 // TestStreamDenseVerifyDivergence is TestDenseVerifyDivergence for streams:
 // a wrong automaton is caught by the first stream's oracle turn window by
 // window, before anything is written — the client sees the oracle's events
-// and a summary (engine "tree"), and the failure is counted and logged.
+// and a summary (engine "reference"), and the failure is counted and logged.
 func TestStreamDenseVerifyDivergence(t *testing.T) {
 	var logBuf syncBuffer
 	srv, base, shutdown := startServer(t, Config{
@@ -199,12 +199,17 @@ func TestStreamDenseVerifyDivergence(t *testing.T) {
 	if !sameLines(lines, eventLines(want)) {
 		t.Fatalf("divergent stream did not serve the oracle's events (%d lines, oracle %d)", len(lines), len(eventLines(want)))
 	}
-	if trailer.Summary.Engine != engineTree || trailer.Summary.Events != int64(len(lines)) {
-		t.Fatalf("summary %+v, want engine tree and the oracle's event count", trailer.Summary)
+	if trailer.Summary.Engine != engineReference || trailer.Summary.Events != int64(len(lines)) {
+		t.Fatalf("summary %+v, want engine reference and the oracle's event count", trailer.Summary)
 	}
-	d := srv.Metrics().Snapshot(srv.Registry(), srv.Limiter()).Dense
-	if d.VerifyFail != 1 || d.VerifyPass != 0 || d.Served != 0 {
+	snap := srv.Metrics().Snapshot(srv.Registry(), srv.Limiter())
+	if d := snap.Dense; d.VerifyFail != 1 || d.VerifyPass != 0 || d.Served != 0 {
 		t.Fatalf("dense counters after a divergent stream: %+v", d)
+	}
+	// The oracle's windows charge no PRAM ledger: match holds the cursor's
+	// one pass over the text, check nothing.
+	if m, c := snap.PRAM["match"], snap.PRAM["check"]; m.Work != int64(len(text)) || c.Ops != 0 {
+		t.Fatalf("sampled stream charged match=%+v check=%+v, want the %d bytes scanned only", m, c, len(text))
 	}
 	if !strings.Contains(logBuf.String(), "dense stream diverged from oracle") {
 		t.Fatalf("divergence not logged; log: %q", logBuf.String())
@@ -230,9 +235,9 @@ func (s *syncBuffer) String() string {
 }
 
 // TestStreamDenseServesDegradedEntry: an entry whose tree walk has tripped
-// the breaker keeps streaming from the automaton — the sampled oracle turn
-// abstains instead of failing the stream. (With dense off the same entry's
-// stream ends in an error trailer.)
+// the breaker keeps streaming from the automaton, and the sampled oracle
+// turn still verifies it — the reference has no Las Vegas state to degrade.
+// (With dense off the same entry's stream ends in an error trailer.)
 func TestStreamDenseServesDegradedEntry(t *testing.T) {
 	for _, mode := range []string{DenseOn, DenseOff} {
 		srv, base, shutdown := startServer(t, Config{Addr: "127.0.0.1:0", Procs: 1, DenseMode: mode})
@@ -249,8 +254,8 @@ func TestStreamDenseServesDegradedEntry(t *testing.T) {
 				t.Fatalf("degraded entry, dense on: %d events, trailer %+v", len(lines), trailer)
 			}
 			d := srv.Metrics().Snapshot(srv.Registry(), srv.Limiter()).Dense
-			if d.Served != 1 || d.VerifyPass != 0 || d.VerifyFail != 0 {
-				t.Fatalf("dense counters: %+v (the abstaining oracle verified nothing)", d)
+			if d.Served != 1 || d.VerifyPass != 1 || d.VerifyFail != 0 {
+				t.Fatalf("dense counters: %+v, want the first stream verified", d)
 			}
 		case DenseOff:
 			if trailer.Error == "" || len(lines) != 0 {

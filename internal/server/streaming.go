@@ -31,29 +31,17 @@ import (
 
 // entryMatcher adapts a registry entry to stream.TextMatcher: per-window
 // checked (Las Vegas) matching under the entry's read lock, charging the
-// service PRAM ledgers. As the sampled oracle of a dense stream (abstain
-// set) it answers nil instead of failing when the entry's Las Vegas state is
-// in trouble — the rule serveMatchSolo applies: the oracle's trouble cannot
-// indict the deterministic scan.
+// service PRAM ledgers. It serves entries without an automaton.
 type entryMatcher struct {
-	e       *Entry
-	procs   int
-	mt      *Metrics
-	abstain bool
+	e     *Entry
+	procs int
+	mt    *Metrics
 }
 
 func (em entryMatcher) MaxPatternLen() int { return em.e.MaxPatLen }
 
 func (em entryMatcher) MatchWindow(ctx context.Context, window []byte) ([]core.Match, int, pram.Counters, error) {
-	matches, attempts, cost, err := em.e.MatchChecked(ctx, window, em.procs, em.mt)
-	if err != nil && em.abstain {
-		var de *DegradedError
-		var fe *FingerprintExhaustedError
-		if errors.As(err, &de) || errors.As(err, &fe) {
-			return nil, attempts, cost, nil
-		}
-	}
-	return matches, attempts, cost, err
+	return em.e.MatchChecked(ctx, window, em.procs, em.mt)
 }
 
 // appendEvent appends one NDJSON match-event line — the encoding of every
@@ -100,7 +88,7 @@ func (k *matchStreamSink) SegmentDone(info stream.SegmentInfo) error {
 // streamSummary is the NDJSON trailer on success.
 type streamSummary struct {
 	N           int64  `json:"n"`
-	Engine      string `json:"engine"` // "dense" or "tree"
+	Engine      string `json:"engine"` // "dense", "tree" or "reference"
 	Segments    int64  `json:"segments"`
 	Events      int64  `json:"events"`
 	Rounds      int    `json:"rounds"`
@@ -140,7 +128,6 @@ func (s *Server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	sink := &matchStreamSink{bw: bufio.NewWriterSize(w, 32<<10), rc: rc, mt: s.metrics}
 	cfg := stream.Config{SegmentBytes: segSize}
-	tree := entryMatcher{e: e, procs: s.cfg.Procs, mt: s.metrics}
 
 	// Engine choice, by serveMatchSolo's rule: the compiled automaton when
 	// the entry has one, else the checked tree walk. A dense stream counts
@@ -152,18 +139,19 @@ func (s *Server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 		if s.cfg.DenseMode != DenseOff {
 			s.metrics.denseFallback.Add(1)
 		}
+		tree := entryMatcher{e: e, procs: s.cfg.Procs, mt: s.metrics}
 		st, err = stream.Match(r.Context(), tree, r.Body, sink, cfg)
 	} else {
 		var oracle *stream.Oracle
-		if e.denseSampled() {
-			tree.abstain = true
-			oracle = &stream.Oracle{Matcher: tree, Patterns: e.patterns()}
+		if sampled(&e.denseReqs) {
+			oracle = &stream.Oracle{Matcher: e.reference(s.metrics), Patterns: e.patterns()}
 		}
 		st, err = stream.MatchDense(r.Context(), a, oracle, r.Body, sink, cfg)
 		s.metrics.ChargePRAM("match", st.Work, st.Depth)
 		switch {
 		case st.Diverged > 0:
 			// The oracle's events were served for those windows.
+			engine = engineReference
 			s.metrics.denseVerifyFail.Add(1)
 			e.logf("entry %s: dense stream diverged from oracle in %d of %d windows; served the oracle's events", e.ID, st.Diverged, st.Verified)
 		case err == nil:

@@ -125,33 +125,6 @@ func TestMatchDenseDivergenceServesOracle(t *testing.T) {
 	}
 }
 
-// abstainer is an oracle that cannot answer (a degraded Las Vegas entry).
-type abstainer struct{ maxPat int }
-
-func (ab abstainer) MaxPatternLen() int { return ab.maxPat }
-
-func (abstainer) MatchWindow(context.Context, []byte) ([]core.Match, int, pram.Counters, error) {
-	return nil, 0, pram.Counters{}, nil
-}
-
-// TestMatchDenseOracleAbstains: an oracle without an answer leaves the
-// cursor's events served, and says so by verifying nothing.
-func TestMatchDenseOracleAbstains(t *testing.T) {
-	m := pram.NewSequential()
-	d := core.Preprocess(m, pats("aba", "bb"), core.Options{Seed: 5})
-	a := mustCompileDense(t, d)
-	text := bytes.Repeat([]byte("abbab"), 100)
-	want := oneShotMatches(m, d, text)
-	var sink matchCollector
-	st, err := MatchDense(context.Background(), a, &Oracle{Matcher: abstainer{3}, Patterns: d.Patterns}, bytes.NewReader(text), &sink, Config{SegmentBytes: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matchEventsEqual(sink.events, want) || st.Verified != 0 || st.Diverged != 0 {
-		t.Fatalf("%d events (want %d), verified %d, diverged %d", len(sink.events), len(want), st.Verified, st.Diverged)
-	}
-}
-
 // failingOracle answers like inner until call number failFrom, then fails.
 type failingOracle struct {
 	inner    TextMatcher
@@ -190,6 +163,24 @@ func TestMatchDenseOracleErrorAborts(t *testing.T) {
 		if e.Pos >= 128 {
 			t.Fatalf("event at %d written from the window whose oracle failed", e.Pos)
 		}
+	}
+}
+
+// TestMatchDenseOracleMustAnswer: an oracle has no way to abstain — a short
+// (here nil) answer for a window is an error, and nothing of that window is
+// written unverified.
+func TestMatchDenseOracleMustAnswer(t *testing.T) {
+	m := pram.NewSequential()
+	d := core.Preprocess(m, pats("ab"), core.Options{Seed: 5})
+	a := mustCompileDense(t, d)
+	oracle := &Oracle{Matcher: &failingOracle{inner: DictMatcher{Dict: d, M: m}}, Patterns: d.Patterns}
+	var sink matchCollector
+	_, err := MatchDense(context.Background(), a, oracle, bytes.NewReader(bytes.Repeat([]byte("ab"), 400)), &sink, Config{SegmentBytes: 128})
+	if err == nil || !strings.Contains(err.Error(), "oracle returned 0 positions") {
+		t.Fatalf("err = %v, want the short-answer error", err)
+	}
+	if len(sink.events) != 0 {
+		t.Fatalf("%d events written from a window the oracle did not answer", len(sink.events))
 	}
 }
 

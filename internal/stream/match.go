@@ -114,10 +114,7 @@ func Match(ctx context.Context, tm TextMatcher, r io.Reader, sink MatchSink, cfg
 // held back until they have been compared with it.
 type Oracle struct {
 	// Matcher is presented with each halo window, exactly as Match would
-	// present it. A nil result for a non-empty window, with a nil error,
-	// means the matcher cannot answer now (a degraded Las Vegas entry); that
-	// window goes unverified, since an oracle's trouble cannot indict the
-	// deterministic scan.
+	// present it, and must answer every one: an error ends the stream.
 	Matcher TextMatcher
 	// Patterns is the dictionary both sides number. Ids may differ where
 	// patterns are duplicated (the implementations pick different
@@ -204,34 +201,41 @@ func MatchDense(ctx context.Context, a *dense.Automaton, oracle *Oracle, r io.Re
 }
 
 // settle shows one window to the oracle and returns the events to emit for
-// its finalized range: held, the cursor's, when the oracle agrees (or has no
-// answer), the oracle's own otherwise.
+// its finalized range: held, the cursor's, when the oracle agrees, the
+// oracle's own otherwise.
 func (o *Oracle) settle(ctx context.Context, st *Stats, window []byte, base int64, final int, held []MatchEvent) ([]MatchEvent, error) {
 	want, _, _, err := o.Matcher.MatchWindow(ctx, window)
-	if err != nil || want == nil {
+	if err != nil {
 		return held, err
 	}
 	if len(want) != len(window) {
 		return nil, fmt.Errorf("stream: oracle returned %d positions for a %d-byte window", len(want), len(window))
 	}
 	st.Verified++
-	if sameEvents(o.Patterns, held, want[:final], base) {
+	if SameEvents(o.Patterns, held, want[:final], base) {
 		return held, nil
 	}
 	st.Diverged++
-	held = held[:0]
-	for i, m := range want[:final] {
-		if m.Length > 0 {
-			held = append(held, MatchEvent{Pos: base + int64(i), PatternID: m.PatternID, Length: m.Length})
-		}
-	}
-	return held, nil
+	return AppendEvents(held[:0], want[:final], base), nil
 }
 
-// sameEvents reports whether got is exactly the matches in want, whose
+// AppendEvents appends to dst the matches in an M[] whose first entry is
+// text position base, as events — the form SameEvents compares.
+func AppendEvents(dst []MatchEvent, matches []core.Match, base int64) []MatchEvent {
+	for i, m := range matches {
+		if m.Length > 0 {
+			dst = append(dst, MatchEvent{Pos: base + int64(i), PatternID: m.PatternID, Length: m.Length})
+		}
+	}
+	return dst
+}
+
+// SameEvents reports whether got is exactly the matches in want, whose
 // first entry is text position base: same positions, same lengths, and the
-// same spelled pattern where the ids differ.
-func sameEvents(patterns [][]byte, got []MatchEvent, want []core.Match, base int64) bool {
+// same spelled pattern where the ids differ. It is the one comparison every
+// sampled oracle turn — a stream window here, a whole text in the server —
+// goes through.
+func SameEvents(patterns [][]byte, got []MatchEvent, want []core.Match, base int64) bool {
 	k := 0
 	for i, m := range want {
 		if m.Length == 0 {
