@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-compare experiments quick-experiments fuzz serve chaos soak cluster-soak partition-soak fmt-check clean
+.PHONY: all build test race bench bench-compare experiments quick-experiments fuzz serve chaos soak cluster-soak partition-soak fmt-check clean
 
 all: build test
 
@@ -23,21 +23,6 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Regenerates the committed runtime-benchmark record: the P-series
-# (legacy vs pooled engine, internal/bench/perf.go), the S-series
-# (one-shot vs streaming matching, internal/bench/streaming.go), the
-# D-series (cold preprocess vs snapshot load, internal/bench/persist.go),
-# the C-series (tree walk vs compiled dense automaton,
-# internal/bench/dense.go), the B-series (solo vs batched serving,
-# internal/bench/batch.go), the Z-series (compressed-domain matching
-# vs decompress-then-match, internal/bench/czsearch.go), the
-# K-series (1-node vs 3-node cluster throughput and hedged tail,
-# internal/bench/cluster.go), and the R-series (resilience layer
-# healthy-path overhead and breaker-guarded blackhole tails,
-# internal/bench/resilience.go).
-bench-json:
-	$(GO) run ./cmd/benchtab -json BENCH_PR10.json
-
 # Per-row verdict between two matchbench run records (`matchbench -out FILE`),
 # e.g. the parent commit's and this checkout's:
 #   make bench-compare OLD=/tmp/parent.json NEW=/tmp/change.json
@@ -45,6 +30,8 @@ bench-compare:
 	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make bench-compare OLD=old.json NEW=new.json"; exit 2; }
 	$(GO) run ./benchmark/cmd/matchbench -compare $(OLD) $(NEW)
 
+# The paper's reproduction, E1–E14 (work/depth tables; EXPERIMENTS.md). The
+# service is measured by matchbench (bench-compare above), not here.
 experiments:
 	$(GO) run ./cmd/benchtab | tee experiments_raw.txt
 

@@ -3,71 +3,32 @@
 //
 // Usage:
 //
-//	benchtab [-quick] [-run E7] [-list] [-json out.json]
+//	benchtab [-quick] [-run E7] [-list]
 //
 // With no flags it runs every experiment at full scale, which takes a few
 // minutes on one core; -quick shrinks the inputs for a fast smoke pass.
-// With -json it instead runs the runtime benchmarks and writes
-// machine-readable results to the given path: the P-series (legacy vs
-// pooled execution engine — id, ns/op, allocs/op, PRAM work and depth)
-// the S-series (one-shot vs streaming matching across a segment
-// sweep — MB/s, peak resident window, segments, ledger), the
-// D-series (cold preprocessing vs snapshot load across a dictionary
-// sweep — ns, snapshot bytes vs d), the C-series (tree walk vs
-// compiled dense automaton — MB/s per core, compile and restore cost), and
-// the B-series (solo vs batched serving of concurrent small requests —
-// req/s, dispatch occupancy, byte-identity check), and the Z-series
-// (compressed-domain matching vs decompress-then-match on the same
-// automaton — represented MB/s, bytes touched, memo hits), and the
-// K-series (1-node vs sharded/replicated 3-node cluster serving —
-// aggregate req/s, snapshot-reload thrash, hedged tail latency), and the
-// R-series (the partition-tolerance layer: healthy-path overhead of
-// breakers/budget/deadline stamping, and proxied tail latency against a
-// black-holed peer with and without circuit breakers).
-// This is what `make bench-json` uses to regenerate BENCH_PR10.json.
+// The service itself is measured by benchmark/cmd/matchbench, not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
 	"repro/internal/bench"
 )
 
-// perfFile is the BENCH_PR*.json document shape.
-type perfFile struct {
-	GoMaxProcs int                          `json:"goMaxProcs"`
-	GoVersion  string                       `json:"goVersion"`
-	Scale      string                       `json:"scale"`
-	Results    []bench.PerfResult           `json:"results"`
-	Streaming  []bench.StreamPerfResult     `json:"streaming"`
-	Persist    []bench.PersistPerfResult    `json:"persist"`
-	Dense      []bench.DensePerfResult      `json:"dense"`
-	Batch      []bench.BatchPerfResult      `json:"batch"`
-	Cz         []bench.CzPerfResult         `json:"czsearch"`
-	Cluster    []bench.ClusterPerfResult    `json:"cluster"`
-	Resilience []bench.ResiliencePerfResult `json:"resilience"`
-}
-
 func main() {
 	quick := flag.Bool("quick", false, "use small inputs (seconds instead of minutes)")
 	runID := flag.String("run", "", "comma-separated experiment ids to run (e.g. E1,E7); empty = all")
 	list := flag.Bool("list", false, "list experiments and exit")
-	jsonOut := flag.String("json", "", "run the P-series runtime benchmarks and write JSON results to this path")
 	flag.Parse()
 
 	scale := bench.Full
 	if *quick {
 		scale = bench.Quick
-	}
-	if *jsonOut != "" {
-		writePerfJSON(*jsonOut, scale)
-		return
 	}
 	wanted := map[string]bool{}
 	for _, id := range strings.Split(*runID, ",") {
@@ -97,97 +58,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "no experiments matched -run=%s\n", *runID)
 		os.Exit(1)
 	}
-}
-
-func writePerfJSON(path string, scale bench.Scale) {
-	scaleName := "full"
-	if scale == bench.Quick {
-		scaleName = "quick"
-	}
-	doc := perfFile{
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
-		Scale:      scaleName,
-		Results:    bench.RunPerf(scale),
-		Streaming:  bench.RunStreamPerf(scale),
-		Persist:    bench.RunPersistPerf(scale),
-		Dense:      bench.RunDensePerf(scale),
-		Batch:      bench.RunBatchPerf(scale),
-		Cz:         bench.RunCzPerf(scale),
-		Cluster:    bench.RunClusterPerf(scale),
-		Resilience: bench.RunResiliencePerf(scale),
-	}
-	// Also echo a human-readable summary so the run is not silent.
-	for _, r := range doc.Results {
-		fmt.Printf("%-4s %-22s %-7s n=%-8d %12d ns/op %8d allocs/op  work=%d depth=%d\n",
-			r.ID, r.Name, r.Config, r.N, r.NsPerOp, r.AllocsPerOp, r.Work, r.Depth)
-	}
-	for _, r := range doc.Streaming {
-		fmt.Printf("%-4s %-22s %-16s n=%-8d %12d ns/op %8.1f MB/s  resident=%d segments=%d work=%d depth=%d\n",
-			r.ID, r.Name, r.Config, r.N, r.NsPerOp, r.MBPerSec, r.MaxResident, r.Segments, r.Work, r.Depth)
-	}
-	for _, r := range doc.Persist {
-		fmt.Printf("%-4s %-22s %-16s d=%-8d prep=%dns load=%dns (%.1fx) snapshot=%dB (%.2f B/d)\n",
-			r.ID, r.Name, r.Config, r.D, r.PreprocessNs, r.LoadNs, r.Speedup, r.SnapshotBytes, r.BytesPerD)
-	}
-	for _, r := range doc.Dense {
-		fmt.Printf("%-4s %-22s %-7s n=%-8d %12d ns/op %8.1f MB/s", r.ID, r.Name, r.Config, r.TextLen, r.NsPerOp, r.MBPerSec)
-		if r.Config == "dense" {
-			fmt.Printf("  %.1fx compile=%dns table=%dB restore=%dns", r.Speedup, r.CompileNs, r.TableBytes, r.RestoreNs)
-		}
-		fmt.Println()
-	}
-	for _, r := range doc.Batch {
-		fmt.Printf("%-4s %-22s %-6s clients=%-3d n=%-6d %12d ns/req %10.0f req/s", r.ID, r.Name, r.Config, r.Clients, r.Requests, r.NsPerReq, r.ReqPerSec)
-		if r.Config == "batch" {
-			fmt.Printf("  %.1fx batches=%d occupancy=%.1f identical=%v", r.Speedup, r.Batches, r.MeanOccupancy, r.Identical)
-		}
-		fmt.Println()
-	}
-	for _, r := range doc.Cz {
-		fmt.Printf("%-4s %-22s %-16s n=%-8d ratio=%.4f %12d ns/op %8.1f MB/s(rep)", r.ID, r.Name, r.Config, r.TextLen, r.Ratio, r.NsPerOp, r.RepMBPerS)
-		if r.Config == "czsearch" {
-			fmt.Printf("  %.2fx touched=%dB (%.2f%%) memoHits=%d", r.Speedup, r.BytesTouched, r.TouchedPct, r.MemoHits)
-		}
-		fmt.Println()
-	}
-	for _, r := range doc.Cluster {
-		fmt.Printf("%-4s %-22s %-9s nodes=%d R=%d clients=%-3d n=%-6d", r.ID, r.Name, r.Config, r.Nodes, r.Replicas, r.Clients, r.Requests)
-		if r.ID == "K3" {
-			fmt.Printf(" p50=%.2fms p99=%.2fms hedged=%d won=%d", r.P50Ms, r.P99Ms, r.Hedged, r.HedgeWon)
-		} else {
-			fmt.Printf(" dicts=%-3d %10.0f req/s reloads=%d", r.Dicts, r.ReqPerSec, r.SnapshotReloads)
-		}
-		if r.Speedup > 0 {
-			fmt.Printf("  %.2fx", r.Speedup)
-		}
-		fmt.Println()
-	}
-	for _, r := range doc.Resilience {
-		fmt.Printf("%-4s %-22s %-10s nodes=%d R=%d clients=%-3d n=%-6d", r.ID, r.Name, r.Config, r.Nodes, r.Replicas, r.Clients, r.Requests)
-		if r.ID == "R2" {
-			fmt.Printf(" p50=%.2fms p99=%.2fms strikes=%d fastFails=%d", r.P50Ms, r.P99Ms, r.SlowStrikes, r.FastFails)
-		} else {
-			fmt.Printf(" %12d ns/req %10.0f req/s", r.NsPerReq, r.ReqPerSec)
-			if r.Config == "resilient" {
-				fmt.Printf(" overhead=%+.1f%%", r.OverheadPct)
-			}
-		}
-		if r.Speedup > 0 {
-			fmt.Printf("  %.2fx", r.Speedup)
-		}
-		fmt.Println()
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "marshal: %v\n", err)
-		os.Exit(1)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "write %s: %v\n", path, err)
-		os.Exit(1)
-	}
-	fmt.Printf("\nwrote %s (%d results, %d streaming, %d persist, %d dense, %d batch, %d czsearch, %d cluster, %d resilience)\n",
-		path, len(doc.Results), len(doc.Streaming), len(doc.Persist), len(doc.Dense), len(doc.Batch), len(doc.Cz), len(doc.Cluster), len(doc.Resilience))
 }

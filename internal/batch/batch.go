@@ -1,8 +1,8 @@
 // Package batch is an admission-side request coalescer: it groups
 // concurrent small requests against one resource (here: one resident
-// dictionary) into a single unit of work, so the per-dispatch costs the
-// P-series measured — machine setup, super-step barriers, per-request halo
-// plumbing — are paid once per batch instead of once per request.
+// dictionary) into a single unit of work, so the per-dispatch costs —
+// machine setup, super-step barriers, per-request halo plumbing — are paid
+// once per batch instead of once per request.
 //
 // The paper's regime is preprocess-once/match-many with one large text per
 // machine invocation (§3); production traffic is many small texts. The

@@ -136,13 +136,5 @@ func All() []Experiment {
 		E12PhraseCounts(),
 		E13Distributed(),
 		E14Adaptive(),
-		E15Serving(),
-		E16Streaming(),
-		E17Persistence(),
-		E18Dense(),
-		E19BatchedServing(),
-		E20Czsearch(),
-		E21Cluster(),
-		E22Resilience(),
 	}
 }

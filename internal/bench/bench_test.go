@@ -2,6 +2,10 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
+	"go/parser"
+	"go/token"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -25,19 +29,38 @@ func TestAllExperimentsQuick(t *testing.T) {
 	}
 }
 
+// All() is exactly the paper's reproduction, E1…E14 in EXPERIMENTS.md order.
 func TestExperimentIDsUniqueAndOrdered(t *testing.T) {
-	seen := map[string]bool{}
-	for _, e := range All() {
-		if seen[e.ID] {
-			t.Fatalf("duplicate id %s", e.ID)
+	exps := All()
+	if len(exps) != 14 {
+		t.Fatalf("expected 14 experiments, have %d", len(exps))
+	}
+	for i, e := range exps {
+		if want := fmt.Sprintf("E%d", i+1); e.ID != want {
+			t.Fatalf("experiment %d has id %s, want %s", i, e.ID, want)
 		}
-		seen[e.ID] = true
 		if e.Claim == "" || e.Title == "" {
 			t.Fatalf("%s missing metadata", e.ID)
 		}
 	}
-	if len(seen) != 22 {
-		t.Fatalf("expected 22 experiments, have %d", len(seen))
+}
+
+// The service is measured by benchmark/cmd/matchbench; this package holds
+// the paper's experiments only and may not grow a second serving harness.
+func TestNoServingImports(t *testing.T) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", nil, parser.ImportsOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	banned := regexp.MustCompile(`^"repro/internal/(server|cluster|resilience|batch|czsearch|dense|persist|stream)"$`)
+	for _, pkg := range pkgs {
+		for name, f := range pkg.Files {
+			for _, imp := range f.Imports {
+				if banned.MatchString(imp.Path.Value) {
+					t.Errorf("%s imports %s", name, imp.Path.Value)
+				}
+			}
+		}
 	}
 }
 

@@ -17,19 +17,22 @@ func benchList(n int) []int {
 	return next
 }
 
-// BenchmarkListRankContractEngines is the acceptance microbenchmark of the
-// pooled runtime: randomized list contraction at n = 1<<16 runs O(log n)
-// rounds of small super-steps, so per-step overhead dominates the wall
-// clock. (BenchmarkListRankContract in contract_test.go is the sequential
-// baseline.)
-func BenchmarkListRankContractEngines(b *testing.B) {
+// BenchmarkListRankContractSchedules is the acceptance microbenchmark of
+// the pooled runtime: randomized list contraction at n = 1<<16 runs
+// O(log n) rounds of small super-steps, so per-step overhead dominates the
+// wall clock. The sequential machine is the baseline the pool must not lose
+// to.
+func BenchmarkListRankContractSchedules(b *testing.B) {
 	const n = 1 << 16
-	for _, engine := range []struct {
+	for _, sched := range []struct {
 		name string
-		e    pram.Engine
-	}{{"pooled", pram.EnginePooled}, {"spawn", pram.EngineSpawn}} {
-		b.Run("engine="+engine.name, func(b *testing.B) {
-			m := pram.NewWithEngine(0, engine.e)
+		new  func() *pram.Machine
+	}{
+		{"pooled", func() *pram.Machine { return pram.New(0) }},
+		{"sequential", pram.NewSequential},
+	} {
+		b.Run("schedule="+sched.name, func(b *testing.B) {
+			m := sched.new()
 			defer m.Close()
 			next := benchList(n)
 			b.ReportAllocs()

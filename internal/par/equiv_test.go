@@ -11,11 +11,11 @@ import (
 
 // The cross-schedule equivalence suite: every primitive in this package must
 // produce bit-identical outputs AND a bit-identical Work/Depth ledger on the
-// sequential machine, the pooled machine at forced grains {1, 7}, the pooled
-// machine with adaptive grain, and the legacy spawn engine. The PRAM cost
-// model promises the ledger depends only on the algorithm and its input —
-// never on procs, grain, or engine — and this suite is what holds that
-// promise in place while the execution engine changes underneath.
+// sequential machine, the pooled machine at forced grains {1, 7} and the
+// pooled machine with adaptive grain. The PRAM cost model promises the
+// ledger depends only on the algorithm and its input — never on procs or
+// grain — and this suite is what holds that promise in place while the
+// scheduler changes underneath.
 
 // schedule is one (machine factory, label) point of the matrix.
 type schedule struct {
@@ -36,7 +36,6 @@ func schedules() []schedule {
 		{"pooled/grain=1", grained(4, 1)},
 		{"pooled/grain=7", grained(4, 7)},
 		{"pooled/adaptive", func() *pram.Machine { return pram.New(4) }},
-		{"spawn/adaptive", func() *pram.Machine { return pram.NewWithEngine(4, pram.EngineSpawn) }},
 	}
 }
 

@@ -13,18 +13,24 @@ func benchBody(dst []int64) func(i int) {
 	return func(i int) { dst[i] = int64(i)*2654435761 + 17 }
 }
 
+// schedules are the two ways to run a super-step: the worker pool and the
+// sequential reference it is measured against.
+var schedules = []struct {
+	name string
+	new  func() *Machine
+}{
+	{"pooled", func() *Machine { return New(0) }},
+	{"sequential", NewSequential},
+}
+
 // BenchmarkSuperStep measures the cost of one ParallelFor super-step for
-// the pooled and spawn engines across step sizes. The pooled engine's
-// advantage grows with the number of steps because workers stay parked
-// between them instead of being respawned.
+// the pooled and sequential schedules across step sizes: what the pool's
+// dispatch and barrier cost (or buy) over the plain loop.
 func BenchmarkSuperStep(b *testing.B) {
-	for _, engine := range []struct {
-		name string
-		e    Engine
-	}{{"pooled", EnginePooled}, {"spawn", EngineSpawn}} {
+	for _, sched := range schedules {
 		for _, n := range []int{1 << 10, 1 << 14, 1 << 18} {
-			b.Run(fmt.Sprintf("engine=%s/n=%d", engine.name, n), func(b *testing.B) {
-				m := NewWithEngine(0, engine.e)
+			b.Run(fmt.Sprintf("schedule=%s/n=%d", sched.name, n), func(b *testing.B) {
+				m := sched.new()
 				defer m.Close()
 				dst := make([]int64, n)
 				body := benchBody(dst)
@@ -40,15 +46,12 @@ func BenchmarkSuperStep(b *testing.B) {
 
 // BenchmarkManySmallSteps is the many-super-step regime that dominates the
 // round loops of list ranking and tree contraction: 64 consecutive steps of
-// n=4096 each. This is where spawn-per-step overhead compounds.
+// n=4096 each. This is where per-step dispatch overhead compounds.
 func BenchmarkManySmallSteps(b *testing.B) {
 	const steps, n = 64, 4096
-	for _, engine := range []struct {
-		name string
-		e    Engine
-	}{{"pooled", EnginePooled}, {"spawn", EngineSpawn}} {
-		b.Run("engine="+engine.name, func(b *testing.B) {
-			m := NewWithEngine(0, engine.e)
+	for _, sched := range schedules {
+		b.Run("schedule="+sched.name, func(b *testing.B) {
+			m := sched.new()
 			defer m.Close()
 			m.SetGrain(64) // force fan-out even for the small steps
 			dst := make([]int64, n)

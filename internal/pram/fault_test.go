@@ -26,43 +26,41 @@ func TestWorkerPanicContained(t *testing.T) {
 	// everywhere, including GOMAXPROCS=1 CI.
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
-	for _, engine := range []Engine{EnginePooled, EngineSpawn} {
-		m := NewWithEngine(4, engine)
-		m.SetGrain(1) // force chunked dispatch even for small n
-		boom := errors.New("boom at i=7")
-		v := catchPanic(func() {
-			m.ParallelFor(64, func(i int) {
-				if i == 7 {
-					panic(boom)
-				}
-			})
+	m := New(4)
+	defer m.Close()
+	m.SetGrain(1) // force chunked dispatch even for small n
+	boom := errors.New("boom at i=7")
+	v := catchPanic(func() {
+		m.ParallelFor(64, func(i int) {
+			if i == 7 {
+				panic(boom)
+			}
 		})
-		sp, ok := v.(*StepPanic)
-		if !ok {
-			t.Fatalf("engine %v: panic value %T %v, want *StepPanic", engine, v, v)
-		}
-		if sp.Value != boom {
-			t.Errorf("engine %v: wrapped value = %v, want %v", engine, sp.Value, boom)
-		}
-		if len(sp.Stack) == 0 {
-			t.Errorf("engine %v: no runner stack captured", engine)
-		}
-		if !errors.Is(sp, boom) {
-			t.Errorf("engine %v: errors.Is through StepPanic failed", engine)
-		}
-		// The failed step still charged the ledger (the step was dispatched)
-		// and the machine still works.
-		var mu sync.Mutex
-		sum := 0
-		m.ParallelFor(100, func(i int) {
-			mu.Lock()
-			sum += i
-			mu.Unlock()
-		})
-		if sum != 4950 {
-			t.Errorf("engine %v: machine broken after contained panic: sum=%d", engine, sum)
-		}
-		m.Close()
+	})
+	sp, ok := v.(*StepPanic)
+	if !ok {
+		t.Fatalf("panic value %T %v, want *StepPanic", v, v)
+	}
+	if sp.Value != boom {
+		t.Errorf("wrapped value = %v, want %v", sp.Value, boom)
+	}
+	if len(sp.Stack) == 0 {
+		t.Error("no runner stack captured")
+	}
+	if !errors.Is(sp, boom) {
+		t.Error("errors.Is through StepPanic failed")
+	}
+	// The failed step still charged the ledger (the step was dispatched)
+	// and the machine still works.
+	var mu sync.Mutex
+	sum := 0
+	m.ParallelFor(100, func(i int) {
+		mu.Lock()
+		sum += i
+		mu.Unlock()
+	})
+	if sum != 4950 {
+		t.Errorf("machine broken after contained panic: sum=%d", sum)
 	}
 }
 

@@ -13,8 +13,7 @@
 //     Work (total virtual-processor operations). These counters are the
 //     quantities the paper's theorems bound, and they are what the
 //     benchmark harness reports. They depend only on (n, cost) per call —
-//     never on procs, grain, or the engine — so every schedule produces the
-//     same ledger.
+//     never on procs or grain — so every schedule produces the same ledger.
 //   - Concurrent writes are expressed through Cells (see cells.go), whose
 //     atomic operations realize the arbitrary / max / min / priority
 //     conflict-resolution rules without data races.
@@ -26,32 +25,15 @@ package pram
 import (
 	"fmt"
 	"runtime"
-	"runtime/debug"
-	"sync"
 	"sync/atomic"
 )
 
-// Engine selects the physical execution strategy of a parallel Machine.
-// The engine affects wall-clock time only; Work/Depth are engine-blind.
-type Engine int
-
-const (
-	// EnginePooled dispatches super-steps to persistent workers parked on
-	// per-worker epoch channels (pool.go). This is the default.
-	EnginePooled Engine = iota
-	// EngineSpawn spawns fresh goroutines plus a WaitGroup for every
-	// super-step — the pre-pool behaviour, kept selectable so benchmarks
-	// can measure the dispatch overhead the pool removes.
-	EngineSpawn
-)
-
 // Machine is a simulated CRCW PRAM instance. The zero value is not usable;
-// construct one with New, NewWithEngine, or NewSequential.
+// construct one with New or NewSequential.
 type Machine struct {
-	procs  int
-	grain  int // explicit SetGrain override; 0 = adaptive
-	engine Engine
-	pool   *pool // non-nil iff engine == EnginePooled and procs > 1
+	procs int
+	grain int   // explicit SetGrain override; 0 = adaptive
+	pool  *pool // non-nil iff procs > 1
 
 	depth atomic.Int64
 	work  atomic.Int64
@@ -85,14 +67,9 @@ const (
 // once used; Close releases them promptly, and a finalizer releases them on
 // garbage collection otherwise.
 func New(procs int) *Machine {
-	return NewWithEngine(procs, EnginePooled)
-}
-
-// NewWithEngine is New with an explicit execution engine.
-func NewWithEngine(procs int, e Engine) *Machine {
 	procs = defaultProcs(procs)
-	m := &Machine{procs: procs, engine: e}
-	if e == EnginePooled && procs > 1 {
+	m := &Machine{procs: procs}
+	if procs > 1 {
 		// procs is a cost-model parameter; the physical helper count is
 		// capped at GOMAXPROCS-1 because more OS-schedulable runners than
 		// cores buys no throughput and costs a context switch per wake. An
@@ -220,9 +197,9 @@ func (m *Machine) Account(work, depth int64) {
 //
 // Panic semantics: a body panic never escapes on a worker goroutine (which
 // would kill the process with no chance to recover). When the step ran
-// chunked — pooled or spawned — the first body panic is re-raised on the
-// *calling* goroutine wrapped in a *StepPanic; when the step ran inline on
-// the caller, the panic propagates unwrapped. Either way a recover around
+// chunked on the pool, the first body panic is re-raised on the *calling*
+// goroutine wrapped in a *StepPanic; when the step ran inline on the
+// caller, the panic propagates unwrapped. Either way a recover around
 // the ParallelFor call (e.g. a server's per-request recover) contains it.
 func (m *Machine) ParallelFor(n int, body func(i int)) {
 	m.ParallelForCost(n, 1, body)
@@ -262,57 +239,7 @@ func (m *Machine) ParallelForCost(n int, cost int64, body func(i int)) {
 		return
 	}
 
-	if m.engine == EngineSpawn {
-		m.runSpawn(n, grain, body)
-		return
-	}
 	m.pool.run(n, grain, body)
-}
-
-// runSpawn is the EngineSpawn dispatch path: fresh goroutines plus a
-// WaitGroup per super-step (the pre-pool behaviour). It applies the same
-// panic containment as the pool: a body panic on a spawned goroutine is
-// parked, the step drains, and the panic is re-raised on the caller as a
-// typed *StepPanic.
-func (m *Machine) runSpawn(n, grain int, body func(i int)) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	var panicked atomic.Pointer[StepPanic]
-	workers := m.procs
-	if w := (n + grain - 1) / grain; w < workers {
-		workers = w
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicked.CompareAndSwap(nil, &StepPanic{Value: r, Stack: debug.Stack()})
-				}
-			}()
-			for {
-				if panicked.Load() != nil {
-					return
-				}
-				lo := int(next.Add(int64(grain))) - grain
-				if lo >= n {
-					return
-				}
-				hi := lo + grain
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					body(i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if sp := panicked.Load(); sp != nil {
-		panic(sp)
-	}
 }
 
 // Do runs the given branches concurrently as one super-step of depth 1 and

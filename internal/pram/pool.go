@@ -25,7 +25,7 @@ import (
 //     park again. The last worker out closes step.done.
 //  3. The publisher claims chunks itself (the caller is always one of the
 //     runners, so a pool machine with procs == p uses at most p-1 workers,
-//     further capped at GOMAXPROCS-1 — see NewWithEngine), then blocks on
+//     further capped at GOMAXPROCS-1 — see New), then blocks on
 //     step.done — the implicit barrier of a synchronous PRAM super-step.
 //     With zero workers the caller runs every chunk and the barrier is
 //     trivially satisfied.
@@ -38,7 +38,7 @@ import (
 // is recorded), the barrier completes normally, and the publisher re-raises
 // the panic on the *calling* goroutine as a typed *StepPanic. A server
 // wrapping requests in its own recover therefore loses one request, never
-// the process. The same protocol guards the EngineSpawn path (machine.go).
+// the process.
 //
 // The pool is deliberately ignorant of Work/Depth accounting: scheduling
 // lives here, the cost model lives in Machine, and nothing in this file can

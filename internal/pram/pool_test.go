@@ -107,7 +107,9 @@ func TestCloseSequentialIsNoop(t *testing.T) {
 	m.ParallelFor(10, func(int) {}) // still usable: no pool involved
 }
 
-func TestSpawnEngineMatchesPooled(t *testing.T) {
+// TestSequentialMatchesPooled pins the ledger contract: the pooled schedule
+// and the sequential reference report identical work/depth and outputs.
+func TestSequentialMatchesPooled(t *testing.T) {
 	const n = 1 << 15
 	run := func(m *Machine) ([]int64, int64, int64) {
 		defer m.Close()
@@ -118,14 +120,14 @@ func TestSpawnEngineMatchesPooled(t *testing.T) {
 		w, d := m.Counters()
 		return out, w, d
 	}
-	a, wa, da := run(NewWithEngine(4, EnginePooled))
-	b, wb, db := run(NewWithEngine(4, EngineSpawn))
+	a, wa, da := run(New(4))
+	b, wb, db := run(NewSequential())
 	if wa != wb || da != db {
-		t.Fatalf("engines disagree on ledger: pooled (%d,%d) spawn (%d,%d)", wa, da, wb, db)
+		t.Fatalf("schedules disagree on ledger: pooled (%d,%d) sequential (%d,%d)", wa, da, wb, db)
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("engines disagree at %d: %d vs %d", i, a[i], b[i])
+			t.Fatalf("schedules disagree at %d: %d vs %d", i, a[i], b[i])
 		}
 	}
 }

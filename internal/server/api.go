@@ -1,8 +1,8 @@
 // In-process entry points: the batch-aware serving paths the HTTP handlers
-// use, exposed without the transport. Embedding callers (and the B-series
-// benchmark, internal/bench/batch.go) drive the same serveMatch/serveParse
-// routing — eligible requests coalesce with concurrent HTTP traffic on the
-// same entry — with none of the JSON/base64 framing cost.
+// use, exposed without the transport. Embedding callers (matchbench's
+// layer probes among them) drive the same serveMatch/serveParse routing —
+// eligible requests coalesce with concurrent HTTP traffic on the same
+// entry — with none of the JSON/base64 framing cost.
 package server
 
 import (

@@ -425,7 +425,7 @@ func fuzzServers() error {
 			}
 			m := pram.New(2)
 			defer m.Close()
-			e, _ := srv.Registry().Register(m, matchPats, core.Options{Seed: 99})
+			e, _ := insertPreprocessed(srv.Registry(), m, matchPats, core.Options{Seed: 99})
 			return srv, e.ID, nil
 		}
 		var idOn, idOff string

@@ -447,14 +447,11 @@ func (s *Server) tryServeStale(w http.ResponseWriter, r *http.Request, id string
 		if !isKey || s.store == nil {
 			return false
 		}
-		start := time.Now()
-		d, aut, _, err := s.store.GetBundle(key)
+		lb, err := s.loadFromStore(id, key, "cache")
 		if err != nil {
 			return false
 		}
-		s.metrics.recordLoad(time.Since(start))
-		e, _ = s.reg.RegisterPreparedDenseID(id, d, aut, "cache", id, time.Since(start).Nanoseconds())
-		s.armDense(e, s.denseUpgradeFunc(e, key))
+		e = lb.entry
 	}
 	// Pinned as clusterDict pins: another registration can evict the entry
 	// before the handler's lookup runs.
@@ -510,12 +507,8 @@ func (s *Server) pullReplica(ctx context.Context, id string) (*Entry, error) {
 	key, isKey := keyFromID(id)
 
 	if isKey && s.store != nil {
-		start := time.Now()
-		if d, aut, _, err := s.store.GetBundle(key); err == nil {
-			s.metrics.recordLoad(time.Since(start))
-			e, _ := s.reg.RegisterPreparedDenseID(id, d, aut, "cache", id, time.Since(start).Nanoseconds())
-			s.armDense(e, s.denseUpgradeFunc(e, key))
-			return e, nil
+		if lb, err := s.loadFromStore(id, key, "cache"); err == nil {
+			return lb.entry, nil
 		}
 	}
 
@@ -583,7 +576,7 @@ func (s *Server) pullReplica(ctx context.Context, id string) (*Entry, error) {
 				s.metrics.recordSave(n)
 			}
 		}
-		e, _ := s.reg.RegisterPreparedDenseID(id, d, aut, "replica", id, time.Since(start).Nanoseconds())
+		e, _ := s.reg.Insert(id, d, aut, "replica", id, time.Since(start).Nanoseconds())
 		if isKey {
 			s.armDense(e, s.denseUpgradeFunc(e, key))
 		} else {

@@ -195,12 +195,22 @@ func (s *Server) handleMatchCompressed(w http.ResponseWriter, r *http.Request) {
 		body = io.TeeReader(r.Body, tee)
 	}
 
+	// The tee has to wrap the body before the header is read, so the turn is
+	// taken first and handed back if the container is rejected unscanned:
+	// request 1's verification belongs to the first container scanned.
+	unsample := func() {
+		if aut != nil {
+			e.czReqs.Add(-1)
+		}
+	}
 	run, err := s.czPrepare(e, aut, body)
 	if err != nil {
+		unsample()
 		writeError(w, http.StatusUnprocessableEntity, "bad LZ1R1 stream: %v", err)
 		return
 	}
 	if int64(run.n) > s.cfg.MaxExpandBytes {
+		unsample()
 		writeError(w, http.StatusRequestEntityTooLarge,
 			"represented size %d exceeds %d bytes", run.n, s.cfg.MaxExpandBytes)
 		return

@@ -330,9 +330,10 @@ func TestMatchCompressedFallback(t *testing.T) {
 // TestMatchCompressedRejects pins the error contract: wrong format is 422
 // with a typed message (not a panic, not a hang), bad base64 is 400, an
 // unknown dictionary 404, and a container whose header promises more than
-// MaxExpandBytes is 413 on both routes.
+// MaxExpandBytes is 413 on both routes. A rejected container takes no oracle
+// turn: the first one scanned afterwards is still the entry's request 1.
 func TestMatchCompressedRejects(t *testing.T) {
-	_, base, shutdown := startServer(t, Config{
+	srv, base, shutdown := startServer(t, Config{
 		Addr: "127.0.0.1:0", Procs: 1, DenseMode: DenseOn, MaxExpandBytes: 4 << 10,
 	})
 	gen := textgen.New(7)
@@ -350,7 +351,6 @@ func TestMatchCompressedRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := created.ID
-	_ = text
 
 	// Wrong format: both routes answer 422 and mention LZ1R1.
 	notLZ := []byte("this is plain text, not a container")
@@ -386,6 +386,15 @@ func TestMatchCompressedRejects(t *testing.T) {
 	status, _, _, errBody = postCompressedStream(t, base+"/v1/dicts/"+id+"/match/compressed", big)
 	if status != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized stream: %d %s", status, errBody)
+	}
+
+	// Neither streamed rejection burned the entry's first oracle turn.
+	status, _, summary, errBody := postCompressedStream(t, base+"/v1/dicts/"+id+"/match/compressed", compressPlanted(t, text))
+	if status != http.StatusOK || summary == nil {
+		t.Fatalf("valid stream after rejects: %d %s", status, errBody)
+	}
+	if n := srv.Metrics().czVerifyPass.Load(); n != 1 {
+		t.Fatalf("czVerifyPass = %d after the first scanned container, want 1", n)
 	}
 	if err := shutdown(); err != nil {
 		t.Fatal(err)

@@ -249,7 +249,7 @@ func TestCloseWaitsForBackgroundCompile(t *testing.T) {
 	}
 
 	// A closed server starts no background work: the entry stays on the tree.
-	late, _ := srv.Registry().Register(pram.NewSequential(), patterns[:8], core.Options{})
+	late, _ := insertPreprocessed(srv.Registry(), pram.NewSequential(), patterns[:8], core.Options{})
 	srv.armDense(late, nil)
 	time.Sleep(20 * time.Millisecond)
 	if late.denseAut.Load() != nil {
@@ -267,7 +267,7 @@ func TestDenseVerifyDivergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	patterns := [][]byte{[]byte("abc"), []byte("bcd")}
-	e, _ := srv.Registry().Register(pram.NewSequential(), patterns, core.Options{})
+	e, _ := insertPreprocessed(srv.Registry(), pram.NewSequential(), patterns, core.Options{})
 	// Same pattern count (ids stay in range for the comparison), different
 	// content — the automaton will disagree with the dictionary.
 	wrong, err := dense.Compile([][]byte{[]byte("zzz"), []byte("qqq")}, dense.Options{})

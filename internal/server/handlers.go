@@ -185,19 +185,15 @@ func (s *Server) handleDictCreate(w http.ResponseWriter, r *http.Request) {
 	keyHex := ""
 	if s.store != nil && keyKnown {
 		keyHex = key.String()
-		start := time.Now()
-		if d, aut, _, err := s.store.GetBundle(key); err == nil {
+		if lb, err := s.loadFromStore(id, key, "cache"); err == nil {
 			s.metrics.cacheHits.Add(1)
-			s.metrics.recordLoad(time.Since(start))
-			entry, evicted := s.registerBundle(id, d, aut, "cache", keyHex, time.Since(start).Nanoseconds())
-			s.armDense(entry, s.denseUpgradeFunc(entry, key))
 			writeJSON(w, http.StatusCreated, dictCreateResponse{
-				ID:          entry.ID,
-				Patterns:    entry.NumPatterns,
-				TotalLen:    entry.TotalLen,
-				Source:      entry.Source,
+				ID:          lb.entry.ID,
+				Patterns:    lb.entry.NumPatterns,
+				TotalLen:    lb.entry.TotalLen,
+				Source:      lb.entry.Source,
 				SnapshotKey: keyHex,
-				Evicted:     evicted,
+				Evicted:     lb.evicted,
 			})
 			return
 		} else if !errors.Is(err, persist.ErrNotFound) {
@@ -224,7 +220,7 @@ func (s *Server) handleDictCreate(w http.ResponseWriter, r *http.Request) {
 			s.metrics.recordSave(n)
 		}
 	}
-	entry, evicted := s.registerBundle(id, dict, nil, "preprocess", keyHex, prepNs)
+	entry, evicted := s.reg.Insert(id, dict, nil, "preprocess", keyHex, prepNs)
 	var upgrade func(*dense.Automaton)
 	if keyHex != "" {
 		upgrade = s.denseUpgradeFunc(entry, key)
@@ -238,15 +234,6 @@ func (s *Server) handleDictCreate(w http.ResponseWriter, r *http.Request) {
 		SnapshotKey: keyHex,
 		Evicted:     evicted,
 	})
-}
-
-// registerBundle inserts a ready dictionary under a caller-chosen ID
-// (cluster content address) or, with id == "", a registry-assigned one.
-func (s *Server) registerBundle(id string, d *core.Dictionary, aut *dense.Automaton, source, snapKey string, prepNs int64) (*Entry, []string) {
-	if id == "" {
-		return s.reg.RegisterPreparedDense(d, aut, source, snapKey, prepNs)
-	}
-	return s.reg.RegisterPreparedDenseID(id, d, aut, source, snapKey, prepNs)
 }
 
 // entryFor resolves the route's {id} to its entry and answers 404 itself

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
-	"time"
 
 	"repro/internal/persist"
 )
@@ -93,8 +92,7 @@ func (s *Server) handleDictRestore(w http.ResponseWriter, r *http.Request) {
 	}
 	var key persist.Key
 	copy(key[:], raw)
-	start := time.Now()
-	d, aut, size, err := s.store.GetBundle(key)
+	lb, err := s.loadFromStore("", key, "snapshot")
 	if err != nil {
 		if errors.Is(err, persist.ErrNotFound) {
 			writeError(w, http.StatusNotFound, "no snapshot %s", req.Key)
@@ -104,19 +102,13 @@ func (s *Server) handleDictRestore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, "snapshot rejected: %v", err)
 		return
 	}
-	elapsed := time.Since(start)
-	s.metrics.recordLoad(elapsed)
-	entry, evicted := s.reg.RegisterPreparedDense(d, aut, "snapshot", key.String(), elapsed.Nanoseconds())
-	// Content-addressed snapshots are never rewritten (the key is the hash
-	// of the bytes), so a background compile here has no upgrade hook.
-	s.armDense(entry, nil)
 	writeJSON(w, http.StatusCreated, dictCreateResponse{
-		ID:          entry.ID,
-		Patterns:    entry.NumPatterns,
-		TotalLen:    entry.TotalLen,
-		Source:      entry.Source,
+		ID:          lb.entry.ID,
+		Patterns:    lb.entry.NumPatterns,
+		TotalLen:    lb.entry.TotalLen,
+		Source:      lb.entry.Source,
 		SnapshotKey: key.String(),
-		Evicted:     evicted,
-		Bytes:       size,
+		Evicted:     lb.evicted,
+		Bytes:       lb.bytes,
 	})
 }

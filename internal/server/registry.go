@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dense"
 	"repro/internal/persist"
-	"repro/internal/pram"
 )
 
 // Registry holds preprocessed dictionaries keyed by server-assigned IDs.
@@ -146,7 +145,7 @@ func NewRegistry(capacity int) *Registry {
 }
 
 // SetLogf installs the logger new entries inherit for breaker transitions
-// (nil restores the no-op default). Call before the first Register.
+// (nil restores the no-op default). Call before the first Insert.
 func (r *Registry) SetLogf(logf func(format string, args ...any)) {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -156,40 +155,22 @@ func (r *Registry) SetLogf(logf func(format string, args ...any)) {
 	r.mu.Unlock()
 }
 
-// Register preprocesses patterns on machine m (the expensive §3 step, run
-// outside the registry lock) and inserts the result, evicting LRU entries
-// beyond capacity. It returns the new entry and the IDs it evicted. The
-// preprocessing wall time is recorded on the entry (Entry.PrepNs) — the
-// quantity a snapshot cache hit saves.
-func (r *Registry) Register(m *pram.Machine, patterns [][]byte, opts core.Options) (*Entry, []string) {
-	start := time.Now()
-	dict := core.Preprocess(m, patterns, opts)
-	return r.insertDense("", dict, nil, "preprocess", "", time.Since(start).Nanoseconds())
-}
-
-// RegisterPreparedDense inserts an already-built bundle — loaded from a
-// snapshot rather than preprocessed here: the dictionary plus its compiled
-// dense automaton (nil for none). source labels how ("cache" for a
-// create-time cache hit, "snapshot" for an explicit restore), snapKey is the
-// content-address hex when known, and prepNs the load wall time. The
-// automaton is published on the entry before insertion, so no request ever
-// observes the entry without it — and no compile election will run for it
-// (the latch is pre-claimed).
-func (r *Registry) RegisterPreparedDense(dict *core.Dictionary, aut *dense.Automaton, source, snapKey string, prepNs int64) (*Entry, []string) {
-	return r.insertDense("", dict, aut, source, snapKey, prepNs)
-}
-
-// RegisterPreparedDenseID is RegisterPreparedDense under a caller-chosen ID
-// instead of a server-assigned one. Cluster mode uses it with the
-// dictionary's content address, so every node names the same patterns the
-// same way with zero coordination. Registering an ID that is already
-// resident replaces the old entry (same content address ⇒ same dictionary;
-// in-flight requests keep their *Entry safely, as with eviction).
-func (r *Registry) RegisterPreparedDenseID(id string, dict *core.Dictionary, aut *dense.Automaton, source, snapKey string, prepNs int64) (*Entry, []string) {
-	return r.insertDense(id, dict, aut, source, snapKey, prepNs)
-}
-
-func (r *Registry) insertDense(id string, dict *core.Dictionary, aut *dense.Automaton, source, snapKey string, prepNs int64) (*Entry, []string) {
+// Insert makes a built bundle resident — the dictionary plus its compiled
+// dense automaton (nil for none) — evicting LRU entries beyond capacity. It
+// returns the new entry and the IDs it evicted. source labels where the
+// bundle came from ("preprocess" when built here, "cache" for a snapshot
+// cache hit, "snapshot" for an explicit restore, "replica" for a peer pull),
+// snapKey is the content-address hex when known, and prepNs the wall time
+// of the preprocessing or load. The automaton is published on the entry
+// before insertion, so no request ever observes the entry without it — and
+// no compile election will run for it (the latch is pre-claimed).
+//
+// id "" assigns the next d<seq>. Cluster mode passes the dictionary's
+// content address instead, so every node names the same patterns the same
+// way with zero coordination. Inserting an ID that is already resident
+// replaces the old entry (same content address ⇒ same dictionary; in-flight
+// requests keep their *Entry safely, as with eviction).
+func (r *Registry) Insert(id string, dict *core.Dictionary, aut *dense.Automaton, source, snapKey string, prepNs int64) (*Entry, []string) {
 	total, maxPat := 0, 0
 	for _, p := range dict.Patterns {
 		total += len(p)

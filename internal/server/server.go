@@ -239,6 +239,39 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
+// loadedBundle is what loadFromStore made resident, and from what.
+type loadedBundle struct {
+	entry   *Entry
+	evicted []string
+	bytes   int  // size of the bundle file
+	dense   bool // it carried a compiled automaton
+}
+
+// loadFromStore makes the bundle stored under key resident as id ("" = the
+// registry assigns d<seq>) and arms its dense compile: the one way a file in
+// the snapshot store becomes an entry. source is "cache" when the server
+// went to its cache for the bundle — a later compile then rewrites the file
+// as a DENSE-bearing bundle — and "snapshot" for an explicit restore, which
+// never rewrites: the key of an uploaded snapshot is the hash of its bytes.
+// On error nothing is registered (GetBundle has already quarantined and
+// counted an invalid file).
+func (s *Server) loadFromStore(id string, key persist.Key, source string) (loadedBundle, error) {
+	start := time.Now()
+	d, aut, size, err := s.store.GetBundle(key)
+	if err != nil {
+		return loadedBundle{}, err
+	}
+	elapsed := time.Since(start)
+	s.metrics.recordLoad(elapsed)
+	e, evicted := s.reg.Insert(id, d, aut, source, key.String(), elapsed.Nanoseconds())
+	if source == "cache" {
+		s.armDense(e, s.denseUpgradeFunc(e, key))
+	} else {
+		s.armDense(e, nil)
+	}
+	return loadedBundle{entry: e, evicted: evicted, bytes: size, dense: aut != nil}, nil
+}
+
 // warmStart loads every resident-capacity-many snapshot from the cache
 // directory into the registry.
 func (s *Server) warmStart() {
@@ -253,16 +286,6 @@ func (s *Server) warmStart() {
 			s.cfg.Log.Printf("cache holds more snapshots than -max-dicts=%d; remaining entries stay on disk", s.cfg.MaxDicts)
 			break
 		}
-		start := time.Now()
-		d, aut, size, err := s.store.GetBundle(k)
-		if err != nil {
-			// GetBundle already quarantined and counted the bad file (it
-			// slipped past the sweep, e.g. a concurrent writer); the server
-			// still boots.
-			s.cfg.Log.Printf("cache entry %s rejected: %v", k, err)
-			continue
-		}
-		s.metrics.recordLoad(time.Since(start))
 		// In cluster mode the snapshot key IS the dictionary's cluster-wide
 		// ID: register under it so a restarted node serves its owned
 		// dictionaries at the same address the ring placed them.
@@ -270,13 +293,19 @@ func (s *Server) warmStart() {
 		if s.cluster != nil {
 			id = k.String()
 		}
-		e, _ := s.reg.RegisterPreparedDenseID(id, d, aut, "cache", k.String(), time.Since(start).Nanoseconds())
-		s.armDense(e, s.denseUpgradeFunc(e, k))
+		lb, err := s.loadFromStore(id, k, "cache")
+		if err != nil {
+			// GetBundle already quarantined and counted the bad file (it
+			// slipped past the sweep, e.g. a concurrent writer); the server
+			// still boots.
+			s.cfg.Log.Printf("cache entry %s rejected: %v", k, err)
+			continue
+		}
 		form := ""
-		if aut != nil {
+		if lb.dense {
 			form = ", dense"
 		}
-		s.cfg.Log.Printf("warm start: %s from snapshot %s (%d bytes%s)", e.ID, k, size, form)
+		s.cfg.Log.Printf("warm start: %s from snapshot %s (%d bytes%s)", lb.entry.ID, k, lb.bytes, form)
 		loaded++
 	}
 }

@@ -160,7 +160,7 @@ func TestStreamDenseMatchesTree(t *testing.T) {
 // registerWithAutomaton registers patterns directly (no compile is armed)
 // and, when aut is non-nil, publishes it on the entry as the compile would.
 func registerWithAutomaton(srv *Server, patterns [][]byte, aut *dense.Automaton) *Entry {
-	e, _ := srv.Registry().Register(pram.NewSequential(), patterns, core.Options{})
+	e, _ := insertPreprocessed(srv.Registry(), pram.NewSequential(), patterns, core.Options{})
 	if aut != nil {
 		e.denseElect.Store(true)
 		e.denseAut.Store(aut)

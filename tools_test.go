@@ -174,9 +174,14 @@ func TestToolTextgenAndBenchtab(t *testing.T) {
 	if a != b {
 		t.Fatal("textgen not deterministic")
 	}
+	// The table runner lists the paper's 14 experiments and nothing else;
+	// the retired -json serving harness is a usage error.
 	list, _ := run(t, nil, filepath.Join(bins, "benchtab"), "-list")
-	if !strings.Contains(list, "E1") || !strings.Contains(list, "E13") {
-		t.Fatalf("benchtab -list: %q", list)
+	if n := strings.Count(list, "claim:"); n != 14 || !strings.HasPrefix(list, "E1 ") || !strings.Contains(list, "\nE14 ") {
+		t.Fatalf("benchtab -list shows %d experiments, want E1..E14: %q", n, list)
+	}
+	if err := exec.Command(filepath.Join(bins, "benchtab"), "-json", "x").Run(); err == nil {
+		t.Fatal("benchtab -json x exited zero")
 	}
 	tbl, _ := run(t, nil, filepath.Join(bins, "benchtab"), "-quick", "-run", "E5")
 	if !strings.Contains(tbl, "fault injection") {
