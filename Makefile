@@ -43,6 +43,7 @@ fuzz:
 	$(GO) test -fuzz FuzzRoundTrip -fuzztime 30s ./internal/lz/
 	$(GO) test -fuzz FuzzDecodeStream -fuzztime 30s ./internal/lz/
 	$(GO) test -fuzz FuzzHandleRequests -fuzztime 30s ./internal/server/
+	$(GO) test -fuzz FuzzTextPayload -fuzztime 30s ./internal/server/
 	$(GO) test -fuzz FuzzStreamEquivalence -fuzztime 30s ./internal/stream/
 	$(GO) test -fuzz FuzzSnapshotDecode -fuzztime 30s ./internal/persist/
 	$(GO) test -fuzz FuzzDenseEquivalence -fuzztime 30s ./internal/dense/

@@ -17,15 +17,31 @@ import (
 var ErrUnknownDict = errors.New("server: unknown dictionary")
 
 // Match answers one match request in process. It returns the longest match
-// per text position, the Las Vegas attempt count, and the engine label
-// ("tree" or "dense"). Under -batch the request is coalesced exactly as an
-// HTTP request would be.
+// per text position (core.None where there is none), the Las Vegas attempt
+// count, and the engine label: "dense", "tree", or "reference" when a
+// sampled dense answer diverged from the oracle and the oracle's was
+// served. Under -batch the request is coalesced exactly as an HTTP request
+// would be.
 func (s *Server) Match(ctx context.Context, id string, text []byte) ([]core.Match, int, string, error) {
 	e, ok := s.reg.Get(id)
 	if !ok {
 		return nil, 0, "", ErrUnknownDict
 	}
-	return s.serveMatch(ctx, e, text)
+	buf := eventPool.get()
+	defer eventPool.put(buf)
+	evs, attempts, engine, err := s.serveMatch(ctx, e, text, *buf)
+	*buf = evs
+	if err != nil {
+		return nil, attempts, engine, err
+	}
+	out := make([]core.Match, len(text))
+	for i := range out {
+		out[i] = core.None
+	}
+	for _, ev := range evs {
+		out[ev.Pos] = core.Match{PatternID: ev.PatternID, Length: ev.Length}
+	}
+	return out, attempts, engine, nil
 }
 
 // Parse answers one §5 optimal-parse request in process: the minimum-phrase

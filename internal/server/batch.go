@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/pram"
+	"repro/internal/stream"
 )
 
 // Batched request execution. The paper's machine model pays a fixed cost per
@@ -48,7 +50,7 @@ func validBatchMode(s string) bool {
 
 // matchResult is one request's slice of a batched match dispatch.
 type matchResult struct {
-	matches  []core.Match
+	events   []stream.MatchEvent
 	attempts int
 	engine   string
 }
@@ -98,20 +100,25 @@ func (s *Server) batchEligible(n int) bool {
 
 // serveMatch answers one match request: through the solo path when the dense
 // automaton will serve it (nothing to amortise) or the mode and text size
-// rule coalescing out, through the per-entry coalescer otherwise.
-func (s *Server) serveMatch(ctx context.Context, e *Entry, text []byte) ([]core.Match, int, string, error) {
+// rule coalescing out, through the per-entry coalescer otherwise. Either
+// way the matches come back as events, written over buf's contents and
+// into its storage.
+func (s *Server) serveMatch(ctx context.Context, e *Entry, text []byte, buf []stream.MatchEvent) ([]stream.MatchEvent, int, string, error) {
 	if s.servingAutomaton(e) != nil || !s.batchEligible(len(text)) {
 		if s.cfg.BatchMode != BatchOff {
 			s.metrics.batchSolo.Add(1)
 		}
-		return s.serveMatchSolo(ctx, e, text)
+		return s.serveMatchSolo(ctx, e, text, buf)
 	}
 	s.batchers(e)
-	res, err := e.matchBatch.Do(ctx, text)
+	// The coalescer can still be reading a text after a cancelled Do has
+	// returned, while the HTTP route reuses its pooled text buffer as soon as
+	// the handler does: the batch gets its own copy.
+	res, err := e.matchBatch.Do(ctx, bytes.Clone(text))
 	if err != nil {
-		return nil, 0, engineTree, err
+		return buf[:0], 0, engineTree, err
 	}
-	return res.matches, res.attempts, res.engine, nil
+	return append(buf[:0], res.events...), res.attempts, res.engine, nil
 }
 
 // serveParse answers one parse request, batched when eligible. Empty texts
@@ -164,8 +171,8 @@ func (s *Server) execMatchBatch(e *Entry, g *batch.Group[matchResult]) {
 		// A batch of one gains nothing from joining; serve it exactly like a
 		// solo request (including dense verify sampling and ledger charges).
 		r := live[0]
-		matches, attempts, engine, err := s.serveMatchSolo(context.Background(), e, r.Text)
-		r.Complete(matchResult{matches: matches, attempts: attempts, engine: engine}, err)
+		evs, attempts, engine, err := s.serveMatchSolo(context.Background(), e, r.Text, nil)
+		r.Complete(matchResult{events: evs, attempts: attempts, engine: engine}, err)
 		return
 	}
 	// Only requests that found no automaton at admission get here; one that
@@ -178,8 +185,8 @@ func (s *Server) execMatchBatch(e *Entry, g *batch.Group[matchResult]) {
 
 // execMatchBatchTree joins the live texts over the core separator symbol and
 // runs one Las Vegas loop (match + §3.4 check) over the joined buffer.
-// Per-request answers are disjoint subslices of the joined M[] array — the
-// separator safety argument makes each byte-identical to a solo run.
+// Per-request answers are the events of disjoint subslices of the joined M[]
+// array — the separator safety argument makes each identical to a solo run.
 func (s *Server) execMatchBatchTree(e *Entry, live []*batch.Request[matchResult]) {
 	texts := make([][]byte, len(live))
 	for i, r := range live {
@@ -195,8 +202,9 @@ func (s *Server) execMatchBatchTree(e *Entry, live []*batch.Request[matchResult]
 	}
 	for k, r := range live {
 		start, end := j.Bounds(k)
-		res := matchResult{matches: matches[start:end], attempts: attempts, engine: engineTree}
-		completeDemux(r, func() (matchResult, error) { return res, nil })
+		completeDemux(r, func() (matchResult, error) {
+			return matchResult{events: stream.AppendEvents(nil, matches[start:end], 0), attempts: attempts, engine: engineTree}, nil
+		})
 	}
 }
 

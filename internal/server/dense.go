@@ -133,31 +133,34 @@ const (
 // answer is served and the failure counted. The dense path also serves (and
 // verifies) entries whose circuit breaker is open — neither the automaton
 // nor the oracle depends on the fingerprint state the breaker protects.
-// (serveMatch in batch.go routes here for requests that bypass coalescing.)
-func (s *Server) serveMatchSolo(ctx context.Context, e *Entry, text []byte) ([]core.Match, int, string, error) {
+// The matches come back as events in position order, written over buf's
+// contents and into its storage. (serveMatch in batch.go routes here for
+// requests that bypass coalescing.)
+func (s *Server) serveMatchSolo(ctx context.Context, e *Entry, text []byte, buf []stream.MatchEvent) ([]stream.MatchEvent, int, string, error) {
+	evs := buf[:0]
 	a := s.servingAutomaton(e)
 	if a == nil {
 		if s.cfg.DenseMode != DenseOff {
 			s.metrics.denseFallback.Add(1)
 		}
 		matches, attempts, _, err := e.MatchChecked(ctx, text, s.cfg.Procs, s.metrics)
-		return matches, attempts, engineTree, err
+		return stream.AppendEvents(evs, matches, 0), attempts, engineTree, err
 	}
 
-	matches, counters := denseMatchSharded(a, text, s.cfg.Procs)
+	evs, counters := denseEvents(a, text, s.cfg.Procs, evs)
 	s.metrics.ChargePRAM("match", counters.Work, counters.Depth)
 
 	if sampled(&e.denseReqs) {
-		want, err := s.verify(ctx, e, text, stream.AppendEvents(nil, matches, 0), &s.metrics.denseVerifyPass, &s.metrics.denseVerifyFail)
+		want, err := s.verify(ctx, e, text, evs, &s.metrics.denseVerifyPass, &s.metrics.denseVerifyFail)
 		if err != nil {
-			return nil, 0, engineDense, err // the request's context ended first
+			return evs[:0], 0, engineDense, err // the request's context ended first
 		}
 		if want != nil {
-			return want, 1, engineReference, nil
+			return stream.AppendEvents(evs[:0], want, 0), 1, engineReference, nil
 		}
 	}
 	s.metrics.denseServed.Add(1)
-	return matches, 1, engineDense, nil
+	return evs, 1, engineDense, nil
 }
 
 // patterns returns the entry's pattern set. The slice is immutable after
@@ -173,31 +176,30 @@ func (e *Entry) patterns() [][]byte {
 // under 5% of shard work.
 const denseMinShardLen = 1 << 15
 
-// denseMatchSharded runs the automaton over text, sharding across workers
-// with a halo of maxPatternLen-1 bytes exactly like the tree-walk path
-// (match.go): M[i] depends on at most that much lookahead, so every match
-// starting inside a shard completes inside its halo. Counters follow the
-// parallel composition rule — Work is total bytes scanned (including halo
-// re-scans), Depth the largest single-worker span.
-func denseMatchSharded(a *dense.Automaton, text []byte, procs int) ([]core.Match, pram.Counters) {
-	out := make([]core.Match, len(text))
+// denseEvents appends to dst the matches of the automaton over text, as
+// events in position order. A text too short to shard is one cursor pass.
+// A longer one is cut across workers, each running its own cursor over its
+// shard plus a halo of maxPatternLen-1 bytes exactly like the tree-walk
+// path (match.go): M[i] depends on at most that much lookahead, so every
+// match starting inside a shard completes inside its halo, and the shards'
+// events, concatenated in shard order, are the whole text's. Counters
+// follow the parallel composition rule — Work is total bytes scanned
+// (including halo re-scans), Depth the largest single-worker span.
+func denseEvents(a *dense.Automaton, text []byte, procs int, dst []stream.MatchEvent) ([]stream.MatchEvent, pram.Counters) {
 	n := len(text)
-	if procs < 1 {
-		procs = 1
-	}
-	shards := procs
+	shards := max(procs, 1)
 	if maxShards := (n + denseMinShardLen - 1) / denseMinShardLen; shards > maxShards {
 		shards = maxShards
 	}
 	if shards <= 1 {
-		a.MatchInto(text, out)
-		return out, pram.Counters{Work: int64(n), Depth: int64(n)}
+		return cursorEvents(a, text, n, 0, dst), pram.Counters{Work: int64(n), Depth: int64(n)}
 	}
 
 	per := (n + shards - 1) / shards
 	halo := a.MaxPatternLen() - 1
 	work := int64(0)
 	depth := int64(0)
+	parts := make([]*[]stream.MatchEvent, shards)
 	var wg sync.WaitGroup
 	var panicked atomic.Pointer[pram.StepPanic]
 	for w := 0; w < shards; w++ {
@@ -205,35 +207,48 @@ func denseMatchSharded(a *dense.Automaton, text []byte, procs int) ([]core.Match
 		if start >= n {
 			break
 		}
-		end := start + per
-		if end > n {
-			end = n
-		}
-		stop := end + halo
-		if stop > n {
-			stop = n
-		}
+		end := min(start+per, n)
+		stop := min(end+halo, n)
 		work += int64(stop - start)
-		if d := int64(stop - start); d > depth {
-			depth = d
-		}
+		depth = max(depth, int64(stop-start))
+		parts[w] = eventPool.get()
 		wg.Add(1)
-		go func(start, end, stop int) {
+		go func(part *[]stream.MatchEvent, start, end, stop int) {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
 					panicked.CompareAndSwap(nil, &pram.StepPanic{Value: r, Stack: debug.Stack()})
 				}
 			}()
-			local := make([]core.Match, stop-start)
-			a.MatchInto(text[start:stop], local)
 			// Positions in the halo belong to the right neighbour.
-			copy(out[start:end], local[:end-start])
-		}(start, end, stop)
+			*part = cursorEvents(a, text[start:stop], end-start, int64(start), *part)
+		}(parts[w], start, end, stop)
 	}
 	wg.Wait()
+	for _, part := range parts {
+		if part != nil {
+			dst = append(dst, *part...)
+			eventPool.put(part)
+		}
+	}
 	if sp := panicked.Load(); sp != nil {
 		panic(sp)
 	}
-	return out, pram.Counters{Work: work, Depth: depth}
+	return dst, pram.Counters{Work: work, Depth: depth}
+}
+
+// cursorEvents appends to dst the matches a cursor finds in window at
+// positions below limit, as events at base plus the position.
+func cursorEvents(a *dense.Automaton, window []byte, limit int, base int64, dst []stream.MatchEvent) []stream.MatchEvent {
+	emit := func(pos int64, m core.Match) error {
+		if pos < int64(limit) {
+			dst = append(dst, stream.MatchEvent{Pos: base + pos, PatternID: m.PatternID, Length: m.Length})
+		}
+		return nil
+	}
+	// emit returns no error, so neither do Feed and Flush.
+	cur := a.NewCursor()
+	_ = cur.Feed(window, emit)
+	_ = cur.Flush(emit)
+	return dst
 }

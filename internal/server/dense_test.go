@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -21,6 +22,7 @@ import (
 	"repro/internal/dense"
 	"repro/internal/lz"
 	"repro/internal/pram"
+	"repro/internal/stream"
 	"repro/internal/textgen"
 )
 
@@ -278,18 +280,15 @@ func TestDenseVerifyDivergence(t *testing.T) {
 	e.denseAut.Store(wrong)
 
 	text := []byte("xabcdx")
-	matches, _, engine, err := srv.serveMatch(context.Background(), e, text)
+	evs, _, engine, err := srv.serveMatch(context.Background(), e, text, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if engine != engineReference {
 		t.Fatalf("divergent result served by %q, want %q", engine, engineReference)
 	}
-	if got := matches[1]; got.Length != 3 {
-		t.Fatalf("oracle result not served: M[1] = %+v", got)
-	}
-	if got := matches[0]; got != core.None {
-		t.Fatalf("oracle result: M[0] = %+v, want core.None", got)
+	if want := []stream.MatchEvent{{Pos: 1, PatternID: 0, Length: 3}, {Pos: 2, PatternID: 1, Length: 3}}; !slices.Equal(evs, want) {
+		t.Fatalf("oracle result not served: events %+v, want %+v", evs, want)
 	}
 	if srv.Metrics().denseVerifyFail.Load() != 1 {
 		t.Fatalf("verifyFail = %d, want 1", srv.Metrics().denseVerifyFail.Load())
@@ -303,7 +302,7 @@ func TestDenseVerifyDivergence(t *testing.T) {
 	e.denseReqs.Store(verifySampleEvery - 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, _, err := srv.serveMatch(ctx, e, text); !errors.Is(err, context.Canceled) {
+	if _, _, _, err := srv.serveMatch(ctx, e, text, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("sampled turn under a cancelled context: err = %v", err)
 	}
 	if n := srv.Metrics().denseVerifyFail.Load(); n != 1 {

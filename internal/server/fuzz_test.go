@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -60,6 +61,46 @@ var fuzzRoutes = []struct {
 	{"GET", "/v1/dicts"},
 	{"GET", "/metrics"},
 	{"DELETE", "/v1/dicts/zzz"},
+}
+
+// FuzzTextPayload holds /match's fast request path to encoding/json: for any
+// body, fastText either declines or yields exactly the text the
+// encoding/json path (decode, no trailing data, textPayload.bytes) yields.
+func FuzzTextPayload(f *testing.F) {
+	for _, body := range []string{
+		`{"textB64":"YWJyYWNhZGFicmE="}`,
+		" \t\r\n{ \"textB64\" :\n\"YWJyYWNhZGFicmE=\" } \n",
+		`{"textB64":"YWJy\/YWNh"}`,
+		`{"textB64":"QQ==","textB64":"Qg=="}`,
+		`{"TEXTB64":"QQ=="}`,
+		`{"textB64":"QQ==","extra":1}`,
+		`{"text":"abc","textB64":"QQ=="}`,
+		`{"textB64":""}`,
+		`{"textB64":"%%%"}`,
+		"{\"textB64\":\"QQ\xff\xfe==\"}",
+		"{\"textB64\":\"QQ\n==\"}",
+		"{\"textB64\":\"QQ\x01==\"}",
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		got, ok := fastText(body, nil)
+		if !ok {
+			return
+		}
+		var req textPayload
+		dec := json.NewDecoder(bytes.NewReader(body))
+		if err := dec.Decode(&req); err != nil {
+			t.Fatalf("fast path accepted %q, encoding/json rejects it: %v", body, err)
+		}
+		if err := dec.Decode(&struct{}{}); err != io.EOF {
+			t.Fatalf("fast path accepted %q, encoding/json finds trailing data", body)
+		}
+		want, err := req.bytes()
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("body %q: fast path text %q, encoding/json path %q (err %v)", body, got, want, err)
+		}
+	})
 }
 
 // FuzzHandleRequests feeds arbitrary bytes to every JSON request decoder.

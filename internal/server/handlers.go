@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/batch"
@@ -17,6 +19,7 @@ import (
 	"repro/internal/lz"
 	"repro/internal/persist"
 	"repro/internal/pram"
+	"repro/internal/stream"
 )
 
 // JSON plumbing ------------------------------------------------------------
@@ -36,18 +39,100 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// slicePool recycles the buffered routes' per-request slices. A slice that
+// grew beyond max elements is dropped rather than pooled, so one large body
+// does not stay pinned behind a pool of small ones.
+type slicePool[T any] struct {
+	p   sync.Pool
+	max int
+}
+
+func (sp *slicePool[T]) get() *[]T {
+	if b, ok := sp.p.Get().(*[]T); ok {
+		return b
+	}
+	return new([]T)
+}
+
+func (sp *slicePool[T]) put(b *[]T) {
+	if cap(*b) > sp.max {
+		return
+	}
+	*b = (*b)[:0]
+	sp.p.Put(b)
+}
+
+// maxPooledBytes caps what the pools keep per slice: 4 MiB covers the
+// bodies, texts and replies of ordinary requests.
+const maxPooledBytes = 4 << 20
+
+var (
+	bytePool  = slicePool[byte]{max: maxPooledBytes}                   // bodies, decoded texts, replies
+	eventPool = slicePool[stream.MatchEvent]{max: maxPooledBytes / 16} // /match's events
+)
+
+// readBody reads the whole request body, at most MaxBodyBytes of it, into
+// a pooled buffer the caller returns with bytePool.put. Reading it whole
+// before decoding is what makes every over-limit body a 413, even one whose
+// JSON value ends inside the limit. It writes the error response itself
+// and reports whether the read succeeded.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*[]byte, bool) {
+	body := bytePool.get()
+	// Content-Length sizes the buffer up to the pool's cap; beyond it the
+	// buffer grows as bytes arrive, so a declared length costs nothing until
+	// the bytes do.
+	hint := int(min(r.ContentLength, s.cfg.MaxBodyBytes, maxPooledBytes))
+	var err error
+	*body, err = readAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), *body, hint)
+	if err == nil {
+		return body, true
+	}
+	bytePool.put(body)
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooLarge.Limit)
+		return nil, false
+	}
+	writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	return nil, false
+}
+
+// readAll is io.ReadAll into buf's storage, sized for hint bytes up front.
+func readAll(r io.Reader, buf []byte, hint int) ([]byte, error) {
+	if cap(buf) <= hint {
+		buf = make([]byte, 0, hint+1) // +1: the read that sees EOF needs room
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
 // decodeJSON reads and decodes the request body into dst, rejecting
 // oversized bodies, malformed JSON, and trailing garbage. It writes the
 // error response itself and reports whether decoding succeeded.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return false
+	}
+	defer bytePool.put(body)
+	return decodeBody(w, *body, dst)
+}
+
+// decodeBody is decodeJSON's decode step over a body already read.
+func decodeBody(w http.ResponseWriter, body []byte, dst any) bool {
+	dec := json.NewDecoder(bytes.NewReader(body))
 	if err := dec.Decode(dst); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooLarge.Limit)
-			return false
-		}
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false
 	}
@@ -71,6 +156,95 @@ func (p *textPayload) bytes() ([]byte, error) {
 		return base64.StdEncoding.DecodeString(p.TextB64)
 	}
 	return []byte(p.Text), nil
+}
+
+// decodeText returns the text of a textPayload body, writing the error
+// response itself when there is none. The shape every shipped client sends
+// is decoded by fastText into *buf; any other body goes through
+// encoding/json and textPayload.bytes, with their status codes and error
+// strings.
+func decodeText(w http.ResponseWriter, body []byte, buf *[]byte) ([]byte, bool) {
+	if text, ok := fastText(body, *buf); ok {
+		*buf = text
+		return text, true
+	}
+	var req textPayload
+	if !decodeBody(w, body, &req) {
+		return nil, false
+	}
+	text, err := req.bytes()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad textB64: %v", err)
+		return nil, false
+	}
+	return text, true
+}
+
+// fastText decodes a body that is exactly {"textB64":"<value>"}, with
+// optional JSON whitespace between the tokens, into dst's storage. It
+// declines — and the body takes the encoding/json path — for any other
+// shape (other or more keys, escapes, an empty value) and whenever the
+// value does not decode. Whatever it accepts, encoding/json decodes to the
+// same TextB64 with no error: the value holds no quote by construction, the
+// base64 decoder rejects every byte JSON would read differently (a
+// backslash, a control character, non-ASCII) except \r and \n, which it
+// skips and JSON forbids, and those are refused here.
+func fastText(body, dst []byte) ([]byte, bool) {
+	v, ok := textB64Value(body)
+	if !ok || bytes.IndexByte(v, '\n') >= 0 || bytes.IndexByte(v, '\r') >= 0 {
+		return nil, false
+	}
+	n := base64.StdEncoding.DecodedLen(len(v))
+	if cap(dst) < n {
+		dst = make([]byte, n)
+	}
+	n, err := base64.StdEncoding.Decode(dst[:n], v)
+	if err != nil {
+		return nil, false
+	}
+	return dst[:n], true
+}
+
+// textB64Value returns the raw, non-empty string value of a body shaped
+// {"textB64":"<value>"}: the bytes between the value's quotes, up to the
+// first closing one.
+func textB64Value(body []byte) ([]byte, bool) {
+	const key = `"textB64"`
+	b := skipSpace(body)
+	if len(b) == 0 || b[0] != '{' {
+		return nil, false
+	}
+	b = skipSpace(b[1:])
+	if len(b) < len(key) || string(b[:len(key)]) != key {
+		return nil, false
+	}
+	b = skipSpace(b[len(key):])
+	if len(b) == 0 || b[0] != ':' {
+		return nil, false
+	}
+	b = skipSpace(b[1:])
+	if len(b) == 0 || b[0] != '"' {
+		return nil, false
+	}
+	b = b[1:]
+	end := bytes.IndexByte(b, '"')
+	if end <= 0 {
+		return nil, false
+	}
+	v := b[:end]
+	b = skipSpace(b[end+1:])
+	if len(b) == 0 || b[0] != '}' || len(skipSpace(b[1:])) != 0 {
+		return nil, false
+	}
+	return v, true
+}
+
+// skipSpace drops leading JSON whitespace.
+func skipSpace(b []byte) []byte {
+	for len(b) > 0 && (b[0] == ' ' || b[0] == '\t' || b[0] == '\n' || b[0] == '\r') {
+		b = b[1:]
+	}
+	return b
 }
 
 // writeCtxError maps a context error to 503 (deadline) or 499-style close.
@@ -282,6 +456,8 @@ type matchHit struct {
 	Length  int `json:"length"`
 }
 
+// matchResponse is the /match reply. appendMatchResponse writes it, byte
+// for byte as encoding/json would.
 type matchResponse struct {
 	N        int        `json:"n"`
 	Attempts int        `json:"attempts"`
@@ -290,34 +466,65 @@ type matchResponse struct {
 	Hits     []matchHit `json:"hits"`
 }
 
+// appendMatchResponse appends to b the matchResponse of a text of n bytes
+// whose matches are evs, newline-terminated as json.Encoder ends a value.
+// engine is one of the engine labels, which need no escaping.
+func appendMatchResponse(b []byte, n, attempts int, engine string, evs []stream.MatchEvent) []byte {
+	b = append(b, `{"n":`...)
+	b = strconv.AppendInt(b, int64(n), 10)
+	b = append(b, `,"attempts":`...)
+	b = strconv.AppendInt(b, int64(attempts), 10)
+	b = append(b, `,"matched":`...)
+	b = strconv.AppendInt(b, int64(len(evs)), 10)
+	b = append(b, `,"engine":"`...)
+	b = append(b, engine...)
+	b = append(b, `","hits":[`...)
+	for i, ev := range evs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"pos":`...)
+		b = strconv.AppendInt(b, ev.Pos, 10)
+		b = append(b, `,"pattern":`...)
+		b = strconv.AppendInt(b, int64(ev.PatternID), 10)
+		b = append(b, `,"length":`...)
+		b = strconv.AppendInt(b, int64(ev.Length), 10)
+		b = append(b, '}')
+	}
+	return append(b, "]}\n"...)
+}
+
 // handleMatch answers the paper's dictionary matching problem (§3) for one
-// text against a resident dictionary: for every position, the longest
-// pattern starting there. Entries with a compiled dense automaton serve from
-// the deterministic flat-table path with sampled oracle verification
-// (serveMatch, dense.go); the rest run the Las Vegas checked tree walk.
-// Large texts are sharded across a worker pool with a pattern-length halo
-// on either path.
+// text against a resident dictionary: for every position with a match, the
+// longest pattern starting there. The route is one pass over pooled
+// buffers: the body is read once, the text decoded from it (decodeText),
+// serveMatch finds the matches as events — a cursor over the compiled
+// automaton with sampled oracle verification for dense entries, the Las
+// Vegas checked tree walk for the rest — and appendMatchResponse writes the
+// reply.
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.entryFor(w, r)
 	if !ok {
 		return
 	}
-	var req textPayload
-	if !s.decodeJSON(w, r, &req) {
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
-	text, err := req.bytes()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad textB64: %v", err)
+	defer bytePool.put(body)
+	textBuf := bytePool.get()
+	defer bytePool.put(textBuf)
+	text, ok := decodeText(w, *body, textBuf)
+	if !ok {
 		return
 	}
-	resp := matchResponse{N: len(text), Engine: engineTree, Hits: []matchHit{}}
-	if len(text) == 0 {
-		resp.Attempts = 1
-		writeJSON(w, http.StatusOK, resp)
-		return
+	evs := eventPool.get()
+	defer eventPool.put(evs)
+	attempts, engine := 1, engineTree
+	var err error
+	if len(text) > 0 {
+		*evs, attempts, engine, err = s.serveMatch(r.Context(), e, text, *evs)
 	}
-	matches, attempts, engine, err := s.serveMatch(r.Context(), e, text)
 	if err != nil {
 		var de *DegradedError
 		if errors.As(err, &de) {
@@ -335,15 +542,12 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "matching failed: %v", err)
 		return
 	}
-	resp.Attempts = attempts
-	resp.Engine = engine
-	for i, mt := range matches {
-		if mt.Length > 0 {
-			resp.Hits = append(resp.Hits, matchHit{Pos: i, Pattern: int(mt.PatternID), Length: int(mt.Length)})
-		}
-	}
-	resp.Matched = len(resp.Hits)
-	writeJSON(w, http.StatusOK, resp)
+	reply := bytePool.get()
+	defer bytePool.put(reply)
+	*reply = appendMatchResponse(*reply, len(text), attempts, engine, *evs)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(*reply) // client went away; nothing sensible to do
 }
 
 // Optimal static parse (§5) -------------------------------------------------

@@ -53,7 +53,7 @@ func TestReferenceBuiltOncePerEntry(t *testing.T) {
 
 	// Requests 1, 64 and 128 of the buffered route are samples.
 	for i := 0; i < 2*verifySampleEvery; i++ {
-		if _, _, engine, err := srv.serveMatch(context.Background(), e, text); err != nil || engine != engineDense {
+		if _, _, engine, err := srv.serveMatch(context.Background(), e, text, nil); err != nil || engine != engineDense {
 			t.Fatalf("request %d: engine %q, err %v", i+1, engine, err)
 		}
 	}
