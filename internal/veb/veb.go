@@ -4,8 +4,10 @@
 //
 // Clusters are allocated lazily through a map, so space is O(s log log N)
 // for s stored keys — the space-efficient variant the paper cites. The
-// improved nearest-colored-ancestors structure (§3.2) keys one of these per
-// color over Euler-tour positions.
+// recursion stops at universes of one machine word, kept as the bits of a
+// uint64: that removes the deepest and most numerous levels of nodes, and
+// every operation stays O(log log N). The improved nearest-colored-ancestors
+// structure (§3.2) keys one of these per color over Euler-tour positions.
 package veb
 
 import "math/bits"
@@ -13,12 +15,16 @@ import "math/bits"
 // None is returned by queries that have no answer.
 const None = -1
 
+// wordBits is the largest universe a leaf holds in its bit set.
+const wordBits = 64
+
 // Tree is a van Emde Boas set over [0, universe).
 type Tree struct {
 	u       int // universe size, a power of two, >= 2
 	lowBits uint
 	min     int // None when empty
 	max     int
+	bits    uint64 // a leaf's keys, min and max included (u <= wordBits only)
 	summary *Tree
 	cluster map[int]*Tree
 	size    int // number of stored keys (maintained at the root only)
@@ -38,11 +44,14 @@ func New(n int) *Tree {
 
 func newNode(u int) *Tree {
 	t := &Tree{u: u, min: None, max: None}
-	if u > 2 {
+	if !t.leaf() {
 		t.lowBits = uint(bits.Len(uint(u))-1) / 2
 	}
 	return t
 }
+
+// leaf reports whether t keeps its keys in bits rather than in clusters.
+func (t *Tree) leaf() bool { return t.u <= wordBits }
 
 func (t *Tree) high(x int) int { return x >> t.lowBits }
 func (t *Tree) low(x int) int  { return x & ((1 << t.lowBits) - 1) }
@@ -71,8 +80,8 @@ func (t *Tree) Contains(x int) bool {
 		if x == t.min || x == t.max {
 			return true
 		}
-		if t.u == 2 {
-			return false
+		if t.leaf() {
+			return t.bits>>uint(x)&1 == 1
 		}
 		c := t.cluster[t.high(x)]
 		if c == nil {
@@ -96,6 +105,11 @@ func (t *Tree) Insert(x int) {
 }
 
 func (t *Tree) insert(x int) {
+	if t.leaf() {
+		t.bits |= 1 << uint(x)
+		t.min, t.max = bits.TrailingZeros64(t.bits), bits.Len64(t.bits)-1
+		return
+	}
 	if t.min == None {
 		t.min, t.max = x, x
 		return
@@ -103,26 +117,22 @@ func (t *Tree) insert(x int) {
 	if x < t.min {
 		x, t.min = t.min, x
 	}
-	if t.u > 2 {
-		h, l := t.high(x), t.low(x)
-		c := t.cluster[h]
-		if c == nil {
-			c = newNode(1 << t.lowBits)
-			if t.cluster == nil {
-				t.cluster = make(map[int]*Tree)
-			}
-			t.cluster[h] = c
+	h, l := t.high(x), t.low(x)
+	c := t.cluster[h]
+	if c == nil {
+		c = newNode(1 << t.lowBits)
+		if t.cluster == nil {
+			t.cluster = make(map[int]*Tree)
 		}
-		if c.min == None {
-			if t.summary == nil {
-				t.summary = newNode(t.u >> t.lowBits)
-			}
-			t.summary.insert(h)
-			c.min, c.max = l, l
-		} else {
-			c.insert(l)
-		}
+		t.cluster[h] = c
 	}
+	if c.min == None {
+		if t.summary == nil {
+			t.summary = newNode(t.u >> t.lowBits)
+		}
+		t.summary.insert(h)
+	}
+	c.insert(l) // O(1) into an empty cluster
 	if x > t.max {
 		t.max = x
 	}
@@ -138,17 +148,17 @@ func (t *Tree) Delete(x int) {
 }
 
 func (t *Tree) delete(x int) {
-	if t.min == t.max {
-		t.min, t.max = None, None
+	if t.leaf() {
+		t.bits &^= 1 << uint(x)
+		if t.bits == 0 {
+			t.min, t.max = None, None
+		} else {
+			t.min, t.max = bits.TrailingZeros64(t.bits), bits.Len64(t.bits)-1
+		}
 		return
 	}
-	if t.u == 2 {
-		if x == 0 {
-			t.min = 1
-		} else {
-			t.min = 0
-		}
-		t.max = t.min
+	if t.min == t.max {
+		t.min, t.max = None, None
 		return
 	}
 	if x == t.min {
@@ -187,11 +197,12 @@ func (t *Tree) Successor(x int) int {
 }
 
 func (t *Tree) successor(x int) int {
-	if t.u == 2 {
-		if x == 0 && t.max == 1 {
-			return 1
+	if t.leaf() {
+		above := t.bits &^ (1<<uint(x+1) - 1) // at x = 63, 1<<64 is 0 and the mask all ones
+		if above == 0 {
+			return None
 		}
-		return None
+		return bits.TrailingZeros64(above)
 	}
 	if t.min != None && x < t.min {
 		return t.min
@@ -223,11 +234,12 @@ func (t *Tree) Predecessor(x int) int {
 }
 
 func (t *Tree) predecessor(x int) int {
-	if t.u == 2 {
-		if x == 1 && t.min == 0 {
-			return 0
+	if t.leaf() {
+		below := t.bits & (1<<uint(x) - 1)
+		if below == 0 {
+			return None
 		}
-		return None
+		return bits.Len64(below) - 1
 	}
 	if t.max != None && x > t.max {
 		return t.max

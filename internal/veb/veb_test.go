@@ -49,7 +49,7 @@ func (s *mirror) pred(x int) int {
 
 func TestVEBRandomOpsAgainstMirror(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 42))
-	for _, universe := range []int{2, 3, 16, 100, 1024, 5000} {
+	for _, universe := range []int{2, 3, 16, 64, 65, 100, 1024, 5000} {
 		tree := New(universe)
 		ref := &mirror{in: make([]bool, universe)}
 		size := 0
