@@ -48,7 +48,6 @@ fuzz:
 	$(GO) test -fuzz FuzzSnapshotDecode -fuzztime 30s ./internal/persist/
 	$(GO) test -fuzz FuzzDenseEquivalence -fuzztime 30s ./internal/dense/
 	$(GO) test -fuzz FuzzCursorEquivalence -fuzztime 30s ./internal/dense/
-	$(GO) test -fuzz FuzzBatchEquivalence -fuzztime 30s ./internal/server/
 	$(GO) test -fuzz FuzzCzsearchEquivalence -fuzztime 30s ./internal/czsearch/
 
 # Flags: -addr :8080 -procs N -max-dicts N -max-inflight N -timeout 30s

@@ -107,7 +107,7 @@ func main() {
 	plan := flag.String("plan", defaultPlan, "fault schedule, forwarded as matchd -chaos-plan")
 	clients := flag.Int("clients", 8, "concurrent request loops")
 	textSize := flag.Int("text", 1<<13, "planted text bytes per match request")
-	serverFlags := flag.String("server-flags", "", "extra whitespace-separated flags appended to the matchd command line, e.g. '-batch=on -dense=off'")
+	serverFlags := flag.String("server-flags", "", "extra whitespace-separated flags appended to the matchd command line, e.g. '-dense=off'")
 	clusterN := flag.Int("cluster", 0, "run N matchd processes as a replicated cluster and kill/restart one mid-soak (0 = single-node chaos soak)")
 	partition := flag.Bool("partition", false, "with -cluster N: instead of a kill/restart, asymmetrically partition the primary owner mid-soak via injected wire faults and require breaker open→half-open→closed recovery")
 	flag.Parse()

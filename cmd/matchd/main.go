@@ -7,7 +7,6 @@
 //	matchd [-addr :8080] [-procs N] [-max-dicts N] [-max-inflight N] \
 //	       [-timeout 30s] [-max-body BYTES] [-segment BYTES] [-stream-window BYTES] \
 //	       [-cache-dir DIR] [-dense off|on|auto] [-dense-max-table BYTES] \
-//	       [-batch off|on|auto] [-batch-max N] [-batch-bytes BYTES] [-batch-delay D] \
 //	       [-pprof-addr ADDR] [-chaos-seed N -chaos-plan SPEC] \
 //	       [-cluster-peers LIST -cluster-self NAME] [-replicas N] \
 //	       [-hedge-after D] [-cluster-redirect] [-quota-per-tenant N] \
@@ -48,21 +47,6 @@
 // compiled form (DENSE section), so a restart skips compilation too. The
 // response's "engine" field and the /metrics "dense" section show which path
 // served.
-//
-// Batched execution (-batch, default auto): concurrent small parse requests
-// and tree-walk match requests against the same dictionary are coalesced
-// into one machine dispatch over a separator-joined text and demultiplexed
-// per request — results are byte-identical to solo serving, throughput on
-// small-request load is several times higher. Coalescing amortises the cost
-// of entering the PRAM machine, which a dense scan does not have: a match
-// the dense automaton serves never waits for siblings, in any mode. A batch
-// dispatches at -batch-max requests, -batch-bytes coalesced payload, or
-// -batch-delay after its first request, whichever comes first. Mode auto
-// batches only texts below the solo-shard threshold (32 KiB); mode on
-// batches every tree-walk match dispatch and every parse; off disables
-// coalescing. The /metrics "batch" section reports batches formed,
-// occupancy, coalesced bytes, queue-delay histogram, and solo fallbacks
-// (dense-served matches and, under auto, large texts).
 //
 // Profiling (-pprof-addr, off by default): when set, net/http/pprof is
 // served on a SEPARATE listener at that address (e.g. localhost:6060) —
@@ -159,10 +143,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "snapshot cache directory: warm start from it and write preprocessed dictionaries through ('' = off)")
 	denseMode := flag.String("dense", "auto", "dense serving path: off (tree walk only), on (compile at registration), auto (background compile, tree walk until ready)")
 	denseMaxTable := flag.Int64("dense-max-table", 0, "dense transition-table byte budget per dictionary (0 = 256 MiB); over-budget dictionaries stay on the tree walk")
-	batchMode := flag.String("batch", "auto", "request coalescing: off (serve each request alone), on (coalesce every tree-walk match and every parse), auto (the same, small texts only); dense-served matches never wait")
-	batchMax := flag.Int("batch-max", 0, "requests per batch before dispatch (0 = 32)")
-	batchBytes := flag.Int("batch-bytes", 0, "coalesced payload bytes per batch before dispatch (0 = 1 MiB)")
-	batchDelay := flag.Duration("batch-delay", 0, "max time a request waits for batch siblings (0 = 500µs)")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate address, e.g. localhost:6060 ('' = off)")
 	clusterPeers := flag.String("cluster-peers", "", "static cluster membership as 'name=url,...' (or bare URLs); '' = single-node mode")
 	clusterSelf := flag.String("cluster-self", "", "this node's name in -cluster-peers (required with -cluster-peers)")
@@ -220,11 +200,6 @@ func main() {
 
 		DenseMode:          *denseMode,
 		DenseMaxTableBytes: *denseMaxTable,
-
-		BatchMode:        *batchMode,
-		BatchMaxRequests: *batchMax,
-		BatchMaxBytes:    *batchBytes,
-		BatchMaxDelay:    *batchDelay,
 
 		ClusterSelf:       *clusterSelf,
 		ClusterPeers:      peers,

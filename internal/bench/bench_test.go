@@ -52,7 +52,7 @@ func TestNoServingImports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	banned := regexp.MustCompile(`^"repro/internal/(server|cluster|resilience|batch|czsearch|dense|persist|stream)"$`)
+	banned := regexp.MustCompile(`^"repro/internal/(server|cluster|resilience|czsearch|dense|persist|stream)"$`)
 	for _, pkg := range pkgs {
 		for name, f := range pkg.Files {
 			for _, imp := range f.Imports {

@@ -96,17 +96,6 @@ const (
 	// deterministic parse verifier and retried.
 	LZCorrupt Point = "lz.corrupt"
 
-	// BatchDemux panics while demultiplexing one request's slice out of a
-	// coalesced batch (internal/server). The per-request containment must
-	// fail only that request; its batch siblings complete with verified
-	// output.
-	BatchDemux Point = "batch.demux"
-
-	// BatchStall sleeps in the batcher's delay-timer flush path
-	// (internal/batch) before the pending batch is taken — a stalled
-	// dispatcher. Queued requests must still honor their own deadlines.
-	BatchStall Point = "batch.stall"
-
 	// CzCache corrupts a memoized token transition in the compressed-domain
 	// scanner (internal/czsearch): the cached exit state is perturbed when
 	// the entry is stored, so every later hit on that key replays from the

@@ -19,23 +19,6 @@ import (
 // The checker is deterministic — it never touches fingerprints — which is
 // what turns the Monte Carlo matcher into a Las Vegas algorithm.
 func (d *Dictionary) Check(m *pram.Machine, text []byte, matches []Match) bool {
-	return checkSeq(d, m, text, matches)
-}
-
-// CheckJoined is Check over a joined request batch (separator.go): the same
-// deterministic §3.4 verification, run once over the whole joined symbol
-// string. Claims are checked against the raw symbols — a (buggy or
-// fingerprint-corrupted) claim spanning a request boundary fails the
-// character/LCP tests because no pattern contains Sep, so a passing check
-// certifies every per-slice answer exactly as a solo Check would.
-func (d *Dictionary) CheckJoined(m *pram.Machine, j *Joined, matches []Match) bool {
-	return checkSeq(d, m, j.Syms, matches)
-}
-
-// checkSeq is the checker body, generic over the text representation:
-// []byte for plain texts, []int32 (raw symbol space, Sep included) for
-// joined batches.
-func checkSeq[T byte | int32](d *Dictionary, m *pram.Machine, text []T, matches []Match) bool {
 	n := len(text)
 	if len(matches) != n {
 		return false
@@ -66,7 +49,7 @@ func checkSeq[T byte | int32](d *Dictionary, m *pram.Machine, text []T, matches 
 			}
 			lenAt[i] = int64(mt.Length)
 			// First-character test.
-			if int32(d.Patterns[mt.PatternID][0]) != int32(text[i]) {
+			if d.Patterns[mt.PatternID][0] != text[i] {
 				ok.Write(0, 0)
 			}
 		}
@@ -118,10 +101,8 @@ func checkSeq[T byte | int32](d *Dictionary, m *pram.Machine, text []T, matches 
 // claimsAgree verifies that the claim at position j agrees with the claim
 // at position i (i < j) over length overlap: claim_i[j-i : j-i+overlap] ==
 // claim_j[0 : overlap]. Dictionary-vs-dictionary comparisons use exact
-// suffix-tree LCP queries; singletons compare one character. The character
-// comparisons run in raw symbol space, so on a joined batch a claim that
-// (wrongly) spans a text-side separator fails against the Sep singleton.
-func claimsAgree[T byte | int32](d *Dictionary, text []T, matches []Match, i, j, overlap int) bool {
+// suffix-tree LCP queries; singletons compare one character.
+func claimsAgree(d *Dictionary, text []byte, matches []Match, i, j, overlap int) bool {
 	off := int32(j - i)
 	mi := matches[i]
 	if mi.Length == 0 {

@@ -229,82 +229,3 @@ func (d *Dictionary) anchorSeparator(tsym []int32, fpText *fingerprint.Table, i 
 	}
 	return locus{int32(nb), h + ext}
 }
-
-// Request coalescing over the separator symbol ------------------------------
-//
-// The preprocessing already joins the patterns into D̂ = p1·Sep·p2·Sep·…, with
-// Sep outside the byte alphabet, precisely so that no structure built on D̂
-// can confuse material from two different patterns. The same trick works on
-// the text side: many small request texts joined as t1·Sep·t2·Sep·… can be
-// matched (and parsed) in ONE machine dispatch, and the per-request answers
-// are read back by offset range — byte-identical to running each text alone.
-//
-// Safety argument. All per-position outputs the serving layer consumes —
-// B[i] (longest pattern prefix at i), M[i] (longest full pattern at i), and
-// the §5 parse built on B — are bounded by the distance from i to the next
-// text-side separator:
-//
-//   - No pattern contains Sep (patterns are byte strings; Sep = 256). So a
-//     pattern prefix of length L starting at i spells text symbols
-//     i..i+L-1, none of which may be Sep: L never reaches past the
-//     separator, hence B[i] and M[i] are capped at the slice boundary.
-//   - The dictionary-substring locus S[i] MAY span a separator (D̂ itself
-//     contains Sep, so Sep-crossing substrings of D̂ exist) — but then every
-//     pattern whose start leaf lies below that Sep-spanning node ends
-//     exactly at the separator offset, so the Step 2 tables (m1, H) still
-//     yield the boundary-capped value. Within the slice, S[i] truncated to
-//     the slice is the same string the solo run computes, so B/M agree
-//     symbol for symbol with the solo answers.
-//   - At a separator position itself no pattern starts (none begins with
-//     Sep): M = None, B = 0, and the position is skipped by the demux.
-//   - The §5 parse consumes only B values, which never cross a separator,
-//     so no phrase spans a request boundary; parsing each slice's B range
-//     independently is exactly the solo parse (staticcodec.go).
-//
-// The equivalence is pinned empirically by TestJoinedEquivalence (core),
-// the server-level batched-vs-solo suite, and FuzzBatchEquivalence.
-
-// Joined is a set of request texts concatenated with Sep in raw symbol
-// space: Syms holds byte values (0..255) with one Sep (256) after every
-// slice, including the last, so every slice is uniformly Sep-terminated.
-type Joined struct {
-	Syms   []int32 // t1·Sep·t2·Sep·…·tk·Sep
-	Starts []int   // len k+1; slice j spans Syms[Starts[j] : Starts[j+1]-1]
-}
-
-// JoinTexts builds the joined symbol string for a batch of texts.
-func JoinTexts(texts [][]byte) *Joined {
-	total := 0
-	for _, t := range texts {
-		total += len(t) + 1
-	}
-	j := &Joined{Syms: make([]int32, 0, total), Starts: make([]int, len(texts)+1)}
-	for k, t := range texts {
-		j.Starts[k] = len(j.Syms)
-		for _, b := range t {
-			j.Syms = append(j.Syms, int32(b))
-		}
-		j.Syms = append(j.Syms, Sep)
-	}
-	j.Starts[len(texts)] = len(j.Syms)
-	return j
-}
-
-// NumTexts returns how many slices the join carries.
-func (j *Joined) NumTexts() int { return len(j.Starts) - 1 }
-
-// Bounds returns the half-open range of slice k in Syms (separator
-// excluded).
-func (j *Joined) Bounds(k int) (start, end int) {
-	return j.Starts[k], j.Starts[k+1] - 1
-}
-
-// MatchJoined runs the full matching pipeline over a joined text in one
-// dispatch. The output has one entry per joined symbol; entry i for a
-// separator position is always None, and out[start:end] for each slice's
-// Bounds is byte-identical to MatchText on that slice alone (safety
-// argument above). Monte Carlo like MatchText; verify with CheckJoined.
-func (d *Dictionary) MatchJoined(m *pram.Machine, j *Joined) []Match {
-	loci := d.substringMatchSyms(m, j.Syms)
-	return d.extractMatches(m, loci)
-}

@@ -49,57 +49,6 @@ func (d *Dictionary) CompressStatic(m *pram.Machine, text []byte) ([]int32, erro
 	return refs, nil
 }
 
-// CompressStaticJoined is CompressStatic over a joined request batch
-// (separator.go): Step 1 runs ONCE over the whole joined symbol string, and
-// the §5 parse then runs per slice over that shared locus table. Because no
-// B value crosses a text-side separator (the safety argument in
-// separator.go), each slice's phrase sequence — and therefore its reference
-// sequence — is byte-identical to CompressStatic on that slice alone.
-// Errors are per slice: one slice the dictionary cannot express does not
-// poison its batch siblings.
-func (d *Dictionary) CompressStaticJoined(m *pram.Machine, j *Joined) ([][]int32, []error) {
-	k := j.NumTexts()
-	allRefs := make([][]int32, k)
-	errs := make([]error, k)
-	if len(j.Syms) == 0 {
-		return allRefs, errs
-	}
-	loci := d.substringMatchSyms(m, j.Syms)
-	maxLen := make([]int32, len(j.Syms))
-	m.ParallelFor(len(j.Syms), func(i int) {
-		b, _, _ := d.prefixAt(loci[i])
-		maxLen[i] = b
-	})
-	for t := 0; t < k; t++ {
-		start, end := j.Bounds(t)
-		if start == end {
-			continue
-		}
-		phrases, err := staticdict.OptimalParse(m, end-start, maxLen[start:end])
-		if err != nil {
-			errs[t] = err
-			continue
-		}
-		refs := make([]int32, len(phrases))
-		bad := pram.NewCells(1)
-		m.ParallelForCost(len(phrases), d.liftCost(), func(p int) {
-			ph := phrases[p]
-			id := d.WordID(loci[start+int(ph.Pos)], ph.Len)
-			if id < 0 {
-				bad.Write(0, 1)
-				return
-			}
-			refs[p] = id
-		})
-		if bad.Read(0) != 0 {
-			errs[t] = fmt.Errorf("core: parse produced a non-word phrase — dictionary lacks the prefix property")
-			continue
-		}
-		allRefs[t] = refs
-	}
-	return allRefs, errs
-}
-
 // DecompressStatic expands a reference sequence produced by CompressStatic.
 func (d *Dictionary) DecompressStatic(m *pram.Machine, refs []int32) ([]byte, error) {
 	if len(refs) == 0 {

@@ -30,32 +30,9 @@ func (d *Dictionary) substringMatch(m *pram.Machine, text []byte) []locus {
 		return out
 	}
 	tsym := m.GetInt32s(n)
-	defer m.PutInt32s(tsym) // fpText hashes tsym up front and does not retain it
-	m.ParallelFor(n, func(i int) { tsym[i] = int32(text[i]) + 1 })
-	d.substringMatchInto(m, tsym, out)
-	return out
-}
-
-// substringMatchSyms is substringMatch over a raw-symbol text (byte values
-// plus Sep), the form the request-coalescing path produces (separator.go).
-// Every symbol must lie in [0, Sep].
-func (d *Dictionary) substringMatchSyms(m *pram.Machine, syms []int32) []locus {
-	n := len(syms)
-	out := make([]locus, n)
-	if n == 0 {
-		return out
-	}
-	tsym := m.GetInt32s(n)
 	defer m.PutInt32s(tsym)
-	m.ParallelFor(n, func(i int) { tsym[i] = syms[i] + 1 })
-	d.substringMatchInto(m, tsym, out)
-	return out
-}
-
-// substringMatchInto is the shared Step 1 body: tsym is the text in
-// augmented symbol space (symbol+1; the sentinel 0 never occurs in a text).
-func (d *Dictionary) substringMatchInto(m *pram.Machine, tsym []int32, out []locus) {
-	n := len(tsym)
+	// Augmented symbol space: symbol+1, so the sentinel 0 never occurs.
+	m.ParallelFor(n, func(i int) { tsym[i] = int32(text[i]) + 1 })
 	hasher := d.hasher.WithCapacity(n)
 	fpText := hasher.NewTableInts(m, tsym)
 
@@ -89,6 +66,7 @@ func (d *Dictionary) substringMatchInto(m *pram.Machine, tsym []int32, out []loc
 			out[i-1] = d.extendLeft(tsym[i-1], out[i])
 		}
 	})
+	return out
 }
 
 // anchorDescent returns the locus of the longest prefix of text[i:] that

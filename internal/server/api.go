@@ -1,8 +1,7 @@
-// In-process entry points: the batch-aware serving paths the HTTP handlers
-// use, exposed without the transport. Embedding callers (matchbench's
-// layer probes among them) drive the same serveMatch/serveParse routing —
-// eligible requests coalesce with concurrent HTTP traffic on the same
-// entry — with none of the JSON/base64 framing cost.
+// In-process entry points: the serving paths the HTTP handlers use, exposed
+// without the transport. Embedding callers (matchbench's layer probes among
+// them) drive the same engine choice as /match and /parse with none of the
+// JSON/base64 framing cost.
 package server
 
 import (
@@ -20,8 +19,7 @@ var ErrUnknownDict = errors.New("server: unknown dictionary")
 // per text position (core.None where there is none), the Las Vegas attempt
 // count, and the engine label: "dense", "tree", or "reference" when a
 // sampled dense answer diverged from the oracle and the oracle's was
-// served. Under -batch the request is coalesced exactly as an HTTP request
-// would be.
+// served.
 func (s *Server) Match(ctx context.Context, id string, text []byte) ([]core.Match, int, string, error) {
 	e, ok := s.reg.Get(id)
 	if !ok {
@@ -46,11 +44,11 @@ func (s *Server) Match(ctx context.Context, id string, text []byte) ([]core.Matc
 
 // Parse answers one §5 optimal-parse request in process: the minimum-phrase
 // parse of text as dictionary-word references, or an error when no parse
-// exists. Batched exactly as Match is.
+// exists.
 func (s *Server) Parse(ctx context.Context, id string, text []byte) ([]int32, error) {
 	e, ok := s.reg.Get(id)
 	if !ok {
 		return nil, ErrUnknownDict
 	}
-	return s.serveParse(ctx, e, text)
+	return e.Parse(ctx, text, s.cfg.Procs, s.metrics)
 }

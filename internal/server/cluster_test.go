@@ -513,7 +513,6 @@ func TestClusterOwnerServesThrashedRegistry(t *testing.T) {
 	nodes := startTestCluster(t, 1, 1, func(_ int, cfg *Config) {
 		cfg.MaxDicts = 2
 		cfg.DenseMode = DenseOff
-		cfg.BatchMode = BatchOff
 	})
 	base := nodes[0].base
 	const dicts, clients, perClient = 6, 16, 24

@@ -111,7 +111,7 @@ func (s *Server) denseUpgradeFunc(e *Entry, key persist.Key) func(*dense.Automat
 // servingAutomaton returns the entry's compiled automaton when requests
 // should be served from it — it is published and -dense is not off — and
 // nil when they get the tree walk. It is the one engine rule: buffered
-// matches, streams, compressed scans and the coalescer's bypass all ask it.
+// matches, streams and compressed scans all ask it.
 func (s *Server) servingAutomaton(e *Entry) *dense.Automaton {
 	if s.cfg.DenseMode == DenseOff {
 		return nil
@@ -126,7 +126,7 @@ const (
 	engineReference = "reference" // the oracle's answer, after a sampled divergence
 )
 
-// serveMatchSolo answers one match request through the fastest correct path:
+// serveMatch answers one match request through the fastest correct path:
 // the compiled dense automaton when the entry has one (deterministic — no
 // Las Vegas loop, no attempts), otherwise the checked tree-walk matcher.
 // Dense results are sampled against the oracle; on divergence the oracle's
@@ -134,9 +134,8 @@ const (
 // verifies) entries whose circuit breaker is open — neither the automaton
 // nor the oracle depends on the fingerprint state the breaker protects.
 // The matches come back as events in position order, written over buf's
-// contents and into its storage. (serveMatch in batch.go routes here for
-// requests that bypass coalescing.)
-func (s *Server) serveMatchSolo(ctx context.Context, e *Entry, text []byte, buf []stream.MatchEvent) ([]stream.MatchEvent, int, string, error) {
+// contents and into its storage.
+func (s *Server) serveMatch(ctx context.Context, e *Entry, text []byte, buf []stream.MatchEvent) ([]stream.MatchEvent, int, string, error) {
 	evs := buf[:0]
 	a := s.servingAutomaton(e)
 	if a == nil {

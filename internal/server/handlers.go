@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/dense"
 	"repro/internal/lz"
@@ -572,18 +571,11 @@ func (s *Server) handleParse(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad textB64: %v", err)
 		return
 	}
-	refs, err := s.serveParse(r.Context(), e, text)
+	refs, err := e.Parse(r.Context(), text, s.cfg.Procs, s.metrics)
 	if err != nil {
 		if r.Context().Err() != nil {
 			s.metrics.timeouts.Add(1)
 			writeCtxError(w, err)
-			return
-		}
-		var pe *batch.PanicError
-		if errors.As(err, &pe) {
-			// The batch executor died; the client did nothing wrong. Same
-			// contract as a panic on the solo path (the recover middleware).
-			writeError(w, http.StatusInternalServerError, "internal error")
 			return
 		}
 		// The dictionary cannot express this text (§5 requires the prefix
@@ -740,7 +732,6 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := s.metrics.Snapshot(s.reg, s.limiter)
-	snap.Batch.Mode = s.cfg.BatchMode
 	snap.Persist.Enabled = s.store != nil
 	if s.store != nil {
 		snap.Persist.Quarantines = s.store.Quarantined()

@@ -156,53 +156,6 @@ func (e *Entry) MatchChecked(ctx context.Context, text []byte, procs int, mt *Me
 	}
 }
 
-// MatchJoinedChecked is MatchChecked for a separator-joined batch of texts
-// (batch.go): one Las Vegas loop over the joined symbol buffer — Monte Carlo
-// matching, then the deterministic checker over the whole joined text — so a
-// batch of k small requests pays one machine dispatch instead of k. The
-// separator safety argument (core/separator.go) makes the joined output
-// byte-identical to k solo runs; the checker sees the separators too, so any
-// forged match spanning a request boundary fails the same first-char test it
-// would fail solo. Costs are charged to the same "match"/"check"/"preprocess"
-// ledgers as the solo path.
-func (e *Entry) MatchJoinedChecked(ctx context.Context, j *core.Joined, procs int, mt *Metrics) ([]core.Match, int, error) {
-	if e.Degraded() {
-		return nil, 0, &DegradedError{ID: e.ID}
-	}
-	for attempt := 1; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, attempt - 1, err
-		}
-		e.mu.RLock()
-		m := pram.New(procs)
-		matches := e.dict.MatchJoined(m, j)
-		mw, md := m.Work(), m.Depth()
-		m.Close()
-		cm := pram.New(procs)
-		ok := e.dict.CheckJoined(cm, j, matches)
-		cw, cd := cm.Work(), cm.Depth()
-		cm.Close()
-		e.mu.RUnlock()
-		if mt != nil {
-			mt.ChargePRAM("match", mw, md)
-			mt.ChargePRAM("check", cw, cd)
-		}
-		if ok {
-			e.noteSuccess()
-			return matches, attempt, nil
-		}
-		if attempt == matchAttempts {
-			e.noteExhaustion(mt)
-			return nil, attempt, &FingerprintExhaustedError{ID: e.ID, Attempts: attempt}
-		}
-		e.reseed(uint64(attempt), mt)
-		e.mu.RLock()
-		seed := e.seed
-		e.mu.RUnlock()
-		reseedBackoff(ctx, attempt, seed)
-	}
-}
-
 // reseed replaces the entry's fingerprint randomness under the write lock.
 // In-flight readers finish on the old tables first; the next attempt sees
 // the new ones.

@@ -12,6 +12,7 @@ import (
 	"runtime/debug"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/ahocorasick"
@@ -40,6 +41,88 @@ func encodeMatchResponse(t testing.TB, resp matchResponse) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// fireMatch posts one match request and returns status and body.
+func fireMatch(t *testing.T, base, id string, text []byte) (int, []byte) {
+	t.Helper()
+	return postJSON(t, base+"/v1/dicts/"+id+"/match", map[string]any{"text": string(text)})
+}
+
+// TestMatchBeforeCompilePublishes is TestStreamBeforeCompilePublishes for
+// the buffered route: under -dense auto a match that arrives before the
+// background compile has published is served by the tree walk, says so, and
+// counts as a dense fallback; the next one, after the publish, is dense.
+func TestMatchBeforeCompilePublishes(t *testing.T) {
+	srv, base, shutdown := startServer(t, Config{Addr: "127.0.0.1:0", Procs: 1, DenseMode: DenseAuto})
+	defer func() {
+		if err := shutdown(); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	patterns := [][]byte{[]byte("abra"), []byte("cad")}
+	e := registerWithAutomaton(srv, patterns, nil) // compile pending
+
+	st, body := fireMatch(t, base, e.ID, []byte("abracadabra"))
+	if st != http.StatusOK || !bytes.Contains(body, []byte(`"engine":"tree"`)) || !bytes.Contains(body, []byte(`"matched":3`)) {
+		t.Fatalf("before publish: %d %s", st, body)
+	}
+	if d := srv.Metrics().Snapshot(srv.Registry(), srv.Limiter()).Dense; d.Fallback != 1 || d.Served != 0 {
+		t.Fatalf("dense counters before publish: %+v", d)
+	}
+
+	aut, err := dense.Compile(patterns, dense.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.denseAut.Store(aut)
+	st, body = fireMatch(t, base, e.ID, []byte("abracadabra"))
+	if st != http.StatusOK || !bytes.Contains(body, []byte(`"engine":"dense"`)) || !bytes.Contains(body, []byte(`"matched":3`)) {
+		t.Fatalf("after publish: %d %s", st, body)
+	}
+}
+
+// TestMatchConcurrentOracleCadence: 64 concurrent 64 B matches against a
+// dense entry are each answered as the same request sent alone would be, and
+// are counted and oracle-sampled as dense requests exactly once each —
+// request 1 and request 64 take the oracle's turns, whatever order the
+// concurrent requests arrive in.
+func TestMatchConcurrentOracleCadence(t *testing.T) {
+	srv, base, shutdown := startServer(t, Config{Addr: "127.0.0.1:0", Procs: 4, DenseMode: DenseOn})
+	defer func() {
+		if err := shutdown(); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	text, _, strs := densePatternStrings(t, 4242)
+	id := createDict(t, base, strs...)
+
+	got := make([][]byte, verifySampleEvery)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			st, body := fireMatch(t, base, id, text[i*64:i*64+64])
+			if st != http.StatusOK {
+				t.Errorf("match %d: %d %s", i, st, body)
+			}
+			got[i] = body
+		}(i)
+	}
+	wg.Wait()
+	snap := srv.Metrics().Snapshot(srv.Registry(), srv.Limiter())
+	if d := snap.Dense; d.Served != verifySampleEvery || d.VerifyPass != 2 || d.VerifyFail != 0 {
+		t.Fatalf("dense counters: %+v, want %d served and oracle turns on request 1 and %d", d, verifySampleEvery, verifySampleEvery)
+	}
+	for i := range got {
+		if !bytes.Contains(got[i], []byte(`"engine":"dense"`)) {
+			t.Fatalf("request %d not served by the dense engine: %s", i, got[i])
+		}
+		if _, want := fireMatch(t, base, id, text[i*64:i*64+64]); !bytes.Equal(got[i], want) {
+			t.Fatalf("request %d: concurrent %s != sequential %s", i, got[i], want)
+		}
+	}
 }
 
 // TestOverLimitBodyIs413: a body over the limit answers 413 on every

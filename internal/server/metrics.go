@@ -218,21 +218,6 @@ type Metrics struct {
 	clusterHedgeWon   atomic.Int64
 	clusterReplPulls  atomic.Int64
 	clusterReplBytes  atomic.Int64
-
-	// Request coalescing (batch.go). batchBatches counts dispatched groups
-	// (at least one live request); batchRequests the requests they carried;
-	// batchBytes their coalesced payload; batchSolo the requests that
-	// bypassed the coalescer although -batch is not off (a match the dense
-	// automaton serves, in any mode; under "auto" also a text at or above
-	// the shard threshold); batchDropped waiters that abandoned a queued
-	// request; batchDelayHist the queue delay (admission → dispatch) in
-	// power-of-two microsecond buckets.
-	batchBatches   atomic.Int64
-	batchRequests  atomic.Int64
-	batchBytes     atomic.Int64
-	batchSolo      atomic.Int64
-	batchDropped   atomic.Int64
-	batchDelayHist [histBuckets]atomic.Int64
 }
 
 // pramAlgos is the fixed set of ledger keys. Registration charges
@@ -362,37 +347,6 @@ type czSnapshot struct {
 	VerifyFail       int64 `json:"verifyFail"`       // divergences (request failed, fault surfaced)
 }
 
-// batchSnapshot is the JSON shape of the request-coalescing counters.
-type batchSnapshot struct {
-	Mode                string  `json:"mode"`                // configured BatchMode
-	Batches             int64   `json:"batches"`             // dispatched groups
-	Requests            int64   `json:"requests"`            // requests served through a batch
-	MeanOccupancy       float64 `json:"meanOccupancy"`       // requests per batch
-	CoalescedBytes      int64   `json:"coalescedBytes"`      // payload bytes joined
-	SoloFallbacks       int64   `json:"soloFallbacks"`       // requests served solo under -batch on|auto: dense-served matches, large texts
-	Dropped             int64   `json:"dropped"`             // waiters that abandoned a queued request
-	DelayHistPow2Micros []int64 `json:"delayHistPow2Micros"` // queue delay histogram
-}
-
-// observeBatch records one dispatched batch.
-func (mt *Metrics) observeBatch(live, dropped int, bytes int64) {
-	mt.batchBatches.Add(1)
-	mt.batchRequests.Add(int64(live))
-	mt.batchDropped.Add(int64(dropped))
-	mt.batchBytes.Add(bytes)
-}
-
-// observeBatchDelay records one request's queue delay from its admission
-// time to now (called at dispatch).
-func (mt *Metrics) observeBatchDelay(admitted time.Time) {
-	us := time.Since(admitted).Microseconds()
-	b := 0
-	for b < histBuckets-1 && int64(1)<<b <= us {
-		b++
-	}
-	mt.batchDelayHist[b].Add(1)
-}
-
 // clusterSnapshot is the JSON shape of the cluster section. OwnedDicts
 // counts resident dictionaries this node is primary for, ReplicatedDicts
 // the resident rest (replica-owned or pulled).
@@ -454,7 +408,6 @@ type MetricsSnapshot struct {
 	Persist       persistSnapshot           `json:"persist"`
 	Dense         denseSnapshot             `json:"dense"`
 	Cz            czSnapshot                `json:"czsearch"`
-	Batch         batchSnapshot             `json:"batch"`
 	Cluster       clusterSnapshot           `json:"cluster"`
 	Quota         quotaSnapshot             `json:"quota"`
 	Resilience    resilienceSnapshot        `json:"resilience"`
@@ -521,20 +474,6 @@ func (mt *Metrics) Snapshot(reg *Registry, lim *Limiter) MetricsSnapshot {
 			BreakerOpens:      mt.breakerOpens.Load(),
 			BreakerRecoveries: mt.breakerRecoveries.Load(),
 		},
-	}
-	snap.Batch = batchSnapshot{
-		Batches:        mt.batchBatches.Load(),
-		Requests:       mt.batchRequests.Load(),
-		CoalescedBytes: mt.batchBytes.Load(),
-		SoloFallbacks:  mt.batchSolo.Load(),
-		Dropped:        mt.batchDropped.Load(),
-	}
-	if snap.Batch.Batches > 0 {
-		snap.Batch.MeanOccupancy = float64(snap.Batch.Requests) / float64(snap.Batch.Batches)
-	}
-	snap.Batch.DelayHistPow2Micros = make([]int64, histBuckets)
-	for i := range snap.Batch.DelayHistPow2Micros {
-		snap.Batch.DelayHistPow2Micros[i] = mt.batchDelayHist[i].Load()
 	}
 	routes := *mt.routes.Load()
 	patterns := make([]string, 0, len(routes))

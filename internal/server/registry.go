@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/dense"
 	"repro/internal/persist"
@@ -85,13 +84,6 @@ type Entry struct {
 	// sampled turn on any route, then shared by all of them.
 	refOnce sync.Once
 	ref     atomic.Pointer[reference]
-
-	// Request coalescing state (batch.go): per-entry batchers for the match
-	// and parse endpoints, built lazily on the first eligible request. The
-	// executors capture the entry, so the batchers live and die with it.
-	batchInit  sync.Once
-	matchBatch *batch.Batcher[matchResult]
-	parseBatch *batch.Batcher[parseResult]
 
 	mu   sync.RWMutex
 	dict *core.Dictionary

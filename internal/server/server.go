@@ -69,19 +69,6 @@ type Config struct {
 	DenseMode          string
 	DenseMaxTableBytes int64
 
-	// BatchMode selects request coalescing for /v1/dicts/{id}/match and
-	// /parse (batch.go): "off" (default — every request dispatches alone),
-	// "on" (coalesce every parse and every tree-walk match dispatch), "auto"
-	// (the same, but only texts below the solo-shard threshold; large texts
-	// keep the solo halo-shard path). A match the dense automaton serves is
-	// never coalesced: it has no dispatch cost to share.
-	// BatchMaxRequests / BatchMaxBytes / BatchMaxDelay bound one batch
-	// (zero = the internal/batch defaults: 32 requests, 1 MiB, 500 µs).
-	BatchMode        string
-	BatchMaxRequests int
-	BatchMaxBytes    int
-	BatchMaxDelay    time.Duration
-
 	// Cluster mode (cluster.go): a non-empty ClusterPeers table (which must
 	// contain ClusterSelf) turns this node into a cluster member. Dictionary
 	// IDs become content addresses placed on ClusterReplicas owners by
@@ -160,9 +147,6 @@ func (c *Config) fillDefaults() {
 	if c.DenseMode == "" {
 		c.DenseMode = DenseAuto
 	}
-	if c.BatchMode == "" {
-		c.BatchMode = BatchOff
-	}
 }
 
 // Server is the matching/compression service.
@@ -194,9 +178,6 @@ func New(cfg Config) (*Server, error) {
 	cfg.fillDefaults()
 	if !validDenseMode(cfg.DenseMode) {
 		return nil, fmt.Errorf("server: invalid DenseMode %q (want %s|%s|%s)", cfg.DenseMode, DenseOff, DenseOn, DenseAuto)
-	}
-	if !validBatchMode(cfg.BatchMode) {
-		return nil, fmt.Errorf("server: invalid BatchMode %q (want %s|%s|%s)", cfg.BatchMode, BatchOff, BatchOn, BatchAuto)
 	}
 	s := &Server{
 		cfg:     cfg,

@@ -129,7 +129,7 @@ func (s *Server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 	sink := &matchStreamSink{bw: bufio.NewWriterSize(w, 32<<10), rc: rc, mt: s.metrics}
 	cfg := stream.Config{SegmentBytes: segSize}
 
-	// Engine choice, by serveMatchSolo's rule: the compiled automaton when
+	// Engine choice, by serveMatch's rule: the compiled automaton when
 	// the entry has one, else the checked tree walk. A dense stream counts
 	// as one dense request, so it takes the same sampled oracle turns.
 	var st stream.Stats

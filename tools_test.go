@@ -26,7 +26,7 @@ func binaries(t *testing.T) string {
 		if buildErr != nil {
 			return
 		}
-		for _, tool := range []string{"dictmatch", "lzpack", "optparse", "benchtab", "textgen", "streedump", "dictpack"} {
+		for _, tool := range []string{"dictmatch", "lzpack", "optparse", "benchtab", "textgen", "streedump", "dictpack", "matchd"} {
 			cmd := exec.Command("go", "build", "-o", filepath.Join(buildDir, tool), "./cmd/"+tool)
 			cmd.Dir = "."
 			if out, err := cmd.CombinedOutput(); err != nil {
@@ -298,5 +298,32 @@ func TestToolStreedump(t *testing.T) {
 	dot, _ := run(t, []byte("banana"), filepath.Join(bins, "streedump"), "-dot")
 	if !strings.Contains(dot, "digraph suffixtree") || strings.Count(dot, "->") != 10 {
 		t.Fatalf("streedump dot: %d edges", strings.Count(dot, "->"))
+	}
+}
+
+// TestToolMatchdFlags pins matchd's flag set by name, so a new flag is a
+// deliberate edit here rather than something that accretes.
+func TestToolMatchdFlags(t *testing.T) {
+	bins := binaries(t)
+	out, err := exec.Command(filepath.Join(bins, "matchd"), "-h").CombinedOutput()
+	if err != nil {
+		t.Fatalf("matchd -h: %v\n%s", err, out)
+	}
+	var got []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if strings.HasPrefix(line, "  -") {
+			got = append(got, strings.Fields(line)[0][1:])
+		}
+	}
+	want := []string{
+		"addr", "breaker-cooldown", "breaker-failures", "cache-dir", "chaos-plan",
+		"chaos-seed", "cluster-peers", "cluster-redirect", "cluster-self", "dense",
+		"dense-max-table", "hedge-after", "hop-floor", "max-body", "max-dicts",
+		"max-inflight", "pprof-addr", "procs", "quota-per-tenant", "replicas",
+		"retry-budget", "rpc-chaos-plan", "rpc-chaos-seed", "rpc-fault-admin",
+		"segment", "stream-window", "timeout",
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("matchd has %d flags:\n got %q\nwant %q", len(got), got, want)
 	}
 }
