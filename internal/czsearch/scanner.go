@@ -435,7 +435,7 @@ func (s *Scanner) scanCopy(t lz.Token, dIdx int) error {
 				// Poison the cached exit state: later hits on this key
 				// replay from the wrong state. The sampled decompress-then-
 				// match oracle in the serving layer must catch this.
-				e.exit = (e.exit + 1) % int32(s.aut.NumStates())
+				e.exit = otherState(s.aut, e.exit)
 			}
 			if len(s.memo) >= s.memoCap {
 				clear(s.memo)
@@ -444,6 +444,21 @@ func (s *Scanner) scanCopy(t lz.Token, dIdx int) error {
 		}
 	}
 	return nil
+}
+
+// otherState returns a valid automaton state other than q — the root, or
+// when q is the root a state one byte from it — for the cache poison: a
+// state is a row offset, so arithmetic on q would not name one.
+func otherState(aut *dense.Automaton, q int32) int32 {
+	if q != 0 {
+		return 0
+	}
+	for b := 0; b < 256; b++ {
+		if r := aut.Step(0, byte(b)); r != 0 {
+			return r
+		}
+	}
+	return 0 // unreachable: every pattern's first byte leaves the root
 }
 
 // record notes one occurrence by end position: it is appended to the replay

@@ -17,10 +17,12 @@ import (
 // once byte i+MaxPatternLen()-1 has been consumed every candidate for M[i]
 // has been seen and M[i] is final. A cursor that has consumed n bytes
 // therefore has exactly the positions [n-MaxPatternLen()+1, n) still open —
-// fewer than MaxPatternLen() of them — and keeps them in a ring of that
-// many slots, position p in slot p mod MaxPatternLen(). Feed emits every
-// position the chunk closes, in position order; Flush closes the rest at
-// end of text.
+// fewer than MaxPatternLen() of them — and keeps them in a ring of at least
+// that many slots, position p in slot p mod len(ring). Feed runs the scan
+// kernel over the chunk and replays its hits in end order: before the
+// occurrences ending at byte e are folded in, every position that byte e-1
+// closed is emitted, so positions come out in order, and a position with no
+// match costs nothing. Flush closes the rest at end of text.
 //
 // A Cursor is single-use and not safe for concurrent use; many cursors may
 // share one Automaton.
@@ -28,9 +30,10 @@ type Cursor struct {
 	a       *Automaton
 	state   int32
 	pos     int64        // bytes consumed = absolute offset of the next byte
-	slot    int          // pos mod len(ring)
+	flushed int64        // every position below it has been emitted
 	pending int          // ring slots holding a match
 	ring    []core.Match // open positions; an empty slot has Length 0
+	hits    *hits        // the kernel's output buffer, from hitPool until Flush
 	err     error        // sticky: the first emit error
 }
 
@@ -39,9 +42,14 @@ type Cursor struct {
 var ErrCursorDone = errors.New("dense: cursor already flushed")
 
 // NewCursor returns a cursor at the start of a text. It allocates the ring
-// (8 bytes per slot); Feed and Flush allocate nothing.
+// (8 bytes per slot, a power of two at least MaxPatternLen()); Feed takes a
+// pooled hit buffer that Flush gives back, and neither allocates.
 func (a *Automaton) NewCursor() *Cursor {
-	return &Cursor{a: a, ring: make([]core.Match, a.maxPatLen)}
+	n := 1
+	for n < int(a.maxPatLen) {
+		n <<= 1
+	}
+	return &Cursor{a: a, ring: make([]core.Match, n)}
 }
 
 // Pos returns the number of bytes consumed so far. Every position below
@@ -57,72 +65,102 @@ func (c *Cursor) Feed(chunk []byte, emit func(pos int64, m core.Match) error) er
 	if c.err != nil {
 		return c.err
 	}
-	a := c.a
-	w := int(a.width)
-	next := a.next
-	ring := c.ring
-	l := len(ring)
-	s, slot, pending := c.state, c.slot, c.pending
-	for i := 0; i < len(chunk); i++ {
-		s = next[int(s)*w+int(a.symClass[chunk[i]])]
-		if off, end := a.outOff[s], a.outOff[s+1]; off != end {
-			// Occurrences ending at this byte (ring slot `slot`): a pattern
-			// of length n starts n-1 slots back.
-			for _, p := range a.outPat[off:end] {
-				n := a.patLen[p]
-				at := slot + 1 - int(n)
-				if at < 0 {
-					at += l
-				}
-				if ring[at].Length < n {
-					if ring[at].Length == 0 {
-						pending++
+	if len(chunk) == 0 {
+		return nil
+	}
+	if c.hits == nil {
+		c.hits = getHits()
+	}
+	a, h := c.a, c.hits
+	ring, mask := c.ring, int64(len(c.ring)-1)
+	maxLen := int64(a.maxPatLen)
+	flushed, pending := c.flushed, c.pending
+	for off := 0; off < len(chunk); {
+		n, s := a.kernel(c.state, chunk[off:], h)
+		base := c.pos + int64(off) + 1
+		for j := range h.n {
+			for _, x := range h.lane(j) {
+				end := base + int64(x.end) // one past the occurrences' last byte
+				// Every position below end-maxLen was closed by an earlier
+				// byte; emit those before this byte's occurrences go in.
+				// This is flushTo on locals, written out: as a call per hit
+				// it cost a tenth of Feed's speed on match-dense text.
+				for ; flushed < end-maxLen && pending != 0; flushed++ {
+					if slot := &ring[flushed&mask]; slot.Length != 0 {
+						m := *slot
+						*slot = core.Match{}
+						pending--
+						if err := emit(flushed, m); err != nil {
+							return c.fail(err)
+						}
 					}
-					ring[at] = core.Match{PatternID: p, Length: n}
+				}
+				flushed = max(flushed, end-maxLen)
+				for _, p := range a.Outputs(x.state) {
+					l := a.patLen[p]
+					slot := &ring[(end-int64(l))&mask]
+					if slot.Length < l {
+						if slot.Length == 0 {
+							pending++
+						}
+						*slot = core.Match{PatternID: p, Length: l}
+					}
 				}
 			}
 		}
-		if slot++; slot == l {
-			slot = 0
-		}
-		// This byte closed position pos-l+1, which lives in the slot the
-		// next byte's position is about to reuse.
-		if pending != 0 && ring[slot].Length != 0 {
-			m := ring[slot]
-			ring[slot] = core.Match{}
-			pending--
-			if err := emit(c.pos+int64(i)+1-int64(l), m); err != nil {
-				c.err = err
+		c.state = s
+		off += n
+	}
+	c.flushed, c.pending = flushed, pending
+	c.pos += int64(len(chunk))
+	if err := c.flushTo(c.pos-maxLen+1, emit); err != nil {
+		return c.fail(err)
+	}
+	return nil
+}
+
+// flushTo emits every pending position below limit, in order.
+func (c *Cursor) flushTo(limit int64, emit func(pos int64, m core.Match) error) error {
+	mask := int64(len(c.ring) - 1)
+	for ; c.flushed < limit && c.pending != 0; c.flushed++ {
+		if slot := &c.ring[c.flushed&mask]; slot.Length != 0 {
+			m := *slot
+			*slot = core.Match{}
+			c.pending--
+			if err := emit(c.flushed, m); err != nil {
 				return err
 			}
 		}
 	}
-	c.state, c.slot, c.pending = s, slot, pending
-	c.pos += int64(len(chunk))
+	c.flushed = max(c.flushed, limit)
 	return nil
+}
+
+// fail poisons the cursor with err and gives its hit buffer back.
+func (c *Cursor) fail(err error) error {
+	c.err = err
+	c.release()
+	return err
+}
+
+func (c *Cursor) release() {
+	if c.hits != nil {
+		hitPool.Put(c.hits)
+		c.hits = nil
+	}
 }
 
 // Flush ends the text: the positions still open can gain no longer match,
 // so they are emitted as they stand. The cursor accepts no further calls.
 func (c *Cursor) Flush(emit func(pos int64, m core.Match) error) error {
+	c.release()
 	if c.err != nil {
 		return c.err
 	}
 	c.err = ErrCursorDone
-	l := len(c.ring)
-	slot := c.slot
-	for k := 1; k < l && c.pending != 0; k++ {
-		if slot++; slot == l {
-			slot = 0
-		}
-		if m := c.ring[slot]; m.Length != 0 {
-			c.ring[slot] = core.Match{}
-			c.pending--
-			if err := emit(c.pos-int64(l)+int64(k), m); err != nil {
-				c.err = err
-				return err
-			}
-		}
+	if err := c.flushTo(c.pos, emit); err != nil {
+		c.err = err
+		return err
 	}
 	return nil
 }

@@ -16,11 +16,12 @@ type cursorEvent struct {
 	m   core.Match
 }
 
-// matchIntoEvents is the reference: MatchInto over the whole text, reduced
-// to the positions that carry a match.
-func matchIntoEvents(a *Automaton, text []byte) []cursorEvent {
+// oracleEvents is the reference: internal/ahocorasick's M[i] over the whole
+// text, reduced to the positions that carry a match. It shares no code with
+// the scan kernel that Feed, MatchInto and Scan all run on.
+func oracleEvents(patterns [][]byte, text []byte) []cursorEvent {
 	var out []cursorEvent
-	for i, m := range a.Match(text) {
+	for i, m := range oracleMatch(patterns, text) {
 		if m.Length > 0 {
 			out = append(out, cursorEvent{int64(i), m})
 		}
@@ -88,14 +89,16 @@ func assertSameEvents(t testing.TB, want, got []cursorEvent, label string) {
 	}
 }
 
-// checkEveryChunking holds the cursor to MatchInto over one dictionary/text
-// pair for: one chunk, 1-byte chunks, every chunk size up to just past the
-// longest pattern (so all sizes shorter than it), every two-chunk split —
-// which puts a boundary inside every occurrence and an empty chunk at either
-// end — and a few uneven schedules with empty chunks in them.
-func checkEveryChunking(t *testing.T, a *Automaton, text []byte) {
+// checkEveryChunking holds the cursor to the oracle over one
+// dictionary/text pair for: one chunk, 1-byte chunks, every chunk size up to
+// just past the longest pattern (so all sizes shorter than it), every
+// two-chunk split — which puts a boundary inside every occurrence and an
+// empty chunk at either end — and a few uneven schedules with empty chunks
+// in them.
+func checkEveryChunking(t *testing.T, patterns [][]byte, text []byte) {
 	t.Helper()
-	want := matchIntoEvents(a, text)
+	a := mustCompile(t, patterns)
+	want := oracleEvents(patterns, text)
 	assertSameEvents(t, want, feedChunks(t, a, text, nil), "one chunk")
 	for size := 1; size <= a.MaxPatternLen()+1; size++ {
 		assertSameEvents(t, want, feedChunks(t, a, text, []int{size}), fmt.Sprintf("chunks of %d", size))
@@ -112,11 +115,12 @@ func checkEveryChunking(t *testing.T, a *Automaton, text []byte) {
 // equivalence corpus — the hand-picked cases (nested prefixes, duplicates,
 // the all-256-bytes-live dictionary, empty and shorter-than-a-pattern
 // texts) and the random sweep TestEquivalenceRandom runs — the cursor's
-// events are MatchInto's, in order.
+// events are the oracle's, in order. These texts are shorter than a kernel
+// block; TestKernelLanes covers the multi-lane path.
 func TestCursorEquivalence(t *testing.T) {
 	for _, tc := range equivalenceCorpus() {
 		t.Run(tc.name, func(t *testing.T) {
-			checkEveryChunking(t, mustCompile(t, tc.patterns), tc.text)
+			checkEveryChunking(t, tc.patterns, tc.text)
 		})
 	}
 	gen := textgen.New(1789)
@@ -124,7 +128,7 @@ func TestCursorEquivalence(t *testing.T) {
 		for trial := 0; trial < 8; trial++ {
 			patterns := gen.Dictionary(12, 1, 9, sigma)
 			text := gen.Uniform(700, sigma)
-			checkEveryChunking(t, mustCompile(t, patterns), text)
+			checkEveryChunking(t, patterns, text)
 		}
 	}
 }
@@ -135,7 +139,7 @@ func TestCursorPlantedBoundaries(t *testing.T) {
 	gen := textgen.New(41)
 	text, patterns := gen.PlantedDictionary(1<<12, 16, 6, 97, 4)
 	a := mustCompile(t, patterns)
-	want := matchIntoEvents(a, text)
+	want := oracleEvents(patterns, text)
 	if len(want) == 0 {
 		t.Fatal("planted text has no occurrences")
 	}
@@ -231,72 +235,44 @@ func TestCursorDone(t *testing.T) {
 }
 
 // FuzzCursorEquivalence: for fuzzer-chosen texts, dictionaries and chunk
-// schedules (each schedule byte is a chunk size, zeros included), the cursor
-// emits exactly MatchInto's events over the whole text.
+// schedules, the cursor emits exactly the oracle's events over the whole
+// text. The text is fuzzCase's, several kernel blocks long; a schedule byte
+// is a chunk size through fuzzChunk, so a schedule mixes chunks shorter
+// than a pattern, zeros, and chunks of a block or more that start and end
+// mid-block.
 func FuzzCursorEquivalence(f *testing.F) {
 	f.Add([]byte("ushers her hers"), []byte("he\nshe\nhers\nhis"), []byte{3}, uint8(3))
 	f.Add([]byte("aaaaaaaa"), []byte("a\naa\naaa"), []byte{1}, uint8(2))
 	f.Add(bytes.Repeat([]byte("abcab"), 40), []byte("ab\nbca\ncabc\nabcab"), []byte{0, 7, 0, 1, 2}, uint8(3))
 	f.Add([]byte("xyxyxyx"), []byte("xyx\nyxy"), []byte{}, uint8(4))
+	f.Add([]byte("the lanes split here"), []byte("lane\nes s\nhere"), []byte{200, 3, 170, 0, 255}, uint8(5))
 
 	f.Fuzz(func(t *testing.T, rawText, rawDict, schedule []byte, sigma uint8) {
 		if len(rawText) > 2048 || len(rawDict) > 256 || len(schedule) > 64 {
 			return
 		}
-		// The folding FuzzDenseEquivalence uses: a small alphabet, so
-		// patterns occur, overlap and nest.
-		s := int(sigma)%8 + 2
-		text := make([]byte, len(rawText))
-		for i, v := range rawText {
-			text[i] = 'a' + v%byte(s)
-		}
-		var patterns [][]byte
-		for _, part := range bytes.Split(rawDict, []byte("\n")) {
-			if len(part) == 0 || len(patterns) >= 24 {
-				continue
-			}
-			p := make([]byte, len(part))
-			for i, v := range part {
-				p[i] = 'a' + v%byte(s)
-			}
-			patterns = append(patterns, p)
-		}
+		text, patterns := fuzzCase(rawText, rawDict, sigma)
 		if len(patterns) == 0 {
 			return
 		}
 		sizes := make([]int, len(schedule))
 		for i, v := range schedule {
-			sizes[i] = int(v)
+			sizes[i] = fuzzChunk(v)
 		}
 		a, err := Compile(patterns, Options{})
 		if err != nil {
 			t.Fatalf("Compile: %v", err)
 		}
-		assertSameEvents(t, matchIntoEvents(a, text), feedChunks(t, a, text, sizes), "fuzzed schedule")
+		assertSameEvents(t, oracleEvents(patterns, text), feedChunks(t, a, text, sizes), "fuzzed schedule")
 	})
 }
 
-func BenchmarkCursorFeed(b *testing.B) {
-	gen := textgen.New(5)
-	patterns := gen.Dictionary(64, 4, 12, 26)
-	text := gen.Uniform(1<<20, 26)
-	a, err := Compile(patterns, Options{})
-	if err != nil {
-		b.Fatal(err)
+// fuzzChunk maps a schedule byte to a chunk size: below 128 the byte itself,
+// from 128 up steps of 97 bytes, to 12 KiB — past a kernel block, and never
+// a multiple of a lane, so those chunks start and end mid-block.
+func fuzzChunk(v byte) int {
+	if v < 128 {
+		return int(v)
 	}
-	var events int64
-	emit := func(int64, core.Match) error {
-		events++
-		return nil
-	}
-	b.SetBytes(int64(len(text)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := a.NewCursor()
-		for off := 0; off < len(text); off += 1 << 16 {
-			_ = c.Feed(text[off:off+1<<16], emit)
-		}
-		_ = c.Flush(emit)
-	}
+	return int(v-127) * 97
 }

@@ -1,24 +1,33 @@
 // Package dense is the serving-time fast path for dictionary matching: a
 // post-preprocessing compile stage that lowers a prepared pattern set into a
-// branch-free flat transition table, in the style of the Ken Steele dense-DFA
+// flat transition table, in the style of the Ken Steele dense-DFA
 // Aho–Corasick variant (SNIPPETS.md #1).
 //
 // The paper's regime is preprocess-once/match-many; its §3 matcher is
 // work-optimal on a PRAM but walks suffix-tree/NCA structures per text
 // position at serving time. This package trades memory for raw per-byte
 // speed: the goto and failure functions are pre-resolved into one
-// next[state][class] array, so every text byte costs exactly one table load
-// — no branches on miss, no failure chain, no hashing. The alphabet is
-// compressed to the byte classes that actually occur in the dictionary (plus
-// one shared "absent" class that always leads back to the root), which keeps
-// the table at states × (σ+1) entries instead of states × 256.
+// next[state+class] array whose entries are row offsets (state id × width),
+// and the states with outputs are numbered after every state without. A text
+// byte therefore costs a class load, an add, one table load and a compare
+// against one threshold — "did a pattern end here" is state >= outStart —
+// with no failure chain, no hashing and no output-table load unless a
+// pattern did end. The alphabet is compressed to the byte classes that
+// actually occur in the dictionary (plus one shared "absent" class that
+// always leads back to the root), which keeps the table at states × (σ+1)
+// entries instead of states × 256.
+//
+// One scan kernel (kernel.go) walks every text: interleaved lanes over
+// fixed blocks, so the table misses of independent byte chains overlap. It
+// reports the bytes that ended an occurrence, and Scan, MatchInto and
+// Cursor.Feed each replay those hits into their own output form.
 //
 // Matching here is deterministic — no fingerprints, no Las Vegas loop — so
 // the §3.4 checker, a soundness certificate for one-sided errors, cannot
 // vouch for it. The serving layer cross-validates sampled dense results
 // against internal/ahocorasick instead (internal/server/oracle.go), the
-// fuzz target FuzzDenseEquivalence compares all three implementations, and
-// the greedy-parsing-optimality literature (arXiv:1211.5350) is the standing
+// tests and fuzz targets hold every entry point to that oracle, and the
+// greedy-parsing-optimality literature (arXiv:1211.5350) is the standing
 // reminder that a fast path earns trust by agreeing with a slow one, not by
 // replacing it.
 //
@@ -31,6 +40,8 @@ package dense
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/core"
 )
@@ -44,7 +55,8 @@ import (
 const DefaultMaxTableBytes = 256 << 20
 
 // ErrTableTooLarge reports that the dense table would exceed the configured
-// byte budget; the caller should keep serving from the tree-walk matcher.
+// byte budget, or the int32 range of its row offsets; the caller should keep
+// serving from the tree-walk matcher.
 var ErrTableTooLarge = errors.New("dense: transition table exceeds byte budget")
 
 // Options configure compilation.
@@ -55,12 +67,19 @@ type Options struct {
 
 // Automaton is a compiled dense dictionary automaton. It is immutable after
 // Compile/Restore and safe for concurrent readers.
+//
+// A state is named by its row offset, id × width. Ids are BFS order (root
+// 0, children in class order) with every state that has outputs moved after
+// every state that has none, each group keeping BFS order: a state has
+// outputs exactly when its row offset is at least outStart.
 type Automaton struct {
 	numStates int32
 	width     int32       // compressed alphabet size including the absent class
 	symClass  [256]uint16 // byte -> column index; 0 = byte absent from dictionary
-	next      []int32     // numStates × width, goto ∪ failure pre-resolved
-	outOff    []int32     // numStates+1 prefix offsets into outPat
+	next      []int32     // numStates × width row offsets, goto ∪ failure pre-resolved
+	outStart  int32       // row offset of the first state with outputs
+	idMagic   uint64      // ⌈2⁶⁴/width⌉: id = (offset × idMagic) >> 64, no division
+	outOff    []int32     // numStates+1 prefix offsets into outPat, by state id
 	outPat    []int32     // per-state pattern ids ending there, longest first
 	patLen    []int32     // pattern lengths by pattern id
 	maxPatLen int32
@@ -98,6 +117,37 @@ func (a *Automaton) MaxPatternLen() int { return int(a.maxPatLen) }
 // PatternLen returns the length of pattern id.
 func (a *Automaton) PatternLen(id int32) int32 { return a.patLen[id] }
 
+// checkTableSize refuses a table of states × width entries that exceeds the
+// byte budget or whose row offsets would not fit an int32 — the second
+// whatever the budget, since an offset past 2³¹ wraps silently.
+func checkTableSize(states, width, budget int64) error {
+	entries := states * width
+	if entries > math.MaxInt32 {
+		return fmt.Errorf("%w: %d states × %d classes = %d entries, past int32 row offsets",
+			ErrTableTooLarge, states, width, entries)
+	}
+	if entries*4 > budget {
+		return fmt.Errorf("%w: %d states × %d classes = %d bytes (budget %d)",
+			ErrTableTooLarge, states, width, entries*4, budget)
+	}
+	return nil
+}
+
+// setWidth fixes the alphabet width and the reciprocal that maps a row
+// offset back to its state id.
+func (a *Automaton) setWidth(w int32) {
+	a.width = w
+	a.idMagic = math.MaxUint64/uint64(w) + 1
+}
+
+// stateID returns the id of the state at row offset q: q / width, computed
+// as a multiply-high by ⌈2⁶⁴/width⌉, which is exact for every 32-bit q
+// (Lemire, Kaser & Kurz, "Faster remainder by direct computation", 2019).
+func (a *Automaton) stateID(q int32) int32 {
+	hi, _ := bits.Mul64(a.idMagic, uint64(uint32(q)))
+	return int32(hi)
+}
+
 // Compile lowers a pattern set into a dense automaton. Patterns must be
 // non-empty; duplicate patterns collapse onto the first id, matching the
 // convention of both oracles (internal/ahocorasick and internal/core).
@@ -131,13 +181,27 @@ func Compile(patterns [][]byte, opts Options) (*Automaton, error) {
 			width++
 		}
 	}
-	a.width = width
+	a.setWidth(width)
 
-	// Trie pass: states keyed by (parent, class) in a per-state sparse map,
-	// so the dense table is allocated once at its final size.
-	type stateRef struct{ next map[int32]int32 }
-	trie := []stateRef{{next: map[int32]int32{}}}
+	// Trie pass: nodes in creation order, each node's children kept sorted
+	// by class, so a lookup is a binary search and the BFS below visits
+	// children in class order.
+	label := []int32{0} // class of the edge into each node
+	kids := [][]int32{nil}
 	ownOut := []int32{-1}
+	child := func(s, cls int32) (int, bool) {
+		ks := kids[s]
+		lo, hi := 0, len(ks)
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if label[ks[m]] < cls {
+				lo = m + 1
+			} else {
+				hi = m
+			}
+		}
+		return lo, lo < len(ks) && label[ks[lo]] == cls
+	}
 	for id, p := range patterns {
 		a.patLen[id] = int32(len(p))
 		if a.patLen[id] > a.maxPatLen {
@@ -146,77 +210,107 @@ func Compile(patterns [][]byte, opts Options) (*Automaton, error) {
 		s := int32(0)
 		for _, c := range p {
 			cls := int32(a.symClass[c])
-			t, ok := trie[s].next[cls]
+			at, ok := child(s, cls)
 			if !ok {
-				t = int32(len(trie))
-				trie = append(trie, stateRef{next: map[int32]int32{}})
+				t := int32(len(label))
+				label = append(label, cls)
+				kids = append(kids, nil)
 				ownOut = append(ownOut, -1)
-				trie[s].next[cls] = t
+				kids[s] = append(kids[s], 0)
+				copy(kids[s][at+1:], kids[s][at:])
+				kids[s][at] = t
 			}
-			s = t
+			s = kids[s][at]
 		}
 		if ownOut[s] == -1 {
 			ownOut[s] = int32(id) // duplicates keep the first id
 		}
 	}
-	numStates := int32(len(trie))
+	numStates := int32(len(label))
 	a.numStates = numStates
-	if bytes := int64(numStates) * int64(width) * 4; bytes > maxTable {
-		return nil, fmt.Errorf("%w: %d states × %d classes = %d bytes (budget %d)",
-			ErrTableTooLarge, numStates, width, bytes, maxTable)
+	if err := checkTableSize(int64(numStates), int64(width), maxTable); err != nil {
+		return nil, err
 	}
 
-	// BFS pass: pre-resolve goto ∪ failure into the dense table. Processing
-	// states in BFS order means fail[s]'s row is complete before s's row is
-	// built, so a missing transition is a single copy from the failure row —
-	// the standard dense-DFA construction.
-	a.next = make([]int32, int(numStates)*int(width))
+	// BFS pass over the trie: the state order, failure links (a failure
+	// target is shallower, so already resolved) and output-list lengths.
+	// Whether a state has outputs is known here, before any row exists,
+	// which is what lets the rows below be written once, at their final
+	// offsets.
+	order := make([]int32, 1, numStates)
 	fail := make([]int32, numStates)
 	outLen := make([]int32, numStates)
-	queue := make([]int32, 0, numStates)
-	for cls, t := range trie[0].next {
-		a.next[cls] = t
-		queue = append(queue, t)
-	}
-	for qi := 0; qi < len(queue); qi++ {
-		s := queue[qi]
-		row := a.next[int(s)*int(width) : (int(s)+1)*int(width)]
-		failRow := a.next[int(fail[s])*int(width) : (int(fail[s])+1)*int(width)]
-		for cls := int32(0); cls < width; cls++ {
-			if t, ok := trie[s].next[cls]; ok {
-				fail[t] = failRow[cls]
-				row[cls] = t
-				queue = append(queue, t)
-			} else {
-				row[cls] = failRow[cls]
+	for qi := 0; qi < len(order); qi++ {
+		s := order[qi]
+		for _, t := range kids[s] {
+			f := int32(0)
+			if s != 0 {
+				for g := fail[s]; ; g = fail[g] {
+					if at, ok := child(g, label[t]); ok {
+						f = kids[g][at]
+						break
+					}
+					if g == 0 {
+						break
+					}
+				}
 			}
-		}
-		if ownOut[s] != -1 {
-			outLen[s] = outLen[fail[s]] + 1
-		} else {
-			outLen[s] = outLen[fail[s]]
+			fail[t] = f
+			outLen[t] = outLen[f]
+			if ownOut[t] != -1 {
+				outLen[t]++
+			}
+			order = append(order, t)
 		}
 	}
 
-	// Packed output lists: state s reports every pattern that is a suffix of
-	// its path label, longest first (own pattern, then the failure chain's).
-	a.outOff = make([]int32, numStates+1)
+	// Numbering: BFS order, states without outputs first.
+	id := make([]int32, numStates)
+	k := int32(0)
+	for _, s := range order {
+		if outLen[s] == 0 {
+			id[s] = k
+			k++
+		}
+	}
+	a.outStart = k * width
 	total := int32(0)
-	for s := int32(0); s < numStates; s++ {
-		a.outOff[s] = total
-		total += outLen[s]
+	for _, s := range order {
+		if outLen[s] != 0 {
+			id[s] = k
+			k++
+			total += outLen[s]
+		}
+	}
+
+	// Rows and outputs in one BFS-order pass: a missing goto copies the
+	// failure row, which BFS order has already completed, and an output
+	// list is the state's own pattern then its failure state's list —
+	// longest first. Output states come in id order here, so their spans
+	// are laid down consecutively.
+	w := int(width)
+	a.next = make([]int32, int(numStates)*w)
+	a.outOff = make([]int32, numStates+1)
+	a.outPat = make([]int32, 0, total)
+	for _, s := range order {
+		row := a.next[int(id[s])*w : int(id[s]+1)*w]
+		if s != 0 {
+			f := int(id[fail[s]])
+			copy(row, a.next[f*w:(f+1)*w])
+		}
+		for _, t := range kids[s] {
+			row[label[t]] = id[t] * width
+		}
+		if outLen[s] != 0 {
+			a.outOff[id[s]] = int32(len(a.outPat))
+			if ownOut[s] != -1 {
+				a.outPat = append(a.outPat, ownOut[s])
+			}
+			f := id[fail[s]]
+			a.outPat = append(a.outPat, a.outPat[a.outOff[f]:a.outOff[f]+outLen[fail[s]]]...)
+		}
 	}
 	a.outOff[numStates] = total
-	a.outPat = make([]int32, total)
-	for _, s := range queue { // BFS order: fail[s]'s list is already filled
-		off := a.outOff[s]
-		if ownOut[s] != -1 {
-			a.outPat[off] = ownOut[s]
-			off++
-		}
-		f := fail[s]
-		copy(a.outPat[off:a.outOff[s+1]], a.outPat[a.outOff[f]:a.outOff[f+1]])
-	}
 	return a, nil
 }
 
@@ -232,18 +326,23 @@ func CompileDictionary(d *core.Dictionary, opts Options) (*Automaton, error) {
 // performs zero allocations; returning a non-nil error from emit aborts the
 // scan and returns that error.
 func (a *Automaton) Scan(text []byte, emit func(pat int32, from, to int) error) error {
+	h := getHits()
+	defer hitPool.Put(h)
 	s := int32(0)
-	w := int(a.width)
-	next := a.next
-	for i := 0; i < len(text); i++ {
-		s = next[int(s)*w+int(a.symClass[text[i]])]
-		if off, end := a.outOff[s], a.outOff[s+1]; off != end {
-			for _, p := range a.outPat[off:end] {
-				if err := emit(p, i+1-int(a.patLen[p]), i+1); err != nil {
-					return err
+	for off := 0; off < len(text); {
+		var n int
+		n, s = a.kernel(s, text[off:], h)
+		for j := range h.n {
+			for _, x := range h.lane(j) {
+				to := off + int(x.end) + 1
+				for _, p := range a.Outputs(x.state) {
+					if err := emit(p, to-int(a.patLen[p]), to); err != nil {
+						return err
+					}
 				}
 			}
 		}
+		off += n
 	}
 	return nil
 }
@@ -269,27 +368,30 @@ func (a *Automaton) FindAll(text []byte) []Hit {
 // MatchInto fills out (which must have len(text) entries) with the paper's
 // dictionary-matching output: out[i] is the longest pattern starting at i, or
 // core.None. It allocates nothing, so halo-sharded callers can reuse
-// per-shard buffers. The loop is Scan inlined — the emit indirection costs
-// ~20% on match-dense texts.
+// per-shard buffers.
 func (a *Automaton) MatchInto(text []byte, out []core.Match) {
 	for i := range out {
 		out[i] = core.None
 	}
+	h := getHits()
 	s := int32(0)
-	w := int(a.width)
-	next := a.next
-	for i := 0; i < len(text); i++ {
-		s = next[int(s)*w+int(a.symClass[text[i]])]
-		if off, end := a.outOff[s], a.outOff[s+1]; off != end {
-			for _, p := range a.outPat[off:end] {
-				l := a.patLen[p]
-				start := i + 1 - int(l)
-				if out[start].Length < l {
-					out[start] = core.Match{PatternID: p, Length: l}
+	for off := 0; off < len(text); {
+		var n int
+		n, s = a.kernel(s, text[off:], h)
+		for j := range h.n {
+			for _, x := range h.lane(j) {
+				end := off + int(x.end) + 1
+				for _, p := range a.Outputs(x.state) {
+					l := a.patLen[p]
+					if start := end - int(l); out[start].Length < l {
+						out[start] = core.Match{PatternID: p, Length: l}
+					}
 				}
 			}
 		}
+		off += n
 	}
+	hitPool.Put(h)
 }
 
 // Match is the allocating convenience form of MatchInto.

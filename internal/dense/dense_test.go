@@ -1,6 +1,8 @@
 package dense
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -191,7 +193,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // payload either restores to an automaton that still matches correctly (a
 // benign flip — impossible here given full validation plus exact-length
 // framing, but the property we actually need is weaker) or returns an error;
-// it never panics or builds an automaton that indexes out of bounds.
+// it never panics or builds an automaton that indexes out of bounds. A
+// target that is out of range but whose product with the width wraps into
+// range is refused, so the range check comes before the multiply; and a
+// payload in the numbering older encoders wrote is renumbered, not refused.
 func TestRestoreRejectsCorruption(t *testing.T) {
 	patterns := toBytes("abc", "bc", "cab")
 	a := mustCompile(t, patterns)
@@ -214,6 +219,172 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 		// Structurally valid mutant: must still be safe to run.
 		_ = b.Match(text)
 	}
+
+	// Width 4: target 2³⁰ times 4 is 2³² — 0, the root, in 32-bit arithmetic.
+	if a.width != 4 {
+		t.Fatalf("width %d; the wrap below assumes 4", a.width)
+	}
+	wrap := append([]byte(nil), payload...)
+	binary.LittleEndian.PutUint32(wrap[payloadHeaderBytes+4*5:], 1<<30)
+	if _, err := Restore(wrap, patterns); !errors.Is(err, ErrBadPayload) {
+		t.Fatalf("a target that wraps to the root under the multiply: err = %v, want ErrBadPayload", err)
+	}
+
+	old := encodeAs(a, parentIDs(a, patterns))
+	if bytes.Equal(old, payload) {
+		t.Fatal("the older numbering coincides with Compile's here; the check below tests nothing")
+	}
+	b, err := Restore(old, patterns)
+	if err != nil {
+		t.Fatalf("a payload in the older numbering was refused: %v", err)
+	}
+	assertSameMatches(t, a.Match(text), b.Match(text), "renumbered")
+}
+
+// TestRestoreOlderNumbering: encoders before the row-offset layout numbered
+// states in trie-creation order, outputs anywhere. Such payloads — the
+// exact bytes one wrote for the classic dictionary, and Compile's automata
+// re-encoded in that numbering and in plain BFS order — restore to
+// automata that match identically. From BFS order, the renumbering lands on
+// Compile's ids exactly.
+func TestRestoreOlderNumbering(t *testing.T) {
+	classic := toBytes("he", "she", "his", "hers")
+	text := []byte("ushers say hershel is his; she shushes her")
+	b, err := Restore(classicOlderPayload(), classic)
+	if err != nil {
+		t.Fatalf("Restore of an older encoder's bytes: %v", err)
+	}
+	a := mustCompile(t, classic)
+	assertSameMatches(t, a.Match(text), b.Match(text), "older encoder's bytes")
+	if !bytes.Equal(encodeAs(a, parentIDs(a, classic)), classicOlderPayload()) {
+		t.Fatal("encodeAs with parentIDs does not reproduce the older encoder's bytes")
+	}
+
+	gen := textgen.New(29)
+	for trial, patterns := range [][][]byte{classic, gen.Dictionary(40, 1, 9, 5), gen.Dictionary(200, 4, 20, 26)} {
+		a := mustCompile(t, patterns)
+		text := gen.Uniform(2*blockBytes+500, 5)
+		for _, numbering := range []struct {
+			name string
+			ids  []int32
+		}{{"trie order", parentIDs(a, patterns)}, {"bfs order", bfsIDs(a)}} {
+			b, err := Restore(encodeAs(a, numbering.ids), patterns)
+			if err != nil {
+				t.Fatalf("trial %d, %s: %v", trial, numbering.name, err)
+			}
+			assertSameMatches(t, a.Match(text), b.Match(text), numbering.name)
+			if numbering.name == "bfs order" && !bytes.Equal(b.Encode(), a.Encode()) {
+				t.Fatalf("trial %d: a BFS-order payload renumbered to other ids than Compile's", trial)
+			}
+		}
+	}
+}
+
+// classicOlderPayload is the DENSE payload the encoder before the
+// row-offset layout wrote for he/she/his/hers: states in trie-creation
+// order (root, h, he, s, sh, she, hi, his, her, hers), so the output states
+// 2, 5, 7 and 9 are interleaved with the rest.
+func classicOlderPayload() []byte {
+	next := []uint32{
+		0, 0, 1, 0, 0, 3,
+		0, 2, 1, 6, 0, 3,
+		0, 0, 1, 0, 8, 3,
+		0, 0, 4, 0, 0, 3,
+		0, 5, 1, 6, 0, 3,
+		0, 0, 1, 0, 8, 3,
+		0, 0, 1, 0, 0, 7,
+		0, 0, 4, 0, 0, 3,
+		0, 0, 1, 0, 0, 9,
+		0, 0, 4, 0, 0, 3,
+	}
+	outOff := []uint32{0, 0, 0, 1, 1, 1, 3, 3, 4, 4, 5}
+	outPat := []uint32{0, 1, 0, 2, 3}
+	var sym [256]uint16
+	for i, c := range []byte("ehirs") {
+		sym[c] = uint16(i + 1)
+	}
+	return rawPayload(10, 6, 4, sym, next, outOff, outPat)
+}
+
+func rawPayload(states, width, patterns uint32, sym [256]uint16, arrays ...[]uint32) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, states)
+	b = binary.LittleEndian.AppendUint32(b, width)
+	b = binary.LittleEndian.AppendUint32(b, patterns)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(arrays[len(arrays)-1])))
+	for _, c := range sym {
+		b = binary.LittleEndian.AppendUint16(b, c)
+	}
+	for _, arr := range arrays {
+		for _, v := range arr {
+			b = binary.LittleEndian.AppendUint32(b, v)
+		}
+	}
+	return b
+}
+
+// encodeAs encodes a with state s (Compile's id) renamed ids[s].
+func encodeAs(a *Automaton, ids []int32) []byte {
+	n, w := len(ids), int(a.width)
+	byID := make([]int32, n) // payload id -> Compile's id
+	for s, id := range ids {
+		byID[id] = int32(s)
+	}
+	var next, outOff, outPat []uint32
+	for _, s := range byID {
+		for _, t := range a.next[int(s)*w : int(s+1)*w] {
+			next = append(next, uint32(ids[a.stateID(t)]))
+		}
+		outOff = append(outOff, uint32(len(outPat)))
+		for _, p := range a.Outputs(s * a.width) {
+			outPat = append(outPat, uint32(p))
+		}
+	}
+	outOff = append(outOff, uint32(len(outPat)))
+	return rawPayload(uint32(n), uint32(w), uint32(len(a.patLen)), a.symClass, next, outOff, outPat)
+}
+
+// parentIDs numbers a's states in the order a trie built by inserting the
+// patterns one after another creates them: the walk of each pattern from
+// the root follows trie edges only, so first visits are creation order.
+func parentIDs(a *Automaton, patterns [][]byte) []int32 {
+	ids := make([]int32, a.numStates)
+	for i := range ids {
+		ids[i] = -1
+	}
+	ids[0] = 0
+	next := int32(1)
+	for _, p := range patterns {
+		q := int32(0)
+		for _, c := range p {
+			q = a.Step(q, c)
+			if id := a.stateID(q); ids[id] < 0 {
+				ids[id] = next
+				next++
+			}
+		}
+	}
+	return ids
+}
+
+// bfsIDs numbers a's states in BFS order from the root, bytes ascending —
+// the order of a trie BFS with children in class order, since a transition
+// that leaves the trie never reaches a state deeper than its source.
+func bfsIDs(a *Automaton) []int32 {
+	ids := make([]int32, a.numStates)
+	for i := range ids {
+		ids[i] = -1
+	}
+	ids[0] = 0
+	order := []int32{0}
+	for qi := 0; qi < len(order); qi++ {
+		for c := 0; c < 256; c++ {
+			if t := a.Step(order[qi], byte(c)); ids[a.stateID(t)] < 0 {
+				ids[a.stateID(t)] = int32(len(order))
+				order = append(order, t)
+			}
+		}
+	}
+	return ids
 }
 
 // equivCase is one dictionary/text pair of the equivalence corpus.
@@ -255,42 +426,4 @@ func allBytes() []byte {
 		out[i] = byte(i)
 	}
 	return out
-}
-
-func BenchmarkScan(b *testing.B) {
-	gen := textgen.New(5)
-	patterns := gen.Dictionary(64, 4, 12, 26)
-	text := gen.Uniform(1<<20, 26)
-	a, err := Compile(patterns, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(text)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink int64
-	for i := 0; i < b.N; i++ {
-		_ = a.Scan(text, func(pat int32, from, to int) error {
-			sink++
-			return nil
-		})
-	}
-	_ = sink
-}
-
-func BenchmarkMatchInto(b *testing.B) {
-	gen := textgen.New(5)
-	patterns := gen.Dictionary(64, 4, 12, 26)
-	text := gen.Uniform(1<<20, 26)
-	a, err := Compile(patterns, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	out := make([]core.Match, len(text))
-	b.SetBytes(int64(len(text)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.MatchInto(text, out)
-	}
 }

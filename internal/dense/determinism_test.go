@@ -16,6 +16,11 @@ import (
 // The construction is deterministic by design — byte-ordered alphabet
 // compression, pattern-order trie insertion, BFS queue order — and this test
 // is the tripwire for anyone introducing map-iteration order into it.
+//
+// It also pins what the ids are: a state is its row offset, id × width, and
+// the ids are BFS order from the root (re-derived here by a BFS over Step,
+// not from Compile's trie) with the states that have outputs moved after
+// the rest, each group in BFS order.
 func TestCompileDeterministicStateIDs(t *testing.T) {
 	gen := textgen.New(99)
 	random := gen.Dictionary(64, 1, 12, 8)
@@ -33,6 +38,7 @@ func TestCompileDeterministicStateIDs(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			a := mustCompile(t, tc.patterns)
+			checkNumbering(t, a)
 			for trial := 0; trial < 3; trial++ {
 				b := mustCompile(t, tc.patterns)
 				if a.numStates != b.numStates || a.width != b.width || a.maxPatLen != b.maxPatLen {
@@ -67,13 +73,64 @@ func TestCompileDeterministicStateIDs(t *testing.T) {
 	}
 }
 
+// checkNumbering holds a's ids to the rule above.
+func checkNumbering(t *testing.T, a *Automaton) {
+	t.Helper()
+	bfs := bfsIDs(a)
+	order := make([]int32, len(bfs)) // BFS position -> id
+	for id, k := range bfs {
+		order[k] = int32(id)
+	}
+	want := int32(0)
+	for _, outputs := range []bool{false, true} {
+		if outputs && a.outStart != want*a.width {
+			t.Fatalf("outStart = %d, want %d × %d", a.outStart, want, a.width)
+		}
+		for _, id := range order {
+			if q := id * a.width; a.HasOutputs(q) == outputs {
+				if id != want {
+					t.Fatalf("BFS position %d has id %d, want %d", bfs[id], id, want)
+				}
+				if (len(a.Outputs(q)) > 0) != outputs {
+					t.Fatalf("state %d: HasOutputs %v but %d outputs", q, outputs, len(a.Outputs(q)))
+				}
+				want++
+			}
+		}
+	}
+	for i, q := range a.next {
+		if q%a.width != 0 || q < 0 || q >= a.numStates*a.width {
+			t.Fatalf("next[%d] = %d is not a row offset", i, q)
+		}
+	}
+}
+
+// TestStateIDsClassic spells out the numbering on the classic dictionary.
+// BFS order is root, h, s, he, hi, sh, her, his, she, hers; he, his, she and
+// hers have outputs, so they take ids 6–9, and with six classes (absent,
+// e, h, i, r, s) a state is its id × 6.
+func TestStateIDsClassic(t *testing.T) {
+	a := mustCompile(t, toBytes("he", "she", "his", "hers"))
+	want := map[string]int32{"h": 1, "s": 2, "hi": 3, "sh": 4, "her": 5, "he": 6, "his": 7, "she": 8, "hers": 9}
+	for label, id := range want {
+		q := int32(0)
+		for _, c := range []byte(label) {
+			q = a.Step(q, c)
+		}
+		if q != id*6 {
+			t.Errorf("%q: state %d, want %d × 6", label, q, id)
+		}
+	}
+}
+
 // TestStepMatchesScan pins that the incremental surface (Step + Outputs) is
 // the same machine Scan runs: replaying a text byte by byte visits states
-// whose output lists reproduce Scan's emissions exactly, in order.
+// whose output lists reproduce Scan's emissions exactly, in order. The text
+// spans several kernel blocks, so Scan's side runs the lanes.
 func TestStepMatchesScan(t *testing.T) {
 	a := mustCompile(t, toBytes("he", "she", "his", "hers", "ers"))
 	rng := rand.New(rand.NewPCG(3, 5))
-	text := make([]byte, 500)
+	text := make([]byte, 3*blockBytes+500)
 	letters := []byte("hers i")
 	for i := range text {
 		text[i] = letters[rng.IntN(len(letters))]
@@ -91,6 +148,9 @@ func TestStepMatchesScan(t *testing.T) {
 	q := int32(0)
 	for i, b := range text {
 		q = a.Step(q, b)
+		if q%a.width != 0 {
+			t.Fatalf("Step returned %d, not a row offset", q)
+		}
 		if a.HasOutputs(q) != (len(a.Outputs(q)) > 0) {
 			t.Fatalf("HasOutputs(%d) disagrees with Outputs length", q)
 		}

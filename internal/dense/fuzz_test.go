@@ -11,8 +11,9 @@ import (
 
 // FuzzDenseEquivalence checks, for fuzzer-chosen dictionaries and texts —
 // overlapping and nested patterns very much included, since the dictionary
-// is carved from the text's own alphabet — that the compiled dense automaton
-// agrees bit-for-bit with both oracles:
+// is carved from the text's own alphabet, and texts several kernel blocks
+// long — that the compiled dense automaton agrees bit-for-bit with both
+// oracles:
 //
 //   - the naive map-based Aho–Corasick baseline (internal/ahocorasick), and
 //   - the paper's Las Vegas-checked tree-walk matcher (internal/core),
@@ -25,33 +26,16 @@ func FuzzDenseEquivalence(f *testing.F) {
 	f.Add([]byte("aaaaaaaa"), []byte("a\naa\naaa"), uint8(2))
 	f.Add(bytes.Repeat([]byte("abcab"), 40), []byte("ab\nbca\ncabc\nabcab"), uint8(3))
 	f.Add([]byte("xyxyxyx"), []byte("xyx\nyxy"), uint8(4))
+	f.Add([]byte("the lanes split here"), []byte("lane\nes s\nhere"), uint8(5))
 
 	f.Fuzz(func(t *testing.T, rawText, rawDict []byte, sigma uint8) {
 		if len(rawText) > 2048 || len(rawDict) > 256 {
 			return
 		}
-		// Fold both streams onto a small alphabet so patterns actually occur,
-		// overlap and nest; newline splits the dictionary into patterns.
-		s := int(sigma)%8 + 2
-		text := make([]byte, len(rawText))
-		for i, v := range rawText {
-			text[i] = 'a' + v%byte(s)
-		}
-		var patterns [][]byte
-		for _, part := range bytes.Split(rawDict, []byte("\n")) {
-			if len(part) == 0 || len(patterns) >= 24 {
-				continue
-			}
-			p := make([]byte, len(part))
-			for i, v := range part {
-				p[i] = 'a' + v%byte(s)
-			}
-			patterns = append(patterns, p)
-		}
+		text, patterns := fuzzCase(rawText, rawDict, sigma)
 		if len(patterns) == 0 {
 			return
 		}
-
 		a, err := Compile(patterns, Options{})
 		if err != nil {
 			t.Fatalf("Compile: %v", err)
@@ -115,4 +99,33 @@ func FuzzDenseEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzCase is the input folding both fuzz targets share. Text and
+// dictionary are folded onto a small alphabet of sigma%8+2 letters, so
+// patterns actually occur, overlap and nest; newline splits the dictionary
+// into at most 24 patterns. A non-empty text is then tiled, each copy's
+// letters rotated by one more, to at least two kernel blocks and at most
+// one input past that, so every fuzzed text runs the lanes on its blocks
+// and the single lane on any tail (TestFuzzInputsReachLanes).
+func fuzzCase(rawText, rawDict []byte, sigma uint8) ([]byte, [][]byte) {
+	s := int(sigma)%8 + 2
+	var text []byte
+	for k := 0; len(rawText) > 0 && len(text) < 2*blockBytes; k++ {
+		for _, v := range rawText {
+			text = append(text, 'a'+byte((int(v)+k)%s))
+		}
+	}
+	var patterns [][]byte
+	for _, part := range bytes.Split(rawDict, []byte("\n")) {
+		if len(part) == 0 || len(patterns) >= 24 {
+			continue
+		}
+		p := make([]byte, len(part))
+		for i, v := range part {
+			p[i] = 'a' + v%byte(s)
+		}
+		patterns = append(patterns, p)
+	}
+	return text, patterns
 }

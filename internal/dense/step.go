@@ -1,17 +1,18 @@
 package dense
 
 // Incremental stepping surface for compressed-domain matching
-// (internal/czsearch). Scan and MatchInto own the batch loops; a
+// (internal/czsearch). Scan, MatchInto and Cursor own the batch loops; a
 // token-stream consumer instead advances the automaton byte by byte,
 // interleaving transitions with its own history bookkeeping, and relies on
 // the DFA invariant that the state after consuming text w is determined by
-// the last MaxPatternLen() bytes of w alone. All three methods are
+// the last MaxPatternLen() bytes of w alone. States are row offsets, root
+// 0, and a pure function of the pattern list. All three methods are
 // allocation-free; Outputs returns a view into the packed output table.
 
-// Step returns the state reached from q on input byte b — one pre-resolved
-// goto∪failure table load, exactly the transition Scan performs per byte.
+// Step returns the state reached from q on input byte b — a class load and
+// one table load, exactly the transition the scan kernel performs per byte.
 func (a *Automaton) Step(q int32, b byte) int32 {
-	return a.next[int(q)*int(a.width)+int(a.symClass[b])]
+	return a.next[q+int32(a.symClass[b])]
 }
 
 // Outputs returns the pattern ids ending at state q, longest first — the
@@ -19,11 +20,12 @@ func (a *Automaton) Step(q int32, b byte) int32 {
 // returned slice aliases the automaton's packed table and must not be
 // modified.
 func (a *Automaton) Outputs(q int32) []int32 {
-	return a.outPat[a.outOff[q]:a.outOff[q+1]]
+	id := a.stateID(q)
+	return a.outPat[a.outOff[id]:a.outOff[id+1]]
 }
 
-// HasOutputs reports whether any pattern ends at state q, without touching
-// the output table — the per-byte fast-path check.
+// HasOutputs reports whether any pattern ends at state q: the states with
+// outputs are numbered last, so this is one compare against a threshold.
 func (a *Automaton) HasOutputs(q int32) bool {
-	return a.outOff[q] != a.outOff[q+1]
+	return q >= a.outStart
 }

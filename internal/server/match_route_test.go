@@ -273,11 +273,12 @@ func clip(b []byte) []byte {
 }
 
 // TestMatchRouteAllocation: a warmed dense /match over a 256 KiB text
-// allocates no per-position or per-body storage — its body, text, events
-// and reply live in pooled buffers — and a request larger than the pools'
-// cap leaves nothing above the cap behind in them.
+// allocates no per-position or per-body storage — its body, text, events,
+// reply and the scan kernel's 32 KiB of hit lists live in pooled buffers,
+// leaving about 1 KB, most of it the cursor's ring — and a request larger
+// than the pools' cap leaves nothing above the cap behind in them.
 func TestMatchRouteAllocation(t *testing.T) {
-	const ceiling = 64 << 10
+	const ceiling = 4 << 10
 	srv, err := New(Config{Procs: 1, DenseMode: DenseAuto, Log: quietLogger()})
 	if err != nil {
 		t.Fatal(err)
