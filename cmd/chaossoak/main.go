@@ -558,9 +558,10 @@ func (z *czTraffic) check() error {
 }
 
 // engineTally counts completed /match/stream requests by the engine their
-// summary names: "tree" until the background compile publishes, "dense" —
-// the carried-state cursor — after, "reference" when a sampled oracle turn
-// diverged and its events were served.
+// summary names: "dense" — the carried-state cursor of an entry published
+// with its automaton — "tree" under -dense=off or a table over budget,
+// "reference" when a sampled oracle turn diverged and its events were
+// served.
 type engineTally struct{ dense, tree, reference atomic.Int64 }
 
 func (e *engineTally) report() string {

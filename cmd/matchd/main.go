@@ -5,13 +5,13 @@
 // Usage:
 //
 //	matchd [-addr :8080] [-procs N] [-max-dicts N] [-max-inflight N] \
-//	       [-timeout 30s] [-max-body BYTES] [-segment BYTES] [-stream-window BYTES] \
-//	       [-cache-dir DIR] [-dense off|on|auto] [-dense-max-table BYTES] \
+//	       [-timeout 30s] [-max-body BYTES] [-stream-window BYTES] \
+//	       [-cache-dir DIR] [-dense on|off] [-dense-max-table BYTES] \
 //	       [-pprof-addr ADDR] [-chaos-seed N -chaos-plan SPEC] \
 //	       [-cluster-peers LIST -cluster-self NAME] [-replicas N] \
-//	       [-hedge-after D] [-cluster-redirect] [-quota-per-tenant N] \
+//	       [-hedge-after D] [-quota-per-tenant N] \
 //	       [-breaker-failures N] [-breaker-cooldown D] [-retry-budget PCT] \
-//	       [-hop-floor D] [-rpc-fault-admin] [-rpc-chaos-seed N -rpc-chaos-plan SPEC]
+//	       [-hop-floor D] [-rpc-fault-admin]
 //
 // Endpoints (JSON bodies; binary payloads base64 in "textB64"/"dataB64"):
 //
@@ -37,23 +37,23 @@
 //	POST /v1/dicts/{id}/snapshot  serialize a resident dictionary → {"key": ...}
 //	POST /v1/dicts/restore        {"key": ...} → load a snapshot into the registry
 //
-// Dense serving (-dense, default auto): each registered dictionary is
-// compiled into a flat-table automaton (internal/dense) and
-// /v1/dicts/{id}/match answers from it deterministically; until the
-// background compile lands — or if the table would exceed -dense-max-table —
-// requests fall back to the Las Vegas tree walk. Sampled dense results are
-// cross-validated against a reference Aho–Corasick automaton built on the
-// entry's first sampled request. Snapshots written with -cache-dir carry the
-// compiled form (DENSE section), so a restart skips compilation too. The
-// response's "engine" field and the /metrics "dense" section show which path
-// served.
+// Dense serving (-dense, default on): POST /v1/dicts compiles each
+// dictionary into a flat-table automaton (internal/dense) before it answers,
+// and the match routes serve from it deterministically from the first
+// request on. Under -dense off, or when the table would exceed
+// -dense-max-table, the dictionary is published without one and the Las
+// Vegas tree walk serves it. Sampled dense results are cross-validated
+// against a reference Aho–Corasick automaton built on the entry's first
+// sampled request. Snapshots written with -cache-dir carry the compiled form
+// (DENSE section), so a restart skips compilation too. The response's
+// "engine" field and the /metrics "dense" section show which path served.
 //
 // Profiling (-pprof-addr, off by default): when set, net/http/pprof is
 // served on a SEPARATE listener at that address (e.g. localhost:6060) —
 // never on the service port, so profiling is not exposed where the API is.
 //
 // Streaming endpoints (raw bodies, no -max-body cap, no request deadline —
-// resident memory is bounded by -segment, not by the text):
+// resident memory is bounded by the 1 MiB segment, not by the text):
 //
 //	POST /v1/dicts/{id}/match/stream   text bytes in → NDJSON events out,
 //	                                   flushed per segment; "?segment=N"
@@ -67,13 +67,13 @@
 // the same static peer table form a sharded, replicated cluster. Dictionary
 // IDs become content addresses (the snapshot key of the pattern set), placed
 // on -replicas owners by consistent hashing; any node answers any request —
-// non-owners proxy (or 307-redirect with -cluster-redirect) to an owner,
-// owners missing a dictionary pull its DMSNAP bundle from a peer's GET
-// /v1/dicts/{id}/snapshot with zero re-preprocessing. Proxied requests hedge
-// a second replica after -hedge-after; peers failing /readyz probes are
-// skipped. GET /v1/cluster reports membership, health and placement, and
-// /metrics gains a "cluster" section. -quota-per-tenant additionally caps
-// concurrent requests per X-Tenant header value on every node, e.g.
+// non-owners proxy to an owner, owners missing a dictionary pull its DMSNAP
+// bundle from a peer's GET /v1/dicts/{id}/snapshot with zero
+// re-preprocessing. Proxied requests hedge a second replica after
+// -hedge-after; peers failing /readyz probes are skipped. GET /v1/cluster
+// reports membership, health and placement, and /metrics gains a "cluster"
+// section. -quota-per-tenant additionally caps concurrent requests per
+// X-Tenant header value on every node, e.g.
 //
 //	matchd -addr :8081 -cluster-self n1 -cache-dir /var/a \
 //	    -cluster-peers 'n1=http://10.0.0.1:8081,n2=http://10.0.0.2:8081,n3=http://10.0.0.3:8081' \
@@ -95,9 +95,8 @@
 // serves, and injected faults. For chaos drills, -rpc-fault-admin mounts
 // POST /v1/rpcfaults to inject wire faults (connection refusal,
 // black-hole, delay, mid-body reset — per-peer, so partitions can be
-// asymmetric) into the outbound pool at runtime; -rpc-chaos-plan installs
-// such a plan at startup. Unlike -chaos-plan, rpc.* faults work in any
-// build.
+// asymmetric) into the outbound pool at runtime. Unlike -chaos-plan, rpc.*
+// faults work in any build.
 //
 // The process drains in-flight requests and exits cleanly on SIGINT or
 // SIGTERM.
@@ -138,25 +137,21 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 256, "concurrent requests before shedding with 429")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline")
 	maxBody := flag.Int64("max-body", 32<<20, "request body limit in bytes (buffered endpoints only)")
-	segment := flag.Int("segment", 1<<20, "streaming endpoints: fresh text bytes per window")
 	streamWindow := flag.Int("stream-window", 0, "streaming decompress: retained history bytes (0 = unbounded)")
 	cacheDir := flag.String("cache-dir", "", "snapshot cache directory: warm start from it and write preprocessed dictionaries through ('' = off)")
-	denseMode := flag.String("dense", "auto", "dense serving path: off (tree walk only), on (compile at registration), auto (background compile, tree walk until ready)")
+	denseMode := flag.String("dense", "on", "dense serving path: on (compile at registration, before the dictionary is published) or off (tree walk only)")
 	denseMaxTable := flag.Int64("dense-max-table", 0, "dense transition-table byte budget per dictionary (0 = 256 MiB); over-budget dictionaries stay on the tree walk")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate address, e.g. localhost:6060 ('' = off)")
 	clusterPeers := flag.String("cluster-peers", "", "static cluster membership as 'name=url,...' (or bare URLs); '' = single-node mode")
 	clusterSelf := flag.String("cluster-self", "", "this node's name in -cluster-peers (required with -cluster-peers)")
 	replicas := flag.Int("replicas", 2, "cluster: owners per dictionary (clamped to the peer count)")
 	hedgeAfter := flag.Duration("hedge-after", 25*time.Millisecond, "cluster: latency budget before a proxied request hedges a second replica")
-	clusterRedirect := flag.Bool("cluster-redirect", false, "cluster: answer non-owned buffered requests with 307 to an owner instead of proxying")
 	quotaPerTenant := flag.Int("quota-per-tenant", 0, "concurrent requests allowed per X-Tenant value before shedding with 429 (0 = off)")
 	breakerFailures := flag.Int("breaker-failures", 5, "cluster: consecutive outbound RPC failures before a peer's circuit breaker opens (0 = breakers off)")
 	breakerCooldown := flag.Duration("breaker-cooldown", time.Second, "cluster: open-breaker dwell before a half-open trial is admitted")
 	retryBudget := flag.Int("retry-budget", 10, "cluster: retries allowed as a percent of outbound request rate (0 = retries off)")
 	hopFloor := flag.Duration("hop-floor", 5*time.Millisecond, "cluster: minimum propagated deadline budget; requests arriving with less are shed with 503 (0 = off)")
 	rpcFaultAdmin := flag.Bool("rpc-fault-admin", false, "cluster: mount POST/GET /v1/rpcfaults for wire-fault injection (chaos drills only; never expose in production)")
-	rpcChaosPlan := flag.String("rpc-chaos-plan", "", "cluster: install an rpc.* wire-fault plan at startup, e.g. 'rpc.delay.n2:p=0.1,delay=5ms' (works in any build)")
-	rpcChaosSeed := flag.Uint64("rpc-chaos-seed", 0, "seed for the -rpc-chaos-plan fault schedule")
 	chaosSeed := flag.Uint64("chaos-seed", 0, "seed for the -chaos-plan fault schedule")
 	chaosPlan := flag.String("chaos-plan", "", "deterministic fault-injection plan, e.g. 'fp.collide:p=0.001;pool.delay:p=0.01,delay=1ms' (requires a -tags chaos build)")
 	flag.Parse()
@@ -193,7 +188,6 @@ func main() {
 		MaxInflight:    *maxInflight,
 		RequestTimeout: *timeout,
 		MaxBodyBytes:   *maxBody,
-		SegmentBytes:   *segment,
 		StreamWindow:   *streamWindow,
 		CacheDir:       *cacheDir,
 		Log:            log.Default(),
@@ -205,7 +199,6 @@ func main() {
 		ClusterPeers:      peers,
 		ClusterReplicas:   *replicas,
 		ClusterHedgeAfter: *hedgeAfter,
-		ClusterRedirect:   *clusterRedirect,
 		QuotaPerTenant:    *quotaPerTenant,
 
 		BreakerFailures: *breakerFailures,
@@ -213,8 +206,6 @@ func main() {
 		RetryBudgetPct:  *retryBudget,
 		HopFloor:        *hopFloor,
 		RPCFaultAdmin:   *rpcFaultAdmin,
-		RPCChaosPlan:    *rpcChaosPlan,
-		RPCChaosSeed:    *rpcChaosSeed,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -234,7 +225,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	err = srv.Run(ctx)
-	srv.Close() // stop cluster health probes, wait out background compiles
+	srv.Close() // stop cluster health probes
 	if err != nil {
 		log.Fatal(err)
 	}

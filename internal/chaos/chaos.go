@@ -112,13 +112,13 @@ const (
 
 	// The rpc.* family is consulted by the cluster RPC transport
 	// (internal/resilience), not through the build-tag hooks: the transport
-	// holds its own Plan (installed via matchd -rpc-chaos-plan or POST
-	// /v1/rpcfaults) and calls Decide directly, so wire faults are available
-	// in any build — they never touch the hot single-node paths the hooks
-	// guard. Each point also matches with a ".<peerName>" suffix
-	// (e.g. "rpc.refuse.n2"), scoping the fault to one destination; rules
-	// installed on only one side of a link produce an asymmetric partition
-	// (A→B dead, B→A alive).
+	// holds its own Plan (installed at runtime via POST /v1/rpcfaults,
+	// behind matchd -rpc-fault-admin) and calls Decide directly, so wire
+	// faults are available in any build — they never touch the hot
+	// single-node paths the hooks guard. Each point also matches with a
+	// ".<peerName>" suffix (e.g. "rpc.refuse.n2"), scoping the fault to one
+	// destination; rules installed on only one side of a link produce an
+	// asymmetric partition (A→B dead, B→A alive).
 
 	// RPCRefuse fails an outbound request before dialing — connection
 	// refused, the dead-process failure mode.

@@ -45,7 +45,6 @@ type clusterState struct {
 	hedger     *cluster.Hedger
 	pool       *resilience.Pool // shared outbound transport: breakers, budget, faults
 	client     *http.Client     // proxy/replication client over pool; no global timeout (ctx-bound)
-	redirect   bool
 
 	// Replication-pull singleflight: one fetch per missing id no matter how
 	// many requests arrive for it at once.
@@ -87,17 +86,11 @@ func newClusterState(cfg *Config, mt *Metrics) (*clusterState, error) {
 		RetryBudgetPct:  cfg.RetryBudgetPct,
 		HopFloor:        cfg.HopFloor,
 	}, rpeers)
-	if cfg.RPCChaosPlan != "" {
-		if err := pool.SetFaults(cfg.RPCChaosSeed, cfg.RPCChaosPlan); err != nil {
-			return nil, err
-		}
-	}
 	c := &clusterState{
 		membership: m,
 		health:     cluster.NewHealth(others, &http.Client{Transport: pool, Timeout: probeClientTimeout}, cfg.ClusterProbeInterval),
 		pool:       pool,
 		client:     pool.Client(),
-		redirect:   cfg.ClusterRedirect,
 		pulls:      make(map[string]*replicaPull),
 	}
 	c.hedger = &cluster.Hedger{
@@ -136,9 +129,9 @@ func keyFromID(id string) (persist.Key, bool) {
 // clusterDict is the routing middleware for dictionary-scoped routes. An
 // owner (or a node answering an already-routed request) serves locally,
 // pulling the dictionary from a peer first if it is not resident; a
-// non-owner proxies to the owners with hedging, or 307-redirects when
-// configured. streaming routes proxy to a single owner — their bodies are
-// unbounded and cannot be replayed for a hedge.
+// non-owner proxies to the owners with hedging. streaming routes proxy to a
+// single owner — their bodies are unbounded and cannot be replayed for a
+// hedge.
 func (s *Server) clusterDict(streaming bool, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		c := s.cluster
@@ -217,12 +210,6 @@ func (s *Server) routeAway(w http.ResponseWriter, r *http.Request, id string, st
 		}
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, "no reachable owner for dictionary %q", id)
-		return
-	}
-	if c.redirect && !streaming {
-		s.metrics.clusterRedirected.Add(1)
-		// 307 preserves method and body; the client re-sends to the owner.
-		http.Redirect(w, r, owners[0].URL+r.URL.RequestURI(), http.StatusTemporaryRedirect)
 		return
 	}
 	if streaming {
@@ -569,19 +556,14 @@ func (s *Server) pullReplica(ctx context.Context, id string) (*Entry, error) {
 		s.metrics.clusterReplPulls.Add(1)
 		s.metrics.clusterReplBytes.Add(int64(len(data)))
 		s.metrics.recordLoad(time.Since(start))
+		aut, compiled := s.automatonFor(d, aut)
 		if isKey && s.store != nil {
-			if n, err := s.store.PutBytes(key, data); err != nil {
-				s.cfg.Log.Printf("cluster: persisting pulled bundle %s failed: %v", id, err)
-			} else {
-				s.metrics.recordSave(n)
+			if compiled {
+				data = persist.EncodeBundle(d, aut) // persisted once, with DENSE
 			}
+			s.recordPut(s.store.PutBytes(key, data))
 		}
 		e, _ := s.reg.Insert(id, d, aut, "replica", id, time.Since(start).Nanoseconds())
-		if isKey {
-			s.armDense(e, s.denseUpgradeFunc(e, key))
-		} else {
-			s.armDense(e, nil)
-		}
 		s.cfg.Log.Printf("cluster: pulled %s from %s (%d bytes)", id, p.Name, len(data))
 		return e, nil
 	}
@@ -684,7 +666,6 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 func (s *Server) clusterMetrics() clusterSnapshot {
 	snap := clusterSnapshot{
 		Proxied:          s.metrics.clusterProxied.Load(),
-		Redirected:       s.metrics.clusterRedirected.Load(),
 		Hedged:           s.metrics.clusterHedged.Load(),
 		HedgeWon:         s.metrics.clusterHedgeWon.Load(),
 		ReplicationPulls: s.metrics.clusterReplPulls.Load(),

@@ -307,7 +307,7 @@ func TestClusterReplicaConsistency(t *testing.T) {
 		if !ok {
 			continue
 		}
-		a := e.denseAut.Load()
+		a := e.aut
 		if a == nil {
 			t.Fatalf("node %s holds %s without a dense automaton despite DenseOn", nd.name, created.ID)
 		}

@@ -87,9 +87,8 @@ func (r czRunner) engine(st czsearch.Stats) string {
 }
 
 // czPrepare validates the container header on body and returns the runner
-// for the fastest correct engine. aut is the caller's automaton decision
-// (servingAutomaton), passed in so the engine choice and the caller's sampling
-// decision cannot disagree.
+// for the fastest correct engine. aut is the entry's automaton, nil when the
+// tree walk serves it.
 func (s *Server) czPrepare(e *Entry, aut *dense.Automaton, body io.Reader) (czRunner, error) {
 	if aut != nil {
 		dec, err := lz.NewDecoder(body)
@@ -115,7 +114,7 @@ func (s *Server) czPrepare(e *Entry, aut *dense.Automaton, body io.Reader) (czRu
 	}
 	return czRunner{n: f.N(), tree: true, run: func(ctx context.Context, sink czsearch.Sink) (czsearch.Stats, error) {
 		tm := entryMatcher{e: e, procs: s.cfg.Procs, mt: s.metrics}
-		return f.Run(ctx, tm, stream.Config{SegmentBytes: s.cfg.SegmentBytes}, sink)
+		return f.Run(ctx, tm, stream.Config{}, sink)
 	}}, nil
 }
 
@@ -183,7 +182,7 @@ func (s *Server) handleMatchCompressed(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	aut := s.servingAutomaton(e)
+	aut := e.aut
 	verify := aut != nil && sampled(&e.czReqs)
 	body := io.Reader(r.Body)
 	var tee *cappedTee
@@ -305,7 +304,7 @@ func (s *Server) handleMatchCompressedBuffered(w http.ResponseWriter, r *http.Re
 		return
 	}
 
-	aut := s.servingAutomaton(e)
+	aut := e.aut
 	run, err := s.czPrepare(e, aut, bytes.NewReader(data))
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "bad LZ1R1 stream: %v", err)

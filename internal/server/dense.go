@@ -9,114 +9,54 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dense"
-	"repro/internal/persist"
 	"repro/internal/pram"
 	"repro/internal/stream"
 )
 
-// Dense serving path. A registered dictionary is lowered to a compiled
-// internal/dense automaton — synchronously in mode "on", in the background in
-// mode "auto" — and published onto the entry with an atomic pointer swap, the
-// same publish discipline the circuit breaker uses for degraded state:
-// requests either see nil (serve the tree walk) or a fully built automaton,
-// never a partial one. The tree-walk Las Vegas matcher stays resident as the
-// fallback for entries without an automaton; what an automaton serves is
-// sampled against the reference oracle (oracle.go), and a divergence is
-// counted, logged, and answered with the oracle's result.
+// Dense serving path. Every registration publishes its dictionary with the
+// compiled internal/dense automaton already on the entry — restored from the
+// bundle's DENSE section or compiled synchronously before Registry.Insert —
+// so an entry never changes engine after it is published: it serves from the
+// automaton, or from the tree-walk Las Vegas matcher when there is none
+// (-dense off, or a table over budget). What an automaton serves is sampled
+// against the reference oracle (oracle.go), and a divergence is counted,
+// logged, and answered with the oracle's result.
 
 // Dense serving modes (Config.DenseMode).
 const (
-	DenseOff  = "off"  // never compile, always tree walk
-	DenseOn   = "on"   // compile synchronously at registration
-	DenseAuto = "auto" // compile in the background; tree walk until ready
+	DenseOff = "off" // never compile, always tree walk
+	DenseOn  = "on"  // compile at registration, before the entry is published
 )
-
-// validDenseMode reports whether s names a dense serving mode.
-func validDenseMode(s string) bool {
-	return s == DenseOff || s == DenseOn || s == DenseAuto
-}
 
 // denseOptions builds the compile options from the server config.
 func (s *Server) denseOptions() dense.Options {
 	return dense.Options{MaxTableBytes: s.cfg.DenseMaxTableBytes}
 }
 
-// armDense starts (or performs) dense compilation for a freshly registered
-// entry according to the serving mode. A snapshot-restored automaton is
-// already on the entry and counts as a dense load, not a compile. upgrade,
-// when non-nil, runs after a successful background compile with the new
-// automaton — the create path uses it to rewrite the cached snapshot as a
-// DENSE-bearing bundle so the next boot skips compilation too.
-func (s *Server) armDense(e *Entry, upgrade func(*dense.Automaton)) {
+// automatonFor returns the automaton d is published with: aut when its
+// bundle carried one, else a synchronous compile. It is nil under -dense off
+// and when the compile is refused (typically ErrTableTooLarge), and then the
+// entry serves from the tree walk for good. compiled reports that a compile
+// ran here — the cue to write a cached bundle back with its DENSE section.
+func (s *Server) automatonFor(d *core.Dictionary, aut *dense.Automaton) (a *dense.Automaton, compiled bool) {
 	if s.cfg.DenseMode == DenseOff {
-		return
+		return nil, false
 	}
-	if e.denseAut.Load() != nil {
+	if aut != nil {
 		s.metrics.denseLoads.Add(1)
-		return
+		return aut, false
 	}
-	if !e.denseElect.CompareAndSwap(false, true) {
-		return // another path already compiled or is compiling
-	}
-	if s.cfg.DenseMode == DenseOn {
-		s.compileDense(e, upgrade)
-		return
-	}
-	s.background(func() { s.compileDense(e, upgrade) })
-}
-
-// compileDense lowers the entry's dictionary and publishes the automaton.
-// Failure (typically ErrTableTooLarge) is terminal for the entry: it keeps
-// serving from the tree walk forever, which is exactly the fallback story.
-func (s *Server) compileDense(e *Entry, upgrade func(*dense.Automaton)) {
-	e.mu.RLock()
-	dict := e.dict
-	e.mu.RUnlock()
 	start := time.Now()
-	a, err := dense.CompileDictionary(dict, s.denseOptions())
+	a, err := dense.CompileDictionary(d, s.denseOptions())
 	if err != nil {
 		s.metrics.denseCompileFails.Add(1)
-		e.logf("entry %s: dense compile refused: %v; serving from tree walk", e.ID, err)
-		return
+		s.cfg.Log.Printf("dense compile of %d patterns refused: %v; serving from tree walk", len(d.Patterns), err)
+		return nil, false
 	}
-	e.denseAut.Store(a)
 	s.metrics.denseCompiles.Add(1)
 	s.metrics.denseCompileNanos.Add(time.Since(start).Nanoseconds())
 	s.metrics.denseTableBytes.Add(a.Stats().TableBytes)
-	if upgrade != nil {
-		upgrade(a)
-	}
-}
-
-// denseUpgradeFunc returns the post-compile hook that rewrites the cached
-// snapshot under key as a DENSE-bearing bundle, or nil when there is no
-// store. The encode runs under the entry's read lock so a concurrent reseed
-// cannot tear the dictionary state.
-func (s *Server) denseUpgradeFunc(e *Entry, key persist.Key) func(*dense.Automaton) {
-	if s.store == nil {
-		return nil
-	}
-	return func(a *dense.Automaton) {
-		e.mu.RLock()
-		data := persist.EncodeBundle(e.dict, a)
-		e.mu.RUnlock()
-		if n, err := s.store.PutBytes(key, data); err != nil {
-			e.logf("entry %s: dense snapshot upgrade failed: %v", e.ID, err)
-		} else {
-			s.metrics.recordSave(n)
-		}
-	}
-}
-
-// servingAutomaton returns the entry's compiled automaton when requests
-// should be served from it — it is published and -dense is not off — and
-// nil when they get the tree walk. It is the one engine rule: buffered
-// matches, streams and compressed scans all ask it.
-func (s *Server) servingAutomaton(e *Entry) *dense.Automaton {
-	if s.cfg.DenseMode == DenseOff {
-		return nil
-	}
-	return e.denseAut.Load()
+	return a, true
 }
 
 // Engine labels for matchResponse.Engine.
@@ -137,7 +77,7 @@ const (
 // contents and into its storage.
 func (s *Server) serveMatch(ctx context.Context, e *Entry, text []byte, buf []stream.MatchEvent) ([]stream.MatchEvent, int, string, error) {
 	evs := buf[:0]
-	a := s.servingAutomaton(e)
+	a := e.aut
 	if a == nil {
 		if s.cfg.DenseMode != DenseOff {
 			s.metrics.denseFallback.Add(1)

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dense"
 	"repro/internal/lz"
 	"repro/internal/persist"
 	"repro/internal/pram"
@@ -383,22 +382,13 @@ func (s *Server) handleDictCreate(w http.ResponseWriter, r *http.Request) {
 	dict := core.Preprocess(m, patterns, opts)
 	prepNs := time.Since(start).Nanoseconds()
 	s.metrics.ChargePRAM("preprocess", m.Work(), m.Depth())
-	// Write through before publishing the entry: the dictionary is still
-	// private here, so encoding cannot race a concurrent reseed.
-	if s.store != nil {
-		if n, err := s.store.Put(key, dict); err != nil {
-			s.cfg.Log.Printf("snapshot write-through failed: %v", err)
-			keyHex = ""
-		} else {
-			s.metrics.recordSave(n)
-		}
+	aut, _ := s.automatonFor(dict, nil)
+	// Write through before publishing the entry, automaton included: the
+	// dictionary is still private here, so encoding cannot race a reseed.
+	if s.store != nil && !s.recordPut(s.store.PutBundle(key, dict, aut)) {
+		keyHex = ""
 	}
-	entry, evicted := s.reg.Insert(id, dict, nil, "preprocess", keyHex, prepNs)
-	var upgrade func(*dense.Automaton)
-	if keyHex != "" {
-		upgrade = s.denseUpgradeFunc(entry, key)
-	}
-	s.armDense(entry, upgrade)
+	entry, evicted := s.reg.Insert(id, dict, aut, "preprocess", keyHex, prepNs)
 	writeJSON(w, http.StatusCreated, dictCreateResponse{
 		ID:          entry.ID,
 		Patterns:    entry.NumPatterns,

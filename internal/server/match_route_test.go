@@ -49,39 +49,6 @@ func fireMatch(t *testing.T, base, id string, text []byte) (int, []byte) {
 	return postJSON(t, base+"/v1/dicts/"+id+"/match", map[string]any{"text": string(text)})
 }
 
-// TestMatchBeforeCompilePublishes is TestStreamBeforeCompilePublishes for
-// the buffered route: under -dense auto a match that arrives before the
-// background compile has published is served by the tree walk, says so, and
-// counts as a dense fallback; the next one, after the publish, is dense.
-func TestMatchBeforeCompilePublishes(t *testing.T) {
-	srv, base, shutdown := startServer(t, Config{Addr: "127.0.0.1:0", Procs: 1, DenseMode: DenseAuto})
-	defer func() {
-		if err := shutdown(); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-	}()
-	patterns := [][]byte{[]byte("abra"), []byte("cad")}
-	e := registerWithAutomaton(srv, patterns, nil) // compile pending
-
-	st, body := fireMatch(t, base, e.ID, []byte("abracadabra"))
-	if st != http.StatusOK || !bytes.Contains(body, []byte(`"engine":"tree"`)) || !bytes.Contains(body, []byte(`"matched":3`)) {
-		t.Fatalf("before publish: %d %s", st, body)
-	}
-	if d := srv.Metrics().Snapshot(srv.Registry(), srv.Limiter()).Dense; d.Fallback != 1 || d.Served != 0 {
-		t.Fatalf("dense counters before publish: %+v", d)
-	}
-
-	aut, err := dense.Compile(patterns, dense.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.denseAut.Store(aut)
-	st, body = fireMatch(t, base, e.ID, []byte("abracadabra"))
-	if st != http.StatusOK || !bytes.Contains(body, []byte(`"engine":"dense"`)) || !bytes.Contains(body, []byte(`"matched":3`)) {
-		t.Fatalf("after publish: %d %s", st, body)
-	}
-}
-
 // TestMatchConcurrentOracleCadence: 64 concurrent 64 B matches against a
 // dense entry are each answered as the same request sent alone would be, and
 // are counted and oracle-sampled as dense requests exactly once each —
@@ -241,7 +208,7 @@ func TestMatchShardingExact(t *testing.T) {
 			aut    *dense.Automaton
 		}{{engineDense, good}, {engineTree, nil}, {engineReference, wrong}} {
 			t.Run(fmt.Sprintf("procs%d/%s", procs, tc.engine), func(t *testing.T) {
-				srv, err := New(Config{Procs: procs, DenseMode: DenseAuto, Log: quietLogger()})
+				srv, err := New(Config{Procs: procs, DenseMode: DenseOn, Log: quietLogger()})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -279,7 +246,7 @@ func clip(b []byte) []byte {
 // than the pools' cap leaves nothing above the cap behind in them.
 func TestMatchRouteAllocation(t *testing.T) {
 	const ceiling = 4 << 10
-	srv, err := New(Config{Procs: 1, DenseMode: DenseAuto, Log: quietLogger()})
+	srv, err := New(Config{Procs: 1, DenseMode: DenseOn, Log: quietLogger()})
 	if err != nil {
 		t.Fatal(err)
 	}

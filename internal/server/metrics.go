@@ -205,19 +205,17 @@ type Metrics struct {
 	czVerifyFail       atomic.Int64
 
 	// Cluster mode (cluster.go). clusterProxied counts requests this node
-	// forwarded to an owner (create forwards included); clusterRedirected
-	// the 307s sent instead when redirect mode is on; clusterHedged the
+	// forwarded to an owner (create forwards included); clusterHedged the
 	// proxied requests that fired a timer-triggered second copy and
 	// clusterHedgeWon those where that extra copy answered first;
 	// clusterReplPulls/clusterReplBytes the snapshot bundles pulled from
 	// peers to fill local gaps. Peer health transitions live on the
 	// cluster.Health tracker and are copied into the snapshot.
-	clusterProxied    atomic.Int64
-	clusterRedirected atomic.Int64
-	clusterHedged     atomic.Int64
-	clusterHedgeWon   atomic.Int64
-	clusterReplPulls  atomic.Int64
-	clusterReplBytes  atomic.Int64
+	clusterProxied   atomic.Int64
+	clusterHedged    atomic.Int64
+	clusterHedgeWon  atomic.Int64
+	clusterReplPulls atomic.Int64
+	clusterReplBytes atomic.Int64
 }
 
 // pramAlgos is the fixed set of ledger keys. Registration charges
@@ -358,7 +356,6 @@ type clusterSnapshot struct {
 	OwnedDicts       int    `json:"ownedDicts"`
 	ReplicatedDicts  int    `json:"replicatedDicts"`
 	Proxied          int64  `json:"proxied"`
-	Redirected       int64  `json:"redirected"`
 	Hedged           int64  `json:"hedged"`
 	HedgeWon         int64  `json:"hedgeWon"`
 	ReplicationPulls int64  `json:"replicationPulls"`

@@ -62,10 +62,10 @@ func metricsSnapshot(t *testing.T, base string) MetricsSnapshot {
 // is a cache hit, again with no preprocessing; and the loaded dictionary
 // answers matches identically to the one that was preprocessed.
 func TestCacheWarmStartAndHit(t *testing.T) {
-	// Every server in this file runs DenseOff: these tests pin exact save
-	// counts and on-disk snapshot bytes, which the background dense compile's
-	// write-through upgrade would perturb. DENSE-section persistence is
-	// covered by persist's bundle tests and TestDenseSnapshotWarmStart.
+	// Every server in this file runs DenseOff: these tests pin on-disk
+	// snapshot bytes to the dictionary sections alone. DENSE-section
+	// persistence is covered by persist's bundle tests,
+	// TestDenseSnapshotWarmStart and TestWarmStartCompilesDenselessBundleOnce.
 	dir := t.TempDir()
 	patterns := persistTestPatterns()
 	text := "xxbananabandanabxnabandxx"

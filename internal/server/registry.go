@@ -65,13 +65,11 @@ type Entry struct {
 	degraded   atomic.Bool
 	logf       func(format string, args ...any) // never nil
 
-	// Dense serving state (dense.go): the compiled automaton (nil until
-	// compiled or restored from a DENSE snapshot section, then swapped in
-	// atomically and never replaced), the compile election latch, and the
-	// dense-served request count driving sampled oracle verification.
-	denseAut   atomic.Pointer[dense.Automaton]
-	denseElect atomic.Bool
-	denseReqs  atomic.Int64
+	// Dense serving state (dense.go): the compiled automaton, set by Insert
+	// and never replaced (nil = the tree walk serves), and the dense-served
+	// request count driving sampled oracle verification.
+	aut       *dense.Automaton
+	denseReqs atomic.Int64
 
 	// Compressed-domain serving state (czsearch.go): reusable scanners (one
 	// per in-flight compressed request; Run resets them, so a pooled scanner
@@ -100,7 +98,7 @@ func (e *Entry) Info() EntryInfo {
 	info := e.info
 	info.Hits = e.hits.Load()
 	info.MaxPatLen = e.MaxPatLen
-	if a := e.denseAut.Load(); a != nil {
+	if a := e.aut; a != nil {
 		st := a.Stats()
 		info.Dense = true
 		info.DenseStates = st.States
@@ -116,10 +114,9 @@ func (e *Entry) Info() EntryInfo {
 // so explicit snapshots carry the compiled form and restore without
 // recompiling.
 func (e *Entry) SnapshotBytes() []byte {
-	a := e.denseAut.Load()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return persist.EncodeBundle(e.dict, a)
+	return persist.EncodeBundle(e.dict, e.aut)
 }
 
 // NewRegistry returns a registry bounded to capacity resident dictionaries
@@ -153,9 +150,8 @@ func (r *Registry) SetLogf(logf func(format string, args ...any)) {
 // bundle came from ("preprocess" when built here, "cache" for a snapshot
 // cache hit, "snapshot" for an explicit restore, "replica" for a peer pull),
 // snapKey is the content-address hex when known, and prepNs the wall time
-// of the preprocessing or load. The automaton is published on the entry
-// before insertion, so no request ever observes the entry without it — and
-// no compile election will run for it (the latch is pre-claimed).
+// of the preprocessing or load. The entry is immutable in its engine from
+// here on: it serves from aut, or from the tree walk when aut is nil.
 //
 // id "" assigns the next d<seq>. Cluster mode passes the dictionary's
 // content address instead, so every node names the same patterns the same
@@ -178,15 +174,9 @@ func (r *Registry) Insert(id string, dict *core.Dictionary, aut *dense.Automaton
 		Source:      source,
 		PrepNs:      prepNs,
 		SnapKey:     snapKey,
+		aut:         aut,
 		dict:        dict,
 		seed:        dict.Seed(),
-	}
-	if aut != nil {
-		// Published before the registry lock, so no request ever sees the
-		// entry without its automaton; the claimed election latch keeps
-		// armDense from compiling what the snapshot already delivered.
-		e.denseElect.Store(true)
-		e.denseAut.Store(aut)
 	}
 
 	r.mu.Lock()

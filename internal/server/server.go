@@ -12,7 +12,9 @@
 // Layers:
 //
 //   - Registry: concurrent-safe preprocessed-dictionary store with LRU
-//     eviction; evicted entries stay usable by in-flight requests.
+//     eviction; evicted entries stay usable by in-flight requests. An entry
+//     is published with its compiled dense automaton (dense.go) already on
+//     it and never changes engine afterwards.
 //   - Handlers: JSON endpoints under /v1 (handlers.go); large match texts
 //     are sharded across a worker pool with pattern-length halos
 //     (match.go), mirroring internal/distrib's workstation sharding.
@@ -34,13 +36,12 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/persist"
 	"repro/internal/resilience"
-	"repro/internal/stream"
 )
 
 // Config parameterizes a Server. The zero value is usable; fillDefaults
@@ -55,33 +56,31 @@ type Config struct {
 	MaxBodyBytes   int64         // request body cap (buffered endpoints only)
 	MaxDictBytes   int64         // total pattern bytes per dictionary
 	MaxExpandBytes int64         // decompression/expansion output cap
-	SegmentBytes   int           // streaming endpoints: fresh text bytes per window
 	StreamWindow   int           // streaming decompress: retained history (0 = unbounded)
 	CacheDir       string        // snapshot cache directory ("" = persistence off)
 	Log            *log.Logger   // nil = log.Default
 
-	// DenseMode selects the compiled-automaton serving path for
-	// /v1/dicts/{id}/match: "auto" (default — compile in the background,
-	// tree walk until ready), "on" (compile synchronously at registration),
-	// "off" (tree walk only). DenseMaxTableBytes caps the transition table a
-	// compile may build (0 = dense.DefaultMaxTableBytes); an over-budget
-	// dictionary keeps serving from the tree walk.
+	// DenseMode selects the engine of the match routes: "on" (default —
+	// every registration compiles the dictionary's automaton before the
+	// entry is published) or "off" (tree walk only). DenseMaxTableBytes caps
+	// the transition table a compile may build (0 =
+	// dense.DefaultMaxTableBytes); an over-budget dictionary is published
+	// without an automaton and serves from the tree walk.
 	DenseMode          string
 	DenseMaxTableBytes int64
 
 	// Cluster mode (cluster.go): a non-empty ClusterPeers table (which must
 	// contain ClusterSelf) turns this node into a cluster member. Dictionary
 	// IDs become content addresses placed on ClusterReplicas owners by
-	// consistent hashing; non-owner nodes proxy (or, with ClusterRedirect,
-	// 307-redirect) dictionary traffic to the owners, hedging a second copy
-	// after ClusterHedgeAfter (0 = no hedging, strict failover). Peers are
-	// probed via /readyz every ClusterProbeInterval (0 = 1s).
+	// consistent hashing; non-owner nodes proxy dictionary traffic to the
+	// owners, hedging a second copy after ClusterHedgeAfter (0 = no hedging,
+	// strict failover). Peers are probed via /readyz every
+	// ClusterProbeInterval (0 = 1s).
 	ClusterSelf          string
 	ClusterPeers         []cluster.Peer
 	ClusterReplicas      int
 	ClusterHedgeAfter    time.Duration
 	ClusterProbeInterval time.Duration
-	ClusterRedirect      bool
 
 	// Outbound RPC resilience (internal/resilience, DESIGN.md §16). Every
 	// zero value disables its policy, so non-cluster servers and existing
@@ -93,15 +92,12 @@ type Config struct {
 	// request arriving with less (via the X-Deadline-Ms header) or a
 	// proxy hop that would forward less sheds with 503+Retry-After.
 	// RPCFaultAdmin enables POST /v1/rpcfaults for installing wire-fault
-	// plans at runtime (soak harnesses only); RPCChaosPlan/RPCChaosSeed
-	// install one at startup.
+	// plans at runtime (soak harnesses only).
 	BreakerFailures int
 	BreakerCooldown time.Duration
 	RetryBudgetPct  int
 	HopFloor        time.Duration
 	RPCFaultAdmin   bool
-	RPCChaosPlan    string
-	RPCChaosSeed    uint64
 
 	// QuotaPerTenant bounds concurrent in-flight requests per X-Tenant
 	// header value, under the global MaxInflight semaphore (0 = no
@@ -138,14 +134,11 @@ func (c *Config) fillDefaults() {
 	if c.MaxExpandBytes <= 0 {
 		c.MaxExpandBytes = 256 << 20
 	}
-	if c.SegmentBytes <= 0 {
-		c.SegmentBytes = stream.DefaultSegment
-	}
 	if c.Log == nil {
 		c.Log = log.Default()
 	}
 	if c.DenseMode == "" {
-		c.DenseMode = DenseAuto
+		c.DenseMode = DenseOn
 	}
 }
 
@@ -160,13 +153,6 @@ type Server struct {
 	cluster *clusterState  // nil outside cluster mode
 	sweep   persist.SweepReport
 	handler http.Handler
-
-	// Background work that outlives the request that started it (dense
-	// compiles and their snapshot upgrades): Close refuses new work and
-	// waits for what is running.
-	bgMu   sync.Mutex
-	closed bool
-	bg     sync.WaitGroup
 }
 
 // New assembles a server from cfg. With a CacheDir the snapshot store is
@@ -176,8 +162,8 @@ type Server struct {
 // restart. Corrupt cache entries are quarantined and logged, never fatal.
 func New(cfg Config) (*Server, error) {
 	cfg.fillDefaults()
-	if !validDenseMode(cfg.DenseMode) {
-		return nil, fmt.Errorf("server: invalid DenseMode %q (want %s|%s|%s)", cfg.DenseMode, DenseOff, DenseOn, DenseAuto)
+	if cfg.DenseMode != DenseOn && cfg.DenseMode != DenseOff {
+		return nil, fmt.Errorf("server: invalid DenseMode %q (want %s|%s)", cfg.DenseMode, DenseOn, DenseOff)
 	}
 	s := &Server{
 		cfg:     cfg,
@@ -229,13 +215,14 @@ type loadedBundle struct {
 }
 
 // loadFromStore makes the bundle stored under key resident as id ("" = the
-// registry assigns d<seq>) and arms its dense compile: the one way a file in
-// the snapshot store becomes an entry. source is "cache" when the server
-// went to its cache for the bundle — a later compile then rewrites the file
-// as a DENSE-bearing bundle — and "snapshot" for an explicit restore, which
-// never rewrites: the key of an uploaded snapshot is the hash of its bytes.
-// On error nothing is registered (GetBundle has already quarantined and
-// counted an invalid file).
+// registry assigns d<seq>), with its automaton (automatonFor): the one way a
+// file in the snapshot store becomes an entry. source labels it: "cache"
+// when the server went to its cache for the bundle, "snapshot" for an
+// explicit restore. A bundle without DENSE that is compiled here is
+// rewritten once with it, before the entry is published, when its key is
+// the KeyFor content address — never an explicit snapshot's, which is the
+// hash of its bytes. On error nothing is registered (GetBundle has already
+// quarantined and counted an invalid file).
 func (s *Server) loadFromStore(id string, key persist.Key, source string) (loadedBundle, error) {
 	start := time.Now()
 	d, aut, size, err := s.store.GetBundle(key)
@@ -244,13 +231,24 @@ func (s *Server) loadFromStore(id string, key persist.Key, source string) (loade
 	}
 	elapsed := time.Since(start)
 	s.metrics.recordLoad(elapsed)
-	e, evicted := s.reg.Insert(id, d, aut, source, key.String(), elapsed.Nanoseconds())
-	if source == "cache" {
-		s.armDense(e, s.denseUpgradeFunc(e, key))
-	} else {
-		s.armDense(e, nil)
+	loaded := aut != nil
+	aut, compiled := s.automatonFor(d, aut)
+	if compiled && key == persist.KeyFor(d.Patterns, core.Options{Seed: d.Seed()}) {
+		s.recordPut(s.store.PutBundle(key, d, aut))
 	}
-	return loadedBundle{entry: e, evicted: evicted, bytes: size, dense: aut != nil}, nil
+	e, evicted := s.reg.Insert(id, d, aut, source, key.String(), elapsed.Nanoseconds())
+	return loadedBundle{entry: e, evicted: evicted, bytes: size, dense: loaded}, nil
+}
+
+// recordPut counts a snapshot write; a failed one is logged and reported
+// false, and the entry is served all the same.
+func (s *Server) recordPut(n int, err error) bool {
+	if err != nil {
+		s.cfg.Log.Printf("snapshot write failed: %v", err)
+		return false
+	}
+	s.metrics.recordSave(n)
+	return true
 }
 
 // warmStart loads every resident-capacity-many snapshot from the cache
@@ -466,33 +464,12 @@ func deadlineHeaderMs(r *http.Request) (int64, bool) {
 	return ms, true
 }
 
-// background runs fn on a goroutine Close waits for. After Close it does
-// not run at all: nothing may touch the cache directory once Close returned.
-func (s *Server) background(fn func()) {
-	s.bgMu.Lock()
-	defer s.bgMu.Unlock()
-	if s.closed {
-		return
-	}
-	s.bg.Add(1)
-	go func() {
-		defer s.bg.Done()
-		fn()
-	}()
-}
-
-// Close stops the cluster health prober and waits for background dense
-// compiles, so that no goroutine of this server runs — or writes into its
-// cache directory — once it returns. Safe on a non-cluster server and safe
-// to call more than once.
+// Close stops the cluster health prober. Safe on a non-cluster server and
+// safe to call more than once.
 func (s *Server) Close() {
 	if s.cluster != nil {
 		s.cluster.health.Close()
 	}
-	s.bgMu.Lock()
-	s.closed = true
-	s.bgMu.Unlock()
-	s.bg.Wait()
 }
 
 // Run listens on cfg.Addr and serves until ctx is cancelled, then drains

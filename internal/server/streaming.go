@@ -100,13 +100,13 @@ type streamSummary struct {
 // handleMatchStream matches a streamed text — raw bytes, chunked encoding
 // welcome — against a resident dictionary. The registration pattern is
 // "POST /v1/dicts/{id}/match/stream"; the optional ?segment=N query
-// overrides the server's segment size within [1 KiB, 64 MiB].
+// overrides stream.DefaultSegment within [1 KiB, 64 MiB].
 func (s *Server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.entryFor(w, r)
 	if !ok {
 		return
 	}
-	segSize := s.cfg.SegmentBytes
+	segSize := stream.DefaultSegment
 	if q := r.URL.Query().Get("segment"); q != "" {
 		v, err := strconv.Atoi(q)
 		if err != nil || v < 1<<10 || v > 64<<20 {
@@ -135,7 +135,7 @@ func (s *Server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 	var st stream.Stats
 	var err error
 	engine := engineTree
-	if a := s.servingAutomaton(e); a == nil {
+	if a := e.aut; a == nil {
 		if s.cfg.DenseMode != DenseOff {
 			s.metrics.denseFallback.Add(1)
 		}

@@ -317,11 +317,10 @@ func TestToolMatchdFlags(t *testing.T) {
 	}
 	want := []string{
 		"addr", "breaker-cooldown", "breaker-failures", "cache-dir", "chaos-plan",
-		"chaos-seed", "cluster-peers", "cluster-redirect", "cluster-self", "dense",
-		"dense-max-table", "hedge-after", "hop-floor", "max-body", "max-dicts",
-		"max-inflight", "pprof-addr", "procs", "quota-per-tenant", "replicas",
-		"retry-budget", "rpc-chaos-plan", "rpc-chaos-seed", "rpc-fault-admin",
-		"segment", "stream-window", "timeout",
+		"chaos-seed", "cluster-peers", "cluster-self", "dense", "dense-max-table",
+		"hedge-after", "hop-floor", "max-body", "max-dicts", "max-inflight",
+		"pprof-addr", "procs", "quota-per-tenant", "replicas", "retry-budget",
+		"rpc-fault-admin", "stream-window", "timeout",
 	}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("matchd has %d flags:\n got %q\nwant %q", len(got), got, want)
