@@ -15,7 +15,7 @@
 //
 // Endpoints (JSON bodies; binary payloads base64 in "textB64"/"dataB64"):
 //
-//	POST   /v1/dicts              preprocess {"patterns": [...]} once → {"id": "d1"}
+//	POST   /v1/dicts              register {"patterns": [...]} once → {"id": "d1"}
 //	GET    /v1/dicts              list resident dictionaries (MRU first)
 //	GET    /v1/dicts/{id}         one dictionary's stats
 //	DELETE /v1/dicts/{id}         drop a dictionary
@@ -28,11 +28,11 @@
 //	GET    /healthz               liveness
 //	GET    /readyz                readiness: pool, registry, store health
 //
-// Persistence (enabled by -cache-dir DIR): preprocessed dictionaries are
-// written through to DIR as content-addressed snapshot files, a restart
-// warm-loads them with zero re-preprocessing, and POST /v1/dicts with a
-// pattern set already in the cache loads instead of preprocessing. Admin
-// endpoints:
+// Persistence (enabled by -cache-dir DIR): registered dictionaries are
+// written through to DIR as content-addressed snapshot files (patterns,
+// seed and compiled automaton), a restart warm-loads them with zero
+// preprocessing, and POST /v1/dicts with a pattern set already in the cache
+// loads instead of compiling. Admin endpoints:
 //
 //	POST /v1/dicts/{id}/snapshot  serialize a resident dictionary → {"key": ...}
 //	POST /v1/dicts/restore        {"key": ...} → load a snapshot into the registry
@@ -40,9 +40,10 @@
 // Dense serving (-dense, default on): POST /v1/dicts compiles each
 // dictionary into a flat-table automaton (internal/dense) before it answers,
 // and the match routes serve from it deterministically from the first
-// request on. Under -dense off, or when the table would exceed
-// -dense-max-table, the dictionary is published without one and the Las
-// Vegas tree walk serves it. Sampled dense results are cross-validated
+// request on; the §3 preprocessing runs only when something asks for the
+// tree (/parse, /expand). Under -dense off, or when the table would exceed
+// -dense-max-table, the dictionary is published without one, preprocessed
+// at publish, and the Las Vegas tree walk serves it. Sampled dense results are cross-validated
 // against a reference Aho–Corasick automaton built on the entry's first
 // sampled request. Snapshots written with -cache-dir carry the compiled form
 // (DENSE section), so a restart skips compilation too. The response's
@@ -133,12 +134,12 @@ func main() {
 	log.SetPrefix("matchd: ")
 	addr := flag.String("addr", ":8080", "listen address")
 	procs := flag.Int("procs", 0, "worker goroutines per request (0 = GOMAXPROCS)")
-	maxDicts := flag.Int("max-dicts", 64, "resident preprocessed dictionaries before LRU eviction")
+	maxDicts := flag.Int("max-dicts", 64, "resident dictionaries before LRU eviction")
 	maxInflight := flag.Int("max-inflight", 256, "concurrent requests before shedding with 429")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline")
 	maxBody := flag.Int64("max-body", 32<<20, "request body limit in bytes (buffered endpoints only)")
 	streamWindow := flag.Int("stream-window", 0, "streaming decompress: retained history bytes (0 = unbounded)")
-	cacheDir := flag.String("cache-dir", "", "snapshot cache directory: warm start from it and write preprocessed dictionaries through ('' = off)")
+	cacheDir := flag.String("cache-dir", "", "snapshot cache directory: warm start from it and write registered dictionaries through ('' = off)")
 	denseMode := flag.String("dense", "on", "dense serving path: on (compile at registration, before the dictionary is published) or off (tree walk only)")
 	denseMaxTable := flag.Int64("dense-max-table", 0, "dense transition-table byte budget per dictionary (0 = 256 MiB); over-budget dictionaries stay on the tree walk")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate address, e.g. localhost:6060 ('' = off)")

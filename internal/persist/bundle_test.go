@@ -1,8 +1,10 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"testing"
@@ -153,14 +155,14 @@ func TestStoreBundle(t *testing.T) {
 	if _, err := st.PutBundle(k, d, a); err != nil {
 		t.Fatalf("PutBundle: %v", err)
 	}
-	dict, aut, n, err := st.GetBundle(k)
-	if err != nil || dict == nil || aut == nil || n == 0 {
-		t.Fatalf("GetBundle: dict=%v aut=%v n=%d err=%v", dict != nil, aut != nil, n, err)
+	b, n, err := st.GetBundle(k)
+	if err != nil || b.Automaton == nil || len(b.Patterns) != len(patterns) || b.Options.Seed != 7 || n == 0 {
+		t.Fatalf("GetBundle: bundle=%+v n=%d err=%v", b, n, err)
 	}
 	if _, _, err := st.Get(k); err != nil {
 		t.Fatalf("Get on bundle file: %v", err)
 	}
-	if _, _, _, err := st.GetBundle(KeyForSnapshot([]byte("missing"))); !errors.Is(err, ErrNotFound) {
+	if _, _, err := st.GetBundle(KeyForSnapshot([]byte("missing"))); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing key: %v, want ErrNotFound", err)
 	}
 
@@ -189,5 +191,146 @@ func TestStoreBundle(t *testing.T) {
 	}
 	if st.Has(k) {
 		t.Fatal("quarantined file still visible under its key")
+	}
+}
+
+// TestAutomatonBundle: the automaton form carries header, patterns and
+// DENSE and no §3 section. OpenBundle gives back the patterns, options and
+// automaton; Load, Decode and Verify preprocess it with the recorded options
+// into exactly the dictionary core.Preprocess builds from them.
+func TestAutomatonBundle(t *testing.T) {
+	_, patterns := bundleDict(t)
+	aut, err := dense.Compile(patterns, dense.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []core.Options{
+		{},
+		{Seed: 7},
+		{Seed: 9, NCA: core.NCANaive, Anchor: core.AnchorSA, WindowL: 5},
+		{Seed: 11, NCA: core.NCAImproved},
+	} {
+		data := (&Bundle{Patterns: patterns, Options: opts, Automaton: aut}).Encode()
+		info, err := Inspect(data)
+		if err != nil {
+			t.Fatalf("%+v: Inspect: %v", opts, err)
+		}
+		var names []string
+		for _, sec := range info.Sections {
+			names = append(names, sec.Name)
+		}
+		if fmt.Sprint(names) != "[header patterns dense]" {
+			t.Fatalf("%+v: sections %v, want header, patterns, dense", opts, names)
+		}
+		b, err := OpenBundle(data)
+		if err != nil {
+			t.Fatalf("%+v: OpenBundle: %v", opts, err)
+		}
+		want := opts
+		if want.Seed == 0 {
+			want.Seed = 1
+		}
+		if b.Options != want || fmt.Sprint(b.Patterns) != fmt.Sprint(patterns) || b.Automaton.Stats() != aut.Stats() {
+			t.Fatalf("%+v: OpenBundle gave options %+v, %d patterns, automaton %+v", opts, b.Options, len(b.Patterns), b.Automaton.Stats())
+		}
+		eager := Encode(core.Preprocess(pram.NewSequential(), patterns, opts))
+		d, a, err := LoadBundle(data)
+		if err != nil || a == nil {
+			t.Fatalf("%+v: LoadBundle: %v", opts, err)
+		}
+		if !bytes.Equal(Encode(d), eager) {
+			t.Fatalf("%+v: LoadBundle's dictionary differs from core.Preprocess's", opts)
+		}
+		if s, err := Decode(data); err != nil || !bytes.Equal(EncodeSnapshot(s), eager) {
+			t.Fatalf("%+v: Decode: %v", opts, err)
+		}
+		if _, err := Verify(data); err != nil {
+			t.Fatalf("%+v: Verify: %v", opts, err)
+		}
+	}
+	// Without an automaton the form is header and patterns alone.
+	bare := (&Bundle{Patterns: patterns, Options: core.Options{Seed: 7}}).Encode()
+	if b, err := OpenBundle(bare); err != nil || b.Automaton != nil {
+		t.Fatalf("OpenBundle without DENSE: %+v, %v", b, err)
+	}
+	if has, err := HasDense(bare); err != nil || has {
+		t.Fatalf("HasDense without DENSE = %v, %v", has, err)
+	}
+}
+
+// TestOpenBundleSkipsTables: OpenBundle reads a §3-form file without
+// decoding its tables — a table that is structurally impossible but
+// CRC-clean does not stop it, while Load rejects the file — and records the
+// options the tables were built with, resolved.
+func TestOpenBundleSkipsTables(t *testing.T) {
+	d, patterns := bundleDict(t)
+	a, err := dense.CompileDictionary(d, dense.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := OpenBundle(EncodeBundle(d, a))
+	if err != nil {
+		t.Fatalf("OpenBundle on a §3 bundle: %v", err)
+	}
+	if fmt.Sprint(b.Patterns) != fmt.Sprint(patterns) || b.Automaton == nil || b.Options.Seed != 7 || b.Options.WindowL != d.WindowLen() {
+		t.Fatalf("OpenBundle on a §3 bundle: %+v", b)
+	}
+	if !bytes.Equal(Encode(core.Preprocess(pram.NewSequential(), b.Patterns, b.Options)), Encode(d)) {
+		t.Fatal("the recorded options preprocess to a different dictionary")
+	}
+
+	// Point the tree's root past the node count, and re-seal both CRCs.
+	s := d.Export()
+	tree := *s.Tree
+	tree.Root = tree.NumNodes + 5
+	s.Tree = &tree
+	bad := EncodeSnapshot(s)
+	if _, err := Load(bad); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Load of an impossible tree: %v, want ErrCorrupt", err)
+	}
+	if _, err := OpenBundle(bad); err != nil {
+		t.Fatalf("OpenBundle decoded the tree section: %v", err)
+	}
+}
+
+// TestAutomatonBundleBitFlips: a bit flipped in any section of the
+// automaton form — header, patterns, DENSE — or in the footer fails
+// OpenBundle with ErrCorrupt, and Sweep quarantines the file.
+func TestAutomatonBundleBitFlips(t *testing.T) {
+	_, patterns := bundleDict(t)
+	aut, err := dense.Compile(patterns, dense.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := (&Bundle{Patterns: patterns, Options: core.Options{Seed: 7}, Automaton: aut}).Encode()
+	// One offset inside each section's payload, found by walking the framing.
+	var offsets []int
+	rest := len(magic) + 4
+	for rest < len(data)-4 {
+		plen, n := binary.Uvarint(data[rest+1:])
+		offsets = append(offsets, rest+1+n+int(plen)/2)
+		rest += 1 + n + int(plen) + 4
+	}
+	if len(offsets) != 3 {
+		t.Fatalf("walked %d sections, want 3", len(offsets))
+	}
+	offsets = append(offsets, len(data)-1)
+	for _, off := range offsets {
+		bad := append([]byte(nil), data...)
+		bad[off] ^= 0x10
+		if _, err := OpenBundle(bad); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("flip at %d: OpenBundle %v, want ErrCorrupt", off, err)
+		}
+		st, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := KeyFor(patterns, core.Options{Seed: 7})
+		if err := os.WriteFile(st.Path(k), bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if rep, err := st.Sweep(); err != nil || rep.Quarantined != 1 || rep.Valid != 0 {
+			t.Fatalf("flip at %d: Sweep %+v, %v", off, rep, err)
+		}
 	}
 }

@@ -7,39 +7,150 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/dense"
+	"repro/internal/pram"
 	"repro/internal/suffixtree"
 )
 
-// Decode parses snapshot bytes into a core.Snapshot without rebuilding any
-// dictionary structure. All counts are validated against the actual payload
-// sizes before any count-sized allocation is made (every array element costs
-// at least one payload byte), so adversarial headers cannot force
-// out-of-memory; all CRCs are checked before field parsing, so random
-// corruption is rejected up front.
+// Decode parses snapshot bytes into a core.Snapshot. All counts are
+// validated against the actual payload sizes before any count-sized
+// allocation is made (every array element costs at least one payload byte),
+// so adversarial headers cannot force out-of-memory; all CRCs are checked
+// before field parsing, so random corruption is rejected up front. A file
+// without §3 tables has nothing to parse: its dictionary is preprocessed
+// from the patterns and options it records, and exported.
 func Decode(data []byte) (*core.Snapshot, error) {
+	o, err := open(data)
+	if err != nil {
+		return nil, err
+	}
+	if o.hdr.flags&flagNoTables != 0 {
+		return o.preprocess().Export(), nil
+	}
+	return o.decodeTables()
+}
+
+// Load decodes snapshot bytes into a ready-to-match dictionary. Restoring
+// §3 tables performs zero PRAM work; structural invariant violations that
+// survive the CRCs (i.e. a well-formed file describing an impossible
+// dictionary) are reported as ErrCorrupt. A file without §3 tables is
+// preprocessed from its patterns and options on a sequential machine.
+func Load(data []byte) (*core.Dictionary, error) {
+	o, err := open(data)
+	if err != nil {
+		return nil, err
+	}
+	return o.dictionary()
+}
+
+// opened is a snapshot file past the checks every read path makes: framing,
+// the file and section CRCs, the header and the patterns. Nothing else —
+// no §3 table, no DENSE payload — has been decoded.
+type opened struct {
+	sections map[byte][]byte
+	hdr      *header
+	patterns [][]byte // aliasing the file's bytes
+}
+
+// open runs those checks. The sections a file must carry follow from its
+// header: header and patterns always, and tree, weiner and step2 unless it
+// is table-less, in which case no §3 section may appear.
+func open(data []byte) (*opened, error) {
 	sections, err := splitSections(data)
 	if err != nil {
 		return nil, err
 	}
-	return decodeSnapshot(sections, len(data))
-}
-
-// decodeSnapshot parses the core sections of an already-split file.
-func decodeSnapshot(sections map[byte][]byte, fileLen int) (*core.Snapshot, error) {
-	hdr, err := parseHeader(sections[secHeader], fileLen)
+	for _, id := range []byte{secHeader, secPatterns} {
+		if _, ok := sections[id]; !ok {
+			return nil, fmt.Errorf("%w: missing section %s", ErrTruncated, sectionNames[id])
+		}
+	}
+	hdr, err := parseHeader(sections[secHeader], len(data))
 	if err != nil {
 		return nil, err
 	}
+	tableless := hdr.flags&flagNoTables != 0
+	for _, id := range []byte{secTree, secWeiner, secStep2, secSeparator} {
+		_, ok := sections[id]
+		switch {
+		case ok && tableless:
+			return nil, fmt.Errorf("%w: %s section in a table-less file", ErrCorrupt, sectionNames[id])
+		case !ok && !tableless && id != secSeparator:
+			return nil, fmt.Errorf("%w: missing section %s", ErrTruncated, sectionNames[id])
+		}
+	}
+	patterns, err := parsePatterns(sections[secPatterns], hdr)
+	if err != nil {
+		return nil, err
+	}
+	return &opened{sections: sections, hdr: hdr, patterns: patterns}, nil
+}
+
+// options returns the options the file's dictionary is preprocessed with.
+// A file with §3 tables records them resolved: its NCA structure by name and
+// its window length as built, which preprocess to the same tables as the
+// automatic choices they came from.
+func (h *header) options() core.Options {
+	o := core.Options{Seed: h.seed, Anchor: core.AnchorStrategy(h.anchor), WindowL: h.windowL}
+	if o.Seed == 0 {
+		o.Seed = 1
+	}
+	switch {
+	case h.flags&flagUseNaive != 0:
+		o.NCA = core.NCANaive
+	case h.flags&flagImprovedNCA != 0, h.flags&flagNoTables == 0:
+		o.NCA = core.NCAImproved
+	}
+	return o
+}
+
+// dictionary builds the file's §3 dictionary: restored from its tables, or
+// preprocessed when it has none.
+func (o *opened) dictionary() (*core.Dictionary, error) {
+	if o.hdr.flags&flagNoTables != 0 {
+		return o.preprocess(), nil
+	}
+	s, err := o.decodeTables()
+	if err != nil {
+		return nil, err
+	}
+	d, err := core.FromSnapshot(s)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return d, nil
+}
+
+// preprocess builds a table-less file's dictionary from its patterns (open
+// has checked there is at least one, none empty) and options.
+func (o *opened) preprocess() *core.Dictionary {
+	return core.Preprocess(pram.NewSequential(), o.patterns, o.hdr.options())
+}
+
+// automaton restores the file's DENSE section, nil when it has none.
+func (o *opened) automaton() (*dense.Automaton, error) {
+	payload, ok := o.sections[secDense]
+	if !ok {
+		return nil, nil
+	}
+	a, err := dense.Restore(payload, o.patterns)
+	if err != nil {
+		return nil, fmt.Errorf("%w: dense section: %v", ErrCorrupt, err)
+	}
+	return a, nil
+}
+
+// decodeTables parses the §3 sections of a file that has them.
+func (o *opened) decodeTables() (*core.Snapshot, error) {
+	hdr, sections := o.hdr, o.sections
 	s := &core.Snapshot{
 		Seed:     hdr.seed,
 		Anchor:   int32(hdr.anchor),
 		UseNaive: hdr.flags&flagUseNaive != 0,
 		WindowL:  int32(hdr.windowL),
+		Patterns: o.patterns,
 	}
-
-	if s.Patterns, err = parsePatterns(sections[secPatterns], hdr); err != nil {
-		return nil, err
-	}
+	var err error
 	if s.Tree, err = parseTree(sections[secTree], hdr); err != nil {
 		return nil, err
 	}
@@ -59,22 +170,6 @@ func decodeSnapshot(sections map[byte][]byte, fileLen int) (*core.Snapshot, erro
 	return s, nil
 }
 
-// Load decodes snapshot bytes into a ready-to-match dictionary. The restore
-// performs zero PRAM work; structural invariant violations that survive the
-// CRCs (i.e. a well-formed file describing an impossible dictionary) are
-// reported as ErrCorrupt.
-func Load(data []byte) (*core.Dictionary, error) {
-	s, err := Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	d, err := core.FromSnapshot(s)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return d, nil
-}
-
 // header carries the validated section counts.
 type header struct {
 	seed                 uint64
@@ -88,7 +183,8 @@ type header struct {
 
 // splitSections verifies magic, version, the whole-file CRC and each
 // section's CRC, returning the payload of each section. Sections must appear
-// in their defined order, each at most once.
+// in their defined order, each at most once. Which sections a file must
+// carry is open's to check: it depends on the header.
 func splitSections(data []byte) (map[byte][]byte, error) {
 	if len(data) < len(magic)+4 {
 		return nil, fmt.Errorf("%w: %d bytes", ErrTruncated, len(data))
@@ -141,11 +237,6 @@ func splitSections(data []byte) (map[byte][]byte, error) {
 		}
 		rest = rest[plen+4:]
 	}
-	for _, id := range []byte{secHeader, secPatterns, secTree, secWeiner, secStep2} {
-		if _, ok := sections[id]; !ok {
-			return nil, fmt.Errorf("%w: missing section %s", ErrTruncated, sectionNames[id])
-		}
-	}
 	return sections, nil
 }
 
@@ -169,6 +260,24 @@ func parseHeader(b []byte, fileLen int) (*header, error) {
 	if r.err != nil {
 		return nil, fmt.Errorf("%w: header: %v", ErrCorrupt, r.err)
 	}
+	if h.flags&flagNoTables != 0 {
+		if h.numNodes != 0 || h.numLeaves != 0 || h.weinerCount != 0 || h.sepData != 0 || h.flags&flagHasSeparator != 0 {
+			return nil, fmt.Errorf("%w: header: table counts in a table-less file", ErrCorrupt)
+		}
+		if h.flags&(flagUseNaive|flagImprovedNCA) == flagUseNaive|flagImprovedNCA {
+			return nil, fmt.Errorf("%w: header: two NCA variants", ErrCorrupt)
+		}
+		if h.anchor != int(core.AnchorSeparator) && h.anchor != int(core.AnchorSA) {
+			return nil, fmt.Errorf("%w: header: anchor strategy %d unknown", ErrCorrupt, h.anchor)
+		}
+		if h.numPatterns == 0 {
+			return nil, fmt.Errorf("%w: header: no patterns", ErrCorrupt)
+		}
+		return h, nil
+	}
+	if h.flags&flagImprovedNCA != 0 {
+		return nil, fmt.Errorf("%w: header: NCA variant flag outside a table-less file", ErrCorrupt)
+	}
 	if h.numLeaves != h.patternBytes+h.numPatterns+1 {
 		return nil, fmt.Errorf("%w: header: leaf count %d inconsistent with pattern bytes", ErrCorrupt, h.numLeaves)
 	}
@@ -191,6 +300,9 @@ func parsePatterns(b []byte, h *header) ([][]byte, error) {
 	}
 	patterns := make([][]byte, h.numPatterns)
 	for i, l := range lens {
+		if l == 0 {
+			return nil, fmt.Errorf("%w: patterns: pattern %d is empty", ErrCorrupt, i)
+		}
 		p := r.bytes(l)
 		if r.err != nil {
 			return nil, fmt.Errorf("%w: patterns: bytes", ErrTruncated)

@@ -78,6 +78,36 @@ func encodeHeader(s *core.Snapshot) []byte {
 	return b
 }
 
+// encodeOptionsHeader is the header of a table-less file: the options the
+// dictionary is preprocessed with, and zero table counts.
+func encodeOptionsHeader(patterns [][]byte, opts core.Options) []byte {
+	flags := uint64(flagNoTables)
+	switch opts.NCA {
+	case core.NCANaive:
+		flags |= flagUseNaive
+	case core.NCAImproved:
+		flags |= flagImprovedNCA
+	}
+	seed := opts.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	patBytes := 0
+	for _, p := range patterns {
+		patBytes += len(p)
+	}
+	b := binary.AppendUvarint(nil, seed)
+	b = binary.AppendUvarint(b, uint64(opts.Anchor))
+	b = binary.AppendUvarint(b, uint64(opts.WindowL))
+	b = binary.AppendUvarint(b, flags)
+	b = binary.AppendUvarint(b, uint64(len(patterns)))
+	b = binary.AppendUvarint(b, uint64(patBytes))
+	for range 4 { // nodes, leaves, Weiner links, separator data
+		b = binary.AppendUvarint(b, 0)
+	}
+	return b
+}
+
 func encodePatterns(patterns [][]byte) []byte {
 	var b []byte
 	for _, p := range patterns {

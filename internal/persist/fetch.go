@@ -7,9 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-
-	"repro/internal/core"
-	"repro/internal/dense"
 )
 
 // HTTP bundle fetch: the replication pull of cluster mode (DESIGN.md §15).
@@ -55,11 +52,11 @@ func RetryableFetch(err error) bool {
 }
 
 // FetchBundle downloads the snapshot bundle for dictionary id from a peer's
-// base URL and decodes it. limit <= 0 selects DefaultFetchLimit; client ==
-// nil uses http.DefaultClient. On success it returns the validated raw bytes
-// (ready for PutBytes) plus the decoded dictionary and automaton (nil when
-// the bundle carries no DENSE section).
-func FetchBundle(ctx context.Context, client *http.Client, base, id string, limit int64) ([]byte, *core.Dictionary, *dense.Automaton, error) {
+// base URL and opens it (OpenBundle: no §3 section is decoded). limit <= 0
+// selects DefaultFetchLimit; client == nil uses http.DefaultClient. On
+// success it returns the validated raw bytes (ready for PutBytes) plus the
+// bundle.
+func FetchBundle(ctx context.Context, client *http.Client, base, id string, limit int64) ([]byte, *Bundle, error) {
 	if client == nil {
 		client = http.DefaultClient
 	}
@@ -69,28 +66,28 @@ func FetchBundle(ctx context.Context, client *http.Client, base, id string, limi
 	u := base + "/v1/dicts/" + url.PathEscape(id) + "/snapshot"
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("persist: fetch %s: %w", u, err)
+		return nil, nil, fmt.Errorf("persist: fetch %s: %w", u, err)
 	}
 	resp, err := client.Do(req)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("persist: fetch %s: %w", u, err)
+		return nil, nil, fmt.Errorf("persist: fetch %s: %w", u, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		// Drain a little so the connection can be reused, then report.
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16))
-		return nil, nil, nil, &StatusError{URL: u, Code: resp.StatusCode}
+		return nil, nil, &StatusError{URL: u, Code: resp.StatusCode}
 	}
 	data, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("persist: fetch %s: %w", u, err)
+		return nil, nil, fmt.Errorf("persist: fetch %s: %w", u, err)
 	}
 	if int64(len(data)) > limit {
-		return nil, nil, nil, fmt.Errorf("persist: fetch %s: bundle exceeds %d bytes", u, limit)
+		return nil, nil, fmt.Errorf("persist: fetch %s: bundle exceeds %d bytes", u, limit)
 	}
-	d, a, err := LoadBundle(data)
+	b, err := OpenBundle(data)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%w: fetch %s: %w", ErrBadBundle, u, err)
+		return nil, nil, fmt.Errorf("%w: fetch %s: %w", ErrBadBundle, u, err)
 	}
-	return data, d, a, nil
+	return data, b, nil
 }

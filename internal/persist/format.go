@@ -1,15 +1,18 @@
 // Package persist is a versioned, self-describing binary codec and
-// content-addressed disk store for preprocessed dictionaries.
+// content-addressed disk store for dictionaries.
 //
 // The paper's regime is preprocess-once/match-many: preprocessing costs O(d)
 // parallel work (§3.1), matching O(n) per text. This package makes the
-// expensive half durable. A snapshot file serializes the fundamental tables
-// of a core.Dictionary (patterns, suffix-tree topology, Weiner links,
-// Step 2 tables, separator chains); decoding is a sequential table load plus
-// deterministic sequential rebuilds of the derived structures — no PRAM
-// machine is touched anywhere on the load path, so a process serving from
-// snapshots charges zero preprocessing to its cost ledger and answers every
-// query byte-identically to the dictionary it was saved from.
+// expensive half durable, in one of two forms (bundle.go). The §3 form
+// serializes the fundamental tables of a core.Dictionary (patterns,
+// suffix-tree topology, Weiner links, Step 2 tables, separator chains);
+// decoding is a sequential table load plus deterministic sequential
+// rebuilds of the derived structures — no PRAM machine is touched anywhere
+// on that load path, and the loaded dictionary answers every query
+// byte-identically to the one it was saved from. The automaton form, which
+// servers write, holds the patterns, the seed and options, and the compiled
+// dense automaton: no §3 table at all, since a server builds its §3
+// dictionary only when something asks for the tree.
 //
 // File layout (all integers little-endian; §10 of DESIGN.md documents the
 // exact byte layout):
@@ -17,8 +20,10 @@
 //	magic   "DMSNAP" (6 bytes)
 //	version uint32
 //	sections, in fixed order: header, patterns, tree, weiner, step2,
-//	        [separator]. Each section is: id byte, uvarint payload length,
-//	        payload, CRC32-C of the payload (uint32).
+//	        [separator], [dense] — or, in the automaton form (a header
+//	        flag), header, patterns, [dense]. Each section is: id byte,
+//	        uvarint payload length, payload, CRC32-C of the payload
+//	        (uint32).
 //	footer  CRC32-C of every preceding byte (uint32)
 //
 // Multi-valued payload fields are varint-coded (unsigned LEB128; signed
@@ -63,10 +68,16 @@ var sectionNames = map[byte]string{
 	secDense:     "dense",
 }
 
-// Header flag bits.
+// Header flag bits. A file with flagNoTables carries no §3 section — only
+// header, patterns and at most DENSE — and its header records the options
+// the dictionary is preprocessed with instead of the built tables' counts:
+// flagUseNaive then means NCANaive and flagImprovedNCA NCAImproved (neither
+// is NCAAuto), and WindowL 0 is the automatic window.
 const (
 	flagUseNaive = 1 << iota
 	flagHasSeparator
+	flagNoTables
+	flagImprovedNCA
 )
 
 // Typed errors. Decoding failures wrap exactly one of these, so callers can

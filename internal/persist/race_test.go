@@ -51,7 +51,7 @@ func TestConcurrentPutSameKey(t *testing.T) {
 		}
 	}
 
-	got, gotAut, _, err := store.GetBundle(key)
+	got, _, err := store.GetBundle(key)
 	if err != nil {
 		t.Fatalf("bundle unreadable after concurrent writes: %v", err)
 	}
@@ -63,7 +63,7 @@ func TestConcurrentPutSameKey(t *testing.T) {
 	}
 	// Whichever writer finished last, the automaton is either absent (plain
 	// bundle) or structurally identical to the compiled one.
-	if gotAut != nil && gotAut.NumStates() != aut.NumStates() {
-		t.Fatalf("restored automaton has %d states, want %d", gotAut.NumStates(), aut.NumStates())
+	if got.Automaton != nil && got.Automaton.NumStates() != aut.NumStates() {
+		t.Fatalf("restored automaton has %d states, want %d", got.Automaton.NumStates(), aut.NumStates())
 	}
 }

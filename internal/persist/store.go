@@ -74,7 +74,7 @@ func KeyFor(patterns [][]byte, opts core.Options) Key {
 func KeyForSnapshot(data []byte) Key { return sha256.Sum256(data) }
 
 // Store is a content-addressed snapshot cache rooted at a directory. Writes
-// are atomic (temp file + rename) and read back and re-validated before the
+// are atomic (temp file + rename) and read back and compared before the
 // rename, so a crashed writer never leaves a half-written snapshot under a
 // valid name and a silently-corrupting disk is caught while the in-memory
 // dictionary is still available to retry or fall back from. Reads that fail
@@ -146,10 +146,12 @@ func (s *Store) Put(k Key, d *core.Dictionary) (int, error) {
 }
 
 // PutBytes writes pre-encoded snapshot bytes under a key atomically, after
-// re-validating them (a store never persists bytes it could not load back).
-// A DENSE section, if present, is validated along with the rest.
+// the checks every read path makes — framing, every section CRC, header and
+// patterns — so the store never persists bytes a reader would reject
+// unread. It decodes no §3 section and restores no DENSE payload: callers
+// hand it bytes they encoded themselves or already opened.
 func (s *Store) PutBytes(k Key, data []byte) (int, error) {
-	if _, _, err := LoadBundle(data); err != nil {
+	if _, err := open(data); err != nil {
 		return 0, err
 	}
 	unlock := s.lockKey(k)
@@ -168,11 +170,12 @@ func (s *Store) lockKey(k Key) func() {
 }
 
 // writeAtomic writes data to a temp file, fsyncs, reads the file back and
-// re-validates it byte-for-byte and through the codec, and only then
-// renames it into place. The read-back turns silent write-time corruption
-// (a lying disk, a bit flip between buffer and platter) into a loud error
-// while the caller still holds the in-memory dictionary, instead of a
-// quarantine — or worse, a wrong match — on some future boot.
+// compares it byte for byte with data, and only then renames it into place.
+// Every caller has validated or encoded data itself, so equal bytes are
+// valid bytes and the read-back decodes nothing. It turns silent write-time
+// corruption (a lying disk, a bit flip between buffer and platter) into a
+// loud error while the caller still holds the in-memory dictionary, instead
+// of a quarantine — or worse, a wrong match — on some future boot.
 func (s *Store) writeAtomic(path string, data []byte) error {
 	tmp, err := os.CreateTemp(s.dir, "put-*.tmp")
 	if err != nil {
@@ -230,21 +233,26 @@ func (s *Store) verifyWritten(tmpPath string, want []byte) error {
 	if !bytes.Equal(got, want) {
 		return fmt.Errorf("persist: put read-back: %w: file differs from written bytes", ErrCorrupt)
 	}
-	if _, _, err := LoadBundle(got); err != nil {
-		return fmt.Errorf("persist: put read-back: %w", err)
-	}
 	return nil
 }
 
-// Get loads the snapshot stored under k into a ready-to-match dictionary and
-// reports its on-disk size. A missing entry returns ErrNotFound. An entry
-// that fails any validation (truncation, checksum, structural invariants) is
-// quarantined — renamed so future lookups miss — and the typed decode error
-// is returned; the caller falls back to preprocessing and may overwrite the
-// entry with a good snapshot.
+// Get loads the snapshot stored under k into a ready-to-match dictionary
+// with LoadBundle and reports its on-disk size. A missing entry returns
+// ErrNotFound. An entry that fails any validation (truncation, checksum,
+// structural invariants) is quarantined — renamed so future lookups miss —
+// and the typed decode error is returned; the caller falls back to
+// preprocessing and may overwrite the entry with a good snapshot.
 func (s *Store) Get(k Key) (*core.Dictionary, int, error) {
-	d, _, n, err := s.GetBundle(k)
-	return d, n, err
+	data, err := s.read(k)
+	if err != nil {
+		return nil, 0, err
+	}
+	d, _, err := LoadBundle(data)
+	if err != nil {
+		s.quarantine(s.Path(k), err)
+		return nil, 0, err
+	}
+	return d, len(data), nil
 }
 
 // quarantine renames a failed-validation file aside. The rename is
@@ -298,10 +306,13 @@ type SweepReport struct {
 }
 
 // Sweep re-validates every snapshot in the store: each well-named file is
-// read and decoded, corrupt ones are quarantined (and counted), and
-// leftover quarantine files from earlier runs are tallied. Servers run it
-// at startup so a boot reports the store's health up front instead of
-// discovering rot lazily, one failed Get at a time.
+// read and given the checks every read path makes — framing, every section
+// CRC, header and patterns, but no §3 decode and no DENSE restore (a
+// server's GetBundle does that once, when it loads the file) — corrupt ones
+// are quarantined (and counted), and leftover quarantine files from earlier
+// runs are tallied. Servers run it at startup so a boot reports the store's
+// health up front instead of discovering rot lazily, one failed Get at a
+// time.
 func (s *Store) Sweep() (SweepReport, error) {
 	var rep SweepReport
 	entries, err := os.ReadDir(s.dir)
@@ -326,7 +337,7 @@ func (s *Store) Sweep() (SweepReport, error) {
 			continue // raced with a concurrent writer/remover; not our problem
 		}
 		before := s.quarantineFails.Load()
-		if _, err := Load(data); err != nil {
+		if _, err := open(data); err != nil {
 			s.quarantine(path, err)
 			if s.quarantineFails.Load() > before {
 				rep.QuarantineFails++

@@ -17,6 +17,11 @@ import (
 // service while fresh fingerprints are rebuilt in the background. Requests
 // arriving meanwhile fail fast with a DegradedError (a 503 + Retry-After)
 // instead of burning matchAttempts full match/check rounds each.
+//
+// The breaker applies only to entries whose §3 stage is built: fingerprints
+// belong to the stage, and only MatchChecked — which builds it — feeds the
+// breaker. An entry served by its automaton has no fingerprint state and
+// never trips it.
 
 // breakerThreshold is how many consecutive MatchChecked exhaustions open an
 // entry's circuit breaker.
@@ -82,10 +87,11 @@ func (e *Entry) noteExhaustion(mt *Metrics) {
 // structures (suffix tree, NCA, anchors) are seed-independent and stay. The
 // cost is charged to the "preprocess" ledger like any reseed.
 func (e *Entry) recoverDegraded(mt *Metrics) {
+	dict := e.tree(1, mt) // built: only MatchChecked opens the breaker
 	m := pram.NewSequential()
 	e.mu.Lock()
 	e.seed = mix64(e.seed) | 1 // fresh, never zero
-	e.dict.Reseed(m, e.seed)
+	dict.Reseed(m, e.seed)
 	e.mu.Unlock()
 	if mt != nil {
 		mt.ChargePRAM("preprocess", m.Work(), m.Depth())

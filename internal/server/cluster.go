@@ -12,8 +12,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/dense"
 	"repro/internal/persist"
 	"repro/internal/resilience"
 )
@@ -30,8 +28,9 @@ const (
 // placed on R owners by the internal/cluster consistent-hash ring, and any
 // node accepts any request — a non-owner routes match/parse traffic to the
 // owners with hedging, an owner that is missing the dictionary pulls the
-// DMSNAP bundle from a peer and restores it (zero re-preprocessing: the
-// PRAM preprocess ledger does not move on a replication pull).
+// DMSNAP bundle from a peer and restores its automaton (zero
+// re-preprocessing: under -dense on the PRAM preprocess ledger does not
+// move on a replication pull).
 
 // clusterFromHeader marks a request as already routed once. A node seeing
 // it serves locally no matter what, so a stale ring view (or a bug) can
@@ -487,8 +486,9 @@ func (s *Server) ensureReplica(ctx context.Context, id string) (*Entry, error) {
 
 // pullReplica restores id from the cheapest source that has it: the local
 // snapshot store (a warm restart already paid the disk write), then each
-// owner peer, then every remaining peer. Either way the restore is a table
-// read — no §3 preprocessing runs on a replica.
+// owner peer, then every remaining peer. Either way the bundle is opened
+// once — no §3 section decoded — and no §3 preprocessing runs on a replica
+// that has an automaton.
 func (s *Server) pullReplica(ctx context.Context, id string) (*Entry, error) {
 	c := s.cluster
 	key, isKey := keyFromID(id)
@@ -526,12 +526,11 @@ func (s *Server) pullReplica(ctx context.Context, id string) (*Entry, error) {
 		// class worth retrying, gated by the cluster-wide budget so a
 		// partition cannot turn pull pressure into a retry storm.
 		var data []byte
-		var d *core.Dictionary
-		var aut *dense.Automaton
+		var b *persist.Bundle
 		var err error
 		start := time.Now()
 		for attempt := 1; ; attempt++ {
-			data, d, aut, err = persist.FetchBundle(ctx, c.client, p.URL, id, 0)
+			data, b, err = persist.FetchBundle(ctx, c.client, p.URL, id, 0)
 			if err == nil || ctx.Err() != nil {
 				break
 			}
@@ -556,14 +555,16 @@ func (s *Server) pullReplica(ctx context.Context, id string) (*Entry, error) {
 		s.metrics.clusterReplPulls.Add(1)
 		s.metrics.clusterReplBytes.Add(int64(len(data)))
 		s.metrics.recordLoad(time.Since(start))
-		aut, compiled := s.automatonFor(d, aut)
+		var compiled bool
+		b.Automaton, compiled = s.automatonFor(b.Patterns, b.Automaton)
+		prepNs := time.Since(start).Nanoseconds()
 		if isKey && s.store != nil {
 			if compiled {
-				data = persist.EncodeBundle(d, aut) // persisted once, with DENSE
+				data = b.Encode() // persisted once, with DENSE
 			}
 			s.recordPut(s.store.PutBytes(key, data))
 		}
-		e, _ := s.reg.Insert(id, d, aut, "replica", id, time.Since(start).Nanoseconds())
+		e, _ := s.publish(id, b, "replica", id, prepNs)
 		s.cfg.Log.Printf("cluster: pulled %s from %s (%d bytes)", id, p.Name, len(data))
 		return e, nil
 	}

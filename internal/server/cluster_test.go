@@ -196,7 +196,9 @@ func TestClusterMatchAnywhereAndReplicationPull(t *testing.T) {
 
 	// Cluster-wide accounting: the bundle replicated at least once (the
 	// non-creating owner pulled it), somebody proxied (the non-owner), and
-	// no node ran §3 preprocessing more than once in total.
+	// §3 preprocessing ran at most once in total. Under the default -dense
+	// on it runs on no node: the creator compiles the automaton, replicas
+	// restore it, and nothing asks for the tree.
 	var pulls, proxied, prepOps int64
 	for _, nd := range nodes {
 		var m MetricsSnapshot

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/base64"
@@ -224,7 +223,8 @@ func (s *Server) handleMatchCompressed(w http.ResponseWriter, r *http.Request) {
 	// HTTP/1.x the first response write would otherwise close the body.
 	_ = rc.EnableFullDuplex()
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	bw := bufio.NewWriterSize(w, 32<<10)
+	bw := ndjsonWriter(w)
+	defer putNDJSONWriter(bw)
 
 	var events []czsearch.Event // collected only for verification
 	pending := 0

@@ -15,10 +15,11 @@ import (
 
 // Dense serving path. Every registration publishes its dictionary with the
 // compiled internal/dense automaton already on the entry — restored from the
-// bundle's DENSE section or compiled synchronously before Registry.Insert —
-// so an entry never changes engine after it is published: it serves from the
-// automaton, or from the tree-walk Las Vegas matcher when there is none
-// (-dense off, or a table over budget). What an automaton serves is sampled
+// bundle's DENSE section or compiled from the patterns before
+// Registry.Insert, with no §3 preprocessing — so an entry never changes
+// engine after it is published: it serves from the automaton, or from the
+// tree-walk Las Vegas matcher when there is none (-dense off, or a table
+// over budget), and then its §3 stage is built at publish. What an automaton serves is sampled
 // against the reference oracle (oracle.go), and a divergence is counted,
 // logged, and answered with the oracle's result.
 
@@ -33,12 +34,13 @@ func (s *Server) denseOptions() dense.Options {
 	return dense.Options{MaxTableBytes: s.cfg.DenseMaxTableBytes}
 }
 
-// automatonFor returns the automaton d is published with: aut when its
-// bundle carried one, else a synchronous compile. It is nil under -dense off
-// and when the compile is refused (typically ErrTableTooLarge), and then the
-// entry serves from the tree walk for good. compiled reports that a compile
-// ran here — the cue to write a cached bundle back with its DENSE section.
-func (s *Server) automatonFor(d *core.Dictionary, aut *dense.Automaton) (a *dense.Automaton, compiled bool) {
+// automatonFor returns the automaton a dictionary of these patterns is
+// published with: aut when its bundle carried one, else a synchronous
+// dense.Compile of the patterns. It is nil under -dense off and when the
+// compile is refused (typically ErrTableTooLarge), and then the entry serves
+// from the tree walk for good. compiled reports that a compile ran here —
+// the cue to write a cached bundle back with its DENSE section.
+func (s *Server) automatonFor(patterns [][]byte, aut *dense.Automaton) (a *dense.Automaton, compiled bool) {
 	if s.cfg.DenseMode == DenseOff {
 		return nil, false
 	}
@@ -47,10 +49,10 @@ func (s *Server) automatonFor(d *core.Dictionary, aut *dense.Automaton) (a *dens
 		return aut, false
 	}
 	start := time.Now()
-	a, err := dense.CompileDictionary(d, s.denseOptions())
+	a, err := dense.Compile(patterns, s.denseOptions())
 	if err != nil {
 		s.metrics.denseCompileFails.Add(1)
-		s.cfg.Log.Printf("dense compile of %d patterns refused: %v; serving from tree walk", len(d.Patterns), err)
+		s.cfg.Log.Printf("dense compile of %d patterns refused: %v; serving from tree walk", len(patterns), err)
 		return nil, false
 	}
 	s.metrics.denseCompiles.Add(1)
@@ -103,10 +105,10 @@ func (s *Server) serveMatch(ctx context.Context, e *Entry, text []byte, buf []st
 }
 
 // patterns returns the entry's pattern set. The slice is immutable after
-// preprocessing (reseeds replace fingerprints, never patterns), so reading it
+// Insert (reseeds replace fingerprints, never patterns), so reading it
 // without the lock is safe.
 func (e *Entry) patterns() [][]byte {
-	return e.dict.Patterns
+	return e.pats
 }
 
 // denseMinShardLen is the smallest text shard worth a dedicated worker on

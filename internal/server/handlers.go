@@ -285,9 +285,10 @@ type dictCreateResponse struct {
 
 // handleDictCreate makes a pattern set resident. With a snapshot cache
 // configured, the content address of (patterns, options) is looked up
-// first: a hit loads the prepared tables with zero PRAM preprocessing
-// (source "cache"); a miss preprocesses (§3) and writes the snapshot
-// through, so the next boot or identical create hits.
+// first: a hit loads the bundle's automaton with zero PRAM preprocessing
+// (source "cache"); a miss compiles the automaton from the patterns —
+// still no §3 preprocessing unless the tree walk must serve — and writes
+// the snapshot through, so the next boot or identical create hits.
 func (s *Server) handleDictCreate(w http.ResponseWriter, r *http.Request) {
 	var req dictCreateRequest
 	if !s.decodeJSON(w, r, &req) {
@@ -369,26 +370,22 @@ func (s *Server) handleDictCreate(w http.ResponseWriter, r *http.Request) {
 			})
 			return
 		} else if !errors.Is(err, persist.ErrNotFound) {
-			// Invalid entry: Get quarantined and counted it; preprocess and
-			// overwrite.
+			// Invalid entry: GetBundle quarantined and counted it; build
+			// and overwrite.
 			s.cfg.Log.Printf("cache entry %s rejected: %v", keyHex, err)
 		}
 		s.metrics.cacheMisses.Add(1)
 	}
 
-	m := pram.New(s.cfg.Procs)
-	defer m.Close()
 	start := time.Now()
-	dict := core.Preprocess(m, patterns, opts)
+	b := &persist.Bundle{Patterns: patterns, Options: opts}
+	b.Automaton, _ = s.automatonFor(patterns, nil)
 	prepNs := time.Since(start).Nanoseconds()
-	s.metrics.ChargePRAM("preprocess", m.Work(), m.Depth())
-	aut, _ := s.automatonFor(dict, nil)
-	// Write through before publishing the entry, automaton included: the
-	// dictionary is still private here, so encoding cannot race a reseed.
-	if s.store != nil && !s.recordPut(s.store.PutBundle(key, dict, aut)) {
+	// Write through before publishing the entry, automaton included.
+	if s.store != nil && !s.recordPut(s.store.PutBytes(key, b.Encode())) {
 		keyHex = ""
 	}
-	entry, evicted := s.reg.Insert(id, dict, aut, "preprocess", keyHex, prepNs)
+	entry, evicted := s.publish(id, b, "preprocess", keyHex, prepNs)
 	writeJSON(w, http.StatusCreated, dictCreateResponse{
 		ID:          entry.ID,
 		Patterns:    entry.NumPatterns,

@@ -113,8 +113,9 @@ const matchAttempts = 6
 // total charged by this call (attempts compose sequentially) so callers —
 // the streaming pipeline in particular — can aggregate a per-call ledger
 // without scraping the shared metrics.
-// A request against an entry whose circuit breaker is open (breaker.go)
-// fails fast with a *DegradedError; an exhausted request returns a
+// The first call builds the entry's §3 stage (tree). A request against an
+// entry whose circuit breaker is open (breaker.go) fails fast with a
+// *DegradedError; an exhausted request returns a
 // *FingerprintExhaustedError and feeds the breaker. Between failed attempts
 // the loop backs off exponentially with jitter (failure path only — the
 // fault-free request never sleeps and its ledger is untouched).
@@ -123,14 +124,15 @@ func (e *Entry) MatchChecked(ctx context.Context, text []byte, procs int, mt *Me
 	if e.Degraded() {
 		return nil, 0, total, &DegradedError{ID: e.ID}
 	}
+	dict := e.tree(procs, mt)
 	for attempt := 1; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, attempt - 1, total, err
 		}
 		e.mu.RLock()
-		matches, mc := matchSharded(e.dict, text, procs)
+		matches, mc := matchSharded(dict, text, procs)
 		cm := pram.New(procs)
-		ok := e.dict.Check(cm, text, matches)
+		ok := dict.Check(cm, text, matches)
 		cw, cd := cm.Work(), cm.Depth()
 		cm.Close()
 		e.mu.RUnlock()
@@ -156,33 +158,35 @@ func (e *Entry) MatchChecked(ctx context.Context, text []byte, procs int, mt *Me
 	}
 }
 
-// reseed replaces the entry's fingerprint randomness under the write lock.
-// In-flight readers finish on the old tables first; the next attempt sees
-// the new ones.
+// reseed replaces the fingerprint randomness of the entry's built stage
+// under the write lock. In-flight readers finish on the old tables first;
+// the next attempt sees the new ones.
 func (e *Entry) reseed(attempt uint64, mt *Metrics) {
+	dict := e.tree(1, mt) // built: MatchChecked built it
 	m := pram.NewSequential()
 	e.mu.Lock()
 	e.seed += attempt * 0x9e3779b97f4a7c15
 	if e.seed == 0 {
 		e.seed = 1
 	}
-	e.dict.Reseed(m, e.seed)
+	dict.Reseed(m, e.seed)
 	e.mu.Unlock()
 	if mt != nil {
 		mt.ChargePRAM("preprocess", m.Work(), m.Depth())
 	}
 }
 
-// Parse runs the §5 optimal static parse of text against the entry's
-// dictionary, charging the "parse" ledger.
+// Parse runs the §5 optimal static parse of text against the entry's §3
+// dictionary (built on first use), charging the "parse" ledger.
 func (e *Entry) Parse(ctx context.Context, text []byte, procs int, mt *Metrics) ([]int32, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	dict := e.tree(procs, mt)
 	m := pram.New(procs)
 	defer m.Close()
 	e.mu.RLock()
-	refs, err := e.dict.CompressStatic(m, text)
+	refs, err := dict.CompressStatic(m, text)
 	e.mu.RUnlock()
 	if mt != nil {
 		mt.ChargePRAM("parse", m.Work(), m.Depth())
@@ -196,10 +200,11 @@ func (e *Entry) Expand(ctx context.Context, refs []int32, procs int, mt *Metrics
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	dict := e.tree(procs, mt)
 	m := pram.New(procs)
 	defer m.Close()
 	e.mu.RLock()
-	text, err := e.dict.DecompressStatic(m, refs)
+	text, err := dict.DecompressStatic(m, refs)
 	e.mu.RUnlock()
 	if mt != nil {
 		mt.ChargePRAM("parse", m.Work(), m.Depth())

@@ -74,8 +74,8 @@ type restoreRequest struct {
 }
 
 // handleDictRestore loads a stored snapshot into the registry as a new
-// entry. The load is a sequential table read — the PRAM preprocess ledger
-// does not move.
+// entry. The load reads the patterns and restores the automaton — the PRAM
+// preprocess ledger does not move under -dense on.
 func (s *Server) handleDictRestore(w http.ResponseWriter, r *http.Request) {
 	if s.store == nil {
 		writeError(w, http.StatusConflict, "no snapshot store: start the server with -cache-dir")

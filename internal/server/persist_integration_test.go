@@ -60,19 +60,21 @@ func metricsSnapshot(t *testing.T, base string) MetricsSnapshot {
 // dictionary already resident ("cache" source) and charges zero PRAM
 // preprocessing for it; re-creating the same pattern set on the warm server
 // is a cache hit, again with no preprocessing; and the loaded dictionary
-// answers matches identically to the one that was preprocessed.
+// answers matches identically to the one that was built.
 func TestCacheWarmStartAndHit(t *testing.T) {
-	// Every server in this file runs DenseOff: these tests pin on-disk
-	// snapshot bytes to the dictionary sections alone. DENSE-section
+	// The default -dense on: creates compile and never preprocess, and a
+	// warm start restores the automaton, so the preprocess ledger stays at
+	// zero throughout. The other servers in this file run DenseOff, where
+	// the tree walk serves and every publish builds the §3 stage; DENSE
 	// persistence is covered by persist's bundle tests,
 	// TestDenseSnapshotWarmStart and TestWarmStartCompilesDenselessBundleOnce.
 	dir := t.TempDir()
 	patterns := persistTestPatterns()
 	text := "xxbananabandanabxnabandxx"
 
-	// First life: preprocess and write through.
+	// First life: build and write through.
 	srvA, baseA, shutdownA := startServer(t, Config{
-		Addr: "127.0.0.1:0", Procs: 1, MaxDicts: 4, MaxInflight: 16, DenseMode: DenseOff, CacheDir: dir,
+		Addr: "127.0.0.1:0", Procs: 1, MaxDicts: 4, MaxInflight: 16, CacheDir: dir,
 	})
 	created := createDictFull(t, baseA, patterns)
 	if created.Source != "preprocess" {
@@ -96,7 +98,7 @@ func TestCacheWarmStartAndHit(t *testing.T) {
 
 	// Second life: warm start from the same directory.
 	srvB, baseB, shutdownB := startServer(t, Config{
-		Addr: "127.0.0.1:0", Procs: 1, MaxDicts: 4, MaxInflight: 16, DenseMode: DenseOff, CacheDir: dir,
+		Addr: "127.0.0.1:0", Procs: 1, MaxDicts: 4, MaxInflight: 16, CacheDir: dir,
 	})
 	defer func() {
 		if err := shutdownB(); err != nil {
@@ -149,13 +151,19 @@ func TestCacheWarmStartAndHit(t *testing.T) {
 		t.Fatalf("persist metrics: %+v", snapB.Persist)
 	}
 
-	// A different pattern set misses and preprocesses.
+	// A different pattern set misses and is built here ("preprocess" is the
+	// label of a dictionary built here): its automaton is compiled, and no
+	// §3 preprocessing runs.
 	other := createDictFull(t, baseB, []string{"zzz", "zyz"})
 	if other.Source != "preprocess" {
 		t.Fatalf("different patterns source = %q, want preprocess", other.Source)
 	}
-	if pre := metricsSnapshot(t, baseB).PRAM["preprocess"]; pre.Work == 0 {
-		t.Fatal("preprocessing a new pattern set charged no PRAM work")
+	snapB = metricsSnapshot(t, baseB)
+	if snapB.Dense.Compiles != 1 {
+		t.Fatalf("building a new pattern set compiled %d automata, want 1", snapB.Dense.Compiles)
+	}
+	if pre := snapB.PRAM["preprocess"]; pre.Work != 0 || pre.Ops != 0 {
+		t.Fatalf("building a new pattern set charged preprocessing: %+v", pre)
 	}
 }
 

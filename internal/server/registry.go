@@ -10,12 +10,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/dense"
 	"repro/internal/persist"
+	"repro/internal/pram"
 )
 
-// Registry holds preprocessed dictionaries keyed by server-assigned IDs.
-// It realizes the paper's preprocess-once/match-many split at the service
-// level: POST /v1/dicts pays the §3 preprocessing cost exactly once, and
-// every subsequent match/parse request against that ID reuses the resident
+// Registry holds published dictionaries keyed by server-assigned IDs. It
+// realizes the paper's preprocess-once/match-many split at the service
+// level: POST /v1/dicts pays the preparation cost exactly once — the
+// automaton's compile, or the §3 preprocessing where the tree walk serves —
+// and every subsequent request against that ID reuses the resident
 // structures at pure query cost.
 //
 // The registry is bounded: at most capacity dictionaries are resident, and
@@ -35,20 +37,24 @@ type Registry struct {
 	logf func(format string, args ...any) // inherited by entries; never nil
 }
 
-// Entry is one resident preprocessed dictionary.
+// Entry is one resident dictionary. It owns its patterns, the options and
+// seed they are preprocessed with, and its compiled automaton. Its §3
+// dictionary is a stage built only when something asks for the tree
+// (tree): the tree walk of an entry without an automaton, /parse and
+// /expand.
 //
 // The matching read path of core.Dictionary is pure; the only mutation is
 // Reseed (the Las Vegas retry after a fingerprint failure). Entry therefore
-// guards the dictionary with an RWMutex: queries hold the read lock, and
-// the astronomically rare reseed takes the write lock.
+// guards the built dictionary with an RWMutex: queries hold the read lock,
+// and the astronomically rare reseed takes the write lock.
 type Entry struct {
 	ID          string
 	NumPatterns int
 	TotalLen    int // the paper's d
 	MaxPatLen   int
 	Created     time.Time
-	Source      string // how the entry came to be: "preprocess", "cache", "snapshot"
-	PrepNs      int64  // preprocessing wall time; 0 when loaded from a snapshot
+	Source      string // how the entry came to be: "preprocess", "cache", "snapshot", "replica"
+	PrepNs      int64  // time to publish: the compile or the load
 	SnapKey     string // content-address hex when known (cache/write-through), else ""
 
 	// info memoizes the static part of the EntryInfo payload so Infos()
@@ -60,7 +66,8 @@ type Entry struct {
 
 	// Circuit breaker state (breaker.go): consecutive MatchChecked
 	// exhaustions, and whether the entry is out of service while its
-	// fingerprints are rebuilt in the background.
+	// fingerprints are rebuilt in the background. Only an entry whose stage
+	// is built has fingerprints, so only such an entry ever trips it.
 	failStreak atomic.Int32
 	degraded   atomic.Bool
 	logf       func(format string, args ...any) // never nil
@@ -83,17 +90,50 @@ type Entry struct {
 	refOnce sync.Once
 	ref     atomic.Pointer[reference]
 
-	mu   sync.RWMutex
-	dict *core.Dictionary
-	seed uint64
+	// The dictionary: its patterns and preprocessing options, immutable
+	// after Insert, and the §3 stage built from them on first use — nil
+	// until then; stageMu makes concurrent first users share one build.
+	pats    [][]byte
+	opts    core.Options
+	stageMu sync.Mutex
+	stage   atomic.Pointer[core.Dictionary]
+
+	mu   sync.RWMutex // guards the built stage's fingerprint state and seed
+	seed uint64       // the stage's current seed: opts.Seed until a reseed
+}
+
+// tree returns the entry's §3 dictionary, building it on first use:
+// core.Preprocess of the patterns with the entry's options on a procs-worker
+// machine, charged to mt's "preprocess" ledger (mt may be nil). Concurrent
+// first callers share the one build, and no goroutine is started. Its seed
+// is opts.Seed: only a built stage is ever reseeded, and fingerprint
+// randomness is a pure function of the seed, so the stage is the dictionary
+// an eager preprocess would have built.
+func (e *Entry) tree(procs int, mt *Metrics) *core.Dictionary {
+	if d := e.stage.Load(); d != nil {
+		return d
+	}
+	e.stageMu.Lock()
+	defer e.stageMu.Unlock()
+	if d := e.stage.Load(); d != nil {
+		return d
+	}
+	m := pram.New(procs)
+	defer m.Close()
+	d := core.Preprocess(m, e.pats, e.opts)
+	if mt != nil {
+		mt.ChargePRAM("preprocess", m.Work(), m.Depth())
+	}
+	e.stage.Store(d)
+	return d
 }
 
 // Hits returns how many requests have looked this entry up.
 func (e *Entry) Hits() int64 { return e.hits.Load() }
 
 // Info returns the entry's description with the current hit count and
-// serving state: whether a compiled dense automaton is live (and its size)
-// and whether the circuit breaker is open.
+// serving state: whether a compiled dense automaton is live (and its size),
+// whether the §3 stage is built, and whether the circuit breaker is open.
 func (e *Entry) Info() EntryInfo {
 	info := e.info
 	info.Hits = e.hits.Load()
@@ -104,19 +144,21 @@ func (e *Entry) Info() EntryInfo {
 		info.DenseStates = st.States
 		info.DenseTableBytes = st.TableBytes
 	}
+	info.Tree = e.stage.Load() != nil
 	info.Degraded = e.Degraded()
 	return info
 }
 
-// SnapshotBytes serializes the entry's dictionary under the read lock, so a
-// concurrent reseed cannot interleave (the snapshot is a consistent state).
-// An entry that has a compiled dense automaton emits it as a DENSE section,
-// so explicit snapshots carry the compiled form and restore without
-// recompiling.
+// SnapshotBytes serializes the entry in the automaton form: its patterns,
+// its options with the current seed (read under the lock, so a reseed the
+// entry has absorbed is part of the snapshot), and its automaton as a DENSE
+// section when it has one, so a restore needs no recompile.
 func (e *Entry) SnapshotBytes() []byte {
+	opts := e.opts
 	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return persist.EncodeBundle(e.dict, e.aut)
+	opts.Seed = e.seed
+	e.mu.RUnlock()
+	return (&persist.Bundle{Patterns: e.pats, Options: opts, Automaton: e.aut}).Encode()
 }
 
 // NewRegistry returns a registry bounded to capacity resident dictionaries
@@ -144,30 +186,36 @@ func (r *Registry) SetLogf(logf func(format string, args ...any)) {
 	r.mu.Unlock()
 }
 
-// Insert makes a built bundle resident — the dictionary plus its compiled
-// dense automaton (nil for none) — evicting LRU entries beyond capacity. It
-// returns the new entry and the IDs it evicted. source labels where the
-// bundle came from ("preprocess" when built here, "cache" for a snapshot
-// cache hit, "snapshot" for an explicit restore, "replica" for a peer pull),
-// snapKey is the content-address hex when known, and prepNs the wall time
-// of the preprocessing or load. The entry is immutable in its engine from
-// here on: it serves from aut, or from the tree walk when aut is nil.
+// Insert makes a dictionary resident — its patterns, the options (seed
+// included) its §3 stage is preprocessed with, and its compiled dense
+// automaton (nil for none) — evicting LRU entries beyond capacity. No §3
+// work runs here: the stage is built when something first asks for the tree.
+// It returns the new entry and the IDs it evicted. source labels where the
+// dictionary came from ("preprocess" when built here, "cache" for a
+// snapshot cache hit, "snapshot" for an explicit restore, "replica" for a
+// peer pull), snapKey is the content-address hex when known, and prepNs the
+// time to publish it: the compile or the load. The entry is immutable in its
+// engine from here on: it serves from aut, or from the tree walk when aut is
+// nil.
 //
 // id "" assigns the next d<seq>. Cluster mode passes the dictionary's
 // content address instead, so every node names the same patterns the same
 // way with zero coordination. Inserting an ID that is already resident
 // replaces the old entry (same content address ⇒ same dictionary; in-flight
 // requests keep their *Entry safely, as with eviction).
-func (r *Registry) Insert(id string, dict *core.Dictionary, aut *dense.Automaton, source, snapKey string, prepNs int64) (*Entry, []string) {
+func (r *Registry) Insert(id string, patterns [][]byte, opts core.Options, aut *dense.Automaton, source, snapKey string, prepNs int64) (*Entry, []string) {
 	total, maxPat := 0, 0
-	for _, p := range dict.Patterns {
+	for _, p := range patterns {
 		total += len(p)
 		if len(p) > maxPat {
 			maxPat = len(p)
 		}
 	}
+	if opts.Seed == 0 {
+		opts.Seed = 1 // as core.Preprocess resolves it
+	}
 	e := &Entry{
-		NumPatterns: len(dict.Patterns),
+		NumPatterns: len(patterns),
 		TotalLen:    total,
 		MaxPatLen:   maxPat,
 		Created:     time.Now(),
@@ -175,8 +223,9 @@ func (r *Registry) Insert(id string, dict *core.Dictionary, aut *dense.Automaton
 		PrepNs:      prepNs,
 		SnapKey:     snapKey,
 		aut:         aut,
-		dict:        dict,
-		seed:        dict.Seed(),
+		pats:        patterns,
+		opts:        opts,
+		seed:        opts.Seed,
 	}
 
 	r.mu.Lock()
@@ -273,16 +322,18 @@ type EntryInfo struct {
 	TotalLen int       `json:"totalLen"`
 	Created  time.Time `json:"created"`
 	Source   string    `json:"source"`
-	PrepNs   int64     `json:"prepNs"`
+	PrepNs   int64     `json:"prepNs"` // time to publish: the compile or the load
 	SnapKey  string    `json:"snapshotKey,omitempty"`
 	Hits     int64     `json:"hits"`
 
 	// Serving state, filled per call: the compiled dense automaton (if one
-	// is live) and the circuit-breaker position.
+	// is live), whether the §3 stage is built, and the circuit-breaker
+	// position.
 	MaxPatLen       int   `json:"maxPatLen"`
 	Dense           bool  `json:"dense"`
 	DenseStates     int   `json:"denseStates,omitempty"`
 	DenseTableBytes int64 `json:"denseTableBytes,omitempty"`
+	Tree            bool  `json:"tree"`
 	Degraded        bool  `json:"degraded"`
 }
 
@@ -316,6 +367,7 @@ type RegistrySnapshot struct {
 	Capacity     int   `json:"capacity"`
 	Evictions    int64 `json:"evictions"`
 	PatternBytes int64 `json:"patternBytes"`
+	TreeForced   int   `json:"treeForced"` // resident entries whose §3 stage is built
 	Degraded     int   `json:"degraded"`
 	oracleStates int64 // Σ resident reference states; /metrics shows it under "dense"
 }
@@ -334,6 +386,9 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 		e := el.Value.(*Entry)
 		if e.Degraded() {
 			snap.Degraded++
+		}
+		if e.stage.Load() != nil {
+			snap.TreeForced++
 		}
 		if ref := e.ref.Load(); ref != nil {
 			snap.oracleStates += int64(ref.ac.NumStates())

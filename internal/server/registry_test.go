@@ -10,10 +10,11 @@ import (
 	"repro/internal/pram"
 )
 
-// insertPreprocessed preprocesses patterns on m and inserts the result under
-// a registry-assigned ID, as POST /v1/dicts does.
-func insertPreprocessed(r *Registry, m *pram.Machine, patterns [][]byte, opts core.Options) (*Entry, []string) {
-	return r.Insert("", core.Preprocess(m, patterns, opts), nil, "preprocess", "", 0)
+// insertTree inserts patterns without an automaton under a
+// registry-assigned ID, as POST /v1/dicts does under -dense off; the §3
+// stage is built on first use.
+func insertTree(r *Registry, patterns [][]byte, opts core.Options) (*Entry, []string) {
+	return r.Insert("", patterns, opts, nil, "preprocess", "", 0)
 }
 
 func mustRegister(t *testing.T, r *Registry, patterns ...string) *Entry {
@@ -22,7 +23,7 @@ func mustRegister(t *testing.T, r *Registry, patterns ...string) *Entry {
 	for i, p := range patterns {
 		ps[i] = []byte(p)
 	}
-	e, _ := insertPreprocessed(r, pram.NewSequential(), ps, core.Options{})
+	e, _ := insertTree(r, ps, core.Options{})
 	return e
 }
 
@@ -32,7 +33,7 @@ func TestRegistryEvictionOrder(t *testing.T) {
 	e2 := mustRegister(t, r, "def")
 	// Third insert evicts the least recently used (e1).
 	ps := [][]byte{[]byte("ghi")}
-	e3, evicted := insertPreprocessed(r, pram.NewSequential(), ps, core.Options{})
+	e3, evicted := insertTree(r, ps, core.Options{})
 	if len(evicted) != 1 || evicted[0] != e1.ID {
 		t.Fatalf("evicted = %v, want [%s]", evicted, e1.ID)
 	}
@@ -43,7 +44,7 @@ func TestRegistryEvictionOrder(t *testing.T) {
 	if _, ok := r.Get(e2.ID); !ok {
 		t.Fatalf("%s missing", e2.ID)
 	}
-	_, evicted = insertPreprocessed(r, pram.NewSequential(), [][]byte{[]byte("jkl")}, core.Options{})
+	_, evicted = insertTree(r, [][]byte{[]byte("jkl")}, core.Options{})
 	if len(evicted) != 1 || evicted[0] != e3.ID {
 		t.Fatalf("evicted = %v, want [%s] (LRU after touching %s)", evicted, e3.ID, e2.ID)
 	}
@@ -89,7 +90,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			var mine []string
 			for i := 0; i < rounds; i++ {
 				pat := fmt.Sprintf("p%d-%d", w, i)
-				e, _ := insertPreprocessed(r, pram.NewSequential(), [][]byte{[]byte(pat)}, core.Options{})
+				e, _ := insertTree(r, [][]byte{[]byte(pat)}, core.Options{})
 				mine = append(mine, e.ID)
 				// Look up everything we ever registered; most are evicted.
 				for _, id := range mine {

@@ -11,10 +11,11 @@
 //
 // Layers:
 //
-//   - Registry: concurrent-safe preprocessed-dictionary store with LRU
-//     eviction; evicted entries stay usable by in-flight requests. An entry
-//     is published with its compiled dense automaton (dense.go) already on
-//     it and never changes engine afterwards.
+//   - Registry: concurrent-safe dictionary store with LRU eviction;
+//     evicted entries stay usable by in-flight requests. An entry is
+//     published with its compiled dense automaton (dense.go) already on it
+//     and never changes engine afterwards; its §3 dictionary is built only
+//     when something asks for the tree.
 //   - Handlers: JSON endpoints under /v1 (handlers.go); large match texts
 //     are sharded across a worker pool with pattern-length halos
 //     (match.go), mirroring internal/distrib's workstation sharding.
@@ -156,10 +157,15 @@ type Server struct {
 }
 
 // New assembles a server from cfg. With a CacheDir the snapshot store is
-// opened (created if missing) and every valid snapshot already in it is
-// loaded into the registry — a warm start that costs sequential table reads,
-// not §3 preprocessing; the PRAM preprocess ledger stays at zero across a
-// restart. Corrupt cache entries are quarantined and logged, never fatal.
+// opened (created if missing), swept — every file's framing, CRCs, header
+// and patterns checked, no table decoded — and every valid snapshot already
+// in it is
+// loaded into the registry: its patterns read and its DENSE section
+// restored, one bounds-checked copy per bundle, with no §3 section decoded
+// and no §3 preprocessing, so the PRAM preprocess ledger stays at zero
+// across a restart (-dense off builds each entry's §3 stage at publish, and
+// charges it). Corrupt cache entries are quarantined and logged, never
+// fatal.
 func New(cfg Config) (*Server, error) {
 	cfg.fillDefaults()
 	if cfg.DenseMode != DenseOn && cfg.DenseMode != DenseOff {
@@ -216,28 +222,41 @@ type loadedBundle struct {
 
 // loadFromStore makes the bundle stored under key resident as id ("" = the
 // registry assigns d<seq>), with its automaton (automatonFor): the one way a
-// file in the snapshot store becomes an entry. source labels it: "cache"
-// when the server went to its cache for the bundle, "snapshot" for an
-// explicit restore. A bundle without DENSE that is compiled here is
-// rewritten once with it, before the entry is published, when its key is
-// the KeyFor content address — never an explicit snapshot's, which is the
-// hash of its bytes. On error nothing is registered (GetBundle has already
-// quarantined and counted an invalid file).
+// file in the snapshot store becomes an entry. GetBundle reads the file once
+// and decodes no §3 section. source labels it: "cache" when the server went
+// to its cache for the bundle, "snapshot" for an explicit restore. A bundle
+// without DENSE that is compiled here is rewritten once in the automaton
+// form, before the entry is published, when its key is the KeyFor content
+// address — never an explicit snapshot's, which is the hash of its bytes. On
+// error nothing is registered (GetBundle has already quarantined and counted
+// an invalid file).
 func (s *Server) loadFromStore(id string, key persist.Key, source string) (loadedBundle, error) {
 	start := time.Now()
-	d, aut, size, err := s.store.GetBundle(key)
+	b, size, err := s.store.GetBundle(key)
 	if err != nil {
 		return loadedBundle{}, err
 	}
-	elapsed := time.Since(start)
-	s.metrics.recordLoad(elapsed)
-	loaded := aut != nil
-	aut, compiled := s.automatonFor(d, aut)
-	if compiled && key == persist.KeyFor(d.Patterns, core.Options{Seed: d.Seed()}) {
-		s.recordPut(s.store.PutBundle(key, d, aut))
+	s.metrics.recordLoad(time.Since(start))
+	loaded := b.Automaton != nil
+	var compiled bool
+	b.Automaton, compiled = s.automatonFor(b.Patterns, b.Automaton)
+	prepNs := time.Since(start).Nanoseconds()
+	if compiled && key == persist.KeyFor(b.Patterns, core.Options{Seed: b.Options.Seed}) {
+		s.recordPut(s.store.PutBytes(key, b.Encode()))
 	}
-	e, evicted := s.reg.Insert(id, d, aut, source, key.String(), elapsed.Nanoseconds())
+	e, evicted := s.publish(id, b, source, key.String(), prepNs)
 	return loadedBundle{entry: e, evicted: evicted, bytes: size, dense: loaded}, nil
+}
+
+// publish inserts a bundle into the registry. An entry without an automaton
+// (-dense off, or a refused compile) is served by the tree walk, so its §3
+// stage is built here, before publish returns.
+func (s *Server) publish(id string, b *persist.Bundle, source, snapKey string, prepNs int64) (*Entry, []string) {
+	e, evicted := s.reg.Insert(id, b.Patterns, b.Options, b.Automaton, source, snapKey, prepNs)
+	if e.aut == nil {
+		e.tree(s.cfg.Procs, s.metrics)
+	}
+	return e, evicted
 }
 
 // recordPut counts a snapshot write; a failed one is logged and reported

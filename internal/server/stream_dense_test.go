@@ -8,7 +8,10 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"runtime/metrics"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dense"
 	"repro/internal/pram"
+	"repro/internal/textgen"
 )
 
 // streamLines posts body to a /match/stream URL and returns the raw event
@@ -161,7 +165,7 @@ func TestStreamDenseMatchesTree(t *testing.T) {
 // with aut (nil = none) as the entry's automaton — no compile runs, so a
 // test can plant any automaton, a wrong one included.
 func registerWithAutomaton(srv *Server, patterns [][]byte, aut *dense.Automaton) *Entry {
-	e, _ := srv.Registry().Insert("", core.Preprocess(pram.NewSequential(), patterns, core.Options{}), aut, "preprocess", "", 0)
+	e, _ := srv.Registry().Insert("", patterns, core.Options{}, aut, "preprocess", "", 0)
 	return e
 }
 
@@ -312,4 +316,99 @@ func TestStreamDenseHandlerAllocation(t *testing.T) {
 	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1<<20 {
 		t.Fatalf("a dense stream of %d bytes allocated %d bytes, want < 1 MiB", len(text), per)
 	}
+}
+
+// TestStreamRouteAllocation pins what one unsampled /match/stream request
+// allocates at the stream workload's shape — a raw 128 KiB body planted every
+// 512 bytes over 128 patterns of 12 bytes — to the measured 527 KB: the
+// segment buffers the body is read into (stream.growTo) are nearly all of
+// it. The 32 KiB NDJSON writer comes from a pool and is not among them.
+func TestStreamRouteAllocation(t *testing.T) {
+	const ceiling = 544 << 10
+	srv, err := New(Config{Procs: 1, Log: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	text, patterns := textgen.New(11).PlantedDictionary(128<<10, 128, 12, 512, 26)
+	strs := make([]string, len(patterns))
+	for i, p := range patterns {
+		strs[i] = string(p)
+	}
+	id := createVia(t, srv, strs).ID
+	h, path := srv.Handler(), "/v1/dicts/"+id+"/match/stream"
+	serve := func() {
+		h.ServeHTTP(&discardResponse{h: http.Header{}}, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(text)))
+	}
+	for i := 0; i < 4; i++ { // request 1 builds the oracle and takes its turn
+		serve()
+	}
+	// Requests 5–20, all between sampled turns; the median, as in
+	// TestMatchRouteAllocation.
+	allocs := make([]uint64, 16)
+	for i := range allocs {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		serve()
+		runtime.ReadMemStats(&after)
+		allocs[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	if served := srv.Metrics().denseServed.Load(); served != 20 {
+		t.Fatalf("dense.served = %d, want 20", served)
+	}
+	slices.Sort(allocs)
+	median := allocs[len(allocs)/2]
+	t.Logf("per-request allocation: %d bytes (median of %d)", median, len(allocs))
+	if median > ceiling && !raceEnabled() {
+		t.Fatalf("a /match/stream over %d bytes allocated %d bytes (median of %d), ceiling %d", len(text), median, len(allocs), ceiling)
+	}
+}
+
+// BenchmarkStreamRoute serves /match/stream requests of the stream
+// workload's shape — raw 128 KiB bodies, planted every 512 bytes, round
+// robin over eight dictionaries of 128 patterns of 8–16 bytes, σ 26 —
+// through Server.Handler(), and reports the garbage-collection cycles per
+// request from runtime/metrics next to the time: the GC paces to the live
+// heap, which the resident dictionaries set.
+func BenchmarkStreamRoute(b *testing.B) {
+	srv, err := New(Config{Procs: 1, Log: quietLogger()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	var paths []string
+	var texts [][]byte
+	for k := uint64(0); k < 8; k++ {
+		gen := textgen.New(50 + k)
+		pats := gen.Dictionary(128, 8, 16, 26)
+		text := gen.Uniform(128<<10, 26)
+		for pos := 0; pos+16 <= len(text); pos += 512 {
+			copy(text[pos:], pats[(pos/512)%len(pats)])
+		}
+		strs := make([]string, len(pats))
+		for i, p := range pats {
+			strs[i] = string(p)
+		}
+		body, _ := json.Marshal(map[string]any{"patterns": strs})
+		rec := serveRoute(srv.Handler(), http.MethodPost, "/v1/dicts", body)
+		var created dictCreateResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &created); err != nil || rec.Code != http.StatusCreated {
+			b.Fatalf("create: %d %s", rec.Code, rec.Body)
+		}
+		paths = append(paths, "/v1/dicts/"+created.ID+"/match/stream")
+		texts = append(texts, text)
+	}
+	h := srv.Handler()
+	gc := []metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}}
+	metrics.Read(gc)
+	before := gc[0].Value.Uint64()
+	b.SetBytes(128 << 10)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(paths)
+		h.ServeHTTP(&discardResponse{h: http.Header{}}, httptest.NewRequest(http.MethodPost, paths[k], bytes.NewReader(texts[k])))
+	}
+	b.StopTimer()
+	metrics.Read(gc)
+	b.ReportMetric(float64(gc[0].Value.Uint64()-before)/float64(b.N), "gc/op")
 }

@@ -5,8 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/pram"
@@ -54,6 +56,23 @@ func appendEvent(b []byte, pos int64, pattern, length int32) []byte {
 	b = append(b, `,"length":`...)
 	b = strconv.AppendInt(b, int64(length), 10)
 	return append(b, "}\n"...)
+}
+
+// ndjsonWriters recycles the 32 KiB response writers of the NDJSON routes,
+// which would otherwise be a fresh allocation per request.
+var ndjsonWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 32<<10) }}
+
+// ndjsonWriter returns a pooled writer onto w. The handler hands it back
+// with putNDJSONWriter when it returns, having flushed what it meant to send.
+func ndjsonWriter(w io.Writer) *bufio.Writer {
+	bw := ndjsonWriters.Get().(*bufio.Writer)
+	bw.Reset(w)
+	return bw
+}
+
+func putNDJSONWriter(bw *bufio.Writer) {
+	bw.Reset(nil)
+	ndjsonWriters.Put(bw)
 }
 
 // matchStreamSink writes NDJSON events and flushes per segment.
@@ -126,7 +145,8 @@ func (s *Server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 	// (HTTP/2 is full duplex natively; a not-supported error is fine.)
 	_ = rc.EnableFullDuplex()
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	sink := &matchStreamSink{bw: bufio.NewWriterSize(w, 32<<10), rc: rc, mt: s.metrics}
+	sink := &matchStreamSink{bw: ndjsonWriter(w), rc: rc, mt: s.metrics}
+	defer putNDJSONWriter(sink.bw)
 	cfg := stream.Config{SegmentBytes: segSize}
 
 	// Engine choice, by serveMatch's rule: the compiled automaton when
