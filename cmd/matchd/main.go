@@ -43,9 +43,10 @@
 // request on; the §3 preprocessing runs only when something asks for the
 // tree (/parse, /expand). Under -dense off, or when the table would exceed
 // -dense-max-table, the dictionary is published without one, preprocessed
-// at publish, and the Las Vegas tree walk serves it. Sampled dense results are cross-validated
-// against a reference Aho–Corasick automaton built on the entry's first
-// sampled request. Snapshots written with -cache-dir carry the compiled form
+// at publish, and the Las Vegas tree walk serves it. Each automaton is
+// certified against its patterns (ahocorasick.Certify) by the first request
+// that reads it, and a reference Aho–Corasick automaton re-answers request 1
+// of each route and every 1024th. Snapshots written with -cache-dir carry the compiled form
 // (DENSE section), so a restart skips compilation too. The response's
 // "engine" field and the /metrics "dense" section show which path served.
 //

@@ -41,8 +41,8 @@
 // FuzzCzsearchEquivalence require byte-identical output to
 // lz.Uncompress+matching across adversarial token shapes (overlapping
 // self-referential copies, matches spanning ≥3 tokens, window-edge copies),
-// and the serving layer cross-validates sampled requests against the
-// decompress-then-match oracle.
+// and the serving layer cross-validates the oracle's turns (request 1 and a
+// sparse canary after it) against the decompress-then-match oracle.
 //
 // When no compiled dense automaton exists (table over budget, dense
 // disabled), Fallback fuses the windowed uncompressor with the streaming

@@ -24,12 +24,15 @@
 //
 // Matching here is deterministic — no fingerprints, no Las Vegas loop — so
 // the §3.4 checker, a soundness certificate for one-sided errors, cannot
-// vouch for it. The serving layer cross-validates sampled dense results
-// against internal/ahocorasick instead (internal/server/oracle.go), the
-// tests and fuzz targets hold every entry point to that oracle, and the
-// greedy-parsing-optimality literature (arXiv:1211.5350) is the standing
-// reminder that a fast path earns trust by agreeing with a slow one, not by
-// replacing it.
+// vouch for it. What vouches for a table is ahocorasick.Certify, which
+// checks every entry of it against its patterns through the read-only view
+// in step.go; the serving layer runs it once per automaton, before the
+// automaton's first answer, and keeps internal/ahocorasick's matcher as a
+// sparse canary on the code around the table (internal/server/oracle.go).
+// The tests and fuzz targets hold every entry point to that oracle, and
+// the greedy-parsing-optimality literature (arXiv:1211.5350) is the
+// standing reminder that a fast path earns trust by agreeing with a slow
+// one, not by replacing it.
 //
 // The API is allocation-free on the hot path: Scan reports every occurrence
 // through a callback without allocating, MatchInto fills a caller-provided

@@ -8,6 +8,10 @@ package dense
 // the last MaxPatternLen() bytes of w alone. States are row offsets, root
 // 0, and a pure function of the pattern list. All three methods are
 // allocation-free; Outputs returns a view into the packed output table.
+//
+// With Width, Class and Row (and NumStates, PatternLen and MaxPatternLen in
+// dense.go) the same methods are the read-only view ahocorasick.Certify
+// checks a table through, once, before it serves.
 
 // Step returns the state reached from q on input byte b — a class load and
 // one table load, exactly the transition the scan kernel performs per byte.
@@ -28,4 +32,17 @@ func (a *Automaton) Outputs(q int32) []int32 {
 // outputs are numbered last, so this is one compare against a threshold.
 func (a *Automaton) HasOutputs(q int32) bool {
 	return q >= a.outStart
+}
+
+// Width returns the number of byte classes, the absent class 0 included:
+// the length of a row.
+func (a *Automaton) Width() int { return int(a.width) }
+
+// Class returns the column byte b reads: 0 for a byte in no pattern.
+func (a *Automaton) Class(b byte) int { return int(a.symClass[b]) }
+
+// Row returns state q's transitions, one row offset per class. It aliases
+// the table and must not be modified.
+func (a *Automaton) Row(q int32) []int32 {
+	return a.next[q : q+a.width : q+a.width]
 }

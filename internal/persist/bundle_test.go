@@ -167,7 +167,7 @@ func TestStoreBundle(t *testing.T) {
 	}
 
 	// Sweep must treat bundle files as valid.
-	rep, err := st.Sweep()
+	rep, err := st.Sweep(nil)
 	if err != nil || rep.Valid != 1 || rep.Quarantined != 0 {
 		t.Fatalf("Sweep: %+v, %v", rep, err)
 	}
@@ -329,7 +329,7 @@ func TestAutomatonBundleBitFlips(t *testing.T) {
 		if err := os.WriteFile(st.Path(k), bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if rep, err := st.Sweep(); err != nil || rep.Quarantined != 1 || rep.Valid != 0 {
+		if rep, err := st.Sweep(nil); err != nil || rep.Quarantined != 1 || rep.Valid != 0 {
 			t.Fatalf("flip at %d: Sweep %+v, %v", off, rep, err)
 		}
 	}

@@ -282,19 +282,26 @@ func (s *Store) Keys() ([]Key, error) {
 	}
 	var keys []Key
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || filepath.Ext(name) != fileExt {
-			continue
+		if k, ok := keyOf(e.Name()); ok && !e.IsDir() {
+			keys = append(keys, k)
 		}
-		raw, err := hex.DecodeString(name[:len(name)-len(fileExt)])
-		if err != nil || len(raw) != sha256.Size {
-			continue
-		}
-		var k Key
-		copy(k[:], raw)
-		keys = append(keys, k)
 	}
 	return keys, nil
+}
+
+// keyOf returns the key a snapshot file name spells, and false for any
+// other name.
+func keyOf(name string) (Key, bool) {
+	var k Key
+	if filepath.Ext(name) != fileExt {
+		return k, false
+	}
+	raw, err := hex.DecodeString(name[:len(name)-len(fileExt)])
+	if err != nil || len(raw) != sha256.Size {
+		return k, false
+	}
+	copy(k[:], raw)
+	return k, true
 }
 
 // SweepReport summarizes a startup sweep of the store.
@@ -307,13 +314,18 @@ type SweepReport struct {
 
 // Sweep re-validates every snapshot in the store: each well-named file is
 // read and given the checks every read path makes — framing, every section
-// CRC, header and patterns, but no §3 decode and no DENSE restore (a
-// server's GetBundle does that once, when it loads the file) — corrupt ones
-// are quarantined (and counted), and leftover quarantine files from earlier
-// runs are tallied. Servers run it at startup so a boot reports the store's
-// health up front instead of discovering rot lazily, one failed Get at a
-// time.
-func (s *Store) Sweep() (SweepReport, error) {
+// CRC, header and patterns, but no §3 decode and no DENSE restore — corrupt
+// ones are quarantined (and counted), and leftover quarantine files from
+// earlier runs are tallied. Servers run it at startup so a boot reports the
+// store's health up front instead of discovering rot lazily, one failed Get
+// at a time.
+//
+// use, when non-nil, is handed each file that passed, named by its key, with
+// the bytes just read: a server's warm start opens its bundles from them
+// instead of reading every file a second time. An error from use — a DENSE
+// section that does not restore, say — quarantines the file like any other
+// failed check. use must not keep data.
+func (s *Store) Sweep(use func(k Key, data []byte) error) (SweepReport, error) {
 	var rep SweepReport
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -337,7 +349,11 @@ func (s *Store) Sweep() (SweepReport, error) {
 			continue // raced with a concurrent writer/remover; not our problem
 		}
 		before := s.quarantineFails.Load()
-		if _, err := open(data); err != nil {
+		_, err = open(data)
+		if k, named := keyOf(name); err == nil && named && use != nil {
+			err = use(k, data)
+		}
+		if err != nil {
 			s.quarantine(path, err)
 			if s.quarantineFails.Load() > before {
 				rep.QuarantineFails++

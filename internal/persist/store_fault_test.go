@@ -134,7 +134,7 @@ func TestSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := st.Sweep()
+	rep, err := st.Sweep(nil)
 	if err != nil {
 		t.Fatalf("Sweep: %v", err)
 	}
@@ -153,7 +153,7 @@ func TestSweep(t *testing.T) {
 		t.Errorf("bad entry after sweep: %v, want ErrNotFound", err)
 	}
 	// Idempotent: a second sweep finds one valid entry and two leftovers.
-	rep2, err := st.Sweep()
+	rep2, err := st.Sweep(nil)
 	if err != nil {
 		t.Fatalf("second Sweep: %v", err)
 	}

@@ -42,13 +42,14 @@ import (
 // container header (internal/czsearch): the token scanner proper (engine
 // "czsearch") when tokens are long enough to pay for their bookkeeping, and
 // expand-and-scan on a dense cursor (engine "dense") when they are not.
-// Scanner results of either mode are cross-checked against the
-// decompress-then-match oracle (oracle.go) on the first request and every
-// verifySampleEvery-th after it — the same sampling the dense path uses —
-// and a divergence fails the request loudly (500 or error trailer) rather
-// than serving unverifiable output: the scanner's memo cache is exactly the
-// kind of state a fault can poison (chaos point czsearch.cache), and the
-// oracle is what detects it.
+// The automaton is certified before the first scan (oracle.go), and scanner
+// results of either mode are cross-checked against the
+// decompress-then-match oracle on the oracle turns the dense path takes —
+// the first request and every verifySampleEvery-th after it, and every
+// request once a certificate has failed. A divergence fails the request
+// loudly (500 or error trailer) rather than serving unverifiable output: the
+// scanner's memo cache is exactly the kind of state a fault can poison
+// (chaos point czsearch.cache), and the oracle is what detects it.
 
 // engineCz labels responses answered by the scanner's token mode; its
 // expanded mode answers as engineDense.
@@ -182,7 +183,7 @@ func (s *Server) handleMatchCompressed(w http.ResponseWriter, r *http.Request) {
 	}
 
 	aut := e.aut
-	verify := aut != nil && sampled(&e.czReqs)
+	verify := aut != nil && s.oracleTurn(e, &e.czReqs)
 	body := io.Reader(r.Body)
 	var tee *cappedTee
 	if verify {
@@ -287,8 +288,8 @@ type matchCompressedResponse struct {
 // handleMatchCompressedBuffered is the batch-friendly variant: one JSON
 // request carrying the container ({"dataB64":...}), one JSON response with
 // every hit. It goes through the ordinary buffered middleware (body cap,
-// request deadline), and a sampled oracle divergence fails it with a clean
-// 500 instead of a mid-stream trailer.
+// request deadline), and an oracle divergence fails it with a clean 500
+// instead of a mid-stream trailer.
 func (s *Server) handleMatchCompressedBuffered(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.entryFor(w, r)
 	if !ok {
@@ -316,7 +317,7 @@ func (s *Server) handleMatchCompressedBuffered(w http.ResponseWriter, r *http.Re
 		return
 	}
 
-	verify := aut != nil && sampled(&e.czReqs)
+	verify := aut != nil && s.oracleTurn(e, &e.czReqs)
 	resp := matchCompressedResponse{N: run.n, Hits: []matchHit{}}
 	var events []czsearch.Event
 	st, err := run.run(r.Context(), func(ev czsearch.Event) error {

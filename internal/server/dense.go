@@ -19,9 +19,10 @@ import (
 // Registry.Insert, with no §3 preprocessing — so an entry never changes
 // engine after it is published: it serves from the automaton, or from the
 // tree-walk Las Vegas matcher when there is none (-dense off, or a table
-// over budget), and then its §3 stage is built at publish. What an automaton serves is sampled
-// against the reference oracle (oracle.go), and a divergence is counted,
-// logged, and answered with the oracle's result.
+// over budget), and then its §3 stage is built at publish. An automaton is
+// certified before its first answer, and the reference oracle takes canary
+// turns after that (oracle.go); a divergence is counted, logged, and
+// answered with the oracle's result.
 
 // Dense serving modes (Config.DenseMode).
 const (
@@ -65,16 +66,19 @@ func (s *Server) automatonFor(patterns [][]byte, aut *dense.Automaton) (a *dense
 const (
 	engineDense     = "dense"
 	engineTree      = "tree"
-	engineReference = "reference" // the oracle's answer, after a sampled divergence
+	engineReference = "reference" // the oracle's answer, after a divergence
 )
 
 // serveMatch answers one match request through the fastest correct path:
 // the compiled dense automaton when the entry has one (deterministic — no
 // Las Vegas loop, no attempts), otherwise the checked tree-walk matcher.
-// Dense results are sampled against the oracle; on divergence the oracle's
-// answer is served and the failure counted. The dense path also serves (and
-// verifies) entries whose circuit breaker is open — neither the automaton
-// nor the oracle depends on the fingerprint state the breaker protects.
+// The automaton answers once its certificate has passed (oracle.go); its
+// answers on oracle turns — the canary's, or every one after a failed
+// certificate — are compared with the reference's, and on divergence the
+// reference's answer is served and the failure counted. The dense path also
+// serves (and verifies) entries whose circuit breaker is open — neither the
+// automaton nor the oracle depends on the fingerprint state the breaker
+// protects.
 // The matches come back as events in position order, written over buf's
 // contents and into its storage.
 func (s *Server) serveMatch(ctx context.Context, e *Entry, text []byte, buf []stream.MatchEvent) ([]stream.MatchEvent, int, string, error) {
@@ -88,10 +92,11 @@ func (s *Server) serveMatch(ctx context.Context, e *Entry, text []byte, buf []st
 		return stream.AppendEvents(evs, matches, 0), attempts, engineTree, err
 	}
 
+	turn := s.oracleTurn(e, &e.denseReqs)
 	evs, counters := denseEvents(a, text, s.cfg.Procs, evs)
 	s.metrics.ChargePRAM("match", counters.Work, counters.Depth)
 
-	if sampled(&e.denseReqs) {
+	if turn {
 		want, err := s.verify(ctx, e, text, evs, &s.metrics.denseVerifyPass, &s.metrics.denseVerifyFail)
 		if err != nil {
 			return evs[:0], 0, engineDense, err // the request's context ended first

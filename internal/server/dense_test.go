@@ -371,10 +371,11 @@ func TestOverBudgetServesTree(t *testing.T) {
 	}
 }
 
-// TestDenseVerifyDivergence: a wrong automaton planted on an entry is caught
-// by the first-request oracle check; the oracle's result is served (engine
-// "reference" — no tree ran, so the match and check ledgers hold the dense
-// scan alone) and the failure counted.
+// TestDenseVerifyDivergence: a wrong automaton planted on an entry fails its
+// certificate on the first request, so that request and every later one
+// takes an oracle turn; the oracle's result is served (engine "reference" —
+// no tree ran, so the match and check ledgers hold the dense scan alone)
+// and each divergence counted.
 func TestDenseVerifyDivergence(t *testing.T) {
 	srv, err := New(Config{Procs: 1, DenseMode: DenseOn, Log: quietLogger()})
 	if err != nil {
@@ -400,12 +401,16 @@ func TestDenseVerifyDivergence(t *testing.T) {
 	if want := []stream.MatchEvent{{Pos: 1, PatternID: 0, Length: 3}, {Pos: 2, PatternID: 1, Length: 3}}; !slices.Equal(evs, want) {
 		t.Fatalf("oracle result not served: events %+v, want %+v", evs, want)
 	}
-	if srv.Metrics().denseVerifyFail.Load() != 1 {
-		t.Fatalf("verifyFail = %d, want 1", srv.Metrics().denseVerifyFail.Load())
+	if srv.Metrics().denseVerifyFail.Load() != 1 || srv.Metrics().certifyFail.Load() != 1 {
+		t.Fatalf("verifyFail = %d, certifyFail = %d, want 1 and 1", srv.Metrics().denseVerifyFail.Load(), srv.Metrics().certifyFail.Load())
 	}
 	snap := srv.Metrics().Snapshot(srv.Registry(), srv.Limiter())
 	if m, c := snap.PRAM["match"], snap.PRAM["check"]; m.Ops != 1 || m.Work != int64(len(text)) || c.Ops != 0 {
 		t.Fatalf("sampled dense turn charged match=%+v check=%+v, want the %d-byte dense scan only", m, c, len(text))
+	}
+	// Request 2 is no canary turn, but the uncertified table takes one anyway.
+	if evs, _, engine, err := srv.serveMatch(context.Background(), e, text, nil); err != nil || engine != engineReference || len(evs) != 2 {
+		t.Fatalf("request 2: engine %q, %d events, err %v — want the reference's 2", engine, len(evs), err)
 	}
 
 	// A cancelled request does not start the (uninterruptible) reference scan.
@@ -415,8 +420,8 @@ func TestDenseVerifyDivergence(t *testing.T) {
 	if _, _, _, err := srv.serveMatch(ctx, e, text, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("sampled turn under a cancelled context: err = %v", err)
 	}
-	if n := srv.Metrics().denseVerifyFail.Load(); n != 1 {
-		t.Fatalf("verifyFail = %d after a cancelled turn, want 1", n)
+	if n := srv.Metrics().denseVerifyFail.Load(); n != 2 {
+		t.Fatalf("verifyFail = %d after a cancelled turn, want 2", n)
 	}
 }
 
@@ -472,8 +477,10 @@ func TestDenseServesDegradedEntry(t *testing.T) {
 	if n := srv.Metrics().czVerifyPass.Load(); n != 1 {
 		t.Fatalf("czVerifyPass = %d after a degraded entry's first compressed request, want 1", n)
 	}
-	if n := srv.Metrics().oracleBuilds.Load(); n != 1 {
-		t.Fatalf("oracleBuilds = %d, want 1 — the routes share one reference", n)
+	// One certificate for both routes; each route's first request builds
+	// the reference for its turn and drops it after.
+	if n, c := srv.Metrics().oracleBuilds.Load(), srv.Metrics().certified.Load(); n != 2 || c != 1 {
+		t.Fatalf("oracleBuilds = %d, certified = %d, want 2 and 1", n, c)
 	}
 	if err := shutdown(); err != nil {
 		t.Fatal(err)

@@ -485,7 +485,7 @@ func appendMatchResponse(b []byte, n, attempts int, engine string, evs []stream.
 // longest pattern starting there. The route is one pass over pooled
 // buffers: the body is read once, the text decoded from it (decodeText),
 // serveMatch finds the matches as events — a cursor over the compiled
-// automaton with sampled oracle verification for dense entries, the Las
+// automaton, certified before its first answer, for dense entries, the Las
 // Vegas checked tree walk for the rest — and appendMatchResponse writes the
 // reply.
 func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {

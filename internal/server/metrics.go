@@ -169,12 +169,14 @@ type Metrics struct {
 
 	// Dense serving path (dense.go). denseServed/denseFallback split the
 	// match requests on dense-enabled servers by which engine answered;
-	// denseVerifyPass/denseVerifyFail count sampled oracle cross-checks of
-	// dense results; denseCompiles/denseCompileNanos/denseCompileFails and
+	// denseVerifyPass/denseVerifyFail count oracle cross-checks of dense
+	// results; denseCompiles/denseCompileNanos/denseCompileFails and
 	// denseTableBytes account the compile stage; denseLoads counts automata
 	// restored from DENSE snapshot sections — dictionaries that skipped
-	// compilation entirely. oracleBuilds counts reference automata built
-	// (oracle.go) and oracleNanos the wall time of those builds and scans.
+	// compilation entirely. certified/certifyFail count automata whose
+	// certificate passed or failed (oracle.go) and certifyNanos the time
+	// those runs took. oracleBuilds counts reference automata built and
+	// oracleNanos the wall time of those builds and scans.
 	denseServed       atomic.Int64
 	denseFallback     atomic.Int64
 	denseVerifyPass   atomic.Int64
@@ -184,6 +186,9 @@ type Metrics struct {
 	denseCompileFails atomic.Int64
 	denseTableBytes   atomic.Int64
 	denseLoads        atomic.Int64
+	certified         atomic.Int64
+	certifyFail       atomic.Int64
+	certifyNanos      atomic.Int64
 	oracleBuilds      atomic.Int64
 	oracleNanos       atomic.Int64
 
@@ -193,7 +198,7 @@ type Metrics struct {
 	// walk); the byte counters expose the economics —
 	// czBytesRepresented is what the streams stood for, czBytesTouched what
 	// the automaton actually consumed; czVerifyPass/czVerifyFail count
-	// sampled decompress-then-match oracle cross-checks.
+	// decompress-then-match oracle cross-checks.
 	czServed           atomic.Int64
 	czExpanded         atomic.Int64
 	czFallback         atomic.Int64
@@ -320,15 +325,18 @@ type persistSnapshot struct {
 type denseSnapshot struct {
 	Served       int64 `json:"served"`       // match requests answered by the dense engine
 	Fallback     int64 `json:"fallback"`     // dense-enabled requests that fell back to the tree walk
-	VerifyPass   int64 `json:"verifyPass"`   // sampled oracle cross-checks that agreed
+	VerifyPass   int64 `json:"verifyPass"`   // oracle cross-checks that agreed
 	VerifyFail   int64 `json:"verifyFail"`   // divergences (oracle result served instead)
+	Certified    int64 `json:"certified"`    // automata whose certificate passed
+	CertifyFail  int64 `json:"certifyFail"`  // automata whose certificate failed (oracle turn on every request)
+	CertifyNanos int64 `json:"certifyNanos"` // total certificate wall time
 	Compiles     int64 `json:"compiles"`     // automata compiled by this process
 	CompileNanos int64 `json:"compileNanos"` // total compile wall time
 	CompileFails int64 `json:"compileFails"` // compiles refused (table budget)
 	TableBytes   int64 `json:"tableBytes"`   // total transition-table bytes compiled
 	Loads        int64 `json:"loads"`        // automata restored from DENSE sections (zero compile)
-	OracleBuilds int64 `json:"oracleBuilds"` // reference automata built, one per sampled entry
-	OracleNanos  int64 `json:"oracleNanos"`  // wall time of sampled turns (dense, stream and czsearch routes)
+	OracleBuilds int64 `json:"oracleBuilds"` // reference automata built, one per turn that found none resident
+	OracleNanos  int64 `json:"oracleNanos"`  // wall time of oracle turns (dense, stream and czsearch routes)
 	OracleStates int64 `json:"oracleStates"` // reference states resident now
 }
 
@@ -341,7 +349,7 @@ type czSnapshot struct {
 	BytesRepresented int64 `json:"bytesRepresented"` // text bytes the streams stood for
 	BytesTouched     int64 `json:"bytesTouched"`     // bytes actually fed through the automaton
 	MemoHits         int64 `json:"memoHits"`         // copy tokens replayed from the memo cache
-	VerifyPass       int64 `json:"verifyPass"`       // sampled oracle cross-checks that agreed
+	VerifyPass       int64 `json:"verifyPass"`       // oracle cross-checks that agreed
 	VerifyFail       int64 `json:"verifyFail"`       // divergences (request failed, fault surfaced)
 }
 
@@ -447,6 +455,9 @@ func (mt *Metrics) Snapshot(reg *Registry, lim *Limiter) MetricsSnapshot {
 			Fallback:     mt.denseFallback.Load(),
 			VerifyPass:   mt.denseVerifyPass.Load(),
 			VerifyFail:   mt.denseVerifyFail.Load(),
+			Certified:    mt.certified.Load(),
+			CertifyFail:  mt.certifyFail.Load(),
+			CertifyNanos: mt.certifyNanos.Load(),
 			Compiles:     mt.denseCompiles.Load(),
 			CompileNanos: mt.denseCompileNanos.Load(),
 			CompileFails: mt.denseCompileFails.Load(),

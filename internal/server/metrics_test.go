@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/ahocorasick"
 )
 
 // TestMetricsConcurrentObserve hammers one route from many goroutines while
@@ -80,8 +78,9 @@ func TestMetricsRouteIdentity(t *testing.T) {
 }
 
 // TestMetricsOracleCounters: the dense section of GET /metrics reports the
-// reference oracle — built by the entry's first sampled turn, timed on every
-// turn, and counted in states only while its entry is resident.
+// certificate — run once, by the entry's first request — and the reference
+// oracle: built for the first request's turn, timed on every turn, and
+// dropped after it, so no states stay resident.
 func TestMetricsOracleCounters(t *testing.T) {
 	_, base, shutdown := startServer(t, Config{Addr: "127.0.0.1:0", Procs: 1, DenseMode: DenseOn})
 	id := createDict(t, base, "abra", "cad", "abracadabra")
@@ -93,21 +92,23 @@ func TestMetricsOracleCounters(t *testing.T) {
 		}
 		return snap.Dense
 	}
-	if d := dense(); d.OracleBuilds != 0 || d.OracleNanos != 0 || d.OracleStates != 0 {
+	if d := dense(); d.OracleBuilds != 0 || d.OracleNanos != 0 || d.OracleStates != 0 || d.Certified != 0 || d.CertifyNanos != 0 {
 		t.Fatalf("before any request: %+v", d)
 	}
-	wantStates := int64(ahocorasick.New([][]byte{[]byte("abra"), []byte("cad"), []byte("abracadabra")}).NumStates())
-	var nanos int64
+	var nanos, certNanos int64
 	for req := 1; req <= 2; req++ {
 		matchHits(t, base, id, "abracadabra")
 		d := dense()
-		if d.OracleBuilds != 1 || d.OracleNanos <= 0 || d.OracleStates != wantStates || d.VerifyPass != 1 {
-			t.Fatalf("after request %d: %+v, want 1 build, 1 pass and %d states", req, d, wantStates)
+		if d.OracleBuilds != 1 || d.OracleNanos <= 0 || d.OracleStates != 0 || d.VerifyPass != 1 {
+			t.Fatalf("after request %d: %+v, want 1 build, 1 pass and no resident states", req, d)
 		}
-		if req == 2 && d.OracleNanos != nanos {
-			t.Fatalf("unsampled request 2 moved oracleNanos %d -> %d", nanos, d.OracleNanos)
+		if d.Certified != 1 || d.CertifyFail != 0 || d.CertifyNanos <= 0 {
+			t.Fatalf("after request %d: %+v, want one certificate, passed", req, d)
 		}
-		nanos = d.OracleNanos
+		if req == 2 && (d.OracleNanos != nanos || d.CertifyNanos != certNanos) {
+			t.Fatalf("request 2 moved oracleNanos %d -> %d or certifyNanos %d -> %d", nanos, d.OracleNanos, certNanos, d.CertifyNanos)
+		}
+		nanos, certNanos = d.OracleNanos, d.CertifyNanos
 	}
 	req, err := http.NewRequest(http.MethodDelete, base+"/v1/dicts/"+id, nil)
 	if err != nil {

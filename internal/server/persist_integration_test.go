@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"log"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -371,5 +372,36 @@ func TestSnapshotEndpointsWithoutStore(t *testing.T) {
 	}
 	if snap := metricsSnapshot(t, base); snap.Persist.Enabled {
 		t.Fatal("persist reported enabled without a cache dir")
+	}
+}
+
+// TestWarmStartStopsAtMaxDicts: a cache holding more bundles than
+// -max-dicts warm-starts the first MaxDicts of them, says once that the rest
+// stay on disk, and still checks every file in its sweep.
+func TestWarmStartStopsAtMaxDicts(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := New(Config{Procs: 1, MaxDicts: 4, CacheDir: dir, Log: quietLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pats := range [][]string{{"alpha", "beta"}, {"gamma"}, {"delta", "epsilon"}} {
+		createVia(t, srv, pats)
+	}
+	srv.Close()
+
+	var logBuf syncBuffer
+	srv, err = New(Config{Procs: 1, MaxDicts: 2, CacheDir: dir, Log: log.New(&logBuf, "", 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if n := srv.Registry().Len(); n != 2 {
+		t.Fatalf("warm start loaded %d dictionaries, want 2", n)
+	}
+	if srv.sweep.Valid != 3 || srv.sweep.Quarantined != 0 {
+		t.Fatalf("sweep %+v, want 3 valid files", srv.sweep)
+	}
+	if n := strings.Count(logBuf.String(), "remaining entries stay on disk"); n != 1 {
+		t.Fatalf("cap logged %d times, want once; log: %q", n, logBuf.String())
 	}
 }

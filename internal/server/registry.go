@@ -73,22 +73,30 @@ type Entry struct {
 	logf       func(format string, args ...any) // never nil
 
 	// Dense serving state (dense.go): the compiled automaton, set by Insert
-	// and never replaced (nil = the tree walk serves), and the dense-served
-	// request count driving sampled oracle verification.
+	// and never replaced (nil = the tree walk serves), its certificate
+	// (oracle.go: run by the first request that reads it, certMu making
+	// concurrent first requests share the run), and the dense-served request
+	// count driving the oracle's canary turns.
 	aut       *dense.Automaton
+	certMu    sync.Mutex
+	cert      atomic.Int32
 	denseReqs atomic.Int64
 
 	// Compressed-domain serving state (czsearch.go): reusable scanners (one
 	// per in-flight compressed request; Run resets them, so a pooled scanner
 	// carries no state — not even a poisoned memo — into the next request)
-	// and the compressed request count driving sampled oracle verification.
+	// and the compressed request count driving the oracle's turns.
 	czPool sync.Pool
 	czReqs atomic.Int64
 
-	// Sampled-verification oracle (oracle.go): built on the entry's first
-	// sampled turn on any route, then shared by all of them.
-	refOnce sync.Once
-	ref     atomic.Pointer[reference]
+	// The reference oracle (oracle.go): built for an oracle turn on any
+	// route and shared by the turns in flight, refTurns of them; dropped
+	// after the last unless the certificate failed. refStates is its size
+	// while it is resident, readable without waiting out a build.
+	refMu     sync.Mutex
+	ref       *reference
+	refTurns  int
+	refStates atomic.Int64
 
 	// The dictionary: its patterns and preprocessing options, immutable
 	// after Insert, and the §3 stage built from them on first use — nil
@@ -390,9 +398,7 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 		if e.stage.Load() != nil {
 			snap.TreeForced++
 		}
-		if ref := e.ref.Load(); ref != nil {
-			snap.oracleStates += int64(ref.ac.NumStates())
-		}
+		snap.oracleStates += e.refStates.Load()
 	}
 	return snap
 }

@@ -193,19 +193,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		store.SetLogf(cfg.Log.Printf)
 		s.store = store
-		// Startup sweep: re-validate every snapshot up front so boot reports
-		// the store's health in one line (and /readyz can repeat it) instead
-		// of discovering rot lazily, one failed Get at a time.
-		rep, err := store.Sweep()
-		if err != nil {
-			cfg.Log.Printf("cache sweep failed: %v", err)
-		} else {
-			s.sweep = rep
-			if rep.Quarantined > 0 || rep.QuarantineFails > 0 || rep.PreQuarantined > 0 {
-				cfg.Log.Printf("cache sweep: %d valid, %d quarantined now, %d quarantine failures, %d previously quarantined",
-					rep.Valid, rep.Quarantined, rep.QuarantineFails, rep.PreQuarantined)
-			}
-		}
 		s.warmStart()
 	}
 	s.handler = s.buildMux()
@@ -221,21 +208,27 @@ type loadedBundle struct {
 }
 
 // loadFromStore makes the bundle stored under key resident as id ("" = the
-// registry assigns d<seq>), with its automaton (automatonFor): the one way a
-// file in the snapshot store becomes an entry. GetBundle reads the file once
-// and decodes no §3 section. source labels it: "cache" when the server went
-// to its cache for the bundle, "snapshot" for an explicit restore. A bundle
-// without DENSE that is compiled here is rewritten once in the automaton
-// form, before the entry is published, when its key is the KeyFor content
-// address — never an explicit snapshot's, which is the hash of its bytes. On
-// error nothing is registered (GetBundle has already quarantined and counted
-// an invalid file).
+// registry assigns d<seq>), with its automaton (automatonFor). GetBundle
+// reads the file once and decodes no §3 section. source labels it: "cache"
+// when the server went to its cache for the bundle, "snapshot" for an
+// explicit restore. On error nothing is registered (GetBundle has already
+// quarantined and counted an invalid file).
 func (s *Server) loadFromStore(id string, key persist.Key, source string) (loadedBundle, error) {
 	start := time.Now()
 	b, size, err := s.store.GetBundle(key)
 	if err != nil {
 		return loadedBundle{}, err
 	}
+	return s.loadBundle(id, key, b, size, source, start), nil
+}
+
+// loadBundle makes a bundle opened from the snapshot store resident: the
+// one way a file there becomes an entry. start is when its read began. A
+// bundle without DENSE that is compiled here is rewritten once in the
+// automaton form, before the entry is published, when its key is the KeyFor
+// content address — never an explicit snapshot's, which is the hash of its
+// bytes.
+func (s *Server) loadBundle(id string, key persist.Key, b *persist.Bundle, size int, source string, start time.Time) loadedBundle {
 	s.metrics.recordLoad(time.Since(start))
 	loaded := b.Automaton != nil
 	var compiled bool
@@ -245,7 +238,7 @@ func (s *Server) loadFromStore(id string, key persist.Key, source string) (loade
 		s.recordPut(s.store.PutBytes(key, b.Encode()))
 	}
 	e, evicted := s.publish(id, b, source, key.String(), prepNs)
-	return loadedBundle{entry: e, evicted: evicted, bytes: size, dense: loaded}, nil
+	return loadedBundle{entry: e, evicted: evicted, bytes: size, dense: loaded}
 }
 
 // publish inserts a bundle into the registry. An entry without an automaton
@@ -270,19 +263,28 @@ func (s *Server) recordPut(n int, err error) bool {
 	return true
 }
 
-// warmStart loads every resident-capacity-many snapshot from the cache
-// directory into the registry.
+// warmStart sweeps the cache directory and loads its first
+// resident-capacity-many snapshots into the registry. The sweep re-validates
+// every file up front, so boot reports the store's health in one line (and
+// /readyz can repeat it) instead of discovering rot lazily, one failed Get
+// at a time; and it hands over the bytes it has just checked, so each
+// loaded bundle is read once. A file whose DENSE section does not restore
+// is quarantined by the sweep like any other that fails its checks.
 func (s *Server) warmStart() {
-	keys, err := s.store.Keys()
-	if err != nil {
-		s.cfg.Log.Printf("cache scan failed: %v", err)
-		return
-	}
-	loaded := 0
-	for _, k := range keys {
-		if loaded >= s.cfg.MaxDicts {
-			s.cfg.Log.Printf("cache holds more snapshots than -max-dicts=%d; remaining entries stay on disk", s.cfg.MaxDicts)
-			break
+	loaded, full := 0, false
+	rep, err := s.store.Sweep(func(k persist.Key, data []byte) error {
+		if loaded == s.cfg.MaxDicts {
+			if !full {
+				s.cfg.Log.Printf("cache holds more snapshots than -max-dicts=%d; remaining entries stay on disk", s.cfg.MaxDicts)
+				full = true
+			}
+			return nil
+		}
+		start := time.Now()
+		b, err := persist.OpenBundle(data)
+		if err != nil {
+			s.cfg.Log.Printf("cache entry %s rejected: %v", k, err)
+			return err
 		}
 		// In cluster mode the snapshot key IS the dictionary's cluster-wide
 		// ID: register under it so a restarted node serves its owned
@@ -291,20 +293,23 @@ func (s *Server) warmStart() {
 		if s.cluster != nil {
 			id = k.String()
 		}
-		lb, err := s.loadFromStore(id, k, "cache")
-		if err != nil {
-			// GetBundle already quarantined and counted the bad file (it
-			// slipped past the sweep, e.g. a concurrent writer); the server
-			// still boots.
-			s.cfg.Log.Printf("cache entry %s rejected: %v", k, err)
-			continue
-		}
+		lb := s.loadBundle(id, k, b, len(data), "cache", start)
 		form := ""
 		if lb.dense {
 			form = ", dense"
 		}
 		s.cfg.Log.Printf("warm start: %s from snapshot %s (%d bytes%s)", lb.entry.ID, k, lb.bytes, form)
 		loaded++
+		return nil
+	})
+	if err != nil {
+		s.cfg.Log.Printf("cache sweep failed: %v", err)
+		return
+	}
+	s.sweep = rep
+	if rep.Quarantined > 0 || rep.QuarantineFails > 0 || rep.PreQuarantined > 0 {
+		s.cfg.Log.Printf("cache sweep: %d valid, %d quarantined now, %d quarantine failures, %d previously quarantined",
+			rep.Valid, rep.Quarantined, rep.QuarantineFails, rep.PreQuarantined)
 	}
 }
 

@@ -170,9 +170,10 @@ func registerWithAutomaton(srv *Server, patterns [][]byte, aut *dense.Automaton)
 }
 
 // TestStreamDenseVerifyDivergence is TestDenseVerifyDivergence for streams:
-// a wrong automaton is caught by the first stream's oracle turn window by
-// window, before anything is written — the client sees the oracle's events
-// and a summary (engine "reference"), and the failure is counted and logged.
+// a wrong automaton fails its certificate on the first stream, whose oracle
+// turn then catches it window by window, before anything is written — the
+// client sees the oracle's events and a summary (engine "reference"), and
+// the failure is counted and logged. The second stream takes a turn too.
 func TestStreamDenseVerifyDivergence(t *testing.T) {
 	var logBuf syncBuffer
 	srv, base, shutdown := startServer(t, Config{
@@ -212,8 +213,15 @@ func TestStreamDenseVerifyDivergence(t *testing.T) {
 	if m, c := snap.PRAM["match"], snap.PRAM["check"]; m.Work != int64(len(text)) || c.Ops != 0 {
 		t.Fatalf("sampled stream charged match=%+v check=%+v, want the %d bytes scanned only", m, c, len(text))
 	}
-	if !strings.Contains(logBuf.String(), "dense stream diverged from oracle") {
-		t.Fatalf("divergence not logged; log: %q", logBuf.String())
+	if !strings.Contains(logBuf.String(), "dense stream diverged from oracle") || !strings.Contains(logBuf.String(), "failed its certificate") {
+		t.Fatalf("divergence or certificate failure not logged; log: %q", logBuf.String())
+	}
+	again, trailer := streamLines(t, base+"/v1/dicts/"+e.ID+"/match/stream", text)
+	if trailer.Summary == nil || trailer.Summary.Engine != engineReference || !sameLines(again, lines) {
+		t.Fatalf("second stream: %d lines, trailer %+v — want the oracle's events again", len(again), trailer)
+	}
+	if d := srv.Metrics().Snapshot(srv.Registry(), srv.Limiter()).Dense; d.VerifyFail != 2 || d.CertifyFail != 1 {
+		t.Fatalf("dense counters after two divergent streams: %+v", d)
 	}
 }
 
@@ -324,7 +332,7 @@ func TestStreamDenseHandlerAllocation(t *testing.T) {
 // segment buffers the body is read into (stream.growTo) are nearly all of
 // it. The 32 KiB NDJSON writer comes from a pool and is not among them.
 func TestStreamRouteAllocation(t *testing.T) {
-	const ceiling = 544 << 10
+	const ceiling = 16 << 10
 	srv, err := New(Config{Procs: 1, Log: quietLogger()})
 	if err != nil {
 		t.Fatal(err)

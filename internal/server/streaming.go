@@ -151,7 +151,8 @@ func (s *Server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 
 	// Engine choice, by serveMatch's rule: the compiled automaton when
 	// the entry has one, else the checked tree walk. A dense stream counts
-	// as one dense request, so it takes the same sampled oracle turns.
+	// as one dense request: it certifies the automaton if nothing has yet,
+	// and takes the same oracle turns.
 	var st stream.Stats
 	var err error
 	engine := engineTree
@@ -163,8 +164,10 @@ func (s *Server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 		st, err = stream.Match(r.Context(), tree, r.Body, sink, cfg)
 	} else {
 		var oracle *stream.Oracle
-		if sampled(&e.denseReqs) {
-			oracle = &stream.Oracle{Matcher: e.reference(s.metrics), Patterns: e.patterns()}
+		if s.oracleTurn(e, &e.denseReqs) {
+			ref := e.acquireReference(s.metrics)
+			defer e.releaseReference()
+			oracle = &stream.Oracle{Matcher: ref, Patterns: e.patterns()}
 		}
 		st, err = stream.MatchDense(r.Context(), a, oracle, r.Body, sink, cfg)
 		s.metrics.ChargePRAM("match", st.Work, st.Depth)

@@ -109,7 +109,7 @@ func Match(ctx context.Context, tm TextMatcher, r io.Reader, sink MatchSink, cfg
 	return st, err
 }
 
-// Oracle makes a MatchDense run a sampled one: every window is also matched
+// Oracle makes a MatchDense run a verified one: every window is also matched
 // by an independent matcher, and the cursor's events for the window are
 // held back until they have been compared with it.
 type Oracle struct {
@@ -233,7 +233,7 @@ func AppendEvents(dst []MatchEvent, matches []core.Match, base int64) []MatchEve
 // SameEvents reports whether got is exactly the matches in want, whose
 // first entry is text position base: same positions, same lengths, and the
 // same spelled pattern where the ids differ. It is the one comparison every
-// sampled oracle turn — a stream window here, a whole text in the server —
+// oracle turn — a stream window here, a whole text in the server —
 // goes through.
 func SameEvents(patterns [][]byte, got []MatchEvent, want []core.Match, base int64) bool {
 	k := 0

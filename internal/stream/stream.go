@@ -23,8 +23,8 @@
 // Reading and computing are double-buffered: a producer goroutine reads
 // segment i+1 from the io.Reader while the consumer runs the PRAM
 // algorithms on window i, with backpressure through a bounded channel (two
-// segment buffers in flight, total, each grown on demand to the segment
-// size — see firstBuffer). Per-window PRAM work/depth ledger
+// segment buffers in flight, total, each pooled across runs and grown on
+// demand to the segment size — see bufPool). Per-window PRAM work/depth ledger
 // deltas are aggregated into Stats — the streamed run charges the same
 // work as the batch run on the same text (plus the halo recompute) but
 // sequential-composes the windows, trading depth for memory.
@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"runtime/debug"
+	"sync"
 
 	"repro/internal/chaos"
 )
@@ -132,12 +133,41 @@ func (e *WindowPanicError) Unwrap() error {
 	return nil
 }
 
-// firstBuffer is the capacity a segment or window buffer starts at; it
-// doubles from there, up to the configured size, as the input proves to be
-// that long. The pipeline never allocates for bytes it has not read: a
+// firstBuffer is the capacity a fresh segment or window buffer starts at;
+// it doubles from there, up to the configured size, as the input proves to
+// be that long. The pipeline never allocates for bytes it has not read: a
 // one-byte body costs one firstBuffer whatever SegmentBytes says (a server
-// lets clients choose that, up to 64 MiB).
+// lets clients choose that, up to 64 MiB), or nothing with a pooled buffer.
 const firstBuffer = 4 << 10
+
+// maxPooled caps the buffers bufPool keeps, as the server caps its pool of
+// request bodies: a buffer grown past it, for a segment a client asked to
+// be that large, is left to the GC rather than pinned behind the ordinary
+// ones.
+const maxPooled = 4 << 20
+
+// bufPool recycles segment and window buffers across runs. A run takes each
+// buffer as it first needs one and hands back every buffer no goroutine can
+// write to any more, so in a steady stream of requests each buffer arrives
+// already at the size the input needs, and none is grown by doubling.
+var bufPool sync.Pool
+
+// getBuf returns an empty pooled buffer, or nil when the pool has none.
+func getBuf() []byte {
+	if b, ok := bufPool.Get().(*[]byte); ok {
+		return (*b)[:0]
+	}
+	return nil
+}
+
+// putBuf gives buf to the pool. The caller must be its last user.
+func putBuf(buf []byte) {
+	if buf == nil || cap(buf) > maxPooled {
+		return
+	}
+	buf = buf[:0]
+	bufPool.Put(&buf)
+}
 
 // growTo returns buf with room for need bytes, at least doubling its
 // capacity but never past limit (need <= limit), contents kept.
@@ -154,12 +184,13 @@ func growTo(buf []byte, need, limit int) []byte {
 // readSegment reads the next segSize bytes of r into buf (contents
 // discarded, capacity reused and grown on demand), with io.ReadFull's
 // contract: a full segment comes back with a nil error, a short one with
-// the error that ended it (io.EOF at the end of the input).
+// the error that ended it (io.EOF at the end of the input). It never reads
+// past segSize, however large a pooled buffer is.
 func readSegment(r io.Reader, buf []byte, segSize int) ([]byte, error) {
 	buf = buf[:0]
 	for len(buf) < segSize {
 		buf = growTo(buf, len(buf)+1, segSize)
-		n, err := r.Read(buf[len(buf):cap(buf)]) // growTo keeps cap <= segSize
+		n, err := r.Read(buf[len(buf):min(cap(buf), segSize)])
 		buf = buf[:len(buf)+n]
 		if err != nil && len(buf) < segSize {
 			return buf, err
@@ -177,8 +208,8 @@ func runWindows(ctx context.Context, r io.Reader, segSize, halo int, st *Stats, 
 	segs := make(chan segment, 1)
 	free := make(chan []byte, 2)
 	done := make(chan struct{})
-	defer close(done)
-	// Two segment buffers circulate; each is allocated by its first read.
+	// Two segment buffers circulate; each is taken from the pool by its
+	// first read.
 	free <- nil
 	free <- nil
 
@@ -190,6 +221,9 @@ func runWindows(ctx context.Context, r io.Reader, segSize, halo int, st *Stats, 
 			case buf = <-free:
 			case <-done:
 				return
+			}
+			if buf == nil {
+				buf = getBuf()
 			}
 			chaos.Sleep(chaos.StreamStall) // injected producer stall (chaos builds)
 			buf, err := readSegment(r, buf, segSize)
@@ -219,7 +253,33 @@ func runWindows(ctx context.Context, r io.Reader, segSize, halo int, st *Stats, 
 		}
 	}()
 
+	defer func() {
+		close(done)
+		reclaim(free, segs)
+	}()
 	return consumeWindows(ctx, segs, free, segSize, halo, st, fn)
+}
+
+// reclaim gives back to the pool the segment buffers of a finished run that
+// no goroutine can write to any more: those waiting in free that the
+// producer, told to stop, did not take, and a segment it sent that nobody
+// received. A buffer the producer still holds — on an aborted stream, one
+// it is blocked reading into — is left to the GC.
+func reclaim(free <-chan []byte, segs <-chan segment) {
+	for {
+		select {
+		case buf := <-free:
+			putBuf(buf)
+		case s, ok := <-segs:
+			if !ok {
+				segs = nil // closed: the producer has returned
+				continue
+			}
+			putBuf(s.buf)
+		default:
+			return
+		}
+	}
 }
 
 // callWindow runs one window computation with panic containment (see
@@ -238,12 +298,19 @@ func callWindow(fn func([]byte, int64, int, bool) error, window []byte, base int
 // segment — in a buffer of its own and hands the segment buffer back before
 // computing; with none (a matcher that carries its state instead of
 // re-reading text) the window is the segment buffer itself, so the input's
-// bytes are copied nowhere between the reader and fn.
+// bytes are copied nowhere between the reader and fn. The buffers it holds
+// when it returns, the window buffer and a segment not handed back, go to
+// the pool.
 func consumeWindows(ctx context.Context, segs <-chan segment, free chan<- []byte, segSize, halo int, st *Stats, fn func(window []byte, base int64, final int, last bool) error) error {
-	var assembled []byte
+	var assembled, held []byte
+	defer func() {
+		putBuf(held)
+		putBuf(assembled)
+	}()
 	var base int64
 	carry := 0
 	for s := range segs {
+		held = s.buf
 		if s.err != nil {
 			return s.err
 		}
@@ -252,6 +319,9 @@ func consumeWindows(ctx context.Context, segs <-chan segment, free chan<- []byte
 		}
 		window := s.buf
 		if halo > 0 {
+			if assembled == nil {
+				assembled = getBuf()
+			}
 			assembled = growTo(assembled[:carry], carry+len(s.buf), segSize+halo)
 			assembled = append(assembled, s.buf...)
 			window = assembled
@@ -259,6 +329,7 @@ func consumeWindows(ctx context.Context, segs <-chan segment, free chan<- []byte
 				// The producer reads the next segment while fn runs on this
 				// window.
 				free <- s.buf
+				held = nil
 			}
 		}
 		st.Segments++
@@ -283,6 +354,7 @@ func consumeWindows(ctx context.Context, segs <-chan segment, free chan<- []byte
 		if halo == 0 {
 			// The other buffer has been filling meanwhile.
 			free <- s.buf
+			held = nil
 		}
 	}
 	return ctx.Err()
