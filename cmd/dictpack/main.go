@@ -1,35 +1,38 @@
 // Command dictpack manages dictionary snapshot files (internal/persist):
-// preprocess a pattern set once into a portable .dmsnap, ship the file, and
-// every later consumer (dictpack itself, matchd -cache-dir) loads the
-// prepared tables with zero re-preprocessing.
+// pack a pattern set, with its compiled dense automaton if asked, into a
+// portable .dmsnap, ship the file, and every later consumer (dictpack
+// itself, matchd -cache-dir) restores the automaton without compiling it.
 //
 // Usage:
 //
 //	dictpack pack    -dict patterns.txt [-o dict.dmsnap | -store DIR] [-dense] \
-//	                 [-seed N] [-nca auto|naive|veb] [-anchor separator|sa] [-procs N]
+//	                 [-seed N] [-nca auto|naive|veb] [-anchor separator|sa]
 //	dictpack unpack  -in dict.dmsnap [-o patterns.txt]
 //	dictpack inspect -in dict.dmsnap [-json]
 //	dictpack verify  -in dict.dmsnap
 //	dictpack compile -in dict.dmsnap [-o out.dmsnap] [-max-table BYTES] [-force]
 //
-// pack preprocesses (§3) and writes the snapshot to -o, or into a
-// content-addressed store directory with -store (the same layout matchd
-// -cache-dir reads, so packing into a server's cache dir prewarms it); with
-// -dense it also compiles the flat-table automaton so the DENSE section
-// ships inside the file. unpack recovers the original pattern list from a
-// snapshot. inspect prints the header and per-section byte layout after
-// checksum validation only, including the dense automaton's shape when a
-// DENSE section is present; verify additionally rebuilds the dictionary,
-// checking every structural invariant, and runs the §3.4 fingerprint
-// self-check.
+// pack writes the patterns and the options their §3 dictionary is
+// preprocessed with to -o, or into a content-addressed store directory with
+// -store (the same layout matchd -cache-dir reads, so packing into a
+// server's cache dir prewarms it); with -dense it also compiles the
+// flat-table automaton so the DENSE section ships inside the file. It runs
+// no §3 preprocessing: Theorem 3.1 makes that O(d) work, so readers redo it
+// from the patterns when they need the dictionary. unpack recovers the
+// pattern list from a snapshot. inspect prints the header and per-section
+// byte layout after checksum validation only, including the dense
+// automaton's shape when a DENSE section is present; verify additionally
+// restores DENSE and preprocesses the §3 dictionary, the one subcommand that
+// builds it.
 //
-// compile upgrades an existing snapshot in place: it loads the file, compiles
-// the internal/dense automaton from the prepared dictionary, and atomically
-// rewrites the snapshot with the DENSE section appended (write to a temp
-// file, validate, rename — a crash mid-upgrade leaves the original intact).
-// A snapshot that already carries a DENSE section is left untouched unless
-// -force. A file that fails validation is moved aside to the same .quarantine
-// directory matchd uses rather than overwritten.
+// compile upgrades an existing snapshot in place: it opens the file,
+// compiles the internal/dense automaton from its patterns, and atomically
+// rewrites the snapshot in the automaton form with the DENSE section added
+// (write to a temp file, validate, rename — a crash mid-upgrade leaves the
+// original intact). A §3-form file from an older version loses its tables on
+// the way. A snapshot that already carries a DENSE section is left untouched
+// unless -force. A file that fails validation is moved aside to the same
+// .quarantined name matchd uses rather than overwritten.
 package main
 
 import (
@@ -44,7 +47,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dense"
 	"repro/internal/persist"
-	"repro/internal/pram"
 )
 
 func main() {
@@ -87,7 +89,6 @@ func cmdPack(args []string) {
 	seed := fs.Uint64("seed", 1, "fingerprint seed")
 	ncaFlag := fs.String("nca", "auto", "nearest-colored-ancestor structure: auto, naive, veb")
 	anchorFlag := fs.String("anchor", "separator", "Step 1A locate strategy: separator or sa")
-	procs := fs.Int("procs", 0, "preprocessing worker goroutines (0 = GOMAXPROCS)")
 	withDense := fs.Bool("dense", false, "also compile the flat-table automaton into a DENSE section")
 	fs.Parse(args)
 	if *dictPath == "" {
@@ -100,66 +101,48 @@ func cmdPack(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := core.Options{Seed: *seed, NCA: parseNCA(*ncaFlag), Anchor: parseAnchor(*anchorFlag)}
-
-	m := pram.New(*procs)
-	defer m.Close()
-	start := time.Now()
-	dict := core.Preprocess(m, patterns, opts)
-	prep := time.Since(start)
-	work, depth := m.Counters()
-
-	var aut *dense.Automaton
+	b := &persist.Bundle{
+		Patterns: patterns,
+		Options:  core.Options{Seed: *seed, NCA: parseNCA(*ncaFlag), Anchor: parseAnchor(*anchorFlag)},
+	}
 	if *withDense {
-		var err error
-		aut, err = dense.CompileDictionary(dict, dense.Options{})
-		if err != nil {
+		if b.Automaton, err = dense.Compile(patterns, dense.Options{}); err != nil {
 			log.Fatalf("dense compile: %v", err)
 		}
 	}
 
-	var (
-		size int
-		dest string
-	)
+	data, dest := b.Encode(), *out
 	if *storeDir != "" {
 		st, err := persist.Open(*storeDir)
 		if err != nil {
 			log.Fatal(err)
 		}
-		key := persist.KeyFor(patterns, opts)
-		size, err = st.PutBundle(key, dict, aut)
-		if err != nil {
+		key := persist.KeyFor(patterns, b.Options)
+		if _, err := st.PutBytes(key, data); err != nil {
 			log.Fatal(err)
 		}
 		dest = st.Path(key)
-	} else {
-		data := persist.EncodeBundle(dict, aut)
-		if err := os.WriteFile(*out, data, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		size, dest = len(data), *out
+	} else if err := os.WriteFile(*out, data, 0o644); err != nil {
+		log.Fatal(err)
 	}
 	total := 0
 	for _, p := range patterns {
 		total += len(p)
 	}
 	fmt.Printf("packed %d patterns (%d bytes) -> %s (%d bytes, %.2fx)\n",
-		len(patterns), total, dest, size, float64(size)/float64(max(total, 1)))
-	fmt.Printf("preprocess: wall=%s pram work=%d depth=%d; loading this snapshot repays all of it\n",
-		prep.Round(time.Microsecond), work, depth)
-	if aut != nil {
-		st := aut.Stats()
+		len(patterns), total, dest, len(data), float64(len(data))/float64(max(total, 1)))
+	if b.Automaton != nil {
+		st := b.Automaton.Stats()
 		fmt.Printf("dense: %d states x %d symbols, %d table bytes\n",
 			st.States, st.Alphabet, st.TableBytes)
 	}
 }
 
 // cmdCompile upgrades a snapshot in place (or to -o) by compiling the dense
-// automaton from the prepared dictionary it already carries. The write path
-// is the store's atomic temp+rename with post-write validation, so the
-// original file survives a crash or a bad write; an input that fails
-// validation is quarantined, not overwritten.
+// automaton from the patterns it carries. The write path is the store's
+// atomic temp+rename with post-write validation, so the original file
+// survives a crash or a bad write; an input that fails validation is
+// quarantined, not overwritten.
 func cmdCompile(args []string) {
 	fs := flag.NewFlagSet("compile", flag.ExitOnError)
 	in := fs.String("in", "", "snapshot file (required)")
@@ -173,7 +156,7 @@ func cmdCompile(args []string) {
 		dest = *in
 	}
 
-	dict, existing, err := persist.LoadBundle(data)
+	b, err := persist.OpenBundle(data)
 	if err != nil {
 		qpath, qerr := persist.QuarantineFile(*in, err)
 		if qerr != nil {
@@ -181,24 +164,23 @@ func cmdCompile(args []string) {
 		}
 		log.Fatalf("compile: snapshot invalid (%v); moved to %s", err, qpath)
 	}
-	if existing != nil && !*force {
-		st := existing.Stats()
+	if b.Automaton != nil && !*force {
+		st := b.Automaton.Stats()
 		fmt.Printf("already compiled: %d states x %d symbols, %d table bytes (use -force to recompile)\n",
 			st.States, st.Alphabet, st.TableBytes)
 		return
 	}
 
 	start := time.Now()
-	aut, err := dense.CompileDictionary(dict, dense.Options{MaxTableBytes: *maxTable})
-	if err != nil {
+	if b.Automaton, err = dense.Compile(b.Patterns, dense.Options{MaxTableBytes: *maxTable}); err != nil {
 		log.Fatalf("compile: %v", err)
 	}
 	elapsed := time.Since(start)
-	upgraded := persist.EncodeBundle(dict, aut)
+	upgraded := b.Encode()
 	if err := persist.WriteSnapshotFile(dest, upgraded); err != nil {
 		log.Fatalf("compile: write %s: %v", dest, err)
 	}
-	st := aut.Stats()
+	st := b.Automaton.Stats()
 	fmt.Printf("compiled %d patterns -> %d states x %d symbols, %d table bytes in %s\n",
 		st.Patterns, st.States, st.Alphabet, st.TableBytes, elapsed.Round(time.Microsecond))
 	fmt.Printf("%s: %d -> %d bytes (DENSE section added)\n", dest, len(data), len(upgraded))
@@ -211,7 +193,7 @@ func cmdUnpack(args []string) {
 	fs.Parse(args)
 	data := readSnapshot(*in)
 	start := time.Now()
-	dict, err := persist.Load(data)
+	b, err := persist.OpenBundle(data)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -226,15 +208,15 @@ func cmdUnpack(args []string) {
 		w = f
 	}
 	bw := bufio.NewWriter(w)
-	for _, p := range dict.Patterns {
+	for _, p := range b.Patterns {
 		bw.Write(p)
 		bw.WriteByte('\n')
 	}
 	if err := bw.Flush(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "loaded %d patterns in %s (no preprocessing)\n",
-		len(dict.Patterns), elapsed.Round(time.Microsecond))
+	fmt.Fprintf(os.Stderr, "read %d patterns in %s (no preprocessing)\n",
+		len(b.Patterns), elapsed.Round(time.Microsecond))
 }
 
 func cmdInspect(args []string) {
@@ -260,8 +242,8 @@ func cmdVerify(args []string) {
 	if err != nil {
 		log.Fatalf("verify: %v", err)
 	}
-	fmt.Printf("ok: %d bytes, %d patterns, %d nodes, verified in %s\n",
-		info.FileBytes, info.NumPatterns, info.NumNodes, time.Since(start).Round(time.Microsecond))
+	fmt.Printf("ok: %d bytes, %d patterns, verified in %s\n",
+		info.FileBytes, info.NumPatterns, time.Since(start).Round(time.Microsecond))
 }
 
 func printInfo(info *persist.Info, asJSON bool) {
@@ -275,8 +257,10 @@ func printInfo(info *persist.Info, asJSON bool) {
 	}
 	fmt.Printf("snapshot v%d, %d bytes\n", info.Version, info.FileBytes)
 	fmt.Printf("  patterns: %d (%d bytes)\n", info.NumPatterns, info.PatternBytes)
-	fmt.Printf("  tree:     %d nodes, %d leaves, %d weiner links\n",
-		info.NumNodes, info.NumLeaves, info.WeinerCount)
+	if info.NumNodes > 0 { // a §3-form file from an older version
+		fmt.Printf("  tree:     %d nodes, %d leaves, %d weiner links\n",
+			info.NumNodes, info.NumLeaves, info.WeinerCount)
+	}
 	fmt.Printf("  options:  seed=%d windowL=%d anchor=%d naiveNCA=%v separator=%v\n",
 		info.Seed, info.WindowL, info.Anchor, info.UseNaive, info.HasSeparator)
 	fmt.Println("  sections:")

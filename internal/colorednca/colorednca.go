@@ -138,8 +138,7 @@ func NewImproved(m *pram.Machine, tree *eulertour.Tree, tour *eulertour.Tour, co
 
 // buildColorClass materializes one color's structure: van Emde Boas set of
 // Euler positions, position→node ownership, and per-node nearest same-color
-// proper ancestor. Deterministic given the tour, so the parallel build and
-// the sequential snapshot restore produce identical structures.
+// proper ancestor. Deterministic given the tour.
 func buildColorClass(tour *eulertour.Tour, universe int, g colorGroup) colorClass {
 	cl := colorClass{
 		set:     veb.New(universe),
@@ -172,58 +171,6 @@ func buildColorClass(tour *eulertour.Tour, universe int, g colorGroup) colorClas
 		stack = append(stack, v)
 	}
 	return cl
-}
-
-// RestoreImproved rebuilds the Improved structure sequentially, with no
-// machine and zero PRAM work: the per-class construction is the same
-// deterministic pass NewImproved runs, so queries answer identically.
-// Snapshot decoding (internal/persist) uses it.
-func RestoreImproved(tour *eulertour.Tour, colors []Colored) *Improved {
-	s := &Improved{tour: tour, classOf: make(map[int32]int)}
-	groups := groupByColor(colors)
-	s.classes = make([]colorClass, len(groups))
-	universe := len(tour.Order)
-	if universe == 0 {
-		universe = 1
-	}
-	for i, g := range groups {
-		s.classOf[g.color] = i
-		s.classes[i] = buildColorClass(tour, universe, g)
-	}
-	return s
-}
-
-// RestoreNaive rebuilds the Naive per-color ancestor tables sequentially
-// (one preorder pass per color, parent resolved before child), with no
-// machine and zero PRAM work. The tables equal NearestMarkedAll's output —
-// both compute the nearest marked ancestor function — so queries answer
-// identically. Snapshot decoding (internal/persist) uses it.
-func RestoreNaive(tree *eulertour.Tree, colors []Colored) *Naive {
-	s := &Naive{classOf: make(map[int32]int)}
-	for _, g := range groupByColor(colors) {
-		s.classOf[g.color] = len(s.anc)
-		marked := make([]bool, tree.N)
-		for _, v := range g.nodes {
-			marked[v] = true
-		}
-		anc := make([]int32, tree.N)
-		stack := []int32{int32(tree.Root)}
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			switch {
-			case marked[v]:
-				anc[v] = v
-			case tree.Parent[v] < 0:
-				anc[v] = -1
-			default:
-				anc[v] = anc[tree.Parent[v]]
-			}
-			stack = append(stack, tree.Children(int(v))...)
-		}
-		s.anc = append(s.anc, anc)
-	}
-	return s
 }
 
 // Find returns the nearest ancestor of v (or v itself) colored c, or -1.

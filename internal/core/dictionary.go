@@ -99,6 +99,19 @@ type Dictionary struct {
 	windowL int
 }
 
+// Seed returns the current fingerprint seed (after any reseeds).
+func (d *Dictionary) Seed() uint64 { return d.seed }
+
+// WindowLen returns the Step 1 window length the dictionary matches with.
+func (d *Dictionary) WindowLen() int { return d.windowL }
+
+// Anchor returns the Step 1A locate strategy the dictionary was built with.
+func (d *Dictionary) Anchor() AnchorStrategy { return d.anchor }
+
+// UseNaiveNCA reports whether the naive nearest-colored-ancestor tables are
+// in use (as opposed to the van Emde Boas variant).
+func (d *Dictionary) UseNaiveNCA() bool { return d.useNaive }
+
 const packShift = 31
 
 func packLenPat(length int32, pat int32) int64 {

@@ -70,43 +70,6 @@ func New(m *pram.Machine, parent []int) *Tree {
 	return t
 }
 
-// NewSequential builds the child index with plain loops and no machine —
-// the same CSR layout New produces (children grouped by parent, increasing
-// node order within a group), with zero PRAM work charged. Snapshot decoding
-// (internal/persist) uses it so restoring a dictionary is a pure table load.
-func NewSequential(parent []int) *Tree {
-	n := len(parent)
-	t := &Tree{N: n, Root: -1, Parent: parent}
-	if n == 0 {
-		return t
-	}
-	cnt := make([]int32, n+1)
-	for v, p := range parent {
-		if p < 0 {
-			t.Root = v
-		} else {
-			cnt[p+1]++
-		}
-	}
-	if t.Root < 0 {
-		panic("eulertour: no root")
-	}
-	t.cstart = make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		t.cstart[v+1] = t.cstart[v] + cnt[v+1]
-	}
-	t.childs = make([]int32, n-1)
-	next := make([]int32, n)
-	copy(next, t.cstart[:n])
-	for v := 0; v < n; v++ { // ascending v → increasing order within a group
-		if p := parent[v]; p >= 0 {
-			t.childs[next[p]] = int32(v)
-			next[p]++
-		}
-	}
-	return t
-}
-
 // Children returns the children of v in increasing node order. The returned
 // slice aliases internal storage; do not modify.
 func (t *Tree) Children(v int) []int32 {
@@ -160,26 +123,8 @@ func (t *Tree) eulerSeq(m *pram.Machine) *Tour {
 	return tour
 }
 
-// EulerSequential computes the tour with the explicit-stack DFS and no
-// machine: identical output to Euler on any machine (the tests assert the
-// parallel and sequential constructions agree), zero PRAM work charged.
-// Snapshot decoding (internal/persist) uses it.
-func (t *Tree) EulerSequential() *Tour {
-	if t.N == 0 {
-		return &Tour{}
-	}
-	tour := t.eulerDFS()
-	for i, v := range tour.Order {
-		tour.VisitDepth[i] = int64(tour.Depth[v])
-	}
-	for v := 0; v < t.N; v++ {
-		tour.Size[v] = (tour.Last[v]-tour.First[v])/2 + 1
-	}
-	return tour
-}
-
-// eulerDFS is the machine-free DFS core shared by eulerSeq and
-// EulerSequential. It fills everything except VisitDepth and Size.
+// eulerDFS is eulerSeq's explicit-stack DFS. It fills everything except
+// VisitDepth and Size, which finishTour derives.
 func (t *Tree) eulerDFS() *Tour {
 	n := t.N
 	tour := newTour(n)

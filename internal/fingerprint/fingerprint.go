@@ -216,24 +216,6 @@ func (h *Hasher) NewTableInts(m *pram.Machine, s []int32) *Table {
 	return t
 }
 
-// NewTableIntsSequential is NewTableInts with the plain linear recurrence
-// and no machine. The prefix hashes are identical to the parallel build's
-// (the block combine is exact modular arithmetic, not an approximation), so
-// tables from either constructor are interchangeable; zero PRAM work is
-// charged. Snapshot decoding (internal/persist) rebuilds the dictionary
-// table this way instead of storing 8 bytes per symbol.
-func (h *Hasher) NewTableIntsSequential(s []int32) *Table {
-	n := len(s)
-	if n > h.MaxLen() {
-		panic("fingerprint: string longer than hasher maxLen")
-	}
-	t := &Table{h: h, pre: make([]uint64, n+1), n: n}
-	for i := 0; i < n; i++ {
-		t.pre[i+1] = addmod(mulmod(t.pre[i], h.base), uint64(s[i])+1)
-	}
-	return t
-}
-
 // Len returns the length of the fingerprinted string.
 func (t *Table) Len() int { return t.n }
 

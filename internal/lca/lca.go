@@ -29,13 +29,6 @@ func FromTour(m *pram.Machine, tour *eulertour.Tour) *Index {
 	return &Index{Tour: tour, rmq: rmq.NewMin(m, tour.VisitDepth)}
 }
 
-// FromTourSequential is FromTour with plain loops and no machine: identical
-// tables, zero PRAM work. Snapshot decoding (internal/persist) uses it so a
-// loaded dictionary performs no re-preprocessing on the cost ledger.
-func FromTourSequential(tour *eulertour.Tour) *Index {
-	return &Index{Tour: tour, rmq: rmq.NewMinSequential(tour.VisitDepth)}
-}
-
 // Query returns the lowest common ancestor of u and v.
 func (x *Index) Query(u, v int) int {
 	a, b := x.Tour.First[u], x.Tour.First[v]
@@ -80,34 +73,6 @@ func NewLifting(m *pram.Machine, parent []int, weight []int64) *Lifting {
 		up[k] = make([]int32, n)
 		prev, cur := up[k-1], up[k]
 		m.ParallelFor(n, func(v int) { cur[v] = prev[prev[v]] })
-	}
-	return &Lifting{up: up, parent: parent, weight: weight}
-}
-
-// NewLiftingSequential is NewLifting with plain loops and no machine: the
-// jump tables are identical (the recurrence is deterministic), and no PRAM
-// work is charged. Used by snapshot decoding (internal/persist).
-func NewLiftingSequential(parent []int, weight []int64) *Lifting {
-	n := len(parent)
-	levels := 1
-	for 1<<levels < n {
-		levels++
-	}
-	up := make([][]int32, levels)
-	up[0] = make([]int32, n)
-	for v := 0; v < n; v++ {
-		if parent[v] < 0 {
-			up[0][v] = int32(v)
-		} else {
-			up[0][v] = int32(parent[v])
-		}
-	}
-	for k := 1; k < levels; k++ {
-		up[k] = make([]int32, n)
-		prev, cur := up[k-1], up[k]
-		for v := 0; v < n; v++ {
-			cur[v] = prev[prev[v]]
-		}
 	}
 	return &Lifting{up: up, parent: parent, weight: weight}
 }

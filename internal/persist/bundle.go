@@ -11,25 +11,21 @@ import (
 	"repro/internal/dense"
 )
 
-// Bundles. A snapshot comes in two forms that share one framing:
+// Bundles. Every writer emits one form, the automaton form (Bundle.Encode):
+// header, patterns, and DENSE — the compiled serving automaton
+// (internal/dense) — when there is one. The header records the seed and
+// options the §3 dictionary is preprocessed with; Theorem 3.1 builds that
+// dictionary in O(d) work, so no table of it is stored.
 //
-//   - the §3 form (Encode, EncodeBundle): header, patterns and the
-//     dictionary's tables, optionally followed by a DENSE section holding
-//     the compiled serving automaton (internal/dense). Tools write it, and
-//     Load/LoadBundle restore its tables with zero PRAM work.
-//   - the automaton form (Bundle.Encode): header, patterns and DENSE when
-//     there is an automaton — no §3 section. Its header records the seed and
-//     options the dictionary is preprocessed with instead of table counts.
-//     This is what a server writes: it serves from the automaton and builds
-//     the §3 dictionary only when something asks for it.
+// Files in the §3 form, which older versions wrote (header, patterns, tree,
+// weiner, step2, [separator], [dense]), stay readable: every reader checks
+// their framing, section CRCs and header, then skips the tables, exactly as
+// it skips a section kind it does not know.
 //
-// OpenBundle reads either form without decoding a §3 section: it checks the
+// OpenBundle reads either form without building a dictionary: it checks the
 // framing, every section CRC, the header and the patterns, then restores
-// DENSE. Load and LoadBundle read either form into a dictionary, by
-// preprocessing the patterns when the file carries no tables. DENSE is
-// strictly additive: readers from before it skip the section via the
-// unknown-section rule in splitSections, and a DENSE-bearing file restores
-// its automaton with a bounds-checked byte-order copy — zero compilation.
+// DENSE with a bounds-checked byte-order copy — zero compilation. Load and
+// LoadBundle also preprocess the patterns into a dictionary.
 
 // Bundle is a snapshot as a server holds it: a pattern set, the options its
 // §3 dictionary is preprocessed with, and its compiled automaton.
@@ -75,22 +71,23 @@ func OpenBundle(data []byte) (*Bundle, error) {
 	return &Bundle{Patterns: patterns, Options: o.hdr.options(), Automaton: a}, nil
 }
 
-// EncodeBundle serializes a preprocessed dictionary in the §3 form together
-// with its compiled dense automaton. A nil automaton yields exactly
-// Encode(d).
+// EncodeBundle serializes a preprocessed dictionary in the automaton form,
+// with its compiled dense automaton (nil for none). The header records the
+// dictionary's options resolved — its current seed, NCA structure, anchor
+// and window length — so LoadBundle preprocesses the same dictionary.
 func EncodeBundle(d *core.Dictionary, a *dense.Automaton) []byte {
-	out := encodeSections(d.Export())
-	if a != nil {
-		out = appendSection(out, secDense, a.Encode())
+	opts := core.Options{Seed: d.Seed(), NCA: core.NCAImproved, Anchor: d.Anchor(), WindowL: d.WindowLen()}
+	if d.UseNaiveNCA() {
+		opts.NCA = core.NCANaive
 	}
-	return sealSnapshot(out)
+	return (&Bundle{Patterns: d.Patterns, Options: opts, Automaton: a}).Encode()
 }
 
 // LoadBundle decodes snapshot bytes of either form into a ready-to-match
-// dictionary plus the compiled dense automaton if the file carries one (nil
-// otherwise). A file without §3 tables is preprocessed from its patterns and
-// options. A DENSE section that survives its CRC but fails structural
-// validation is reported as ErrCorrupt, like any other section.
+// dictionary, preprocessed from the recorded patterns and options, plus the
+// compiled dense automaton if the file carries one (nil otherwise). It
+// accepts exactly what OpenBundle accepts: a DENSE section that survives its
+// CRC but fails structural validation is ErrCorrupt, like any other section.
 func LoadBundle(data []byte) (*core.Dictionary, *dense.Automaton, error) {
 	o, err := open(data)
 	if err != nil {
@@ -100,30 +97,13 @@ func LoadBundle(data []byte) (*core.Dictionary, *dense.Automaton, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	d, err := o.dictionary()
-	if err != nil {
-		return nil, nil, err
-	}
-	return d, a, nil
+	return o.preprocess(), a, nil
 }
 
-// PutBundle encodes the dictionary in the §3 form with its dense automaton
-// (nil for none) and writes the snapshot under its key atomically, returning
-// the size in bytes.
-func (s *Store) PutBundle(k Key, d *core.Dictionary, a *dense.Automaton) (int, error) {
-	data := EncodeBundle(d, a)
-	unlock := s.lockKey(k)
-	defer unlock()
-	if err := s.writeAtomic(s.Path(k), data); err != nil {
-		return 0, err
-	}
-	return len(data), nil
-}
-
-// GetBundle reads the snapshot stored under k with OpenBundle — no §3
-// section is decoded — and reports its size. A missing entry returns
-// ErrNotFound. An entry that fails validation is quarantined (renamed so
-// future lookups miss) and the typed decode error is returned.
+// GetBundle reads the snapshot stored under k with OpenBundle and reports
+// its size. A missing entry returns ErrNotFound. An entry that fails
+// validation is quarantined (renamed so future lookups miss) and the typed
+// decode error is returned.
 func (s *Store) GetBundle(k Key) (*Bundle, int, error) {
 	data, err := s.read(k)
 	if err != nil {
@@ -154,10 +134,10 @@ func (s *Store) read(k Key) ([]byte, error) {
 
 // WriteSnapshotFile writes snapshot bytes to an arbitrary path with the
 // store's atomic write discipline — temp file in the destination directory,
-// fsync, byte-for-byte read-back, rename — after checking the bytes load.
-// cmd/dictpack uses it to upgrade snapshots in place.
+// fsync, byte-for-byte read-back, rename — after checking that OpenBundle
+// accepts them. cmd/dictpack uses it to upgrade snapshots in place.
 func WriteSnapshotFile(path string, data []byte) error {
-	if _, _, err := LoadBundle(data); err != nil {
+	if _, err := OpenBundle(data); err != nil {
 		return err
 	}
 	s := &Store{dir: filepath.Dir(path), logf: func(string, ...any) {}}

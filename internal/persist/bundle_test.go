@@ -36,7 +36,7 @@ func appendUnknownSection(data []byte, id byte, payload []byte) []byte {
 // cleanly, with all known sections intact.
 func TestUnknownSectionSkipped(t *testing.T) {
 	d, _ := bundleDict(t)
-	data := appendUnknownSection(Encode(d), 200, []byte("from the future"))
+	data := appendUnknownSection(EncodeBundle(d, nil), 200, []byte("from the future"))
 
 	got, err := Load(data)
 	if err != nil {
@@ -65,16 +65,21 @@ func TestUnknownSectionSkipped(t *testing.T) {
 	}
 }
 
-// TestEncodeBundleDenseLess pins the golden invariant: a bundle without an
-// automaton is byte-identical to the pre-DENSE encoding.
+// TestEncodeBundleDenseLess: without an automaton, EncodeBundle writes the
+// automaton form's header and patterns alone, with the dictionary's options
+// resolved, and LoadBundle gives back no automaton.
 func TestEncodeBundleDenseLess(t *testing.T) {
-	d, _ := bundleDict(t)
-	if string(EncodeBundle(d, nil)) != string(Encode(d)) {
-		t.Fatal("EncodeBundle(d, nil) differs from Encode(d)")
+	d, patterns := bundleDict(t)
+	want := (&Bundle{Patterns: patterns, Options: core.Options{Seed: 7, NCA: core.NCANaive, WindowL: d.WindowLen()}}).Encode()
+	if !d.UseNaiveNCA() {
+		t.Fatal("bundleDict no longer picks the naive NCA tables; fix want")
 	}
-	dict, aut, err := LoadBundle(Encode(d))
-	if err != nil || dict == nil {
-		t.Fatalf("LoadBundle on dense-less snapshot: %v", err)
+	if !bytes.Equal(EncodeBundle(d, nil), want) {
+		t.Fatal("EncodeBundle(d, nil) differs from the Bundle of d's resolved options")
+	}
+	dict, aut, err := LoadBundle(want)
+	if err != nil || !sameDictionary(dict, d) {
+		t.Fatalf("LoadBundle on a dense-less bundle: %v", err)
 	}
 	if aut != nil {
 		t.Fatal("dense-less snapshot produced an automaton")
@@ -82,8 +87,8 @@ func TestEncodeBundleDenseLess(t *testing.T) {
 }
 
 // TestBundleRoundTrip: a DENSE-bearing snapshot restores an automaton with
-// zero recompilation (the load path never touches a PRAM machine and the
-// restored automaton matches the compiled one bit for bit).
+// zero recompilation (the restored automaton matches the compiled one bit
+// for bit), next to the dictionary preprocessed from its patterns.
 func TestBundleRoundTrip(t *testing.T) {
 	d, _ := bundleDict(t)
 	a, err := dense.CompileDictionary(d, dense.Options{})
@@ -133,14 +138,14 @@ func TestBundleRoundTrip(t *testing.T) {
 	// core sections are fine — no silently serving a half-valid bundle.
 	pay := a.Encode()
 	pay[len(pay)-1] ^= 0x7f // last outPat entry: pattern id out of range
-	bad := sealSnapshot(appendSection(encodeSections(d.Export()), secDense, pay))
+	bare := EncodeBundle(d, nil)
+	bad := sealSnapshot(appendSection(bare[:len(bare)-4], secDense, pay))
 	if _, _, err := LoadBundle(bad); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt dense payload: err=%v, want ErrCorrupt", err)
 	}
 }
 
-// TestStoreBundle covers the store round trip and that plain Get still works
-// on a DENSE-bearing file.
+// TestStoreBundle covers the store round trip of a DENSE-bearing bundle.
 func TestStoreBundle(t *testing.T) {
 	d, patterns := bundleDict(t)
 	a, err := dense.CompileDictionary(d, dense.Options{})
@@ -152,15 +157,12 @@ func TestStoreBundle(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := KeyFor(patterns, core.Options{Seed: 7})
-	if _, err := st.PutBundle(k, d, a); err != nil {
-		t.Fatalf("PutBundle: %v", err)
+	if _, err := st.PutBytes(k, EncodeBundle(d, a)); err != nil {
+		t.Fatalf("PutBytes: %v", err)
 	}
 	b, n, err := st.GetBundle(k)
 	if err != nil || b.Automaton == nil || len(b.Patterns) != len(patterns) || b.Options.Seed != 7 || n == 0 {
 		t.Fatalf("GetBundle: bundle=%+v n=%d err=%v", b, n, err)
-	}
-	if _, _, err := st.Get(k); err != nil {
-		t.Fatalf("Get on bundle file: %v", err)
 	}
 	if _, _, err := st.GetBundle(KeyForSnapshot([]byte("missing"))); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing key: %v, want ErrNotFound", err)
@@ -196,8 +198,8 @@ func TestStoreBundle(t *testing.T) {
 
 // TestAutomatonBundle: the automaton form carries header, patterns and
 // DENSE and no §3 section. OpenBundle gives back the patterns, options and
-// automaton; Load, Decode and Verify preprocess it with the recorded options
-// into exactly the dictionary core.Preprocess builds from them.
+// automaton; Load, LoadBundle and Verify preprocess it with the recorded
+// options into exactly the dictionary core.Preprocess builds from them.
 func TestAutomatonBundle(t *testing.T) {
 	_, patterns := bundleDict(t)
 	aut, err := dense.Compile(patterns, dense.Options{})
@@ -233,16 +235,16 @@ func TestAutomatonBundle(t *testing.T) {
 		if b.Options != want || fmt.Sprint(b.Patterns) != fmt.Sprint(patterns) || b.Automaton.Stats() != aut.Stats() {
 			t.Fatalf("%+v: OpenBundle gave options %+v, %d patterns, automaton %+v", opts, b.Options, len(b.Patterns), b.Automaton.Stats())
 		}
-		eager := Encode(core.Preprocess(pram.NewSequential(), patterns, opts))
+		eager := core.Preprocess(pram.New(2), patterns, opts)
 		d, a, err := LoadBundle(data)
 		if err != nil || a == nil {
 			t.Fatalf("%+v: LoadBundle: %v", opts, err)
 		}
-		if !bytes.Equal(Encode(d), eager) {
+		if !sameDictionary(d, eager) {
 			t.Fatalf("%+v: LoadBundle's dictionary differs from core.Preprocess's", opts)
 		}
-		if s, err := Decode(data); err != nil || !bytes.Equal(EncodeSnapshot(s), eager) {
-			t.Fatalf("%+v: Decode: %v", opts, err)
+		if d, err := Load(data); err != nil || !sameDictionary(d, eager) {
+			t.Fatalf("%+v: Load: %v", opts, err)
 		}
 		if _, err := Verify(data); err != nil {
 			t.Fatalf("%+v: Verify: %v", opts, err)
@@ -258,38 +260,39 @@ func TestAutomatonBundle(t *testing.T) {
 	}
 }
 
-// TestOpenBundleSkipsTables: OpenBundle reads a §3-form file without
-// decoding its tables — a table that is structurally impossible but
-// CRC-clean does not stop it, while Load rejects the file — and records the
-// options the tables were built with, resolved.
+// TestOpenBundleSkipsTables: every reader takes a §3-form file's patterns
+// and options and skips its tables — a table byte changed under valid CRCs
+// changes nothing — and the recorded options, resolved, preprocess to the
+// dictionary the file was written from.
 func TestOpenBundleSkipsTables(t *testing.T) {
-	d, patterns := bundleDict(t)
-	a, err := dense.CompileDictionary(d, dense.Options{})
+	data := readGolden(t, "golden_v1.dmsnap")
+	want := core.Preprocess(pram.NewSequential(), goldenPatterns(), goldenOptions)
+	b, err := OpenBundle(data)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("OpenBundle on a §3 file: %v", err)
 	}
-	b, err := OpenBundle(EncodeBundle(d, a))
-	if err != nil {
-		t.Fatalf("OpenBundle on a §3 bundle: %v", err)
+	if fmt.Sprint(b.Patterns) != fmt.Sprint(goldenPatterns()) || b.Automaton != nil || b.Options.Seed != 42 ||
+		b.Options.NCA == core.NCAAuto || b.Options.WindowL != want.WindowLen() {
+		t.Fatalf("OpenBundle on a §3 file: %+v", b)
 	}
-	if fmt.Sprint(b.Patterns) != fmt.Sprint(patterns) || b.Automaton == nil || b.Options.Seed != 7 || b.Options.WindowL != d.WindowLen() {
-		t.Fatalf("OpenBundle on a §3 bundle: %+v", b)
-	}
-	if !bytes.Equal(Encode(core.Preprocess(pram.NewSequential(), b.Patterns, b.Options)), Encode(d)) {
+	if !sameDictionary(core.Preprocess(pram.NewSequential(), b.Patterns, b.Options), want) {
 		t.Fatal("the recorded options preprocess to a different dictionary")
 	}
 
-	// Point the tree's root past the node count, and re-seal both CRCs.
-	s := d.Export()
-	tree := *s.Tree
-	tree.Root = tree.NumNodes + 5
-	s.Tree = &tree
-	bad := EncodeSnapshot(s)
-	if _, err := Load(bad); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Load of an impossible tree: %v, want ErrCorrupt", err)
+	// Overwrite the middle of the tree section, and re-seal both CRCs.
+	bad := reframe(t, data, func(sections map[byte][]byte) {
+		tree := append([]byte(nil), sections[secTree]...)
+		tree[len(tree)/2] ^= 0x7f
+		sections[secTree] = tree
+	})
+	if bytes.Equal(bad, data) {
+		t.Fatal("the rewrite did not change the tree section")
 	}
 	if _, err := OpenBundle(bad); err != nil {
 		t.Fatalf("OpenBundle decoded the tree section: %v", err)
+	}
+	if d, _, err := LoadBundle(bad); err != nil || !sameDictionary(d, want) {
+		t.Fatalf("LoadBundle decoded the tree section: %v", err)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/pram"
 	"repro/internal/textgen"
 )
 
@@ -25,15 +24,15 @@ func withPlan(t *testing.T, seed uint64, spec string) {
 	t.Cleanup(func() { chaos.Install(nil) })
 }
 
-func freshEntry(t *testing.T, seed uint64) (Key, *core.Dictionary) {
+func freshEntry(t *testing.T, seed uint64) (Key, []byte) {
 	t.Helper()
 	gen := textgen.New(seed)
 	patterns := gen.Dictionary(6, 1, 10, 4)
 	opts := core.Options{}
-	return KeyFor(patterns, opts), core.Preprocess(pram.NewSequential(), patterns, opts)
+	return KeyFor(patterns, opts), (&Bundle{Patterns: patterns, Options: opts}).Encode()
 }
 
-// TestChaosShortWrite: an injected write error fails the Put with a typed
+// TestChaosShortWrite: an injected write error fails the PutBytes with a typed
 // injected error, leaves no snapshot under the key, and leaves no temp
 // litter behind.
 func TestChaosShortWrite(t *testing.T) {
@@ -41,26 +40,26 @@ func TestChaosShortWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, d := freshEntry(t, 10)
+	key, data := freshEntry(t, 10)
 	withPlan(t, 42, "persist.write:p=1,n=1")
-	if _, err := st.Put(key, d); !chaos.IsInjected(err) {
-		t.Fatalf("Put under write fault: %v, want injected error", err)
+	if _, err := st.PutBytes(key, data); !chaos.IsInjected(err) {
+		t.Fatalf("PutBytes under write fault: %v, want injected error", err)
 	}
 	if st.Has(key) {
 		t.Fatal("short write left a snapshot under a valid name")
 	}
 	assertNoTempLitter(t, st)
 	// The plan's n=1 cap has been consumed; the retry succeeds.
-	if _, err := st.Put(key, d); err != nil {
-		t.Fatalf("Put after fault window: %v", err)
+	if _, err := st.PutBytes(key, data); err != nil {
+		t.Fatalf("PutBytes after fault window: %v", err)
 	}
-	if _, _, err := st.Get(key); err != nil {
-		t.Fatalf("Get after recovered Put: %v", err)
+	if _, _, err := st.GetBundle(key); err != nil {
+		t.Fatalf("GetBundle after recovered PutBytes: %v", err)
 	}
 }
 
 // TestChaosFsyncAndRenameFaults: injected fsync and rename errors fail the
-// Put without leaving partial state.
+// PutBytes without leaving partial state.
 func TestChaosFsyncAndRenameFaults(t *testing.T) {
 	for _, point := range []chaos.Point{chaos.PersistSync, chaos.PersistRename} {
 		t.Run(string(point), func(t *testing.T) {
@@ -68,24 +67,24 @@ func TestChaosFsyncAndRenameFaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			key, d := freshEntry(t, 11)
+			key, data := freshEntry(t, 11)
 			withPlan(t, 7, string(point)+":p=1,n=1")
-			if _, err := st.Put(key, d); !chaos.IsInjected(err) {
-				t.Fatalf("Put under %s fault: %v, want injected error", point, err)
+			if _, err := st.PutBytes(key, data); !chaos.IsInjected(err) {
+				t.Fatalf("PutBytes under %s fault: %v, want injected error", point, err)
 			}
 			if st.Has(key) {
 				t.Fatalf("%s fault left a snapshot in place", point)
 			}
 			assertNoTempLitter(t, st)
-			if _, err := st.Put(key, d); err != nil {
-				t.Fatalf("Put after fault window: %v", err)
+			if _, err := st.PutBytes(key, data); err != nil {
+				t.Fatalf("PutBytes after fault window: %v", err)
 			}
 		})
 	}
 }
 
 // TestChaosWriteBitflipCaughtByReadBack: a bit flipped on the way to disk is
-// caught by the post-write read-back — the Put fails loudly while the caller
+// caught by the post-write read-back — the PutBytes fails loudly while the caller
 // still holds the good in-memory dictionary, and nothing corrupt is
 // published under the key.
 func TestChaosWriteBitflipCaughtByReadBack(t *testing.T) {
@@ -93,20 +92,20 @@ func TestChaosWriteBitflipCaughtByReadBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, d := freshEntry(t, 12)
+	key, data := freshEntry(t, 12)
 	withPlan(t, 99, "persist.writeflip:p=1,n=1")
-	_, err = st.Put(key, d)
+	_, err = st.PutBytes(key, data)
 	if err == nil {
-		t.Fatal("Put with flipped byte succeeded; read-back missed it")
+		t.Fatal("PutBytes with flipped byte succeeded; read-back missed it")
 	}
 	if !strings.Contains(err.Error(), "read-back") {
-		t.Fatalf("Put error %v does not come from the read-back check", err)
+		t.Fatalf("PutBytes error %v does not come from the read-back check", err)
 	}
 	if st.Has(key) {
 		t.Fatal("corrupt snapshot published under a valid name")
 	}
-	if _, err := st.Put(key, d); err != nil {
-		t.Fatalf("Put after fault window: %v", err)
+	if _, err := st.PutBytes(key, data); err != nil {
+		t.Fatalf("PutBytes after fault window: %v", err)
 	}
 }
 
@@ -118,13 +117,13 @@ func TestChaosReadBitflipQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, d := freshEntry(t, 13)
-	if _, err := st.Put(key, d); err != nil {
+	key, data := freshEntry(t, 13)
+	if _, err := st.PutBytes(key, data); err != nil {
 		t.Fatal(err)
 	}
 	withPlan(t, 5, "persist.bitflip:p=1,n=1")
-	if _, _, err := st.Get(key); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Get under bitflip: %v, want ErrCorrupt", err)
+	if _, _, err := st.GetBundle(key); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("GetBundle under bitflip: %v, want ErrCorrupt", err)
 	}
 	if st.Quarantined() != 1 {
 		t.Fatalf("Quarantined() = %d, want 1", st.Quarantined())
@@ -132,15 +131,15 @@ func TestChaosReadBitflipQuarantined(t *testing.T) {
 	// The on-disk file was corrupted in memory only after ReadFile; the
 	// quarantined bytes are the *original* good bytes, but the entry is gone
 	// either way — the conservative outcome for a read-path flake.
-	if _, _, err := st.Get(key); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get after quarantine: %v, want ErrNotFound", err)
+	if _, _, err := st.GetBundle(key); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("GetBundle after quarantine: %v, want ErrNotFound", err)
 	}
 	// Rebuild and re-put restores service.
-	if _, err := st.Put(key, d); err != nil {
-		t.Fatalf("re-Put: %v", err)
+	if _, err := st.PutBytes(key, data); err != nil {
+		t.Fatalf("re-PutBytes: %v", err)
 	}
-	if _, _, err := st.Get(key); err != nil {
-		t.Fatalf("Get after re-Put: %v", err)
+	if _, _, err := st.GetBundle(key); err != nil {
+		t.Fatalf("GetBundle after re-PutBytes: %v", err)
 	}
 }
 
@@ -152,13 +151,13 @@ func TestChaosQuarantineRenameFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, d := freshEntry(t, 14)
-	if _, err := st.Put(key, d); err != nil {
+	key, data := freshEntry(t, 14)
+	if _, err := st.PutBytes(key, data); err != nil {
 		t.Fatal(err)
 	}
 	withPlan(t, 3, "persist.bitflip:p=1,n=1;persist.quarantine:p=1,n=1")
-	if _, _, err := st.Get(key); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Get: %v, want ErrCorrupt", err)
+	if _, _, err := st.GetBundle(key); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("GetBundle: %v, want ErrCorrupt", err)
 	}
 	if st.QuarantineFails() != 1 {
 		t.Fatalf("QuarantineFails() = %d, want 1", st.QuarantineFails())
@@ -167,9 +166,9 @@ func TestChaosQuarantineRenameFault(t *testing.T) {
 		t.Fatalf("Quarantined() = %d, want 0", st.Quarantined())
 	}
 	// The file never moved (the injected rename failed before the real one
-	// ran) and its on-disk bytes are intact, so the next Get succeeds.
-	if _, _, err := st.Get(key); err != nil {
-		t.Fatalf("Get after failed quarantine of a read-flake: %v", err)
+	// ran) and its on-disk bytes are intact, so the next GetBundle succeeds.
+	if _, _, err := st.GetBundle(key); err != nil {
+		t.Fatalf("GetBundle after failed quarantine of a read-flake: %v", err)
 	}
 }
 

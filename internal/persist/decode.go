@@ -9,38 +9,18 @@ import (
 	"repro/internal/core"
 	"repro/internal/dense"
 	"repro/internal/pram"
-	"repro/internal/suffixtree"
 )
 
-// Decode parses snapshot bytes into a core.Snapshot. All counts are
-// validated against the actual payload sizes before any count-sized
-// allocation is made (every array element costs at least one payload byte),
-// so adversarial headers cannot force out-of-memory; all CRCs are checked
-// before field parsing, so random corruption is rejected up front. A file
-// without §3 tables has nothing to parse: its dictionary is preprocessed
-// from the patterns and options it records, and exported.
-func Decode(data []byte) (*core.Snapshot, error) {
-	o, err := open(data)
-	if err != nil {
-		return nil, err
-	}
-	if o.hdr.flags&flagNoTables != 0 {
-		return o.preprocess().Export(), nil
-	}
-	return o.decodeTables()
-}
-
-// Load decodes snapshot bytes into a ready-to-match dictionary. Restoring
-// §3 tables performs zero PRAM work; structural invariant violations that
-// survive the CRCs (i.e. a well-formed file describing an impossible
-// dictionary) are reported as ErrCorrupt. A file without §3 tables is
-// preprocessed from its patterns and options on a sequential machine.
+// Load decodes snapshot bytes into a ready-to-match dictionary: the file's
+// checks pass (see open), and core.Preprocess builds the dictionary from
+// the patterns and options it records, on a sequential machine. A file in
+// the §3 form is read the same way; its tables are skipped.
 func Load(data []byte) (*core.Dictionary, error) {
 	o, err := open(data)
 	if err != nil {
 		return nil, err
 	}
-	return o.dictionary()
+	return o.preprocess(), nil
 }
 
 // opened is a snapshot file past the checks every read path makes: framing,
@@ -53,8 +33,10 @@ type opened struct {
 }
 
 // open runs those checks. The sections a file must carry follow from its
-// header: header and patterns always, and tree, weiner and step2 unless it
-// is table-less, in which case no §3 section may appear.
+// header: header and patterns always; in the automaton form no §3 section
+// may appear, and a §3-form file from an older writer must carry tree,
+// weiner and step2, and separator exactly when its header says so. Its §3
+// payloads are CRC-checked and never parsed.
 func open(data []byte) (*opened, error) {
 	sections, err := splitSections(data)
 	if err != nil {
@@ -73,9 +55,15 @@ func open(data []byte) (*opened, error) {
 	for _, id := range []byte{secTree, secWeiner, secStep2, secSeparator} {
 		_, ok := sections[id]
 		switch {
-		case ok && tableless:
-			return nil, fmt.Errorf("%w: %s section in a table-less file", ErrCorrupt, sectionNames[id])
-		case !ok && !tableless && id != secSeparator:
+		case tableless:
+			if ok {
+				return nil, fmt.Errorf("%w: %s section in a table-less file", ErrCorrupt, sectionNames[id])
+			}
+		case id == secSeparator:
+			if ok != (hdr.flags&flagHasSeparator != 0) {
+				return nil, fmt.Errorf("%w: separator section does not match its header flag", ErrCorrupt)
+			}
+		case !ok:
 			return nil, fmt.Errorf("%w: missing section %s", ErrTruncated, sectionNames[id])
 		}
 	}
@@ -87,8 +75,8 @@ func open(data []byte) (*opened, error) {
 }
 
 // options returns the options the file's dictionary is preprocessed with.
-// A file with §3 tables records them resolved: its NCA structure by name and
-// its window length as built, which preprocess to the same tables as the
+// A §3-form file records them resolved: its NCA structure by name and its
+// window length as built, which preprocess to the same dictionary as the
 // automatic choices they came from.
 func (h *header) options() core.Options {
 	o := core.Options{Seed: h.seed, Anchor: core.AnchorStrategy(h.anchor), WindowL: h.windowL}
@@ -104,25 +92,8 @@ func (h *header) options() core.Options {
 	return o
 }
 
-// dictionary builds the file's §3 dictionary: restored from its tables, or
-// preprocessed when it has none.
-func (o *opened) dictionary() (*core.Dictionary, error) {
-	if o.hdr.flags&flagNoTables != 0 {
-		return o.preprocess(), nil
-	}
-	s, err := o.decodeTables()
-	if err != nil {
-		return nil, err
-	}
-	d, err := core.FromSnapshot(s)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return d, nil
-}
-
-// preprocess builds a table-less file's dictionary from its patterns (open
-// has checked there is at least one, none empty) and options.
+// preprocess builds the file's dictionary from its patterns (open has
+// checked there is at least one, none empty) and options.
 func (o *opened) preprocess() *core.Dictionary {
 	return core.Preprocess(pram.NewSequential(), o.patterns, o.hdr.options())
 }
@@ -138,36 +109,6 @@ func (o *opened) automaton() (*dense.Automaton, error) {
 		return nil, fmt.Errorf("%w: dense section: %v", ErrCorrupt, err)
 	}
 	return a, nil
-}
-
-// decodeTables parses the §3 sections of a file that has them.
-func (o *opened) decodeTables() (*core.Snapshot, error) {
-	hdr, sections := o.hdr, o.sections
-	s := &core.Snapshot{
-		Seed:     hdr.seed,
-		Anchor:   int32(hdr.anchor),
-		UseNaive: hdr.flags&flagUseNaive != 0,
-		WindowL:  int32(hdr.windowL),
-		Patterns: o.patterns,
-	}
-	var err error
-	if s.Tree, err = parseTree(sections[secTree], hdr); err != nil {
-		return nil, err
-	}
-	if err := parseWeiner(sections[secWeiner], hdr, s); err != nil {
-		return nil, err
-	}
-	if err := parseStep2(sections[secStep2], hdr, s); err != nil {
-		return nil, err
-	}
-	if hdr.flags&flagHasSeparator != 0 {
-		if err := parseSeparator(sections[secSeparator], hdr, s); err != nil {
-			return nil, err
-		}
-	} else if _, ok := sections[secSeparator]; ok {
-		return nil, fmt.Errorf("%w: separator section present but not flagged", ErrCorrupt)
-	}
-	return s, nil
 }
 
 // header carries the validated section counts.
@@ -260,6 +201,12 @@ func parseHeader(b []byte, fileLen int) (*header, error) {
 	if r.err != nil {
 		return nil, fmt.Errorf("%w: header: %v", ErrCorrupt, r.err)
 	}
+	if h.numPatterns == 0 {
+		return nil, fmt.Errorf("%w: header: no patterns", ErrCorrupt)
+	}
+	if h.anchor != int(core.AnchorSeparator) && h.anchor != int(core.AnchorSA) {
+		return nil, fmt.Errorf("%w: header: anchor strategy %d unknown", ErrCorrupt, h.anchor)
+	}
 	if h.flags&flagNoTables != 0 {
 		if h.numNodes != 0 || h.numLeaves != 0 || h.weinerCount != 0 || h.sepData != 0 || h.flags&flagHasSeparator != 0 {
 			return nil, fmt.Errorf("%w: header: table counts in a table-less file", ErrCorrupt)
@@ -267,16 +214,15 @@ func parseHeader(b []byte, fileLen int) (*header, error) {
 		if h.flags&(flagUseNaive|flagImprovedNCA) == flagUseNaive|flagImprovedNCA {
 			return nil, fmt.Errorf("%w: header: two NCA variants", ErrCorrupt)
 		}
-		if h.anchor != int(core.AnchorSeparator) && h.anchor != int(core.AnchorSA) {
-			return nil, fmt.Errorf("%w: header: anchor strategy %d unknown", ErrCorrupt, h.anchor)
-		}
-		if h.numPatterns == 0 {
-			return nil, fmt.Errorf("%w: header: no patterns", ErrCorrupt)
-		}
 		return h, nil
 	}
+	// A §3-form file: its tables are never decoded, but its header must
+	// still describe a dictionary the patterns could have built.
 	if h.flags&flagImprovedNCA != 0 {
 		return nil, fmt.Errorf("%w: header: NCA variant flag outside a table-less file", ErrCorrupt)
+	}
+	if h.windowL < 1 {
+		return nil, fmt.Errorf("%w: header: window length %d invalid", ErrCorrupt, h.windowL)
 	}
 	if h.numLeaves != h.patternBytes+h.numPatterns+1 {
 		return nil, fmt.Errorf("%w: header: leaf count %d inconsistent with pattern bytes", ErrCorrupt, h.numLeaves)
@@ -315,82 +261,6 @@ func parsePatterns(b []byte, h *header) ([][]byte, error) {
 	return patterns, nil
 }
 
-func parseTree(b []byte, h *header) (*suffixtree.Snapshot, error) {
-	r := &creader{b: b}
-	t := &suffixtree.Snapshot{
-		NumNodes: int32(h.numNodes),
-		Root:     int32(r.count(h.numNodes)),
-	}
-	t.SA = r.u32s(h.numLeaves)
-	t.LCP = r.u32s(h.numLeaves)
-	t.Parent = r.s32s(h.numNodes)
-	t.StrDepth = r.u32s(h.numNodes)
-	t.Lo = r.u32s(h.numNodes)
-	t.Hi = r.u32s(h.numNodes)
-	t.LeafID = r.u32s(h.numLeaves)
-	t.LeafOf = r.s32s(h.numNodes)
-	t.SufLink = r.s32s(h.numNodes)
-	if r.err != nil {
-		return nil, fmt.Errorf("%w: tree: %v", ErrCorrupt, r.err)
-	}
-	if r.rem() != 0 {
-		return nil, fmt.Errorf("%w: tree: trailing bytes", ErrCorrupt)
-	}
-	return t, nil
-}
-
-func parseWeiner(b []byte, h *header, s *core.Snapshot) error {
-	r := &creader{b: b}
-	s.WeinerKeys = make([]int64, h.weinerCount)
-	prev := int64(0)
-	for i := range s.WeinerKeys {
-		d := r.uvarint()
-		if d > math.MaxInt64-uint64(prev) {
-			return fmt.Errorf("%w: weiner: key overflow", ErrCorrupt)
-		}
-		prev += int64(d)
-		s.WeinerKeys[i] = prev
-	}
-	s.WeinerVals = r.u32s(h.weinerCount)
-	if r.err != nil {
-		return fmt.Errorf("%w: weiner: %v", ErrCorrupt, r.err)
-	}
-	if r.rem() != 0 {
-		return fmt.Errorf("%w: weiner: trailing bytes", ErrCorrupt)
-	}
-	return nil
-}
-
-func parseStep2(b []byte, h *header, s *core.Snapshot) error {
-	r := &creader{b: b}
-	s.M1 = r.u32s(h.numNodes)
-	s.H = r.u32s(h.numNodes)
-	s.MinPat = r.s32s(h.numNodes)
-	s.MinPatID = r.s32s(h.numNodes)
-	s.RPE = r.s64s(h.numNodes)
-	s.FullAtH = r.s64s(h.numNodes)
-	if r.err != nil {
-		return fmt.Errorf("%w: step2: %v", ErrCorrupt, r.err)
-	}
-	if r.rem() != 0 {
-		return fmt.Errorf("%w: step2: trailing bytes", ErrCorrupt)
-	}
-	return nil
-}
-
-func parseSeparator(b []byte, h *header, s *core.Snapshot) error {
-	r := &creader{b: b}
-	s.SepChainLen = r.u32s(h.numNodes)
-	s.SepChainData = r.u32s(h.sepData)
-	if r.err != nil {
-		return fmt.Errorf("%w: separator: %v", ErrCorrupt, r.err)
-	}
-	if r.rem() != 0 {
-		return fmt.Errorf("%w: separator: trailing bytes", ErrCorrupt)
-	}
-	return nil
-}
-
 // creader is a cursor over one section payload with sticky errors, so parse
 // functions read fields unconditionally and check once.
 type creader struct {
@@ -408,19 +278,6 @@ func (r *creader) uvarint() uint64 {
 	v, n := binary.Uvarint(r.b[r.off:])
 	if n <= 0 {
 		r.err = fmt.Errorf("bad uvarint at %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *creader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		r.err = fmt.Errorf("bad varint at %d", r.off)
 		return 0
 	}
 	r.off += n
@@ -448,72 +305,5 @@ func (r *creader) bytes(n int) []byte {
 	}
 	out := r.b[r.off : r.off+n : r.off+n]
 	r.off += n
-	return out
-}
-
-// u32s reads n uvarints into int32s. n has been bounded by the header
-// against the file size; each element also costs at least one payload byte,
-// which rem() enforces before the allocation.
-func (r *creader) u32s(n int) []int32 {
-	if r.err != nil {
-		return nil
-	}
-	if n > r.rem() {
-		r.err = fmt.Errorf("array of %d exceeds %d payload bytes", n, r.rem())
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		v := r.uvarint()
-		if r.err != nil {
-			return nil
-		}
-		if v > math.MaxUint32 {
-			r.err = fmt.Errorf("value %d overflows 32 bits", v)
-			return nil
-		}
-		out[i] = int32(uint32(v))
-	}
-	return out
-}
-
-func (r *creader) s32s(n int) []int32 {
-	if r.err != nil {
-		return nil
-	}
-	if n > r.rem() {
-		r.err = fmt.Errorf("array of %d exceeds %d payload bytes", n, r.rem())
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		v := r.varint()
-		if r.err != nil {
-			return nil
-		}
-		if v < math.MinInt32 || v > math.MaxInt32 {
-			r.err = fmt.Errorf("value %d overflows int32", v)
-			return nil
-		}
-		out[i] = int32(v)
-	}
-	return out
-}
-
-func (r *creader) s64s(n int) []int64 {
-	if r.err != nil {
-		return nil
-	}
-	if n > r.rem() {
-		r.err = fmt.Errorf("array of %d exceeds %d payload bytes", n, r.rem())
-		return nil
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = r.varint()
-		if r.err != nil {
-			return nil
-		}
-	}
 	return out
 }

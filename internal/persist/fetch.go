@@ -52,7 +52,7 @@ func RetryableFetch(err error) bool {
 }
 
 // FetchBundle downloads the snapshot bundle for dictionary id from a peer's
-// base URL and opens it (OpenBundle: no §3 section is decoded). limit <= 0
+// base URL and opens it with OpenBundle. limit <= 0
 // selects DefaultFetchLimit; client == nil uses http.DefaultClient. On
 // success it returns the validated raw bytes (ready for PutBytes) plus the
 // bundle.

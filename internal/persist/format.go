@@ -2,37 +2,33 @@
 // content-addressed disk store for dictionaries.
 //
 // The paper's regime is preprocess-once/match-many: preprocessing costs O(d)
-// parallel work (§3.1), matching O(n) per text. This package makes the
-// expensive half durable, in one of two forms (bundle.go). The §3 form
-// serializes the fundamental tables of a core.Dictionary (patterns,
-// suffix-tree topology, Weiner links, Step 2 tables, separator chains);
-// decoding is a sequential table load plus deterministic sequential
-// rebuilds of the derived structures — no PRAM machine is touched anywhere
-// on that load path, and the loaded dictionary answers every query
-// byte-identically to the one it was saved from. The automaton form, which
-// servers write, holds the patterns, the seed and options, and the compiled
-// dense automaton: no §3 table at all, since a server builds its §3
-// dictionary only when something asks for the tree.
+// parallel work (§3.1), matching O(n) per text. What a server needs to
+// restart quickly is the compiled dense automaton, so that is what this
+// package makes durable: a snapshot holds the patterns, the seed and options
+// the §3 dictionary is preprocessed with, and the automaton (bundle.go). The
+// §3 tables are not stored — core.Preprocess rebuilds the same dictionary
+// from the patterns and seed whenever something asks for it.
 //
 // File layout (all integers little-endian; §10 of DESIGN.md documents the
 // exact byte layout):
 //
 //	magic   "DMSNAP" (6 bytes)
 //	version uint32
-//	sections, in fixed order: header, patterns, tree, weiner, step2,
-//	        [separator], [dense] — or, in the automaton form (a header
-//	        flag), header, patterns, [dense]. Each section is: id byte,
-//	        uvarint payload length, payload, CRC32-C of the payload
-//	        (uint32).
+//	sections, in fixed order: header, patterns, [dense]. Each section is:
+//	        id byte, uvarint payload length, payload, CRC32-C of the
+//	        payload (uint32).
 //	footer  CRC32-C of every preceding byte (uint32)
 //
-// Multi-valued payload fields are varint-coded (unsigned LEB128; signed
-// fields zigzag). Decoding validates everything before allocating: header
-// counts are bounded by the file size (every array element costs at least
-// one payload byte), section CRCs and the whole-file CRC must match, and the
-// structural invariants of the dictionary are re-checked by
-// core.FromSnapshot. Corrupted, truncated or adversarial inputs yield typed
-// errors — never a panic or an unbounded allocation.
+// Older versions also wrote the §3 form, with tree, weiner, step2 and
+// [separator] sections between patterns and dense. Readers still accept it:
+// its framing, section CRCs and header are checked and its tables skipped.
+//
+// Multi-valued payload fields are varint-coded (unsigned LEB128). Decoding
+// validates everything before allocating: header counts are bounded by the
+// file size (every counted element costs at least one byte), and section
+// CRCs and the whole-file CRC must match. Corrupted, truncated or
+// adversarial inputs yield typed errors — never a panic or an unbounded
+// allocation.
 package persist
 
 import "errors"
@@ -48,6 +44,8 @@ var magic = [6]byte{'D', 'M', 'S', 'N', 'A', 'P'}
 // with fresh ids; readers skip ids they do not know (after verifying the
 // section CRC), so adding a section is a forward-compatible change that does
 // not bump Version.
+// secTree to secSeparator occur only in §3-form files; readers check their
+// CRCs and skip them.
 const (
 	secHeader byte = iota + 1
 	secPatterns
@@ -68,11 +66,14 @@ var sectionNames = map[byte]string{
 	secDense:     "dense",
 }
 
-// Header flag bits. A file with flagNoTables carries no §3 section — only
-// header, patterns and at most DENSE — and its header records the options
-// the dictionary is preprocessed with instead of the built tables' counts:
-// flagUseNaive then means NCANaive and flagImprovedNCA NCAImproved (neither
-// is NCAAuto), and WindowL 0 is the automatic window.
+// Header flag bits. Every file this package writes sets flagNoTables: it carries
+// no §3 section — only header, patterns and at most DENSE — and its header
+// records the options the dictionary is preprocessed with instead of the
+// built tables' counts: flagUseNaive then means NCANaive and
+// flagImprovedNCA NCAImproved (neither is NCAAuto), and WindowL 0 is the
+// automatic window. A §3-form file (flagNoTables clear) records its tables'
+// counts, flagUseNaive for the naive NCA tables, and flagHasSeparator when
+// it carries a separator section.
 const (
 	flagUseNaive = 1 << iota
 	flagHasSeparator

@@ -1,20 +1,25 @@
 package persist
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dense"
 	"repro/internal/pram"
 	"repro/internal/textgen"
 )
 
-// FuzzSnapshotDecode drives adversarial bytes through the full decode path
-// (framing, checksums, varint parsing, structural restore). The contract
-// under fuzz: never panic, never allocate unboundedly (all counts are
-// validated against the input size before allocation), and either return a
-// working dictionary or exactly one of the typed errors.
+// FuzzSnapshotDecode drives adversarial bytes through both read paths:
+// OpenBundle (framing, checksums, header, patterns, DENSE restore) and
+// LoadBundle (the same, then core.Preprocess of the recorded patterns). The
+// contract under fuzz: never panic, never allocate unboundedly (all counts
+// are validated against the input size before allocation), accept exactly
+// the same inputs on both paths, and either return a working dictionary or
+// exactly one of the typed errors. Seeds cover both golden files and
+// automaton-form bundles with and without DENSE.
 func FuzzSnapshotDecode(f *testing.F) {
+	f.Add(readGolden(f, "golden_v1.dmsnap"))
+	f.Add(readGolden(f, "golden_automaton_v1.dmsnap"))
 	gen := textgen.New(9000)
 	seeds := [][][]byte{
 		{[]byte("a")},
@@ -24,21 +29,33 @@ func FuzzSnapshotDecode(f *testing.F) {
 	}
 	optVariants := []core.Options{{}, {Anchor: core.AnchorSA}, {NCA: core.NCAImproved}}
 	for i, patterns := range seeds {
-		opts := optVariants[i%len(optVariants)]
-		d := core.Preprocess(pram.New(1), patterns, opts)
-		f.Add(Encode(d))
+		b := &Bundle{Patterns: patterns, Options: optVariants[i%len(optVariants)]}
+		if i%2 == 1 {
+			aut, err := dense.Compile(patterns, dense.Options{})
+			if err != nil {
+				f.Fatal(err)
+			}
+			b.Automaton = aut
+		}
+		f.Add(b.Encode())
 	}
 	f.Add([]byte("DMSNAP"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := Load(data)
-		if err != nil {
-			if !errors.Is(err, ErrBadMagic) && !errors.Is(err, ErrVersion) &&
-				!errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("untyped decode error: %v", err)
+		b, errOpen := OpenBundle(data)
+		d, a, errLoad := LoadBundle(data)
+		if (errOpen == nil) != (errLoad == nil) {
+			t.Fatalf("OpenBundle and LoadBundle disagree: %v vs %v", errOpen, errLoad)
+		}
+		if errOpen != nil {
+			if !isTyped(errOpen) || !isTyped(errLoad) {
+				t.Fatalf("untyped decode error: %v / %v", errOpen, errLoad)
 			}
 			return
+		}
+		if (b.Automaton == nil) != (a == nil) || len(b.Patterns) != len(d.Patterns) {
+			t.Fatalf("OpenBundle and LoadBundle read different bundles")
 		}
 		// Accepted input: the dictionary must actually work (match a text
 		// and satisfy its own checker) — acceptance of broken structures

@@ -16,6 +16,8 @@ type SectionInfo struct {
 // Info summarizes a snapshot file: what it holds and how the bytes divide
 // among sections. Produced by Inspect (and cmd/dictpack inspect); all
 // checksums have been verified by the time an Info is returned.
+// HasSeparator, NumNodes, NumLeaves and WeinerCount describe the tables of
+// a §3-form file, and are zero for the automaton form.
 type Info struct {
 	Version      uint32        `json:"version"`
 	FileBytes    int           `json:"file_bytes"`
@@ -73,15 +75,15 @@ func Inspect(data []byte) (*Info, error) {
 	return info, nil
 }
 
-// Verify fully validates a snapshot: framing, checksums, and every
-// structural invariant (it performs a complete load). It returns the Info on
-// success.
+// Verify fully validates a snapshot: framing, checksums, header, patterns
+// and DENSE, and it preprocesses the §3 dictionary the file describes
+// (LoadBundle). It returns the Info on success.
 func Verify(data []byte) (*Info, error) {
 	info, err := Inspect(data)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := Load(data); err != nil {
+	if _, _, err := LoadBundle(data); err != nil {
 		return nil, fmt.Errorf("structural check failed: %w", err)
 	}
 	return info, nil

@@ -86,10 +86,10 @@ type Store struct {
 	logf func(format string, args ...any) // never nil; defaults to a no-op
 
 	// putLocks serializes writers of the same key (striped by the key's
-	// first byte). Same-key Puts are legitimate — the dense upgrade rewrites
+	// first byte). Same-key writes are legitimate — the dense upgrade rewrites
 	// a dictionary's KeyFor entry with a DENSE section added — and without
 	// serialization two interleaved write→verify→rename sequences can
-	// publish the older bytes last. With the stripe held, whichever Put
+	// publish the older bytes last. With the stripe held, whichever write
 	// completes second is the state the file ends in, whole.
 	putLocks [64]sync.Mutex
 
@@ -124,7 +124,7 @@ func (s *Store) Quarantined() int64 { return s.quarantined.Load() }
 
 // QuarantineFails returns how many quarantine renames failed — each one is
 // a corrupt file still sitting under its valid name, worth an operator's
-// attention (the next Get will re-detect and retry the quarantine).
+// attention (the next GetBundle will re-detect and retry the quarantine).
 func (s *Store) QuarantineFails() int64 { return s.quarantineFails.Load() }
 
 // Dir returns the store's root directory.
@@ -139,16 +139,10 @@ func (s *Store) Has(k Key) bool {
 	return err == nil
 }
 
-// Put encodes the dictionary and writes it under its key atomically,
-// returning the snapshot size in bytes.
-func (s *Store) Put(k Key, d *core.Dictionary) (int, error) {
-	return s.PutBundle(k, d, nil)
-}
-
 // PutBytes writes pre-encoded snapshot bytes under a key atomically, after
 // the checks every read path makes — framing, every section CRC, header and
 // patterns — so the store never persists bytes a reader would reject
-// unread. It decodes no §3 section and restores no DENSE payload: callers
+// unread. It restores no DENSE payload: callers
 // hand it bytes they encoded themselves or already opened.
 func (s *Store) PutBytes(k Key, data []byte) (int, error) {
 	if _, err := open(data); err != nil {
@@ -236,25 +230,6 @@ func (s *Store) verifyWritten(tmpPath string, want []byte) error {
 	return nil
 }
 
-// Get loads the snapshot stored under k into a ready-to-match dictionary
-// with LoadBundle and reports its on-disk size. A missing entry returns
-// ErrNotFound. An entry that fails any validation (truncation, checksum,
-// structural invariants) is quarantined — renamed so future lookups miss —
-// and the typed decode error is returned; the caller falls back to
-// preprocessing and may overwrite the entry with a good snapshot.
-func (s *Store) Get(k Key) (*core.Dictionary, int, error) {
-	data, err := s.read(k)
-	if err != nil {
-		return nil, 0, err
-	}
-	d, _, err := LoadBundle(data)
-	if err != nil {
-		s.quarantine(s.Path(k), err)
-		return nil, 0, err
-	}
-	return d, len(data), nil
-}
-
 // quarantine renames a failed-validation file aside. The rename is
 // best-effort in the sense that its failure must not mask the decode error
 // the caller dispatches on — but it is never silent: both outcomes are
@@ -314,11 +289,11 @@ type SweepReport struct {
 
 // Sweep re-validates every snapshot in the store: each well-named file is
 // read and given the checks every read path makes — framing, every section
-// CRC, header and patterns, but no §3 decode and no DENSE restore — corrupt
+// CRC, header and patterns, but no DENSE restore — corrupt
 // ones are quarantined (and counted), and leftover quarantine files from
 // earlier runs are tallied. Servers run it at startup so a boot reports the
-// store's health up front instead of discovering rot lazily, one failed Get
-// at a time.
+// store's health up front instead of discovering rot lazily, one failed
+// GetBundle at a time.
 //
 // use, when non-nil, is handed each file that passed, named by its key, with
 // the bytes just read: a server's warm start opens its bundles from them

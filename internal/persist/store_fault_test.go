@@ -9,26 +9,25 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/pram"
 	"repro/internal/textgen"
 )
 
-// putTestEntry preprocesses a small dictionary and stores it, returning the
-// key and the machine used (for matching in assertions).
-func putTestEntry(t *testing.T, st *Store, seed uint64) (Key, *core.Dictionary) {
+// putTestEntry stores a small dictionary's bundle, returning its key and
+// bytes.
+func putTestEntry(t *testing.T, st *Store, seed uint64) (Key, []byte) {
 	t.Helper()
 	gen := textgen.New(seed)
 	patterns := gen.Dictionary(6, 1, 10, 4)
 	opts := core.Options{}
 	key := KeyFor(patterns, opts)
-	d := core.Preprocess(pram.NewSequential(), patterns, opts)
-	if _, err := st.Put(key, d); err != nil {
-		t.Fatalf("Put: %v", err)
+	data := (&Bundle{Patterns: patterns, Options: opts}).Encode()
+	if _, err := st.PutBytes(key, data); err != nil {
+		t.Fatalf("PutBytes: %v", err)
 	}
-	return key, d
+	return key, data
 }
 
-// TestQuarantineSurfaced: a failed-validation Get must log the quarantine
+// TestQuarantineSurfaced: a failed-validation GetBundle must log the quarantine
 // and count it — never silently rename (or silently fail to rename).
 func TestQuarantineSurfaced(t *testing.T) {
 	st, err := Open(filepath.Join(t.TempDir(), "cache"))
@@ -47,8 +46,8 @@ func TestQuarantineSurfaced(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.Get(key); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Get on corrupt entry: %v, want ErrCorrupt", err)
+	if _, _, err := st.GetBundle(key); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("GetBundle on corrupt entry: %v, want ErrCorrupt", err)
 	}
 	if got := st.Quarantined(); got != 1 {
 		t.Errorf("Quarantined() = %d, want 1", got)
@@ -86,8 +85,8 @@ func TestQuarantineRenameFailureCounted(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(path+quarantineExt, "block"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.Get(key); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Get on corrupt entry: %v, want ErrCorrupt", err)
+	if _, _, err := st.GetBundle(key); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("GetBundle on corrupt entry: %v, want ErrCorrupt", err)
 	}
 	if got := st.QuarantineFails(); got != 1 {
 		t.Errorf("QuarantineFails() = %d, want 1", got)
@@ -98,10 +97,10 @@ func TestQuarantineRenameFailureCounted(t *testing.T) {
 	if len(logged) != 1 || !strings.Contains(logged[0], "FAILED") {
 		t.Errorf("quarantine failure not logged: %q", logged)
 	}
-	// The corrupt file is still in place under its valid name; a later Get
+	// The corrupt file is still in place under its valid name; a later read
 	// re-detects it rather than serving garbage.
-	if _, _, err := st.Get(key); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("second Get: %v, want ErrCorrupt", err)
+	if _, _, err := st.GetBundle(key); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("second GetBundle: %v, want ErrCorrupt", err)
 	}
 }
 
@@ -146,10 +145,10 @@ func TestSweep(t *testing.T) {
 		t.Errorf("Quarantined() = %d after sweep, want 1", st.Quarantined())
 	}
 	// The good entry survived, the bad one now misses.
-	if _, _, err := st.Get(goodKey); err != nil {
+	if _, _, err := st.GetBundle(goodKey); err != nil {
 		t.Errorf("good entry lost by sweep: %v", err)
 	}
-	if _, _, err := st.Get(badKey); !errors.Is(err, ErrNotFound) {
+	if _, _, err := st.GetBundle(badKey); !errors.Is(err, ErrNotFound) {
 		t.Errorf("bad entry after sweep: %v, want ErrNotFound", err)
 	}
 	// Idempotent: a second sweep finds one valid entry and two leftovers.
@@ -174,8 +173,7 @@ func TestPutReadBackCatchesTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, d := putTestEntry(t, st, 5)
-	data := Encode(d)
+	_, data := putTestEntry(t, st, 5)
 	tmp := filepath.Join(st.Dir(), "manual.tmp")
 	if err := os.WriteFile(tmp, data[:len(data)-3], 0o644); err != nil {
 		t.Fatal(err)
@@ -190,5 +188,4 @@ func TestPutReadBackCatchesTruncation(t *testing.T) {
 	if err := st.verifyWritten(tmp, data); err != nil {
 		t.Fatalf("verifyWritten on intact file: %v", err)
 	}
-	_ = key
 }

@@ -60,49 +60,6 @@ func build(m *pram.Machine, a []int64, min bool) *Table {
 	return t
 }
 
-// NewMinSequential builds a range-minimum table with plain loops and no
-// machine: same tables, same answers, zero PRAM work charged. Snapshot
-// decoding (internal/persist) uses this so a loaded dictionary performs no
-// re-preprocessing on the cost ledger.
-func NewMinSequential(a []int64) *Table { return buildSequential(a, true) }
-
-// NewMaxSequential is NewMax without a machine.
-func NewMaxSequential(a []int64) *Table { return buildSequential(a, false) }
-
-func buildSequential(a []int64, min bool) *Table {
-	n := len(a)
-	t := &Table{a: a, min: min}
-	if n == 0 {
-		return t
-	}
-	levels := bits.Len(uint(n))
-	t.sp = make([][]int32, levels)
-	t.sp[0] = make([]int32, n)
-	for i := 0; i < n; i++ {
-		t.sp[0][i] = int32(i)
-	}
-	for k := 1; k < levels; k++ {
-		width := 1 << k
-		cnt := n - width + 1
-		if cnt <= 0 {
-			t.sp = t.sp[:k]
-			break
-		}
-		t.sp[k] = make([]int32, cnt)
-		prev, cur := t.sp[k-1], t.sp[k]
-		half := width / 2
-		for i := 0; i < cnt; i++ {
-			x, y := prev[i], prev[i+half]
-			if t.better(int(x), int(y)) {
-				cur[i] = x
-			} else {
-				cur[i] = y
-			}
-		}
-	}
-	return t
-}
-
 // better reports whether index x beats index y under this table's order,
 // breaking ties toward the lower index.
 func (t *Table) better(x, y int) bool {

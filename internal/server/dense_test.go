@@ -8,6 +8,7 @@ import (
 	"errors"
 	"net/http"
 	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -209,7 +210,7 @@ func TestCreateWritesOneDenseSnapshot(t *testing.T) {
 }
 
 // TestWarmStartCompilesDenselessBundleOnce: a bundle written without DENSE
-// (Store.Put) warm-starts with an automaton compiled before the entry is
+// warm-starts with an automaton compiled before the entry is
 // published and is rewritten once, with DENSE, so the next boot loads the
 // automaton and compiles nothing. An explicit restore of a DENSE-less
 // snapshot compiles too, but never rewrites: its key is the hash of its
@@ -221,9 +222,9 @@ func TestWarmStartCompilesDenselessBundleOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dict := core.Preprocess(pram.NewSequential(), patterns, core.Options{})
 	key := persist.KeyFor(patterns, core.Options{})
-	if _, err := store.Put(key, dict); err != nil {
+	data := (&persist.Bundle{Patterns: patterns}).Encode()
+	if _, err := store.PutBytes(key, data); err != nil {
 		t.Fatal(err)
 	}
 	boot := func(wantCompiles, wantLoads, wantSaves int64) *Server {
@@ -249,7 +250,6 @@ func TestWarmStartCompilesDenselessBundleOnce(t *testing.T) {
 	srv := boot(0, 1, 0)
 	defer srv.Close()
 
-	data := persist.Encode(dict)
 	snapKey := persist.KeyForSnapshot(data)
 	if _, err := store.PutBytes(snapKey, data); err != nil {
 		t.Fatal(err)
@@ -265,6 +265,78 @@ func TestWarmStartCompilesDenselessBundleOnce(t *testing.T) {
 	if srv.Metrics().snapshotSaves.Load() != 0 || storedHasDense(t, store, snapKey) {
 		t.Fatal("an explicit snapshot was rewritten")
 	}
+}
+
+// TestWarmStartUpgradesTablesFormCache: a cache written before the automaton
+// form — persist's golden §3-form file, under the key a create of its
+// patterns at seed 42 derives — warm-starts from the cache. The entry is
+// published with source "cache", its automaton is compiled once and answers
+// /match with the reference's hits, and the file is rewritten once, in the
+// automaton form. A second boot compiles nothing.
+func TestWarmStartUpgradesTablesFormCache(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("..", "persist", "testdata", "golden_v1.dmsnap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	patterns := [][]byte{[]byte("banana"), []byte("ana"), []byte("nab"), []byte("b"), []byte("abracadabra"), []byte("cad")}
+	dir := t.TempDir()
+	store, err := persist.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := persist.KeyFor(patterns, core.Options{Seed: 42})
+	if err := os.WriteFile(store.Path(key), golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := bundleSections(t, store, key); got != "[header patterns tree weiner step2 separator]" {
+		t.Fatalf("the fixture is not in the §3 form: %s", got)
+	}
+	boot := func(wantCompiles, wantSaves int64) *Server {
+		t.Helper()
+		srv, err := New(Config{Procs: 1, CacheDir: dir, Log: quietLogger()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		infos := srv.Registry().Infos()
+		d := srv.Metrics().Snapshot(srv.Registry(), srv.Limiter()).Dense
+		if len(infos) != 1 || infos[0].Source != "cache" || !infos[0].Dense || d.Compiles != wantCompiles {
+			t.Fatalf("warm start: infos %+v, %d compiles; want one dense cache entry and %d", infos, d.Compiles, wantCompiles)
+		}
+		if n := srv.Metrics().snapshotSaves.Load(); n != wantSaves {
+			t.Fatalf("warm start wrote %d snapshots, want %d", n, wantSaves)
+		}
+		return srv
+	}
+
+	srv := boot(1, 1)
+	text := bytes.Repeat([]byte("xxbananabracadabranabxcadabana"), 40)
+	rec := serveRoute(srv.Handler(), http.MethodPost, "/v1/dicts/"+srv.Registry().Infos()[0].ID+"/match", b64Body(text))
+	var mr matchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &mr); err != nil || mr.Engine != engineDense {
+		t.Fatalf("match: %d %s (%v), want engine dense", rec.Code, clip(rec.Body.Bytes()), err)
+	}
+	ac := ahocorasick.New(patterns)
+	i := 0
+	for pos, pid := range ac.Match(text) {
+		if pid < 0 {
+			continue
+		}
+		if i >= len(mr.Hits) || mr.Hits[i] != (matchHit{Pos: pos, Pattern: int(pid), Length: int(ac.PatternLen(pid))}) {
+			t.Fatalf("hit %d diverges from the reference at position %d", i, pos)
+		}
+		i++
+	}
+	if i != len(mr.Hits) || i == 0 {
+		t.Fatalf("%d hits, reference %d", len(mr.Hits), i)
+	}
+	srv.Close()
+	if !storedHasDense(t, store, key) {
+		t.Fatal("the upgraded file has no DENSE section")
+	}
+	if got := bundleSections(t, store, key); got != "[header patterns dense]" {
+		t.Fatalf("the upgraded file's sections are %s, want header, patterns, dense", got)
+	}
+	boot(0, 0).Close()
 }
 
 // TestDenseOffIgnoresDenseBundle: a DENSE bundle warm-started under -dense

@@ -1,11 +1,11 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -20,20 +20,19 @@ import (
 // and its core.Dictionary is built only when something asks for the tree.
 
 // TestForcedTreeEqualsPreprocess: a forced stage is the dictionary an eager
-// core.Preprocess builds — byte for byte under persist.Encode — at seed 0,
-// at a non-zero seed, and after a reseed, where the entry's snapshot records
-// the new seed too.
+// core.Preprocess builds — table for table — at seed 0, at a non-zero seed,
+// and after a reseed, where the entry's snapshot records the new seed too.
 func TestForcedTreeEqualsPreprocess(t *testing.T) {
 	_, patterns, _ := densePatternStrings(t, 29)
-	eager := func(seed uint64) []byte {
-		return persist.Encode(core.Preprocess(pram.NewSequential(), patterns, core.Options{Seed: seed}))
+	eager := func(seed uint64) *core.Dictionary {
+		return core.Preprocess(pram.NewSequential(), patterns, core.Options{Seed: seed})
 	}
 	for _, seed := range []uint64{0, 0x5eed} {
 		e, _ := NewRegistry(1).Insert("", patterns, core.Options{Seed: seed}, nil, "preprocess", "", 0)
 		if e.Info().Tree {
 			t.Fatalf("seed %d: the stage is built before anything asked for it", seed)
 		}
-		if !bytes.Equal(persist.Encode(e.tree(2, nil)), eager(seed)) {
+		if !reflect.DeepEqual(e.tree(2, nil), eager(seed)) {
 			t.Fatalf("seed %d: the forced stage differs from core.Preprocess", seed)
 		}
 		if !e.Info().Tree {
@@ -41,13 +40,13 @@ func TestForcedTreeEqualsPreprocess(t *testing.T) {
 		}
 		e.reseed(1, nil)
 		e.mu.RLock()
-		got, reseeded := persist.Encode(e.tree(2, nil)), e.seed
+		got, reseeded := e.tree(2, nil), e.seed
 		e.mu.RUnlock()
-		if reseeded == seed || !bytes.Equal(got, eager(reseeded)) {
+		if reseeded == seed || !reflect.DeepEqual(got, eager(reseeded)) {
 			t.Fatalf("seed %d: after a reseed to %d the stage differs from core.Preprocess", seed, reseeded)
 		}
 		d, _, err := persist.LoadBundle(e.SnapshotBytes())
-		if err != nil || !bytes.Equal(persist.Encode(d), got) {
+		if err != nil || !reflect.DeepEqual(d, got) {
 			t.Fatalf("seed %d: the snapshot after a reseed does not load to the stage (%v)", seed, err)
 		}
 	}
