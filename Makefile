@@ -39,16 +39,16 @@ quick-experiments:
 	$(GO) run ./cmd/benchtab -quick
 
 fuzz:
-	$(GO) test -fuzz FuzzBuildInvariants -fuzztime 30s ./internal/suffixtree/
-	$(GO) test -fuzz FuzzRoundTrip -fuzztime 30s ./internal/lz/
-	$(GO) test -fuzz FuzzDecodeStream -fuzztime 30s ./internal/lz/
-	$(GO) test -fuzz FuzzHandleRequests -fuzztime 30s ./internal/server/
-	$(GO) test -fuzz FuzzTextPayload -fuzztime 30s ./internal/server/
-	$(GO) test -fuzz FuzzStreamEquivalence -fuzztime 30s ./internal/stream/
-	$(GO) test -fuzz FuzzSnapshotDecode -fuzztime 30s ./internal/persist/
-	$(GO) test -fuzz FuzzDenseEquivalence -fuzztime 30s ./internal/dense/
-	$(GO) test -fuzz FuzzCursorEquivalence -fuzztime 30s ./internal/dense/
-	$(GO) test -fuzz FuzzCzsearchEquivalence -fuzztime 30s ./internal/czsearch/
+	$(GO) test -fuzz FuzzBuildInvariants -fuzztime 30s -fuzzminimizetime 2s ./internal/suffixtree/
+	$(GO) test -fuzz FuzzRoundTrip -fuzztime 30s -fuzzminimizetime 2s ./internal/lz/
+	$(GO) test -fuzz FuzzDecodeStream -fuzztime 30s -fuzzminimizetime 2s ./internal/lz/
+	$(GO) test -fuzz FuzzHandleRequests -fuzztime 30s -fuzzminimizetime 2s ./internal/server/
+	$(GO) test -fuzz FuzzTextPayload -fuzztime 30s -fuzzminimizetime 2s ./internal/server/
+	$(GO) test -fuzz FuzzStreamEquivalence -fuzztime 30s -fuzzminimizetime 2s ./internal/stream/
+	$(GO) test -fuzz FuzzSnapshotDecode -fuzztime 30s -fuzzminimizetime 2s ./internal/persist/
+	$(GO) test -fuzz FuzzDenseEquivalence -fuzztime 30s -fuzzminimizetime 2s ./internal/dense/
+	$(GO) test -fuzz FuzzCursorEquivalence -fuzztime 30s -fuzzminimizetime 2s ./internal/dense/
+	$(GO) test -fuzz FuzzCzsearchEquivalence -fuzztime 30s -fuzzminimizetime 2s ./internal/czsearch/
 
 # Flags: -addr :8080 -procs N -max-dicts N -max-inflight N -timeout 30s
 serve:

@@ -559,13 +559,13 @@ func (z *czTraffic) check() error {
 
 // engineTally counts completed /match/stream requests by the engine their
 // summary names: "dense" — the carried-state cursor of an entry published
-// with its automaton — "tree" under -dense=off or a table over budget,
-// "reference" when a sampled oracle turn diverged and its events were
-// served.
-type engineTally struct{ dense, tree, reference atomic.Int64 }
+// with its automaton — or "tree" under -dense=off or a table over budget.
+// Any other name is a mismatch; a stream that failed its canary ends in an
+// error trailer, counted with the others.
+type engineTally struct{ dense, tree atomic.Int64 }
 
 func (e *engineTally) report() string {
-	return fmt.Sprintf("streams by engine: %d dense, %d tree, %d reference", e.dense.Load(), e.tree.Load(), e.reference.Load())
+	return fmt.Sprintf("streams by engine: %d dense, %d tree", e.dense.Load(), e.tree.Load())
 }
 
 func doStream(base, id string, text []byte, oracle []int32, ac *ahocorasick.Automaton, wantHits int,
@@ -603,8 +603,6 @@ func doStream(base, id string, text []byte, oracle []int32, ac *ahocorasick.Auto
 				engines.dense.Add(1)
 			case bytes.Contains(line, []byte(`"engine":"tree"`)):
 				engines.tree.Add(1)
-			case bytes.Contains(line, []byte(`"engine":"reference"`)):
-				engines.reference.Add(1)
 			default:
 				mismatch("stream: summary %q names no engine", line)
 				return

@@ -45,10 +45,13 @@
 // -dense-max-table, the dictionary is published without one, preprocessed
 // at publish, and the Las Vegas tree walk serves it. Each automaton is
 // certified against its patterns (ahocorasick.Certify) by the first request
-// that reads it, and a reference Aho–Corasick automaton re-answers request 1
-// of each route and every 1024th. Snapshots written with -cache-dir carry the compiled form
-// (DENSE section), so a restart skips compilation too. The response's
-// "engine" field and the /metrics "dense" section show which path served.
+// that reads it — a table that fails is recompiled and certified again, and
+// an entry whose recompile fails too answers every request with an error —
+// and request 1 of each route and every 1024th also walk the certified table
+// naively as a canary: a divergence fails that request. Snapshots written
+// with -cache-dir carry the compiled form (DENSE section), so a restart
+// skips compilation too. The response's "engine" field and the /metrics
+// "dense" section show which path served.
 //
 // Profiling (-pprof-addr, off by default): when set, net/http/pprof is
 // served on a SEPARATE listener at that address (e.g. localhost:6060) —

@@ -104,6 +104,14 @@ const (
 	// catch — the request must fail loudly, never serve divergent matches.
 	CzCache Point = "czsearch.cache"
 
+	// DenseDrop drops the match starting at the last byte of a text when a
+	// dense cursor flushes it — an output lost in the ring replay, under
+	// every dense route (/match's shards, /match/stream's last segment, the
+	// compressed scanner's expanded mode). The table stays certified, so
+	// this is the code fault the serving layer's canary walk exists to
+	// catch: a canary turn must fail loudly.
+	DenseDrop Point = "dense.drop"
+
 	// CzTruncate fails the compressed scanner's token read mid-stream — an
 	// aborted upload or a corrupt container tail. The scanner must surface a
 	// typed error (NDJSON trailer / non-zero CLI exit), never a silently

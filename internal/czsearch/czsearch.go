@@ -41,8 +41,8 @@
 // FuzzCzsearchEquivalence require byte-identical output to
 // lz.Uncompress+matching across adversarial token shapes (overlapping
 // self-referential copies, matches spanning ≥3 tokens, window-edge copies),
-// and the serving layer cross-validates the oracle's turns (request 1 and a
-// sparse canary after it) against the decompress-then-match oracle.
+// and the serving layer checks its canary turns (request 1 and a sparse
+// sample after it) against a decompress-then-walk of the certified table.
 //
 // When no compiled dense automaton exists (table over budget, dense
 // disabled), Fallback fuses the windowed uncompressor with the streaming
@@ -70,7 +70,7 @@ var ErrOutputExceeded = errors.New("czsearch: represented output exceeds cap")
 // Event is one dictionary match in the represented text: the longest
 // pattern starting at absolute position Pos — the paper's M[i] restricted
 // to positions where a pattern matches. It is stream.MatchEvent itself, so
-// the two engines' events meet one oracle comparison (stream.SameEvents).
+// every engine's events meet the serving layer's one canary comparison.
 type Event = stream.MatchEvent
 
 // Sink receives match events in position order, each position exactly once.

@@ -433,8 +433,8 @@ func (s *Scanner) scanCopy(t lz.Token, dIdx int) error {
 			e := memoEntry{exit: s.state, firstDest: dAbs, events: rel}
 			if chaos.Fire(chaos.CzCache) {
 				// Poison the cached exit state: later hits on this key
-				// replay from the wrong state. The sampled decompress-then-
-				// match oracle in the serving layer must catch this.
+				// replay from the wrong state. The serving layer's canary,
+				// a decompress-then-walk, must catch this.
 				e.exit = otherState(s.aut, e.exit)
 			}
 			if len(s.memo) >= s.memoCap {

@@ -56,8 +56,42 @@ func certifyCorpus() map[string][][]byte {
 	return corpus
 }
 
+// mustWalkLikeMatch fails the test unless the canary's walk over a — whole,
+// and fed in two pieces cut at cut — is ahocorasick's M[] over text.
+func mustWalkLikeMatch(t testing.TB, patterns [][]byte, a *Automaton, text []byte, cut int, label string) {
+	t.Helper()
+	want := ahocorasick.New(patterns).Match(text)
+	if got := ahocorasick.Walk(a, text); !slices.Equal(got, want) {
+		t.Fatalf("%s: walk M[] %v, ahocorasick %v", label, got, want)
+	}
+	got := make([]int32, len(text))
+	for i := range got {
+		got[i] = -1
+	}
+	record := func(i int64, id int32) { got[i] = id }
+	w := ahocorasick.NewWalker(a)
+	w.Feed(text[:cut], record)
+	w.Feed(text[cut:], record)
+	w.Flush(record)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: walk cut at %d: M[] %v, ahocorasick %v", label, cut, got, want)
+	}
+}
+
+// plantedText is a text holding every pattern, each followed by the first
+// half of another, so occurrences overlap and nest.
+func plantedText(patterns [][]byte) []byte {
+	var text []byte
+	for i, p := range patterns {
+		q := patterns[(7*i+3)%len(patterns)]
+		text = append(append(text, p...), q[:len(q)/2]...)
+	}
+	return text
+}
+
 // TestCertifyCompiled: every automaton Compile builds certifies, and so does
-// every payload round trip, the older numbering Restore rewrites included.
+// every payload round trip, the older numbering Restore rewrites included;
+// the canary's walk over each answers what ahocorasick does.
 func TestCertifyCompiled(t *testing.T) {
 	for name, patterns := range certifyCorpus() {
 		a := mustCompile(t, patterns)
@@ -67,6 +101,9 @@ func TestCertifyCompiled(t *testing.T) {
 			t.Fatalf("%s: Restore: %v", name, err)
 		}
 		mustCertify(t, patterns, b, name+" restored")
+		text := plantedText(patterns)
+		mustWalkLikeMatch(t, patterns, a, text, len(text)/3, name)
+		mustWalkLikeMatch(t, patterns, b, text, len(text)/2, name+" restored")
 	}
 	classic := toBytes("he", "she", "his", "hers")
 	b, err := Restore(classicOlderPayload(), classic)
@@ -177,10 +214,11 @@ func TestCertifyCatchesMutations(t *testing.T) {
 	mustNotCertify(t, patterns, r, "restored payload with a wrong in-range target")
 }
 
-// FuzzCertify: a random dictionary's automaton always certifies, and a
-// single changed entry never does — a table is determined by its patterns,
-// so every change is a wrong table, and the fuzz text shows which of them a
-// scan would have answered wrongly.
+// FuzzCertify: a random dictionary's automaton always certifies, the
+// canary's walk over it answers what ahocorasick does on the fuzz text, and
+// a single changed entry never certifies — a table is determined by its
+// patterns, so every change is a wrong table, and the fuzz text shows which
+// of them a scan would have answered wrongly.
 func FuzzCertify(f *testing.F) {
 	f.Add([]byte("ushers her hers"), []byte("he\nshe\nhers\nhis"), uint8(3), uint16(7), uint16(3), uint8(0))
 	f.Add([]byte("aaaaaaaa"), []byte("a\naa\naaa"), uint8(2), uint16(1), uint16(0), uint8(1))
@@ -200,6 +238,7 @@ func FuzzCertify(f *testing.F) {
 			t.Fatal(err)
 		}
 		mustCertify(t, patterns, a, "compiled")
+		mustWalkLikeMatch(t, patterns, a, text, int(at)%(len(text)+1), "compiled")
 
 		b := clone(a)
 		var what string
@@ -249,8 +288,35 @@ func FuzzCertify(f *testing.F) {
 
 // BenchmarkCertify times the certificate next to Compile on the churn
 // shape (256 patterns of 8–32 bytes over σ 26) and the L shape (1024 of
-// 16–32 over σ 64).
+// 16–32 over σ 64), and one canary turn on the bulk shape (L over a 256 KiB
+// σ 64 text, a pattern planted every 512 bytes): the walk over the
+// certified table, against building ahocorasick's automaton and matching.
 func BenchmarkCertify(b *testing.B) {
+	bulk := textgen.New(102).Dictionary(1024, 16, 32, 64)
+	gen := textgen.New(30)
+	text := gen.Uniform(256<<10, 64)
+	for pos := 0; pos+32 <= len(text); pos += 512 {
+		copy(text[pos:], bulk[pos/512%len(bulk)])
+	}
+	a, err := Compile(bulk, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("canary/bulk/walk", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(text)))
+		for i := 0; i < b.N; i++ {
+			ahocorasick.Walk(a, text)
+		}
+	})
+	b.Run("canary/bulk/new+match", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(text)))
+		for i := 0; i < b.N; i++ {
+			ahocorasick.New(bulk).Match(text)
+		}
+	})
+
 	for _, c := range []struct {
 		name     string
 		patterns [][]byte

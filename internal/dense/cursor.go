@@ -3,6 +3,7 @@ package dense
 import (
 	"errors"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 )
 
@@ -158,6 +159,13 @@ func (c *Cursor) Flush(emit func(pos int64, m core.Match) error) error {
 		return c.err
 	}
 	c.err = ErrCursorDone
+	if chaos.Fire(chaos.DenseDrop) {
+		// The chaos point: the text's last position loses its match.
+		if last := &c.ring[(c.pos-1)&int64(len(c.ring)-1)]; last.Length != 0 {
+			*last = core.Match{}
+			c.pending--
+		}
+	}
 	if err := c.flushTo(c.pos, emit); err != nil {
 		c.err = err
 		return err

@@ -27,9 +27,10 @@
 // vouch for it. What vouches for a table is ahocorasick.Certify, which
 // checks every entry of it against its patterns through the read-only view
 // in step.go; the serving layer runs it once per automaton, before the
-// automaton's first answer, and keeps internal/ahocorasick's matcher as a
-// sparse canary on the code around the table (internal/server/oracle.go).
-// The tests and fuzz targets hold every entry point to that oracle, and
+// automaton's first answer, and walks the certified table naively with
+// ahocorasick.Walk as a sparse canary on the code around the table — the
+// kernel, the cursors, the shards (internal/server/oracle.go). The tests
+// and fuzz targets hold every entry point to ahocorasick's matcher, and
 // the greedy-parsing-optimality literature (arXiv:1211.5350) is the
 // standing reminder that a fast path earns trust by agreeing with a slow
 // one, not by replacing it.

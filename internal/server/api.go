@@ -17,9 +17,8 @@ var ErrUnknownDict = errors.New("server: unknown dictionary")
 
 // Match answers one match request in process. It returns the longest match
 // per text position (core.None where there is none), the Las Vegas attempt
-// count, and the engine label: "dense", "tree", or "reference" when a
-// dense answer on an oracle turn diverged from the oracle and the oracle's
-// was served.
+// count, and the engine label, "dense" or "tree". A dense entry that can
+// serve nothing, or a canary turn that diverged, is an error (oracle.go).
 func (s *Server) Match(ctx context.Context, id string, text []byte) ([]core.Match, int, string, error) {
 	e, ok := s.reg.Get(id)
 	if !ok {

@@ -309,7 +309,7 @@ func TestClusterReplicaConsistency(t *testing.T) {
 		if !ok {
 			continue
 		}
-		a := e.aut
+		a := e.aut.Load()
 		if a == nil {
 			t.Fatalf("node %s holds %s without a dense automaton despite DenseOn", nd.name, created.ID)
 		}

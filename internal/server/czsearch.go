@@ -41,15 +41,11 @@ import (
 // counted as a fallback). The scanner itself picks one of two modes from the
 // container header (internal/czsearch): the token scanner proper (engine
 // "czsearch") when tokens are long enough to pay for their bookkeeping, and
-// expand-and-scan on a dense cursor (engine "dense") when they are not.
-// The automaton is certified before the first scan (oracle.go), and scanner
-// results of either mode are cross-checked against the
-// decompress-then-match oracle on the oracle turns the dense path takes —
-// the first request and every verifySampleEvery-th after it, and every
-// request once a certificate has failed. A divergence fails the request
-// loudly (500 or error trailer) rather than serving unverifiable output: the
-// scanner's memo cache is exactly the kind of state a fault can poison
-// (chaos point czsearch.cache), and the oracle is what detects it.
+// expand-and-scan on a dense cursor (engine "dense") when they are not. The
+// automaton is certified and canary turns taken as on every dense route
+// (oracle.go); here a turn expands the container again and walks the whole
+// text, which catches a poisoned memo (chaos point czsearch.cache) as well
+// as the cursor.
 
 // engineCz labels responses answered by the scanner's token mode; its
 // expanded mode answers as engineDense.
@@ -134,26 +130,24 @@ func (s *Server) czObserve(engine string, st czsearch.Stats) {
 	s.metrics.czMemoHits.Add(st.MemoHits)
 }
 
-// czVerify cross-checks a scanner result against the decompress-then-match
-// oracle — the teed container expanded, the reference run over the whole
-// text — and reports false on a divergence. A turn the request's context
-// ended first verifies nothing and indicts nothing.
-func (s *Server) czVerify(ctx context.Context, e *Entry, container []byte, got []czsearch.Event) bool {
+// czVerify is a compressed route's canary turn: the teed container is
+// expanded and walked (walkCheck) against the events the scan sent. It
+// returns errDiverged when they differ.
+func (s *Server) czVerify(e *Entry, aut *dense.Automaton, container []byte, got []czsearch.Event) error {
 	var text []byte
 	c, err := lz.DecodeStream(container)
 	if err == nil {
 		text, err = lz.Decode(c)
 	}
 	if err != nil {
-		return true // the scanner consumed it, so this cannot happen; don't indict
+		return nil // the scanner consumed it, so this cannot happen; don't indict
 	}
-	want, _ := s.verify(ctx, e, text, got, &s.metrics.czVerifyPass, &s.metrics.czVerifyFail)
-	return want == nil
+	return s.walkCheck(e, aut, text, got, &s.metrics.czVerifyPass, &s.metrics.czVerifyFail)
 }
 
 // cappedTee records the bytes written through it up to a cap; past the cap
 // it discards everything and reports overflow, so an oversized container
-// skips verification instead of buffering unboundedly.
+// skips its canary turn instead of buffering unboundedly.
 type cappedTee struct {
 	buf        bytes.Buffer
 	cap        int64
@@ -182,21 +176,25 @@ func (s *Server) handleMatchCompressed(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	aut := e.aut
-	verify := aut != nil && s.oracleTurn(e, &e.czReqs)
+	aut, err := e.certified(s)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "compressed match failed: %v", err)
+		return
+	}
+	verify := aut != nil && canaryTurn(&e.czReqs)
 	body := io.Reader(r.Body)
 	var tee *cappedTee
 	if verify {
-		// The body streams through once; tee it so the oracle can re-expand
+		// The body streams through once; tee it so the canary can re-expand
 		// it after the scan. The cap only guards memory — a container too
-		// large to tee just skips its verification turn.
+		// large to tee just skips its turn.
 		tee = &cappedTee{cap: s.cfg.MaxBodyBytes}
 		body = io.TeeReader(r.Body, tee)
 	}
 
 	// The tee has to wrap the body before the header is read, so the turn is
 	// taken first and handed back if the container is rejected unscanned:
-	// request 1's verification belongs to the first container scanned.
+	// request 1's turn belongs to the first container scanned.
 	unsample := func() {
 		if aut != nil {
 			e.czReqs.Add(-1)
@@ -227,7 +225,7 @@ func (s *Server) handleMatchCompressed(w http.ResponseWriter, r *http.Request) {
 	bw := ndjsonWriter(w)
 	defer putNDJSONWriter(bw)
 
-	var events []czsearch.Event // collected only for verification
+	var events []czsearch.Event // collected only for the canary
 	pending := 0
 	sink := func(ev czsearch.Event) error {
 		if verify {
@@ -263,10 +261,12 @@ func (s *Server) handleMatchCompressed(w http.ResponseWriter, r *http.Request) {
 	}
 	engine := run.engine(st)
 	s.czObserve(engine, st)
-	if verify && !tee.overflowed && !s.czVerify(r.Context(), e, tee.buf.Bytes(), events) {
-		fmt.Fprintf(bw, `{"error":%q}`+"\n", "compressed match diverged from decompress-then-match oracle")
-		bw.Flush()
-		return
+	if verify && !tee.overflowed {
+		if err := s.czVerify(e, aut, tee.buf.Bytes(), events); err != nil {
+			fmt.Fprintf(bw, `{"error":%q}`+"\n", "compressed match failed: "+err.Error())
+			bw.Flush()
+			return
+		}
 	}
 	sb, _ := json.Marshal(st)
 	fmt.Fprintf(bw, `{"summary":{"n":%d,"engine":%q,"stats":%s}}`+"\n", run.n, engine, sb)
@@ -288,7 +288,7 @@ type matchCompressedResponse struct {
 // handleMatchCompressedBuffered is the batch-friendly variant: one JSON
 // request carrying the container ({"dataB64":...}), one JSON response with
 // every hit. It goes through the ordinary buffered middleware (body cap,
-// request deadline), and an oracle divergence fails it with a clean 500
+// request deadline), and a canary divergence fails it with a clean 500
 // instead of a mid-stream trailer.
 func (s *Server) handleMatchCompressedBuffered(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.entryFor(w, r)
@@ -305,7 +305,11 @@ func (s *Server) handleMatchCompressedBuffered(w http.ResponseWriter, r *http.Re
 		return
 	}
 
-	aut := e.aut
+	aut, err := e.certified(s)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "compressed match failed: %v", err)
+		return
+	}
 	run, err := s.czPrepare(e, aut, bytes.NewReader(data))
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, "bad LZ1R1 stream: %v", err)
@@ -317,7 +321,7 @@ func (s *Server) handleMatchCompressedBuffered(w http.ResponseWriter, r *http.Re
 		return
 	}
 
-	verify := aut != nil && s.oracleTurn(e, &e.czReqs)
+	verify := aut != nil && canaryTurn(&e.czReqs)
 	resp := matchCompressedResponse{N: run.n, Hits: []matchHit{}}
 	var events []czsearch.Event
 	st, err := run.run(r.Context(), func(ev czsearch.Event) error {
@@ -350,10 +354,11 @@ func (s *Server) handleMatchCompressedBuffered(w http.ResponseWriter, r *http.Re
 	}
 	resp.Engine = run.engine(st)
 	s.czObserve(resp.Engine, st)
-	if verify && !s.czVerify(r.Context(), e, data, events) {
-		writeError(w, http.StatusInternalServerError,
-			"compressed match diverged from decompress-then-match oracle")
-		return
+	if verify {
+		if err := s.czVerify(e, aut, data, events); err != nil {
+			writeError(w, http.StatusInternalServerError, "compressed match failed: %v", err)
+			return
+		}
 	}
 	resp.Stats = st
 	resp.Matched = len(resp.Hits)

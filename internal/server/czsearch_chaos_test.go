@@ -6,12 +6,14 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
+	"log"
 	"net/http"
 	"strings"
 	"testing"
 
 	"repro/internal/chaos"
 	"repro/internal/lz"
+	"repro/internal/textgen"
 )
 
 // czChaosBlock is the 64-byte text of the fixture's repeated token: "xyxy"
@@ -57,25 +59,25 @@ func postCompressedBuffered(t *testing.T, base, id string, container []byte) (in
 
 // TestChaosCzPoisonedCacheCaught5xx is the serving half of the czsearch.cache
 // story (the package half lives in internal/czsearch): a poisoned memo entry
-// makes the scanner's output diverge, the sampled decompress-then-match
-// oracle catches it, and the request fails 500 — never a silently wrong 200.
-// The follow-up request on the same entry (same pooled scanner) succeeds
-// with oracle-identical output, so one poisoned request cannot wedge the
-// scanner pool.
+// makes the scanner's output diverge, the canary's decompress-then-walk
+// catches it, and the request fails 500 — never a silently wrong 200. The
+// follow-up request on the same entry (same pooled scanner) succeeds with
+// oracle-identical output, so one poisoned request cannot wedge the scanner
+// pool.
 func TestChaosCzPoisonedCacheCaught5xx(t *testing.T) {
 	srv, base, shutdown := startServer(t, Config{
 		Addr: "127.0.0.1:0", Procs: 1, DenseMode: DenseOn,
 	})
 	id, container := czChaosFixture(t, base, 50)
 
-	// Poison every memo store. Request 1 is always an oracle sample.
+	// Poison every memo store. Request 1 is always a canary turn.
 	plan := installPlan(t, 5, "czsearch.cache:p=1")
 	status, body := postCompressedBuffered(t, base, id, container)
 	if status != http.StatusInternalServerError {
 		t.Fatalf("poisoned request: %d %s, want 500", status, body)
 	}
-	if !strings.Contains(string(body), "oracle") {
-		t.Fatalf("poisoned request error does not name the oracle: %s", body)
+	if !strings.Contains(string(body), "diverged from the canary") {
+		t.Fatalf("poisoned request error does not name the divergence: %s", body)
 	}
 	if firedCount(plan, chaos.CzCache) == 0 {
 		t.Fatal("czsearch.cache never fired — the test exercised nothing")
@@ -134,5 +136,53 @@ func TestChaosCzTruncateIs5xx(t *testing.T) {
 	}
 	if err := shutdown(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestChaosCanaryDivergenceFailsLoudly: with dense.drop armed, a dense
+// cursor loses the match at its text's last byte, and the table stays
+// certified —
+// a fault in the code around the table. On every dense route, request 1 is
+// a canary turn: the walk over the table disagrees, and the request fails
+// loudly — a 500 on /match and the buffered compressed route, an error
+// trailer and no summary on the streams — counted and logged once. Disarmed,
+// the next request is answered exactly.
+func TestChaosCanaryDivergenceFailsLoudly(t *testing.T) {
+	patterns := [][]byte{[]byte("qua"), []byte("rtz"), []byte("zz"), []byte("z")}
+	text := append(textgen.New(77).Uniform(4096, 26), "quartzz"...)
+	want := acHits(patterns, text)
+	for _, rt := range denseRoutes(t, text) {
+		t.Run(rt.name, func(t *testing.T) {
+			var logBuf syncBuffer
+			srv, err := New(Config{Procs: 1, Log: log.New(&logBuf, "", 0)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			id := createVia(t, srv, []string{"qua", "rtz", "zz", "z"}).ID
+			plan := installPlan(t, 3, "dense.drop:p=1")
+			reply := rt.ask(t, srv.Handler(), id)
+			chaos.Install(nil)
+			if firedCount(plan, chaos.DenseDrop) == 0 {
+				t.Fatal("dense.drop never fired — the test exercised nothing")
+			}
+			wantStatus := http.StatusInternalServerError
+			if strings.Contains(rt.path, "stream") || rt.name == "compressed" {
+				wantStatus = http.StatusOK // committed before the scan: the error is the trailer
+			}
+			if reply.status != wantStatus || !strings.Contains(reply.err, "diverged") || reply.engine != "" {
+				t.Fatalf("canary turn under dense.drop: %+v, want status %d and a divergence error", reply, wantStatus)
+			}
+			mt := srv.Metrics()
+			if fails := mt.denseVerifyFail.Load() + mt.czVerifyFail.Load(); fails != 1 {
+				t.Fatalf("verifyFail = %d, want 1", fails)
+			}
+			if n := strings.Count(logBuf.String(), "diverged from the canary"); n != 1 {
+				t.Fatalf("divergence logged %d times, want once; log: %q", n, logBuf.String())
+			}
+			if reply := rt.ask(t, srv.Handler(), id); !reply.answersDense(want) {
+				t.Fatalf("request 2, disarmed: %+v", reply)
+			}
+		})
 	}
 }

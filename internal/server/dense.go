@@ -19,10 +19,11 @@ import (
 // Registry.Insert, with no §3 preprocessing — so an entry never changes
 // engine after it is published: it serves from the automaton, or from the
 // tree-walk Las Vegas matcher when there is none (-dense off, or a table
-// over budget), and then its §3 stage is built at publish. An automaton is
-// certified before its first answer, and the reference oracle takes canary
-// turns after that (oracle.go); a divergence is counted, logged, and
-// answered with the oracle's result.
+// over budget), and then its §3 stage is built at publish. Every route reads
+// the automaton through Entry.certified, which certifies it before its first
+// answer and repairs a table that fails; canary turns then walk the
+// certified table beside the route's scan, and a divergence fails the
+// request (oracle.go).
 
 // Dense serving modes (Config.DenseMode).
 const (
@@ -64,26 +65,25 @@ func (s *Server) automatonFor(patterns [][]byte, aut *dense.Automaton) (a *dense
 
 // Engine labels for matchResponse.Engine.
 const (
-	engineDense     = "dense"
-	engineTree      = "tree"
-	engineReference = "reference" // the oracle's answer, after a divergence
+	engineDense = "dense"
+	engineTree  = "tree"
 )
 
 // serveMatch answers one match request through the fastest correct path:
 // the compiled dense automaton when the entry has one (deterministic — no
 // Las Vegas loop, no attempts), otherwise the checked tree-walk matcher.
-// The automaton answers once its certificate has passed (oracle.go); its
-// answers on oracle turns — the canary's, or every one after a failed
-// certificate — are compared with the reference's, and on divergence the
-// reference's answer is served and the failure counted. The dense path also
-// serves (and verifies) entries whose circuit breaker is open — neither the
-// automaton nor the oracle depends on the fingerprint state the breaker
-// protects.
+// The automaton answers once it is certified (oracle.go), and on a canary
+// turn only if the walk over it agrees. The dense path also serves entries
+// whose circuit breaker is open — neither the automaton nor the walk
+// depends on the fingerprint state the breaker protects.
 // The matches come back as events in position order, written over buf's
 // contents and into its storage.
 func (s *Server) serveMatch(ctx context.Context, e *Entry, text []byte, buf []stream.MatchEvent) ([]stream.MatchEvent, int, string, error) {
 	evs := buf[:0]
-	a := e.aut
+	a, err := e.certified(s)
+	if err != nil {
+		return evs, 0, engineDense, err
+	}
 	if a == nil {
 		if s.cfg.DenseMode != DenseOff {
 			s.metrics.denseFallback.Add(1)
@@ -92,28 +92,16 @@ func (s *Server) serveMatch(ctx context.Context, e *Entry, text []byte, buf []st
 		return stream.AppendEvents(evs, matches, 0), attempts, engineTree, err
 	}
 
-	turn := s.oracleTurn(e, &e.denseReqs)
+	turn := canaryTurn(&e.denseReqs)
 	evs, counters := denseEvents(a, text, s.cfg.Procs, evs)
 	s.metrics.ChargePRAM("match", counters.Work, counters.Depth)
-
 	if turn {
-		want, err := s.verify(ctx, e, text, evs, &s.metrics.denseVerifyPass, &s.metrics.denseVerifyFail)
-		if err != nil {
-			return evs[:0], 0, engineDense, err // the request's context ended first
-		}
-		if want != nil {
-			return stream.AppendEvents(evs[:0], want, 0), 1, engineReference, nil
+		if err := s.walkCheck(e, a, text, evs, &s.metrics.denseVerifyPass, &s.metrics.denseVerifyFail); err != nil {
+			return evs[:0], 1, engineDense, err
 		}
 	}
 	s.metrics.denseServed.Add(1)
 	return evs, 1, engineDense, nil
-}
-
-// patterns returns the entry's pattern set. The slice is immutable after
-// Insert (reseeds replace fingerprints, never patterns), so reading it
-// without the lock is safe.
-func (e *Entry) patterns() [][]byte {
-	return e.pats
 }
 
 // denseMinShardLen is the smallest text shard worth a dedicated worker on

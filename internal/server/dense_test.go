@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
-	"errors"
+	"log"
 	"net/http"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/ahocorasick"
@@ -259,7 +261,7 @@ func TestWarmStartCompilesDenselessBundleOnce(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &restored); err != nil || rec.Code != http.StatusCreated {
 		t.Fatalf("restore: %d %s (%v)", rec.Code, rec.Body, err)
 	}
-	if e, ok := srv.Registry().Get(restored.ID); !ok || e.aut == nil || srv.Metrics().denseCompiles.Load() != 1 {
+	if e, ok := srv.Registry().Get(restored.ID); !ok || e.aut.Load() == nil || srv.Metrics().denseCompiles.Load() != 1 {
 		t.Fatal("a restored DENSE-less snapshot was published without a compiled automaton")
 	}
 	if srv.Metrics().snapshotSaves.Load() != 0 || storedHasDense(t, store, snapKey) {
@@ -444,18 +446,19 @@ func TestOverBudgetServesTree(t *testing.T) {
 }
 
 // TestDenseVerifyDivergence: a wrong automaton planted on an entry fails its
-// certificate on the first request, so that request and every later one
-// takes an oracle turn; the oracle's result is served (engine "reference" —
-// no tree ran, so the match and check ledgers hold the dense scan alone)
-// and each divergence counted.
+// certificate on the first requests — four at once, which share one run
+// (under -race) — and is recompiled from the patterns, certified again and
+// answers them all: engine "dense" with ahocorasick's hits, and no tree ran,
+// so the match ledger holds the dense scans alone. The failure is counted
+// and logged once, and later requests serve the repaired table without
+// another certificate.
 func TestDenseVerifyDivergence(t *testing.T) {
-	srv, err := New(Config{Procs: 1, DenseMode: DenseOn, Log: quietLogger()})
+	var logBuf syncBuffer
+	srv, err := New(Config{Procs: 1, DenseMode: DenseOn, Log: log.New(&logBuf, "", 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	patterns := [][]byte{[]byte("abc"), []byte("bcd")}
-	// Same pattern count (ids stay in range for the comparison), different
-	// content — the automaton will disagree with the dictionary.
 	wrong, err := dense.Compile([][]byte{[]byte("zzz"), []byte("qqq")}, dense.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -463,44 +466,44 @@ func TestDenseVerifyDivergence(t *testing.T) {
 	e := registerWithAutomaton(srv, patterns, wrong)
 
 	text := []byte("xabcdx")
-	evs, _, engine, err := srv.serveMatch(context.Background(), e, text, nil)
-	if err != nil {
-		t.Fatal(err)
+	want := []stream.MatchEvent{{Pos: 1, PatternID: 0, Length: 3}, {Pos: 2, PatternID: 1, Length: 3}}
+	const first = 4
+	var wg sync.WaitGroup
+	for i := 0; i <= first; i++ {
+		if i == first {
+			wg.Wait() // the last request comes after the repair
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			evs, _, engine, err := srv.serveMatch(context.Background(), e, text, nil)
+			if err != nil || engine != engineDense || !slices.Equal(evs, want) {
+				t.Errorf("request: engine %q, events %+v, err %v — want dense with %+v", engine, evs, err, want)
+			}
+		}()
 	}
-	if engine != engineReference {
-		t.Fatalf("divergent result served by %q, want %q", engine, engineReference)
+	wg.Wait()
+	mt := srv.Metrics()
+	if e.aut.Load() == wrong || mt.certifyFail.Load() != 1 || mt.certified.Load() != 1 || mt.denseCompiles.Load() != 1 {
+		t.Fatalf("repair: planted table still served %v, certifyFail %d, certified %d, compiles %d — want a swap, 1, 1, 1",
+			e.aut.Load() == wrong, mt.certifyFail.Load(), mt.certified.Load(), mt.denseCompiles.Load())
 	}
-	if want := []stream.MatchEvent{{Pos: 1, PatternID: 0, Length: 3}, {Pos: 2, PatternID: 1, Length: 3}}; !slices.Equal(evs, want) {
-		t.Fatalf("oracle result not served: events %+v, want %+v", evs, want)
+	if pass, fail := mt.denseVerifyPass.Load(), mt.denseVerifyFail.Load(); pass != 1 || fail != 0 {
+		t.Fatalf("canary: pass %d, fail %d, want request 1's turn to pass", pass, fail)
 	}
-	if srv.Metrics().denseVerifyFail.Load() != 1 || srv.Metrics().certifyFail.Load() != 1 {
-		t.Fatalf("verifyFail = %d, certifyFail = %d, want 1 and 1", srv.Metrics().denseVerifyFail.Load(), srv.Metrics().certifyFail.Load())
+	snap := mt.Snapshot(srv.Registry(), srv.Limiter())
+	if m, c := snap.PRAM["match"], snap.PRAM["check"]; m.Ops != first+1 || m.Work != (first+1)*int64(len(text)) || c.Ops != 0 {
+		t.Fatalf("%d dense requests charged match=%+v check=%+v, want %d-byte dense scans only", first+1, m, c, len(text))
 	}
-	snap := srv.Metrics().Snapshot(srv.Registry(), srv.Limiter())
-	if m, c := snap.PRAM["match"], snap.PRAM["check"]; m.Ops != 1 || m.Work != int64(len(text)) || c.Ops != 0 {
-		t.Fatalf("sampled dense turn charged match=%+v check=%+v, want the %d-byte dense scan only", m, c, len(text))
-	}
-	// Request 2 is no canary turn, but the uncertified table takes one anyway.
-	if evs, _, engine, err := srv.serveMatch(context.Background(), e, text, nil); err != nil || engine != engineReference || len(evs) != 2 {
-		t.Fatalf("request 2: engine %q, %d events, err %v — want the reference's 2", engine, len(evs), err)
-	}
-
-	// A cancelled request does not start the (uninterruptible) reference scan.
-	e.denseReqs.Store(verifySampleEvery - 1)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, _, err := srv.serveMatch(ctx, e, text, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("sampled turn under a cancelled context: err = %v", err)
-	}
-	if n := srv.Metrics().denseVerifyFail.Load(); n != 2 {
-		t.Fatalf("verifyFail = %d after a cancelled turn, want 2", n)
+	if n := strings.Count(logBuf.String(), "failed its certificate"); n != 1 {
+		t.Fatalf("certificate failure logged %d times, want once; log: %q", n, logBuf.String())
 	}
 }
 
 // TestDenseServesDegradedEntry: neither the compiled automaton nor the
-// reference oracle carries Las Vegas fingerprint state, so an entry whose
-// tree walk has tripped the breaker keeps answering 200 from the dense path,
-// on all three routes — and its first request on each is still verified.
+// canary's walk carries Las Vegas fingerprint state, so an entry whose tree
+// walk has tripped the breaker keeps answering 200 from the dense path, on
+// all three routes — and its first request on each is still a canary turn.
 // With dense off the same entry 503s — TestDegradedEntryServes503 pins that
 // side.
 func TestDenseServesDegradedEntry(t *testing.T) {
@@ -549,10 +552,9 @@ func TestDenseServesDegradedEntry(t *testing.T) {
 	if n := srv.Metrics().czVerifyPass.Load(); n != 1 {
 		t.Fatalf("czVerifyPass = %d after a degraded entry's first compressed request, want 1", n)
 	}
-	// One certificate for both routes; each route's first request builds
-	// the reference for its turn and drops it after.
-	if n, c := srv.Metrics().oracleBuilds.Load(), srv.Metrics().certified.Load(); n != 2 || c != 1 {
-		t.Fatalf("oracleBuilds = %d, certified = %d, want 2 and 1", n, c)
+	// One certificate for both routes.
+	if c := srv.Metrics().certified.Load(); c != 1 {
+		t.Fatalf("certified = %d, want 1", c)
 	}
 	if err := shutdown(); err != nil {
 		t.Fatal(err)

@@ -448,7 +448,7 @@ type matchResponse struct {
 	N        int        `json:"n"`
 	Attempts int        `json:"attempts"`
 	Matched  int        `json:"matched"`
-	Engine   string     `json:"engine"` // "dense", "tree" or "reference"
+	Engine   string     `json:"engine"` // "dense" or "tree"
 	Hits     []matchHit `json:"hits"`
 }
 

@@ -169,14 +169,14 @@ type Metrics struct {
 
 	// Dense serving path (dense.go). denseServed/denseFallback split the
 	// match requests on dense-enabled servers by which engine answered;
-	// denseVerifyPass/denseVerifyFail count oracle cross-checks of dense
-	// results; denseCompiles/denseCompileNanos/denseCompileFails and
-	// denseTableBytes account the compile stage; denseLoads counts automata
-	// restored from DENSE snapshot sections — dictionaries that skipped
-	// compilation entirely. certified/certifyFail count automata whose
-	// certificate passed or failed (oracle.go) and certifyNanos the time
-	// those runs took. oracleBuilds counts reference automata built and
-	// oracleNanos the wall time of those builds and scans.
+	// denseVerifyPass/denseVerifyFail count canary turns of /match and
+	// /match/stream that agreed with the walk or failed;
+	// denseCompiles/denseCompileNanos/denseCompileFails and denseTableBytes
+	// account the compile stage, repairs included; denseLoads counts
+	// automata restored from DENSE snapshot sections — dictionaries that
+	// skipped compilation entirely. certified/certifyFail count certificate
+	// runs that passed or failed (oracle.go) and certifyNanos the time they
+	// took. oracleNanos is the wall time of the canary's whole-text walks.
 	denseServed       atomic.Int64
 	denseFallback     atomic.Int64
 	denseVerifyPass   atomic.Int64
@@ -189,7 +189,6 @@ type Metrics struct {
 	certified         atomic.Int64
 	certifyFail       atomic.Int64
 	certifyNanos      atomic.Int64
-	oracleBuilds      atomic.Int64
 	oracleNanos       atomic.Int64
 
 	// Compressed-domain matching (czsearch.go). czServed/czExpanded/
@@ -198,7 +197,7 @@ type Metrics struct {
 	// walk); the byte counters expose the economics —
 	// czBytesRepresented is what the streams stood for, czBytesTouched what
 	// the automaton actually consumed; czVerifyPass/czVerifyFail count
-	// decompress-then-match oracle cross-checks.
+	// canary turns, each a decompress-then-walk of the container.
 	czServed           atomic.Int64
 	czExpanded         atomic.Int64
 	czFallback         atomic.Int64
@@ -325,19 +324,17 @@ type persistSnapshot struct {
 type denseSnapshot struct {
 	Served       int64 `json:"served"`       // match requests answered by the dense engine
 	Fallback     int64 `json:"fallback"`     // dense-enabled requests that fell back to the tree walk
-	VerifyPass   int64 `json:"verifyPass"`   // oracle cross-checks that agreed
-	VerifyFail   int64 `json:"verifyFail"`   // divergences (oracle result served instead)
-	Certified    int64 `json:"certified"`    // automata whose certificate passed
-	CertifyFail  int64 `json:"certifyFail"`  // automata whose certificate failed (oracle turn on every request)
+	VerifyPass   int64 `json:"verifyPass"`   // canary turns that agreed with the walk
+	VerifyFail   int64 `json:"verifyFail"`   // canary turns that diverged (request failed)
+	Certified    int64 `json:"certified"`    // certificates that passed
+	CertifyFail  int64 `json:"certifyFail"`  // certificates that failed (table recompiled, or the entry fails)
 	CertifyNanos int64 `json:"certifyNanos"` // total certificate wall time
 	Compiles     int64 `json:"compiles"`     // automata compiled by this process
 	CompileNanos int64 `json:"compileNanos"` // total compile wall time
 	CompileFails int64 `json:"compileFails"` // compiles refused (table budget)
 	TableBytes   int64 `json:"tableBytes"`   // total transition-table bytes compiled
 	Loads        int64 `json:"loads"`        // automata restored from DENSE sections (zero compile)
-	OracleBuilds int64 `json:"oracleBuilds"` // reference automata built, one per turn that found none resident
-	OracleNanos  int64 `json:"oracleNanos"`  // wall time of oracle turns (dense, stream and czsearch routes)
-	OracleStates int64 `json:"oracleStates"` // reference states resident now
+	OracleNanos  int64 `json:"oracleNanos"`  // wall time of the canary's whole-text walks
 }
 
 // czSnapshot is the JSON shape of the compressed-domain matching counters.
@@ -349,8 +346,8 @@ type czSnapshot struct {
 	BytesRepresented int64 `json:"bytesRepresented"` // text bytes the streams stood for
 	BytesTouched     int64 `json:"bytesTouched"`     // bytes actually fed through the automaton
 	MemoHits         int64 `json:"memoHits"`         // copy tokens replayed from the memo cache
-	VerifyPass       int64 `json:"verifyPass"`       // oracle cross-checks that agreed
-	VerifyFail       int64 `json:"verifyFail"`       // divergences (request failed, fault surfaced)
+	VerifyPass       int64 `json:"verifyPass"`       // canary turns that agreed with the walk
+	VerifyFail       int64 `json:"verifyFail"`       // canary turns that diverged (request failed)
 }
 
 // clusterSnapshot is the JSON shape of the cluster section. OwnedDicts
@@ -463,7 +460,6 @@ func (mt *Metrics) Snapshot(reg *Registry, lim *Limiter) MetricsSnapshot {
 			CompileFails: mt.denseCompileFails.Load(),
 			TableBytes:   mt.denseTableBytes.Load(),
 			Loads:        mt.denseLoads.Load(),
-			OracleBuilds: mt.oracleBuilds.Load(),
 			OracleNanos:  mt.oracleNanos.Load(),
 		},
 		Cz: czSnapshot{
@@ -515,7 +511,6 @@ func (mt *Metrics) Snapshot(reg *Registry, lim *Limiter) MetricsSnapshot {
 	}
 	if reg != nil {
 		snap.Registry = reg.Snapshot()
-		snap.Dense.OracleStates = snap.Registry.oracleStates
 	}
 	if lim != nil {
 		snap.Limiter = limiterSnapshot{

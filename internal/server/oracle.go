@@ -1,166 +1,139 @@
 package server
 
 import (
-	"context"
+	"errors"
+	"fmt"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/ahocorasick"
-	"repro/internal/core"
-	"repro/internal/pram"
+	"repro/internal/dense"
+	"repro/internal/persist"
 	"repro/internal/stream"
 )
 
 // Trust in the dense routes: buffered matches, streams and compressed scans.
-// A compiled automaton is a deterministic table, and the paper's §3.4
-// checker cannot vouch for one: Lemma 3.4 certifies that claimed matches
-// occur where they claim to (it accepts M ≡ None), which covers the Monte
-// Carlo matcher's one-sided errors but not a table's omissions.
+// The paper's §3.4 checker cannot vouch for a compiled table: Lemma 3.4
+// certifies that claimed matches occur (it accepts M ≡ None), not that none
+// were omitted. What vouches for a table is ahocorasick.Certify, which checks
+// every entry of it against its patterns, sharing no code with dense.Compile,
+// at 0.4–0.5× the cost of compiling it. It runs once per automaton, before
+// its first answer, on the first request of any route that reads it
+// (Entry.certified) — not at publish, where it would add ≈ 0.5 ms to a
+// 2 ms registration. A table that fails (a wrong DENSE section from disk or
+// a peer) is recompiled from the patterns, certified again, swapped in and
+// written back to the entry's cached bundle; if that fails too, every
+// request on the entry fails.
 //
-// What vouches for a table is a certificate. An Aho–Corasick table is
-// determined by its patterns, and ahocorasick.Certify checks every entry of
-// it against them — in the oracle package, sharing no code with
-// dense.Compile — at 0.4–0.5× the cost of compiling it. Every entry's
-// automaton is certified exactly once, before its first answer, by the first
-// request on any route that would read it. Not at publish: there it would
-// add ≈ 0.5 ms to a 256-pattern registration of ≈ 2 ms and ≈ 4.5 ms per
-// 1024-pattern bundle to a warm start of ≈ 45 ms, while the first request
-// already paid more than that for the oracle it built (2–14 ms) and then ran
-// over its whole text.
-//
-// After the certificate the oracle — internal/ahocorasick's independent
-// matcher, which needs none of the §3 tables and cannot be degraded — is a
-// canary for the code around the table (the scan kernel, the cursors, the
-// czsearch memo), not a guard on the table: it takes request 1 of each route
-// and every verifySampleEvery-th after. An automaton that fails its
-// certificate is logged once and counted, and from then on every request on
-// every route takes an oracle turn, so the divergence handling answers with
-// the reference's events. Tree-served entries have no table and take no
-// turns: MatchChecked is its own Las Vegas loop.
+// The certificate cannot vouch for the code that scans the table: the
+// kernel's lanes, the cursor's ring replay, denseEvents' shards, the stream's
+// segments, czsearch's resync. A canary checks that code: request 1 of each
+// route on an entry, and every verifySampleEvery-th after it, also walks the
+// certified table naively (ahocorasick.Walk, one Step per byte) and answers
+// only if the walk found the same matches. A divergence fails the request
+// loudly — 500, or an error trailer on a stream already under way — and is
+// counted and logged. No route serves a second engine's answer. Tree-served
+// entries take no turns: MatchChecked is its own Las Vegas loop.
 
 // verifySampleEvery is the canary's period: a route's request 1 on an entry
-// and every multiple of this count are compared with the reference over
-// their full text. At 1 in 1024 a turn costs 1–2 % of route CPU.
+// and every multiple of this count are turns.
 const verifySampleEvery = 1024
 
-// Certificate states of an entry's automaton.
-const (
-	certUnknown int32 = iota // no request has read the table yet
-	certPass
-	certFail
-)
+// errUncertified fails every request on an entry whose automaton, and the
+// automaton recompiled from its patterns, both failed the certificate.
+var errUncertified = errors.New("the dictionary's automaton failed its certificate, and so did its recompile")
 
-// certified reports whether the entry's automaton is the automaton of its
-// patterns, running ahocorasick.Certify on the first call. Concurrent first
-// callers share the one run, and the outcome is final.
-func (e *Entry) certified(mt *Metrics) bool {
-	if v := e.cert.Load(); v != certUnknown {
-		return v == certPass
+// errDiverged fails a canary turn whose matches differ from the walk's.
+var errDiverged = errors.New("dense matches diverged from the canary's walk over the certified table")
+
+// certified returns the automaton the entry serves from, once it has passed
+// its certificate: nil for an entry the tree walk serves, and an error when
+// the entry can serve nothing. The first call runs the certificate and
+// repairs a table that fails it; concurrent first callers wait for that run,
+// and its outcome is final.
+func (e *Entry) certified(s *Server) (*dense.Automaton, error) {
+	if e.aut.Load() == nil {
+		return nil, nil
 	}
-	e.certMu.Lock()
-	defer e.certMu.Unlock()
-	if v := e.cert.Load(); v != certUnknown {
-		return v == certPass
+	e.certOnce.Do(func() {
+		if err := certify(e.pats, e.aut.Load(), s.metrics); err != nil {
+			e.logf("entry %s: automaton failed its certificate: %v; recompiling it from the patterns", e.ID, err)
+			if err := s.repair(e); err != nil {
+				e.logf("entry %s: %v; every request on it now fails", e.ID, err)
+				e.certErr = errUncertified
+			}
+		}
+	})
+	if e.certErr != nil {
+		return nil, e.certErr
 	}
+	return e.aut.Load(), nil
+}
+
+// certify runs ahocorasick.Certify, counting the outcome and its time.
+func certify(patterns [][]byte, a *dense.Automaton, mt *Metrics) error {
 	start := time.Now()
-	err := ahocorasick.Certify(e.pats, e.aut)
+	err := ahocorasick.Certify(patterns, a)
 	mt.certifyNanos.Add(time.Since(start).Nanoseconds())
 	if err != nil {
 		mt.certifyFail.Add(1)
-		e.logf("entry %s: automaton failed its certificate: %v; every request now takes an oracle turn", e.ID, err)
-		e.cert.Store(certFail)
-		return false
+		return err
 	}
 	mt.certified.Add(1)
-	e.cert.Store(certPass)
-	return true
+	return nil
 }
 
-// oracleTurn counts one request on reqs, an entry's per-route counter, and
-// reports whether it takes an oracle turn. The entry must have an
-// automaton; the first request to get here certifies it.
-func (s *Server) oracleTurn(e *Entry, reqs *atomic.Int64) bool {
-	n := reqs.Add(1)
-	return !e.certified(s.metrics) || n == 1 || n%verifySampleEvery == 0
-}
-
-// reference is an entry's oracle, the classical Aho–Corasick automaton over
-// its patterns, as a stream.TextMatcher.
-type reference struct {
-	ac     *ahocorasick.Automaton
-	maxPat int
-	mt     *Metrics
-}
-
-// acquireReference returns the entry's oracle for one turn, building it
-// unless a turn in flight holds it; releaseReference gives it back. Turns
-// that overlap share one build. Once a certified entry's last turn is over
-// the reference goes (≈ 155 B a state, 3.6 MB for 1024 patterns of 16–32
-// bytes, against a rebuild of ≈ 14 ms every 1024th request); an entry whose
-// certificate failed keeps it, since every request takes a turn.
-func (e *Entry) acquireReference(mt *Metrics) *reference {
-	e.refMu.Lock()
-	defer e.refMu.Unlock()
-	if e.ref == nil {
-		start := time.Now()
-		e.ref = &reference{ac: ahocorasick.New(e.patterns()), maxPat: e.MaxPatLen, mt: mt}
-		e.refStates.Store(int64(e.ref.ac.NumStates()))
-		mt.oracleBuilds.Add(1)
-		mt.oracleNanos.Add(time.Since(start).Nanoseconds())
-	}
-	e.refTurns++
-	return e.ref
-}
-
-func (e *Entry) releaseReference() {
-	e.refMu.Lock()
-	defer e.refMu.Unlock()
-	if e.refTurns--; e.refTurns == 0 && e.cert.Load() == certPass {
-		e.ref = nil
-		e.refStates.Store(0)
-	}
-}
-
-func (r *reference) MaxPatternLen() int { return r.maxPat }
-
-// MatchWindow returns M[] over window: one round, and no PRAM charge for a
-// sequential scan. The scan cannot be interrupted, so ctx is consulted once,
-// before it starts.
-func (r *reference) MatchWindow(ctx context.Context, window []byte) ([]core.Match, int, pram.Counters, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, pram.Counters{}, err
-	}
+// repair recompiles the entry's automaton from its patterns and certifies
+// it. A pass swaps it in and, as a warm start does with a bundle it had to
+// compile, rewrites the entry's bundle under its content address.
+func (s *Server) repair(e *Entry) error {
 	start := time.Now()
-	out := make([]core.Match, len(window))
-	for i, id := range r.ac.Match(window) {
-		out[i] = core.None
-		if id >= 0 {
-			out[i] = core.Match{PatternID: id, Length: r.ac.PatternLen(id)}
+	a, err := dense.Compile(e.pats, s.denseOptions())
+	if err != nil {
+		s.metrics.denseCompileFails.Add(1)
+		return fmt.Errorf("recompile refused: %w", err)
+	}
+	s.metrics.denseCompiles.Add(1)
+	s.metrics.denseCompileNanos.Add(time.Since(start).Nanoseconds())
+	s.metrics.denseTableBytes.Add(a.Stats().TableBytes)
+	if err := certify(e.pats, a, s.metrics); err != nil {
+		return fmt.Errorf("recompiled automaton failed its certificate too: %w", err)
+	}
+	e.aut.Store(a)
+	if s.store != nil {
+		if key := persist.KeyFor(e.pats, e.opts); e.SnapKey == key.String() {
+			s.recordPut(s.store.PutBytes(key, (&persist.Bundle{Patterns: e.pats, Options: e.opts, Automaton: a}).Encode()))
 		}
 	}
-	r.mt.oracleNanos.Add(time.Since(start).Nanoseconds())
-	return out, 1, pram.Counters{}, nil
+	return nil
 }
 
-// verify takes one oracle turn over a whole text, given the events the fast
-// path found in it, counting the outcome on the route's pass or fail counter.
-// It returns nil when the reference agrees, and the reference's M[] if not.
-// A request whose context has ended builds and scans nothing.
-func (s *Server) verify(ctx context.Context, e *Entry, text []byte, got []stream.MatchEvent, pass, fail *atomic.Int64) ([]core.Match, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
+// canaryTurn counts one request on reqs, an entry's per-route counter, and
+// reports whether it is a canary turn.
+func canaryTurn(reqs *atomic.Int64) bool {
+	n := reqs.Add(1)
+	return n == 1 || n%verifySampleEvery == 0
+}
+
+// walkCheck is one canary turn over a whole text: ahocorasick's walk over a
+// is compared with evs, the matches a route found in text, and the outcome
+// counted on the route's pass or fail counter. It returns errDiverged, and
+// logs, when they differ.
+func (s *Server) walkCheck(e *Entry, a *dense.Automaton, text []byte, evs []stream.MatchEvent, pass, fail *atomic.Int64) error {
+	start := time.Now()
+	same, k := true, 0
+	for i, id := range ahocorasick.Walk(a, text) {
+		if id >= 0 {
+			same = same && k < len(evs) && evs[k] == stream.MatchEvent{Pos: int64(i), PatternID: id, Length: a.PatternLen(id)}
+			k++
+		}
 	}
-	ref := e.acquireReference(s.metrics)
-	defer e.releaseReference()
-	want, _, _, err := ref.MatchWindow(ctx, text)
-	if err != nil {
-		return nil, err
+	s.metrics.oracleNanos.Add(time.Since(start).Nanoseconds())
+	if !same || k != len(evs) {
+		fail.Add(1)
+		e.logf("entry %s: matches over %d bytes diverged from the canary's walk; the request failed", e.ID, len(text))
+		return errDiverged
 	}
-	if stream.SameEvents(e.patterns(), got, want, 0) {
-		pass.Add(1)
-		return nil, nil
-	}
-	fail.Add(1)
-	e.logf("entry %s: served matches diverged from the reference oracle on %d-byte text", e.ID, len(text))
-	return want, nil
+	pass.Add(1)
+	return nil
 }

@@ -72,31 +72,22 @@ type Entry struct {
 	degraded   atomic.Bool
 	logf       func(format string, args ...any) // never nil
 
-	// Dense serving state (dense.go): the compiled automaton, set by Insert
-	// and never replaced (nil = the tree walk serves), its certificate
-	// (oracle.go: run by the first request that reads it, certMu making
-	// concurrent first requests share the run), and the dense-served request
-	// count driving the oracle's canary turns.
-	aut       *dense.Automaton
-	certMu    sync.Mutex
-	cert      atomic.Int32
+	// Dense serving state (dense.go): the compiled automaton (nil = the tree
+	// walk serves), set by Insert and replaced only by a repair; its
+	// certificate (oracle.go), run once by the first reader, and its outcome;
+	// and the dense-served request count driving the canary's turns.
+	aut       atomic.Pointer[dense.Automaton]
+	certOnce  sync.Once
+	certErr   error // written only inside certOnce
 	denseReqs atomic.Int64
 
 	// Compressed-domain serving state (czsearch.go): reusable scanners (one
 	// per in-flight compressed request; Run resets them, so a pooled scanner
 	// carries no state — not even a poisoned memo — into the next request)
-	// and the compressed request count driving the oracle's turns.
+	// and the compressed request count driving the canary's turns. Scanners
+	// are made from the certified automaton only, never a repaired one.
 	czPool sync.Pool
 	czReqs atomic.Int64
-
-	// The reference oracle (oracle.go): built for an oracle turn on any
-	// route and shared by the turns in flight, refTurns of them; dropped
-	// after the last unless the certificate failed. refStates is its size
-	// while it is resident, readable without waiting out a build.
-	refMu     sync.Mutex
-	ref       *reference
-	refTurns  int
-	refStates atomic.Int64
 
 	// The dictionary: its patterns and preprocessing options, immutable
 	// after Insert, and the §3 stage built from them on first use — nil
@@ -146,7 +137,7 @@ func (e *Entry) Info() EntryInfo {
 	info := e.info
 	info.Hits = e.hits.Load()
 	info.MaxPatLen = e.MaxPatLen
-	if a := e.aut; a != nil {
+	if a := e.aut.Load(); a != nil {
 		st := a.Stats()
 		info.Dense = true
 		info.DenseStates = st.States
@@ -166,7 +157,7 @@ func (e *Entry) SnapshotBytes() []byte {
 	e.mu.RLock()
 	opts.Seed = e.seed
 	e.mu.RUnlock()
-	return (&persist.Bundle{Patterns: e.pats, Options: opts, Automaton: e.aut}).Encode()
+	return (&persist.Bundle{Patterns: e.pats, Options: opts, Automaton: e.aut.Load()}).Encode()
 }
 
 // NewRegistry returns a registry bounded to capacity resident dictionaries
@@ -230,11 +221,11 @@ func (r *Registry) Insert(id string, patterns [][]byte, opts core.Options, aut *
 		Source:      source,
 		PrepNs:      prepNs,
 		SnapKey:     snapKey,
-		aut:         aut,
 		pats:        patterns,
 		opts:        opts,
 		seed:        opts.Seed,
 	}
+	e.aut.Store(aut)
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -377,7 +368,6 @@ type RegistrySnapshot struct {
 	PatternBytes int64 `json:"patternBytes"`
 	TreeForced   int   `json:"treeForced"` // resident entries whose §3 stage is built
 	Degraded     int   `json:"degraded"`
-	oracleStates int64 // Σ resident reference states; /metrics shows it under "dense"
 }
 
 // Snapshot returns occupancy counters for GET /metrics.
@@ -398,7 +388,6 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 		if e.stage.Load() != nil {
 			snap.TreeForced++
 		}
-		snap.oracleStates += e.refStates.Load()
 	}
 	return snap
 }

@@ -246,7 +246,7 @@ func (s *Server) loadBundle(id string, key persist.Key, b *persist.Bundle, size 
 // stage is built here, before publish returns.
 func (s *Server) publish(id string, b *persist.Bundle, source, snapKey string, prepNs int64) (*Entry, []string) {
 	e, evicted := s.reg.Insert(id, b.Patterns, b.Options, b.Automaton, source, snapKey, prepNs)
-	if e.aut == nil {
+	if e.aut.Load() == nil {
 		e.tree(s.cfg.Procs, s.metrics)
 	}
 	return e, evicted

@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/dense"
 	"repro/internal/pram"
 	"repro/internal/stream"
 )
@@ -107,7 +108,7 @@ func (k *matchStreamSink) SegmentDone(info stream.SegmentInfo) error {
 // streamSummary is the NDJSON trailer on success.
 type streamSummary struct {
 	N           int64  `json:"n"`
-	Engine      string `json:"engine"` // "dense", "tree" or "reference"
+	Engine      string `json:"engine"` // "dense" or "tree"
 	Segments    int64  `json:"segments"`
 	Events      int64  `json:"events"`
 	Rounds      int    `json:"rounds"`
@@ -134,6 +135,13 @@ func (s *Server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 		}
 		segSize = v
 	}
+	// An entry that can serve nothing answers before the stream starts: a
+	// 500 whose body is the error line.
+	a, err := e.certified(s)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "matching failed: %v", err)
+		return
+	}
 
 	s.metrics.streamStarted.Add(1)
 	s.metrics.streamActive.Add(1)
@@ -149,38 +157,33 @@ func (s *Server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 	defer putNDJSONWriter(sink.bw)
 	cfg := stream.Config{SegmentBytes: segSize}
 
-	// Engine choice, by serveMatch's rule: the compiled automaton when
-	// the entry has one, else the checked tree walk. A dense stream counts
-	// as one dense request: it certifies the automaton if nothing has yet,
-	// and takes the same oracle turns.
+	// Engine choice, by serveMatch's rule: the compiled automaton when the
+	// entry has one, else the checked tree walk. A dense stream counts as
+	// one dense request and takes the same canary turns; a divergence ends
+	// it with an error trailer.
 	var st stream.Stats
-	var err error
 	engine := engineTree
-	if a := e.aut; a == nil {
+	if a == nil {
 		if s.cfg.DenseMode != DenseOff {
 			s.metrics.denseFallback.Add(1)
 		}
 		tree := entryMatcher{e: e, procs: s.cfg.Procs, mt: s.metrics}
 		st, err = stream.Match(r.Context(), tree, r.Body, sink, cfg)
 	} else {
-		var oracle *stream.Oracle
-		if s.oracleTurn(e, &e.denseReqs) {
-			ref := e.acquireReference(s.metrics)
-			defer e.releaseReference()
-			oracle = &stream.Oracle{Matcher: ref, Patterns: e.patterns()}
+		engine = engineDense
+		var canary *dense.Automaton
+		if canaryTurn(&e.denseReqs) {
+			canary = a
 		}
-		st, err = stream.MatchDense(r.Context(), a, oracle, r.Body, sink, cfg)
+		st, err = stream.MatchDense(r.Context(), a, canary, r.Body, sink, cfg)
 		s.metrics.ChargePRAM("match", st.Work, st.Depth)
 		switch {
-		case st.Diverged > 0:
-			// The oracle's events were served for those windows.
-			engine = engineReference
+		case errors.Is(err, stream.ErrDiverged):
 			s.metrics.denseVerifyFail.Add(1)
-			e.logf("entry %s: dense stream diverged from oracle in %d of %d windows; served the oracle's events", e.ID, st.Diverged, st.Verified)
+			e.logf("entry %s: stream events diverged from the canary's walk; the request failed", e.ID)
 		case err == nil:
-			engine = engineDense
 			s.metrics.denseServed.Add(1)
-			if st.Verified > 0 {
+			if canary != nil {
 				s.metrics.denseVerifyPass.Add(1)
 			}
 		}

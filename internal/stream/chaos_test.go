@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/dense"
 	"repro/internal/pram"
 	"repro/internal/textgen"
 )
@@ -97,13 +98,10 @@ func TestChaosCollisionReseedInStream(t *testing.T) {
 	}
 }
 
-// denseEngines are the two ways a dense stream runs: the cursor alone, and
-// with the checked tree walk as per-window oracle.
-func denseEngines(d *core.Dictionary, m *pram.Machine) map[string]*Oracle {
-	return map[string]*Oracle{
-		"dense":        nil,
-		"dense+oracle": {Matcher: DictMatcher{Dict: d, M: m}, Patterns: d.Patterns},
-	}
+// denseEngines are the two ways a dense stream over a runs: the cursor
+// alone, and as a canary turn walking a beside it.
+func denseEngines(a *dense.Automaton) map[string]*dense.Automaton {
+	return map[string]*dense.Automaton{"dense": nil, "dense+canary": a}
 }
 
 // TestChaosDenseStreamTruncation: the dense engine under an injected reader
@@ -115,10 +113,10 @@ func TestChaosDenseStreamTruncation(t *testing.T) {
 	text := textgen.New(60).Uniform(4096, 2)
 	want := oneShotMatches(m, d, text)
 
-	for name, oracle := range denseEngines(d, m) {
+	for name, canary := range denseEngines(a) {
 		withPlan(t, 11, "stream.truncate:p=1,every=3,n=1") // die on the 3rd read
 		var sink matchCollector
-		_, err := MatchDense(context.Background(), a, oracle, bytes.NewReader(text), &sink, Config{SegmentBytes: 512})
+		_, err := MatchDense(context.Background(), a, canary, bytes.NewReader(text), &sink, Config{SegmentBytes: 512})
 		if !chaos.IsInjected(err) {
 			t.Fatalf("%s under truncation: %v, want injected error", name, err)
 		}
@@ -143,9 +141,9 @@ func TestChaosDenseStreamStallHarmless(t *testing.T) {
 	want := oneShotMatches(m, d, text)
 
 	withPlan(t, 12, "stream.stall:p=1,delay=2ms")
-	for name, oracle := range denseEngines(d, m) {
+	for name, canary := range denseEngines(a) {
 		var sink matchCollector
-		st, err := MatchDense(context.Background(), a, oracle, bytes.NewReader(text), &sink, Config{SegmentBytes: 256})
+		st, err := MatchDense(context.Background(), a, canary, bytes.NewReader(text), &sink, Config{SegmentBytes: 256})
 		if err != nil {
 			t.Fatalf("%s under stalls: %v", name, err)
 		}

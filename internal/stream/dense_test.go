@@ -25,17 +25,18 @@ func mustCompileDense(t testing.TB, d *core.Dictionary) *dense.Automaton {
 }
 
 // checkDenseLegs runs the dense engine over text both ways — the carried
-// state alone, and with the checked tree walk as per-window oracle — and
-// holds each to want, the events Match emits.
-func checkDenseLegs(t testing.TB, d *core.Dictionary, m *pram.Machine, a *dense.Automaton, text []byte, want []MatchEvent, cfg Config, label string) {
+// state alone, and as a canary turn walking the same table — and holds each
+// to want, the events Match emits, and the turn's Stats to the plain run's.
+func checkDenseLegs(t testing.TB, a *dense.Automaton, text []byte, want []MatchEvent, cfg Config, label string) {
 	t.Helper()
-	for _, oracle := range []*Oracle{nil, {Matcher: DictMatcher{Dict: d, M: m}, Patterns: d.Patterns}} {
+	var plain Stats
+	for _, canary := range []*dense.Automaton{nil, a} {
 		leg := label + " dense"
-		if oracle != nil {
-			leg += "+oracle"
+		if canary != nil {
+			leg += "+canary"
 		}
 		var sink matchCollector
-		st, err := MatchDense(context.Background(), a, oracle, bytes.NewReader(text), &sink, cfg)
+		st, err := MatchDense(context.Background(), a, canary, bytes.NewReader(text), &sink, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", leg, err)
 		}
@@ -48,24 +49,22 @@ func checkDenseLegs(t testing.TB, d *core.Dictionary, m *pram.Machine, a *dense.
 		if st.Rounds != 1 || st.Work != int64(len(text)) || st.Depth != int64(len(text)) {
 			t.Fatalf("%s: rounds/work/depth = %d/%d/%d, want 1 and the bytes scanned", leg, st.Rounds, st.Work, st.Depth)
 		}
-		resident := cfg.segmentSize()
-		if oracle != nil {
-			resident += d.MaxPatternLen() - 1
-			if st.Diverged != 0 || (len(text) > 0 && st.Verified == 0) {
-				t.Fatalf("%s: verified %d windows, %d diverged", leg, st.Verified, st.Diverged)
-			}
-		} else if st.WindowBytes != st.TextBytes {
+		if st.WindowBytes != st.TextBytes {
 			t.Fatalf("%s: %d window bytes for %d text bytes — the carried state re-read text", leg, st.WindowBytes, st.TextBytes)
 		}
-		if st.MaxResident > resident {
-			t.Fatalf("%s: MaxResident %d exceeds %d", leg, st.MaxResident, resident)
+		if st.MaxResident > cfg.segmentSize() {
+			t.Fatalf("%s: MaxResident %d exceeds the segment, %d", leg, st.MaxResident, cfg.segmentSize())
+		}
+		if canary == nil {
+			plain = st
+		} else if st != plain {
+			t.Fatalf("%s: stats %+v, the run off a turn had %+v", leg, st, plain)
 		}
 	}
 }
 
-// TestMatchDenseDuplicatePatterns: the automaton and the tree walk may name
-// a duplicated pattern by different ids; the per-window comparison goes by
-// spelling, so that is agreement, not divergence.
+// TestMatchDenseDuplicatePatterns: a duplicated pattern answers to one id
+// on both the cursor and the canary's walk, so a canary turn agrees.
 func TestMatchDenseDuplicatePatterns(t *testing.T) {
 	m := pram.NewSequential()
 	d := core.Preprocess(m, pats("dup", "x", "dup", "dupdup", "x"), core.Options{Seed: 5})
@@ -73,13 +72,8 @@ func TestMatchDenseDuplicatePatterns(t *testing.T) {
 	text := bytes.Repeat([]byte("adupdupbxx"), 50)
 	for _, seg := range []int{1, 4, 64} {
 		var sink matchCollector
-		oracle := &Oracle{Matcher: DictMatcher{Dict: d, M: m}, Patterns: d.Patterns}
-		st, err := MatchDense(context.Background(), a, oracle, bytes.NewReader(text), &sink, Config{SegmentBytes: seg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Diverged != 0 || st.Verified == 0 {
-			t.Fatalf("seg %d: verified %d, diverged %d", seg, st.Verified, st.Diverged)
+		if _, err := MatchDense(context.Background(), a, a, bytes.NewReader(text), &sink, Config{SegmentBytes: seg}); err != nil {
+			t.Fatalf("seg %d: %v", seg, err)
 		}
 		for _, e := range sink.events {
 			if !bytes.Equal(d.Patterns[e.PatternID], text[e.Pos:e.Pos+int64(e.Length)]) {
@@ -89,12 +83,15 @@ func TestMatchDenseDuplicatePatterns(t *testing.T) {
 	}
 }
 
-// TestMatchDenseDivergenceServesOracle: an automaton that disagrees with the
-// dictionary never reaches the sink on a sampled stream — every window's
-// events are the oracle's, and the divergence is counted.
-func TestMatchDenseDivergenceServesOracle(t *testing.T) {
+// TestMatchDenseDivergenceFails: a cursor that finalizes other events than
+// the canary's walk — here one scanning another dictionary's automaton,
+// against the walk over the right one — ends the turn with ErrDiverged, and
+// nothing of the divergent segment reaches the sink: what was sent is a
+// prefix of the right answer.
+func TestMatchDenseDivergenceFails(t *testing.T) {
 	m := pram.NewSequential()
 	d := core.Preprocess(m, pats("abc", "bcd", "dxzabc"), core.Options{Seed: 5})
+	right := mustCompileDense(t, d)
 	text := []byte(strings.Repeat("xabcdxzabcdx", 40))
 	want := oneShotMatches(m, d, text)
 	// Wrong patterns of the right lengths, and automata that think the
@@ -110,77 +107,14 @@ func TestMatchDenseDivergenceServesOracle(t *testing.T) {
 		}
 		for _, seg := range []int{1, 2, 7, 100, len(text) + 1} {
 			var sink matchCollector
-			oracle := &Oracle{Matcher: DictMatcher{Dict: d, M: m}, Patterns: d.Patterns}
-			st, err := MatchDense(context.Background(), wrong, oracle, bytes.NewReader(text), &sink, Config{SegmentBytes: seg})
-			if err != nil {
-				t.Fatalf("%s seg %d: %v", name, seg, err)
+			_, err := MatchDense(context.Background(), wrong, right, bytes.NewReader(text), &sink, Config{SegmentBytes: seg})
+			if !errors.Is(err, ErrDiverged) {
+				t.Fatalf("%s seg %d: err = %v, want ErrDiverged", name, seg, err)
 			}
-			if !matchEventsEqual(sink.events, want) {
-				t.Fatalf("%s seg %d: served %d events, oracle has %d (or they differ)", name, seg, len(sink.events), len(want))
-			}
-			if st.Diverged == 0 || st.Events != int64(len(want)) {
-				t.Fatalf("%s seg %d: diverged %d, events %d", name, seg, st.Diverged, st.Events)
+			if len(sink.events) > len(want) || !matchEventsEqual(sink.events, want[:len(sink.events)]) {
+				t.Fatalf("%s seg %d: sent %d events that are not a prefix of the %d right ones", name, seg, len(sink.events), len(want))
 			}
 		}
-	}
-}
-
-// failingOracle answers like inner until call number failFrom, then fails.
-type failingOracle struct {
-	inner    TextMatcher
-	calls    int
-	failFrom int
-	err      error
-}
-
-func (fo *failingOracle) MaxPatternLen() int { return fo.inner.MaxPatternLen() }
-
-func (fo *failingOracle) MatchWindow(ctx context.Context, window []byte) ([]core.Match, int, pram.Counters, error) {
-	fo.calls++
-	if fo.calls > fo.failFrom {
-		return nil, 0, pram.Counters{}, fo.err
-	}
-	return fo.inner.MatchWindow(ctx, window)
-}
-
-// TestMatchDenseOracleErrorAborts: an oracle error (a cancelled context, say)
-// ends the stream; the failed window's events are never written.
-func TestMatchDenseOracleErrorAborts(t *testing.T) {
-	m := pram.NewSequential()
-	d := core.Preprocess(m, pats("ab"), core.Options{Seed: 5})
-	a := mustCompileDense(t, d)
-	boom := errors.New("oracle down")
-	oracle := &Oracle{Matcher: &failingOracle{inner: DictMatcher{Dict: d, M: m}, failFrom: 1, err: boom}, Patterns: d.Patterns}
-	var sink matchCollector
-	_, err := MatchDense(context.Background(), a, oracle, bytes.NewReader(bytes.Repeat([]byte("ab"), 400)), &sink, Config{SegmentBytes: 128})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want the oracle's", err)
-	}
-	if len(sink.events) == 0 {
-		t.Fatal("the verified first window wrote nothing")
-	}
-	for _, e := range sink.events {
-		if e.Pos >= 128 {
-			t.Fatalf("event at %d written from the window whose oracle failed", e.Pos)
-		}
-	}
-}
-
-// TestMatchDenseOracleMustAnswer: an oracle has no way to abstain — a short
-// (here nil) answer for a window is an error, and nothing of that window is
-// written unverified.
-func TestMatchDenseOracleMustAnswer(t *testing.T) {
-	m := pram.NewSequential()
-	d := core.Preprocess(m, pats("ab"), core.Options{Seed: 5})
-	a := mustCompileDense(t, d)
-	oracle := &Oracle{Matcher: &failingOracle{inner: DictMatcher{Dict: d, M: m}}, Patterns: d.Patterns}
-	var sink matchCollector
-	_, err := MatchDense(context.Background(), a, oracle, bytes.NewReader(bytes.Repeat([]byte("ab"), 400)), &sink, Config{SegmentBytes: 128})
-	if err == nil || !strings.Contains(err.Error(), "oracle returned 0 positions") {
-		t.Fatalf("err = %v, want the short-answer error", err)
-	}
-	if len(sink.events) != 0 {
-		t.Fatalf("%d events written from a window the oracle did not answer", len(sink.events))
 	}
 }
 
@@ -259,8 +193,8 @@ func TestTinyBodyMaxSegmentAllocation(t *testing.T) {
 		"dense": func(r io.Reader) (Stats, error) {
 			return MatchDense(context.Background(), a, nil, r, &matchCollector{}, cfg)
 		},
-		"dense+oracle": func(r io.Reader) (Stats, error) {
-			return MatchDense(context.Background(), a, &Oracle{Matcher: DictMatcher{Dict: d, M: m}, Patterns: d.Patterns}, r, &matchCollector{}, cfg)
+		"dense+canary": func(r io.Reader) (Stats, error) {
+			return MatchDense(context.Background(), a, a, r, &matchCollector{}, cfg)
 		},
 	}
 	for name, run := range engines {

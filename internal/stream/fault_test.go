@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dense"
 	"repro/internal/pram"
 )
 
@@ -99,40 +100,25 @@ func (s *panicSink) MatchEvent(e MatchEvent) error {
 }
 
 // TestWindowPanicContainedDense: the dense engine runs under the same
-// containment. A panic in the sampled oracle surfaces as *WindowPanicError
-// with nothing of that window written (its events were still held for the
-// comparison); a panic under the cursor's emit — the unsampled path writes
-// as it scans — surfaces the same way, after a correct prefix.
+// containment. A panic under the sink surfaces as *WindowPanicError after a
+// correct prefix, on a canary turn — whose events wait for the walk — as
+// off one, whose cursor writes as it scans.
 func TestWindowPanicContainedDense(t *testing.T) {
 	m := pram.NewSequential()
 	d := core.Preprocess(m, pats("aba", "bb"), core.Options{Seed: 5})
 	a := mustCompileDense(t, d)
 	text := bytes.Repeat([]byte("ab"), 400)
 	want := oneShotMatches(m, d, text)
-	boom := errors.New("window boom")
 
-	pm := &panicMatcher{inner: DictMatcher{Dict: d, M: m}, panicOn: 1, value: boom}
-	var sink matchCollector
-	_, err := MatchDense(context.Background(), a, &Oracle{Matcher: pm, Patterns: d.Patterns}, bytes.NewReader(text), &sink, Config{SegmentBytes: 128})
-	var wp *WindowPanicError
-	if !errors.As(err, &wp) || !errors.Is(err, boom) || len(wp.Stack) == 0 {
-		t.Fatalf("sampled: err = %v, want *WindowPanicError wrapping the panic value", err)
-	}
-	if len(sink.events) == 0 {
-		t.Fatal("sampled: window 0 wrote nothing")
-	}
-	for i, e := range sink.events {
-		if e != want[i] || e.Pos >= 128 {
-			t.Fatalf("sampled: event %d = %+v — written from the panicked window, or wrong", i, e)
+	for _, canary := range []*dense.Automaton{nil, a} {
+		ps := &panicSink{panicOn: 50}
+		_, err := MatchDense(context.Background(), a, canary, bytes.NewReader(text), ps, Config{SegmentBytes: 128})
+		var wp *WindowPanicError
+		if !errors.As(err, &wp) || wp.Value != "sink boom" || len(wp.Stack) == 0 {
+			t.Fatalf("canary %v: err = %v, want *WindowPanicError", canary != nil, err)
 		}
-	}
-
-	ps := &panicSink{panicOn: 50}
-	_, err = MatchDense(context.Background(), a, nil, bytes.NewReader(text), ps, Config{SegmentBytes: 128})
-	if !errors.As(err, &wp) || wp.Value != "sink boom" {
-		t.Fatalf("unsampled: err = %v, want *WindowPanicError", err)
-	}
-	if len(ps.events) != 50 || !matchEventsEqual(ps.events, want[:50]) {
-		t.Fatalf("unsampled: %d events before the panic are not the oracle's first 50", len(ps.events))
+		if len(ps.events) != 50 || !matchEventsEqual(ps.events, want[:50]) {
+			t.Fatalf("canary %v: %d events before the panic are not the oracle's first 50", canary != nil, len(ps.events))
+		}
 	}
 }

@@ -56,7 +56,7 @@ func FuzzStreamEquivalence(f *testing.F) {
 		if !matchEventsEqual(gotM.events, wantM) {
 			t.Fatalf("Match(seg=%d): %d events, batch %d", segSize, len(gotM.events), len(wantM))
 		}
-		checkDenseLegs(t, d, m, a, text, wantM, cfg, fmt.Sprintf("seg=%d", segSize))
+		checkDenseLegs(t, a, text, wantM, cfg, fmt.Sprintf("seg=%d", segSize))
 
 		// Parsing. The dictionary is prefix-closed with all single letters,
 		// so every text over {a,b,c} parses.

@@ -1,11 +1,13 @@
 package stream
 
 import (
-	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 
+	"repro/internal/ahocorasick"
 	"repro/internal/core"
 	"repro/internal/dense"
 	"repro/internal/pram"
@@ -109,18 +111,10 @@ func Match(ctx context.Context, tm TextMatcher, r io.Reader, sink MatchSink, cfg
 	return st, err
 }
 
-// Oracle makes a MatchDense run a verified one: every window is also matched
-// by an independent matcher, and the cursor's events for the window are
-// held back until they have been compared with it.
-type Oracle struct {
-	// Matcher is presented with each halo window, exactly as Match would
-	// present it, and must answer every one: an error ends the stream.
-	Matcher TextMatcher
-	// Patterns is the dictionary both sides number. Ids may differ where
-	// patterns are duplicated (the implementations pick different
-	// representatives); such events agree when they spell the same bytes.
-	Patterns [][]byte
-}
+// ErrDiverged ends a canary run of MatchDense whose cursor finalized other
+// events than the canary's walk over the same bytes: a fault in the code
+// that scans the table, since the walk reads the same certified table.
+var ErrDiverged = errors.New("stream: dense events diverged from the canary walk")
 
 // MatchDense is Match on a compiled automaton: the same events as Match
 // with a checked matcher over the same dictionary, for every SegmentBytes,
@@ -130,69 +124,67 @@ type Oracle struct {
 // positions is the only state that crosses a segment boundary. Stats follow
 // the dense convention: Rounds is 1, Work and Depth the bytes scanned.
 //
-// With a non-nil oracle the pipeline cuts the halo windows Match would and
-// shows each to oracle.Matcher, feeding the cursor the window's fresh bytes
-// only. Both sides finalize position i at byte i+MaxPatternLen()-1, so
-// after window k both have closed exactly the positions below the window's
-// finalized bound, and the comparison is per window: where the cursor's
-// events differ, the oracle's are emitted in their place and
-// Stats.Diverged counts the window. No event reaches the sink uncompared.
-func MatchDense(ctx context.Context, a *dense.Automaton, oracle *Oracle, r io.Reader, sink MatchSink, cfg Config) (Stats, error) {
+// A non-nil canary makes the run a canary turn: canary is the certified
+// table a scans (the server passes a itself), and ahocorasick's naive walk
+// over it reads every segment after the cursor has. Both finalize position
+// i at byte i+MaxPatternLen()-1, so after each segment both have closed the
+// same positions; the cursor's events for the segment are held until the
+// walk has read its bytes, and are sent only if the walk found the same
+// ones. Otherwise the run ends with ErrDiverged and nothing of that segment
+// is sent. The segments, and so Stats, are those of a run without it.
+func MatchDense(ctx context.Context, a, canary *dense.Automaton, r io.Reader, sink MatchSink, cfg Config) (Stats, error) {
 	st := Stats{Rounds: 1}
-	halo := 0
-	if oracle != nil {
-		// The oracle's lookahead, not just the automaton's: an automaton
-		// compiled from the wrong patterns may think them shorter, and the
-		// windows must still be ones the oracle answers exactly. (The
-		// finalized ranges then differ, the windows diverge, and the
-		// oracle's events are what is served — as they should be.)
-		halo = max(a.MaxPatternLen(), oracle.Matcher.MaxPatternLen()) - 1
-	}
 	obs, _ := sink.(SegmentObserver)
-	cur := a.NewCursor()
+	var walk *ahocorasick.Walker
+	if canary != nil {
+		walk = ahocorasick.NewWalker(canary)
+	}
+	var held, walked []MatchEvent // a turn's segment: the cursor's events, the walk's
 	emit := func(pos int64, m core.Match) error {
+		e := MatchEvent{Pos: pos, PatternID: m.PatternID, Length: m.Length}
+		if walk != nil {
+			held = append(held, e)
+			return nil
+		}
 		st.Events++
-		return sink.MatchEvent(MatchEvent{Pos: pos, PatternID: m.PatternID, Length: m.Length})
+		return sink.MatchEvent(e)
 	}
-	var held []MatchEvent // one window's events, awaiting the oracle
-	hold := func(pos int64, m core.Match) error {
-		held = append(held, MatchEvent{Pos: pos, PatternID: m.PatternID, Length: m.Length})
-		return nil
+	record := func(pos int64, id int32) {
+		walked = append(walked, MatchEvent{Pos: pos, PatternID: id, Length: canary.PatternLen(id)})
 	}
-	out := emit
-	if oracle != nil {
-		out = hold
-	}
-	err := runWindows(ctx, r, cfg.segmentSize(), halo, &st, func(window []byte, base int64, final int, last bool) error {
-		fresh := window[cur.Pos()-base:]
-		held = held[:0]
-		if err := cur.Feed(fresh, out); err != nil {
+	cur := a.NewCursor()
+	err := runWindows(ctx, r, cfg.segmentSize(), 0, &st, func(segment []byte, base int64, final int, last bool) error {
+		if err := cur.Feed(segment, emit); err != nil {
 			return err
 		}
 		if last {
-			if err := cur.Flush(out); err != nil {
+			if err := cur.Flush(emit); err != nil {
 				return err
 			}
 		}
-		st.Work += int64(len(fresh))
-		st.Depth += int64(len(fresh))
-		if oracle != nil && len(window) > 0 {
-			var err error
-			if held, err = oracle.settle(ctx, &st, window, base, final, held); err != nil {
-				return err
+		st.Work += int64(len(segment))
+		st.Depth += int64(len(segment))
+		if walk != nil {
+			walk.Feed(segment, record)
+			if last {
+				walk.Flush(record)
 			}
-		}
-		for _, e := range held {
-			st.Events++
-			if err := sink.MatchEvent(e); err != nil {
-				return err
+			if !slices.Equal(held, walked) {
+				return fmt.Errorf("%w in the segment at byte %d", ErrDiverged, base)
 			}
+			for _, e := range held {
+				st.Events++
+				if err := sink.MatchEvent(e); err != nil {
+					return err
+				}
+			}
+			held, walked = held[:0], walked[:0]
 		}
 		if obs != nil {
 			return obs.SegmentDone(SegmentInfo{
-				Index: st.Segments - 1, Base: base, WindowLen: len(window),
+				Index: st.Segments - 1, Base: base, WindowLen: len(segment),
 				Finalized: final, Last: last, Rounds: 1,
-				Work: int64(len(fresh)), Depth: int64(len(fresh)),
+				Work: int64(len(segment)), Depth: int64(len(segment)),
 			})
 		}
 		return nil
@@ -200,27 +192,8 @@ func MatchDense(ctx context.Context, a *dense.Automaton, oracle *Oracle, r io.Re
 	return st, err
 }
 
-// settle shows one window to the oracle and returns the events to emit for
-// its finalized range: held, the cursor's, when the oracle agrees, the
-// oracle's own otherwise.
-func (o *Oracle) settle(ctx context.Context, st *Stats, window []byte, base int64, final int, held []MatchEvent) ([]MatchEvent, error) {
-	want, _, _, err := o.Matcher.MatchWindow(ctx, window)
-	if err != nil {
-		return held, err
-	}
-	if len(want) != len(window) {
-		return nil, fmt.Errorf("stream: oracle returned %d positions for a %d-byte window", len(want), len(window))
-	}
-	st.Verified++
-	if SameEvents(o.Patterns, held, want[:final], base) {
-		return held, nil
-	}
-	st.Diverged++
-	return AppendEvents(held[:0], want[:final], base), nil
-}
-
 // AppendEvents appends to dst the matches in an M[] whose first entry is
-// text position base, as events — the form SameEvents compares.
+// text position base, as events.
 func AppendEvents(dst []MatchEvent, matches []core.Match, base int64) []MatchEvent {
 	for i, m := range matches {
 		if m.Length > 0 {
@@ -228,37 +201,4 @@ func AppendEvents(dst []MatchEvent, matches []core.Match, base int64) []MatchEve
 		}
 	}
 	return dst
-}
-
-// SameEvents reports whether got is exactly the matches in want, whose
-// first entry is text position base: same positions, same lengths, and the
-// same spelled pattern where the ids differ. It is the one comparison every
-// oracle turn — a stream window here, a whole text in the server —
-// goes through.
-func SameEvents(patterns [][]byte, got []MatchEvent, want []core.Match, base int64) bool {
-	k := 0
-	for i, m := range want {
-		if m.Length == 0 {
-			continue
-		}
-		if k == len(got) {
-			return false
-		}
-		g := got[k]
-		k++
-		if g.Pos != base+int64(i) || g.Length != m.Length {
-			return false
-		}
-		if g.PatternID != m.PatternID && !samePattern(patterns, g.PatternID, m.PatternID) {
-			return false
-		}
-	}
-	return k == len(got)
-}
-
-func samePattern(patterns [][]byte, a, b int32) bool {
-	if a < 0 || b < 0 || int(a) >= len(patterns) || int(b) >= len(patterns) {
-		return false
-	}
-	return bytes.Equal(patterns[a], patterns[b])
 }

@@ -93,8 +93,8 @@ func TestStreamPoolAbort(t *testing.T) {
 			_, err := MatchDense(ctx, a, nil, r, sink, Config{SegmentBytes: seg})
 			return err
 		},
-		"dense+oracle": func(ctx context.Context, r io.Reader, sink MatchSink) error {
-			_, err := MatchDense(ctx, a, &Oracle{Matcher: DictMatcher{Dict: d, M: pram.NewSequential()}, Patterns: d.Patterns}, r, sink, Config{SegmentBytes: seg})
+		"dense+oracle": func(ctx context.Context, r io.Reader, sink MatchSink) error { // a canary turn
+			_, err := MatchDense(ctx, a, a, r, sink, Config{SegmentBytes: seg})
 			return err
 		},
 		"tree": func(ctx context.Context, r io.Reader, sink MatchSink) error {

@@ -71,10 +71,6 @@ type Stats struct {
 	Work        int64 // aggregated PRAM work over all windows
 	Depth       int64 // aggregated PRAM depth (windows compose sequentially)
 
-	// MatchDense with an oracle only.
-	Verified int64 // windows compared with the oracle
-	Diverged int64 // of those, windows whose events differed (the oracle's were emitted)
-
 	// Uncompress only.
 	FarthestBack int64 // longest back-reference distance seen
 	Spills       int64 // copies beyond the nominal window served from retained slack

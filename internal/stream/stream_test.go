@@ -83,7 +83,7 @@ func TestMatchEquivalence(t *testing.T) {
 			if st.Events != int64(len(want)) {
 				t.Fatalf("trial %d seg %d: Events %d, want %d", trial, seg, st.Events, len(want))
 			}
-			checkDenseLegs(t, d, m, a, text, want, Config{SegmentBytes: seg}, fmt.Sprintf("trial %d seg %d", trial, seg))
+			checkDenseLegs(t, a, text, want, Config{SegmentBytes: seg}, fmt.Sprintf("trial %d seg %d", trial, seg))
 		}
 	}
 }
