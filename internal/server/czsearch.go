@@ -6,7 +6,6 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 
@@ -42,10 +41,13 @@ import (
 // container header (internal/czsearch): the token scanner proper (engine
 // "czsearch") when tokens are long enough to pay for their bookkeeping, and
 // expand-and-scan on a dense cursor (engine "dense") when they are not. The
-// automaton is certified and canary turns taken as on every dense route
-// (oracle.go); here a turn expands the container again and walks the whole
-// text, which catches a poisoned memo (chaos point czsearch.cache) as well
-// as the cursor.
+// automaton is certified and canary turns taken and settled as on every
+// dense route (oracle.go); here the canary holds the scan's events and, once
+// the scan is done, walks the container decoded afresh by lz.DecodeStream
+// and lz.Decode — none of the scanner's own expansion — which catches a
+// poisoned memo (chaos point czsearch.cache) as well as the cursor. The
+// streaming route has sent the events by then: a divergence ends it with an
+// error trailer in place of the summary.
 
 // engineCz labels responses answered by the scanner's token mode; its
 // expanded mode answers as engineDense.
@@ -84,34 +86,44 @@ func (r czRunner) engine(st czsearch.Stats) string {
 
 // czPrepare validates the container header on body and returns the runner
 // for the fastest correct engine. aut is the entry's automaton, nil when the
-// tree walk serves it.
-func (s *Server) czPrepare(e *Entry, aut *dense.Automaton, body io.Reader) (czRunner, error) {
+// tree walk serves it. A bad header (422) or a represented size over
+// MaxExpandBytes (413) is answered on w, and reported as false.
+func (s *Server) czPrepare(w http.ResponseWriter, e *Entry, aut *dense.Automaton, body io.Reader) (czRunner, bool) {
+	var run czRunner
 	if aut != nil {
 		dec, err := lz.NewDecoder(body)
 		if err != nil {
-			return czRunner{}, err
+			writeError(w, http.StatusUnprocessableEntity, "bad LZ1R1 stream: %v", err)
+			return run, false
 		}
 		sc, _ := e.czPool.Get().(*czsearch.Scanner)
 		if sc == nil {
 			sc = czsearch.NewScanner(aut, s.czConfig())
 		}
-		return czRunner{n: dec.N(), run: func(ctx context.Context, sink czsearch.Sink) (czsearch.Stats, error) {
+		run = czRunner{n: dec.N(), run: func(ctx context.Context, sink czsearch.Sink) (czsearch.Stats, error) {
 			st, err := sc.Run(ctx, dec, sink)
 			// Run resets the scanner up front, so pooling it back even after
 			// an error (or a chaos fault) cannot leak state into the next
 			// request — the chaos suite pins this.
 			e.czPool.Put(sc)
 			return st, err
-		}}, nil
+		}}
+	} else {
+		f, err := czsearch.NewFallback(body, s.czConfig())
+		if err != nil {
+			writeError(w, http.StatusUnprocessableEntity, "bad LZ1R1 stream: %v", err)
+			return run, false
+		}
+		run = czRunner{n: f.N(), tree: true, run: func(ctx context.Context, sink czsearch.Sink) (czsearch.Stats, error) {
+			tm := entryMatcher{e: e, procs: s.cfg.Procs, mt: s.metrics}
+			return f.Run(ctx, tm, stream.Config{}, sink)
+		}}
 	}
-	f, err := czsearch.NewFallback(body, s.czConfig())
-	if err != nil {
-		return czRunner{}, err
+	if int64(run.n) > s.cfg.MaxExpandBytes {
+		writeError(w, http.StatusRequestEntityTooLarge, "represented size %d exceeds %d bytes", run.n, s.cfg.MaxExpandBytes)
+		return run, false
 	}
-	return czRunner{n: f.N(), tree: true, run: func(ctx context.Context, sink czsearch.Sink) (czsearch.Stats, error) {
-		tm := entryMatcher{e: e, procs: s.cfg.Procs, mt: s.metrics}
-		return f.Run(ctx, tm, stream.Config{}, sink)
-	}}, nil
+	return run, true
 }
 
 // czObserve folds one successful scan into the service metrics.
@@ -130,38 +142,41 @@ func (s *Server) czObserve(engine string, st czsearch.Stats) {
 	s.metrics.czMemoHits.Add(st.MemoHits)
 }
 
-// czVerify is a compressed route's canary turn: the teed container is
-// expanded and walked (walkCheck) against the events the scan sent. It
-// returns errDiverged when they differ.
-func (s *Server) czVerify(e *Entry, aut *dense.Automaton, container []byte, got []czsearch.Event) error {
+// czCheck ends a compressed route's canary turn c, which has held the
+// scan's events: the canary walks the container decoded afresh. A container
+// too large to keep (nil) skips the turn, unless the entry has diverged.
+func (s *Server) czCheck(e *Entry, c *stream.Canary, container []byte) error {
+	if container == nil && e.diverged.Load() {
+		return errTooLargeToCheck
+	}
 	var text []byte
-	c, err := lz.DecodeStream(container)
+	cz, err := lz.DecodeStream(container)
 	if err == nil {
-		text, err = lz.Decode(c)
+		text, err = lz.Decode(cz)
 	}
 	if err != nil {
 		return nil // the scanner consumed it, so this cannot happen; don't indict
 	}
-	return s.walkCheck(e, aut, text, got, &s.metrics.czVerifyPass, &s.metrics.czVerifyFail)
+	return s.settle(e, c, c.Check(text), &s.metrics.czVerifyPass, &s.metrics.czVerifyFail)
 }
 
-// cappedTee records the bytes written through it up to a cap; past the cap
-// it discards everything and reports overflow, so an oversized container
-// skips its canary turn instead of buffering unboundedly.
+// errTooLargeToCheck fails a streamed container too large to tee for its
+// canary turn on an entry that has diverged, where no answer goes unchecked.
+var errTooLargeToCheck = errors.New("the container is too large for the canary's check, which every request on this entry takes since a divergence")
+
+// cappedTee keeps the bytes written through it up to a cap, and none (nil)
+// once they pass it, so an oversized container skips its canary turn
+// instead of buffering unboundedly.
 type cappedTee struct {
-	buf        bytes.Buffer
-	cap        int64
-	overflowed bool
+	kept []byte
+	cap  int64
 }
 
 func (ct *cappedTee) Write(p []byte) (int, error) {
-	if !ct.overflowed {
-		if int64(ct.buf.Len())+int64(len(p)) > ct.cap {
-			ct.overflowed = true
-			ct.buf.Reset()
-		} else {
-			ct.buf.Write(p)
-		}
+	if ct.cap -= int64(len(p)); ct.cap < 0 {
+		ct.kept = nil
+	} else {
+		ct.kept = append(ct.kept, p...)
 	}
 	return len(p), nil
 }
@@ -181,13 +196,13 @@ func (s *Server) handleMatchCompressed(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "compressed match failed: %v", err)
 		return
 	}
-	verify := aut != nil && canaryTurn(&e.czReqs)
+	c := e.canary(&e.czReqs, aut)
 	body := io.Reader(r.Body)
 	var tee *cappedTee
-	if verify {
-		// The body streams through once; tee it so the canary can re-expand
-		// it after the scan. The cap only guards memory — a container too
-		// large to tee just skips its turn.
+	if c != nil {
+		// The body streams through once; tee it so the canary can decode it
+		// after the scan. The cap only guards memory — a container too
+		// large to tee just skips its turn, unless the entry has diverged.
 		tee = &cappedTee{cap: s.cfg.MaxBodyBytes}
 		body = io.TeeReader(r.Body, tee)
 	}
@@ -195,82 +210,34 @@ func (s *Server) handleMatchCompressed(w http.ResponseWriter, r *http.Request) {
 	// The tee has to wrap the body before the header is read, so the turn is
 	// taken first and handed back if the container is rejected unscanned:
 	// request 1's turn belongs to the first container scanned.
-	unsample := func() {
+	run, ok := s.czPrepare(w, e, aut, body)
+	if !ok {
 		if aut != nil {
 			e.czReqs.Add(-1)
 		}
-	}
-	run, err := s.czPrepare(e, aut, body)
-	if err != nil {
-		unsample()
-		writeError(w, http.StatusUnprocessableEntity, "bad LZ1R1 stream: %v", err)
-		return
-	}
-	if int64(run.n) > s.cfg.MaxExpandBytes {
-		unsample()
-		writeError(w, http.StatusRequestEntityTooLarge,
-			"represented size %d exceeds %d bytes", run.n, s.cfg.MaxExpandBytes)
 		return
 	}
 
-	s.metrics.streamStarted.Add(1)
-	s.metrics.streamActive.Add(1)
-	defer s.metrics.streamActive.Add(-1)
-
-	rc := http.NewResponseController(w)
-	// Tokens are still being read from the body while events go out; on
-	// HTTP/1.x the first response write would otherwise close the body.
-	_ = rc.EnableFullDuplex()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	bw := ndjsonWriter(w)
-	defer putNDJSONWriter(bw)
-
-	var events []czsearch.Event // collected only for the canary
-	pending := 0
-	sink := func(ev czsearch.Event) error {
-		if verify {
-			events = append(events, ev)
+	rep := s.startNDJSON(w, czFlushEvery)
+	defer rep.close()
+	sink := czsearch.Sink(rep.MatchEvent)
+	if c != nil {
+		sink = func(ev czsearch.Event) error {
+			c.Hold(ev)
+			return rep.MatchEvent(ev)
 		}
-		s.metrics.streamEvents.Add(1)
-		if _, err := bw.Write(appendEvent(bw.AvailableBuffer(), ev.Pos, ev.PatternID, ev.Length)); err != nil {
-			return err
-		}
-		if pending++; pending >= czFlushEvery {
-			pending = 0
-			if err := bw.Flush(); err != nil {
-				return err
-			}
-			if err := rc.Flush(); err != nil && !errors.Is(err, http.ErrNotSupported) {
-				return err
-			}
-		}
-		return nil
 	}
-
 	st, err := run.run(r.Context(), sink)
 	s.metrics.streamBytes.Add(st.BytesRepresented)
-	if err != nil {
-		if r.Context().Err() != nil {
-			s.metrics.timeouts.Add(1)
-			return // client went away; nothing to tell
-		}
-		// The status line is committed; the error travels as the last line.
-		fmt.Fprintf(bw, `{"error":%q}`+"\n", err.Error())
-		bw.Flush()
-		return
-	}
 	engine := run.engine(st)
-	s.czObserve(engine, st)
-	if verify && !tee.overflowed {
-		if err := s.czVerify(e, aut, tee.buf.Bytes(), events); err != nil {
-			fmt.Fprintf(bw, `{"error":%q}`+"\n", "compressed match failed: "+err.Error())
-			bw.Flush()
-			return
+	if err == nil {
+		s.czObserve(engine, st)
+		if c != nil {
+			err = s.czCheck(e, c, tee.kept)
 		}
 	}
 	sb, _ := json.Marshal(st)
-	fmt.Fprintf(bw, `{"summary":{"n":%d,"engine":%q,"stats":%s}}`+"\n", run.n, engine, sb)
-	bw.Flush()
+	rep.end(r.Context(), err, `{"summary":{"n":%d,"engine":%q,"stats":%s}}`, run.n, engine, sb)
 }
 
 type matchCompressedRequest struct {
@@ -310,23 +277,16 @@ func (s *Server) handleMatchCompressedBuffered(w http.ResponseWriter, r *http.Re
 		writeError(w, http.StatusInternalServerError, "compressed match failed: %v", err)
 		return
 	}
-	run, err := s.czPrepare(e, aut, bytes.NewReader(data))
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "bad LZ1R1 stream: %v", err)
-		return
-	}
-	if int64(run.n) > s.cfg.MaxExpandBytes {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			"represented size %d exceeds %d bytes", run.n, s.cfg.MaxExpandBytes)
+	run, ok := s.czPrepare(w, e, aut, bytes.NewReader(data))
+	if !ok {
 		return
 	}
 
-	verify := aut != nil && canaryTurn(&e.czReqs)
+	c := e.canary(&e.czReqs, aut)
 	resp := matchCompressedResponse{N: run.n, Hits: []matchHit{}}
-	var events []czsearch.Event
 	st, err := run.run(r.Context(), func(ev czsearch.Event) error {
-		if verify {
-			events = append(events, ev)
+		if c != nil {
+			c.Hold(ev)
 		}
 		resp.Hits = append(resp.Hits, matchHit{Pos: int(ev.Pos), Pattern: int(ev.PatternID), Length: int(ev.Length)})
 		return nil
@@ -354,8 +314,8 @@ func (s *Server) handleMatchCompressedBuffered(w http.ResponseWriter, r *http.Re
 	}
 	resp.Engine = run.engine(st)
 	s.czObserve(resp.Engine, st)
-	if verify {
-		if err := s.czVerify(e, aut, data, events); err != nil {
+	if c != nil {
+		if err := s.czCheck(e, c, data); err != nil {
 			writeError(w, http.StatusInternalServerError, "compressed match failed: %v", err)
 			return
 		}

@@ -2,9 +2,6 @@ package server
 
 import (
 	"context"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -19,11 +16,11 @@ import (
 // Registry.Insert, with no §3 preprocessing — so an entry never changes
 // engine after it is published: it serves from the automaton, or from the
 // tree-walk Las Vegas matcher when there is none (-dense off, or a table
-// over budget), and then its §3 stage is built at publish. Every route reads
-// the automaton through Entry.certified, which certifies it before its first
-// answer and repairs a table that fails; canary turns then walk the
-// certified table beside the route's scan, and a divergence fails the
-// request (oracle.go).
+// over budget), and then its §3 stage is built at publish. Every dense route
+// — /match and Server.Match here, /match/stream, the compressed routes —
+// reads the automaton through Entry.certified and takes and settles its
+// canary turns through Entry.canary and Server.settle (oracle.go); a whole
+// text is cut by shardScan (match.go), the shard loop of both engines.
 
 // Dense serving modes (Config.DenseMode).
 const (
@@ -92,11 +89,11 @@ func (s *Server) serveMatch(ctx context.Context, e *Entry, text []byte, buf []st
 		return stream.AppendEvents(evs, matches, 0), attempts, engineTree, err
 	}
 
-	turn := canaryTurn(&e.denseReqs)
+	c := e.canary(&e.denseReqs, a)
 	evs, counters := denseEvents(a, text, s.cfg.Procs, evs)
 	s.metrics.ChargePRAM("match", counters.Work, counters.Depth)
-	if turn {
-		if err := s.walkCheck(e, a, text, evs, &s.metrics.denseVerifyPass, &s.metrics.denseVerifyFail); err != nil {
+	if c != nil {
+		if err := s.settle(e, c, c.Check(text, evs...), &s.metrics.denseVerifyPass, &s.metrics.denseVerifyFail); err != nil {
 			return evs[:0], 1, engineDense, err
 		}
 	}
@@ -104,71 +101,29 @@ func (s *Server) serveMatch(ctx context.Context, e *Entry, text []byte, buf []st
 	return evs, 1, engineDense, nil
 }
 
-// denseMinShardLen is the smallest text shard worth a dedicated worker on
-// the dense path. The automaton has no per-shard ramp-up beyond the halo
-// bytes, but a goroutine + buffer still costs ~µs; 32 KiB keeps that noise
-// under 5% of shard work.
-const denseMinShardLen = 1 << 15
-
 // denseEvents appends to dst the matches of the automaton over text, as
-// events in position order. A text too short to shard is one cursor pass.
-// A longer one is cut across workers, each running its own cursor over its
-// shard plus a halo of maxPatternLen-1 bytes exactly like the tree-walk
-// path (match.go): M[i] depends on at most that much lookahead, so every
-// match starting inside a shard completes inside its halo, and the shards'
-// events, concatenated in shard order, are the whole text's. Counters
-// follow the parallel composition rule — Work is total bytes scanned
-// (including halo re-scans), Depth the largest single-worker span.
+// events in position order: one cursor per shard (shardScan), whose events,
+// concatenated in shard order, are the whole text's. Work is the bytes
+// scanned, halos included, and Depth the largest shard's.
 func denseEvents(a *dense.Automaton, text []byte, procs int, dst []stream.MatchEvent) ([]stream.MatchEvent, pram.Counters) {
 	n := len(text)
-	shards := max(procs, 1)
-	if maxShards := (n + denseMinShardLen - 1) / denseMinShardLen; shards > maxShards {
-		shards = maxShards
-	}
+	shards := shardCount(n, procs)
 	if shards <= 1 {
 		return cursorEvents(a, text, n, 0, dst), pram.Counters{Work: int64(n), Depth: int64(n)}
 	}
-
-	per := (n + shards - 1) / shards
-	halo := a.MaxPatternLen() - 1
-	work := int64(0)
-	depth := int64(0)
 	parts := make([]*[]stream.MatchEvent, shards)
-	var wg sync.WaitGroup
-	var panicked atomic.Pointer[pram.StepPanic]
-	for w := 0; w < shards; w++ {
-		start := w * per
-		if start >= n {
-			break
-		}
-		end := min(start+per, n)
-		stop := min(end+halo, n)
-		work += int64(stop - start)
-		depth = max(depth, int64(stop-start))
+	counters := shardScan(n, shards, a.MaxPatternLen()-1, func(w, start, end, stop int) pram.Counters {
 		parts[w] = eventPool.get()
-		wg.Add(1)
-		go func(part *[]stream.MatchEvent, start, end, stop int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicked.CompareAndSwap(nil, &pram.StepPanic{Value: r, Stack: debug.Stack()})
-				}
-			}()
-			// Positions in the halo belong to the right neighbour.
-			*part = cursorEvents(a, text[start:stop], end-start, int64(start), *part)
-		}(parts[w], start, end, stop)
-	}
-	wg.Wait()
+		*parts[w] = cursorEvents(a, text[start:stop], end-start, int64(start), *parts[w])
+		return pram.Counters{Work: int64(stop - start), Depth: int64(stop - start)}
+	})
 	for _, part := range parts {
 		if part != nil {
 			dst = append(dst, *part...)
 			eventPool.put(part)
 		}
 	}
-	if sp := panicked.Load(); sp != nil {
-		panic(sp)
-	}
-	return dst, pram.Counters{Work: work, Depth: depth}
+	return dst, counters
 }
 
 // cursorEvents appends to dst the matches a cursor finds in window at

@@ -10,79 +10,42 @@ import (
 	"repro/internal/pram"
 )
 
-// minShardLen is the smallest text shard worth a dedicated worker. Below
-// ~32 KiB the per-shard window ramp-up (Step 1 windows are O(log² d) long)
-// costs more than the parallelism buys.
+// minShardLen is the smallest text shard worth a dedicated worker: below
+// ~32 KiB a goroutine, its buffers and the tree walk's per-shard Step 1
+// ramp-up (O(log² d) windows) cost more than the parallelism buys.
 const minShardLen = 1 << 15
 
-// matchSharded runs dictionary matching over text against a resident
-// dictionary, sharding large texts across a worker pool the same way
-// internal/distrib shards across workstations: each shard carries a halo of
-// maxPatternLen-1 bytes from its right neighbour, because M[i] depends on
-// at most that much lookahead. Unlike distrib — where every workstation
-// re-preprocesses the dictionary — all workers here share the single
-// resident structure; the read path of core.Dictionary is pure.
-//
-// Returned counters follow the parallel composition rule: Work is the sum
-// over shards, Depth the maximum (the shards run concurrently).
-func matchSharded(dict *core.Dictionary, text []byte, procs int) ([]core.Match, pram.Counters) {
-	n := len(text)
-	if procs < 1 {
-		procs = 1
-	}
-	shards := procs
-	if maxShards := (n + minShardLen - 1) / minShardLen; shards > maxShards {
-		shards = maxShards
-	}
-	if shards <= 1 {
-		m := pram.New(procs)
-		defer m.Close()
-		out := dict.MatchText(m, text)
-		return out, m.Snapshot()
-	}
+// shardCount is how many shards of at least minShardLen, at most one per
+// worker, n bytes are cut into. A text of one shard is scanned whole.
+func shardCount(n, procs int) int {
+	return min(max(procs, 1), (n+minShardLen-1)/minShardLen)
+}
 
-	maxPat := 0
-	for _, p := range dict.Patterns {
-		if len(p) > maxPat {
-			maxPat = len(p)
-		}
-	}
-	out := make([]core.Match, n)
-	counters := make([]pram.Counters, shards)
+// shardScan runs scan concurrently on each of `shards` equal shards
+// [start, end) of n bytes, with a halo up to stop: M[i] depends on at most
+// maxPatternLen-1 bytes of lookahead, so with that halo every match starting
+// in a shard completes inside its window (internal/distrib's cut, over one
+// shared table). The first panic in a shard is re-raised, once all have
+// finished, as a *pram.StepPanic the request middleware recovers. Work is
+// the sum over the shards, Depth the maximum.
+func shardScan(n, shards, halo int, scan func(w, start, end, stop int) pram.Counters) pram.Counters {
 	per := (n + shards - 1) / shards
+	counters := make([]pram.Counters, shards)
 	var wg sync.WaitGroup
-	// A panic on a bare shard goroutine would kill the process — there is no
-	// recover above it. Contain it like a pool super-step: park the first
-	// panic, let the WaitGroup complete, re-raise on the caller as a typed
-	// *pram.StepPanic where the request middleware's recover catches it.
 	var panicked atomic.Pointer[pram.StepPanic]
-	for w := 0; w < shards; w++ {
+	for w := 0; w < shards && w*per < n; w++ {
 		start := w * per
-		if start >= n {
-			break
-		}
-		end := start + per
-		if end > n {
-			end = n
-		}
-		halo := end + maxPat - 1
-		if halo > n {
-			halo = n
-		}
+		end := min(start+per, n)
 		wg.Add(1)
-		go func(w, start, end, halo int) {
+		go func() {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
 					panicked.CompareAndSwap(nil, &pram.StepPanic{Value: r, Stack: debug.Stack()})
 				}
 			}()
-			m := pram.NewSequential()
-			local := dict.MatchText(m, text[start:halo])
-			// Positions in the halo belong to the right neighbour.
-			copy(out[start:end], local[:end-start])
-			counters[w] = m.Snapshot()
-		}(w, start, end, halo)
+			counters[w] = scan(w, start, end, min(end+max(halo, 0), n))
+		}()
 	}
 	wg.Wait()
 	if sp := panicked.Load(); sp != nil {
@@ -91,11 +54,29 @@ func matchSharded(dict *core.Dictionary, text []byte, procs int) ([]core.Match, 
 	var total pram.Counters
 	for _, c := range counters {
 		total.Work += c.Work
-		if c.Depth > total.Depth {
-			total.Depth = c.Depth
-		}
+		total.Depth = max(total.Depth, c.Depth)
 	}
-	return out, total
+	return total
+}
+
+// matchSharded runs the §3 dictionary matching over text: whole on a
+// machine of procs workers, or one sequential machine per shard
+// (shardScan); the read path of core.Dictionary is pure.
+func matchSharded(dict *core.Dictionary, text []byte, procs int) ([]core.Match, pram.Counters) {
+	n := len(text)
+	shards := shardCount(n, procs)
+	if shards <= 1 {
+		m := pram.New(max(procs, 1))
+		defer m.Close()
+		return dict.MatchText(m, text), m.Snapshot()
+	}
+	out := make([]core.Match, n)
+	counters := shardScan(n, shards, dict.MaxPatternLen()-1, func(_, start, end, stop int) pram.Counters {
+		m := pram.NewSequential()
+		copy(out[start:end], dict.MatchText(m, text[start:stop])[:end-start])
+		return m.Snapshot()
+	})
+	return out, counters
 }
 
 // matchAttempts bounds the Las Vegas loop. With 61-bit fingerprints even a

@@ -156,8 +156,8 @@ func TestMatchResponseEncoding(t *testing.T) {
 // fast request body and the encoding/json one get the same reply.
 func TestMatchShardingExact(t *testing.T) {
 	gen := textgen.New(2929)
-	text := gen.Uniform(3*denseMinShardLen+4099, 4)
-	shards := (len(text) + denseMinShardLen - 1) / denseMinShardLen
+	text := gen.Uniform(3*minShardLen+4099, 4)
+	shards := (len(text) + minShardLen - 1) / minShardLen
 	per := (len(text) + shards - 1) / shards
 	seen := map[string]bool{}
 	var patterns [][]byte

@@ -176,7 +176,7 @@ type Metrics struct {
 	// automata restored from DENSE snapshot sections — dictionaries that
 	// skipped compilation entirely. certified/certifyFail count certificate
 	// runs that passed or failed (oracle.go) and certifyNanos the time they
-	// took. oracleNanos is the wall time of the canary's whole-text walks.
+	// took. oracleNanos is the wall time of every canary walk.
 	denseServed       atomic.Int64
 	denseFallback     atomic.Int64
 	denseVerifyPass   atomic.Int64
@@ -334,7 +334,7 @@ type denseSnapshot struct {
 	CompileFails int64 `json:"compileFails"` // compiles refused (table budget)
 	TableBytes   int64 `json:"tableBytes"`   // total transition-table bytes compiled
 	Loads        int64 `json:"loads"`        // automata restored from DENSE sections (zero compile)
-	OracleNanos  int64 `json:"oracleNanos"`  // wall time of the canary's whole-text walks
+	OracleNanos  int64 `json:"oracleNanos"`  // wall time of every canary walk
 }
 
 // czSnapshot is the JSON shape of the compressed-domain matching counters.

@@ -2,6 +2,7 @@ package server
 
 import (
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -80,7 +81,8 @@ func TestMetricsRouteIdentity(t *testing.T) {
 // TestMetricsOracleCounters: the dense section of GET /metrics reports the
 // certificate — run once, by the entry's first request — and the canary:
 // request 1's turn walks the table, passes and is timed; request 2 takes no
-// turn and moves neither clock.
+// turn and moves neither clock. A stream's turn, which walks per segment,
+// is timed on the same clock.
 func TestMetricsOracleCounters(t *testing.T) {
 	_, base, shutdown := startServer(t, Config{Addr: "127.0.0.1:0", Procs: 1, DenseMode: DenseOn})
 	id := createDict(t, base, "abra", "cad", "abracadabra")
@@ -109,6 +111,13 @@ func TestMetricsOracleCounters(t *testing.T) {
 			t.Fatalf("request 2 moved oracleNanos %d -> %d or certifyNanos %d -> %d", nanos, d.OracleNanos, certNanos, d.CertifyNanos)
 		}
 		nanos, certNanos = d.OracleNanos, d.CertifyNanos
+	}
+	streamed := createDict(t, base, "abra", "cad")
+	if _, tr := streamLines(t, base+"/v1/dicts/"+streamed+"/match/stream?segment=1024", []byte(strings.Repeat("abracadabra", 1000))); tr.Summary == nil {
+		t.Fatalf("stream: %+v", tr)
+	}
+	if d := dense(); d.OracleNanos <= nanos || d.VerifyPass != 2 || d.VerifyFail != 0 {
+		t.Fatalf("after a stream's turn: %+v, want it passed and oracleNanos past %d", d, nanos)
 	}
 	if err := shutdown(); err != nil {
 		t.Fatal(err)

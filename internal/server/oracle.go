@@ -26,13 +26,16 @@ import (
 // request on the entry fails.
 //
 // The certificate cannot vouch for the code that scans the table: the
-// kernel's lanes, the cursor's ring replay, denseEvents' shards, the stream's
-// segments, czsearch's resync. A canary checks that code: request 1 of each
-// route on an entry, and every verifySampleEvery-th after it, also walks the
-// certified table naively (ahocorasick.Walk, one Step per byte) and answers
-// only if the walk found the same matches. A divergence fails the request
-// loudly — 500, or an error trailer on a stream already under way — and is
-// counted and logged. No route serves a second engine's answer. Tree-served
+// kernel's lanes, the cursor's ring replay, the shards, the stream's
+// segments, czsearch's resync. A canary checks that code the same way on
+// every dense route: on a turn (Entry.canary) a stream.Canary walks the
+// certified table naively beside the scan — the whole text on /match, each
+// segment on /match/stream, the container decoded afresh on the compressed
+// routes — and settle counts and times it. A divergence fails the request
+// loudly (500, or an error trailer on a stream under way), is logged, and
+// makes every later request on the entry a turn, on every route: a fault
+// that persists fails every request, and once it is gone each answer is
+// still checked. No route serves a second engine's answer. Tree-served
 // entries take no turns: MatchChecked is its own Las Vegas loop.
 
 // verifySampleEvery is the canary's period: a route's request 1 on an entry
@@ -42,9 +45,6 @@ const verifySampleEvery = 1024
 // errUncertified fails every request on an entry whose automaton, and the
 // automaton recompiled from its patterns, both failed the certificate.
 var errUncertified = errors.New("the dictionary's automaton failed its certificate, and so did its recompile")
-
-// errDiverged fails a canary turn whose matches differ from the walk's.
-var errDiverged = errors.New("dense matches diverged from the canary's walk over the certified table")
 
 // certified returns the automaton the entry serves from, once it has passed
 // its certificate: nil for an entry the tree walk serves, and an error when
@@ -108,32 +108,33 @@ func (s *Server) repair(e *Entry) error {
 	return nil
 }
 
-// canaryTurn counts one request on reqs, an entry's per-route counter, and
-// reports whether it is a canary turn.
-func canaryTurn(reqs *atomic.Int64) bool {
-	n := reqs.Add(1)
-	return n == 1 || n%verifySampleEvery == 0
+// canary counts one request on reqs, an entry's per-route counter, and
+// returns a canary over a when the request is a turn — request 1, every
+// verifySampleEvery-th, and every request once the entry has diverged —
+// and nil when it is not. A nil a, the tree walk, takes no turns.
+func (e *Entry) canary(reqs *atomic.Int64, a *dense.Automaton) *stream.Canary {
+	if a == nil {
+		return nil
+	}
+	if n := reqs.Add(1); n == 1 || n%verifySampleEvery == 0 || e.diverged.Load() {
+		return stream.NewCanary(a)
+	}
+	return nil
 }
 
-// walkCheck is one canary turn over a whole text: ahocorasick's walk over a
-// is compared with evs, the matches a route found in text, and the outcome
-// counted on the route's pass or fail counter. It returns errDiverged, and
-// logs, when they differ.
-func (s *Server) walkCheck(e *Entry, a *dense.Automaton, text []byte, evs []stream.MatchEvent, pass, fail *atomic.Int64) error {
-	start := time.Now()
-	same, k := true, 0
-	for i, id := range ahocorasick.Walk(a, text) {
-		if id >= 0 {
-			same = same && k < len(evs) && evs[k] == stream.MatchEvent{Pos: int64(i), PatternID: id, Length: a.PatternLen(id)}
-			k++
-		}
-	}
-	s.metrics.oracleNanos.Add(time.Since(start).Nanoseconds())
-	if !same || k != len(evs) {
+// settle ends canary turn c of a request whose outcome is err: it times the
+// walk, and counts a pass, or a divergence on the route's counters. A
+// divergence is logged and makes every later request on the entry a turn.
+// It returns err.
+func (s *Server) settle(e *Entry, c *stream.Canary, err error, pass, fail *atomic.Int64) error {
+	s.metrics.oracleNanos.Add(c.Nanos)
+	switch {
+	case err == nil:
+		pass.Add(1)
+	case errors.Is(err, stream.ErrDiverged):
 		fail.Add(1)
-		e.logf("entry %s: matches over %d bytes diverged from the canary's walk; the request failed", e.ID, len(text))
-		return errDiverged
+		e.diverged.Store(true)
+		e.logf("entry %s: %v; the request failed, and every later request on the entry is a canary turn", e.ID, err)
 	}
-	pass.Add(1)
-	return nil
+	return err
 }

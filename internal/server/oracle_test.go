@@ -44,7 +44,8 @@ func TestReferenceReleasedAfterTurn(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			if err := srv.walkCheck(e, a, text, got, &mt.denseVerifyPass, &mt.denseVerifyFail); err != nil {
+			c := stream.NewCanary(a)
+			if err := srv.settle(e, c, c.Check(text, got...), &mt.denseVerifyPass, &mt.denseVerifyFail); err != nil {
 				t.Errorf("canary turn: %v", err)
 			}
 		}()

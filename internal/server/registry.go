@@ -75,11 +75,13 @@ type Entry struct {
 	// Dense serving state (dense.go): the compiled automaton (nil = the tree
 	// walk serves), set by Insert and replaced only by a repair; its
 	// certificate (oracle.go), run once by the first reader, and its outcome;
-	// and the dense-served request count driving the canary's turns.
+	// the dense-served request count driving the canary's turns; and whether
+	// a turn on any route has diverged, which makes every later request one.
 	aut       atomic.Pointer[dense.Automaton]
 	certOnce  sync.Once
 	certErr   error // written only inside certOnce
 	denseReqs atomic.Int64
+	diverged  atomic.Bool
 
 	// Compressed-domain serving state (czsearch.go): reusable scanners (one
 	// per in-flight compressed request; Run resets them, so a pooled scanner

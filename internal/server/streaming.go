@@ -5,32 +5,32 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/dense"
 	"repro/internal/pram"
 	"repro/internal/stream"
 )
 
 // Streaming endpoints. Where the buffered /v1 handlers read the whole body,
-// cap it at MaxBodyBytes, and answer with one JSON document, these two
-// routes pump the body through internal/stream with O(segment + halo)
-// resident text, so a client can push a text far larger than MaxBodyBytes
-// (the cap deliberately does not apply — memory is bounded by the pipeline,
-// not by the body size):
+// cap it at MaxBodyBytes, and answer with one JSON document, these routes
+// pump the body through internal/stream with O(segment + halo) resident
+// text, so a client can push a text far larger than MaxBodyBytes (the cap
+// deliberately does not apply — memory is bounded by the pipeline, not by
+// the body size):
 //
 //	POST /v1/dicts/{id}/match/stream   raw text in  → NDJSON events out
 //	POST /v1/decompress/stream         LZ1R1 in     → raw bytes out
 //
-// NDJSON protocol: one {"pos","pattern","length"} object per match, in
-// position order, flushed at every segment boundary; the final line is
-// either {"summary":{...}} on success or {"error":"..."} — clients must
-// treat a missing summary as a failed stream (the HTTP status is already
-// committed when a mid-stream error occurs).
+// NDJSON protocol (ndjsonReply, shared with /match/compressed): one
+// {"pos","pattern","length"} object per match, in position order, flushed at
+// every segment boundary; the final line is either {"summary":{...}} on
+// success or {"error":"..."} — clients must treat a missing summary as a
+// failed stream (the HTTP status is already committed when a mid-stream
+// error occurs). A dense stream's canary turn (oracle.go) sends a segment's
+// events only once the canary's walk has found the same ones.
 
 // entryMatcher adapts a registry entry to stream.TextMatcher: per-window
 // checked (Las Vegas) matching under the entry's read lock, charging the
@@ -63,58 +63,86 @@ func appendEvent(b []byte, pos int64, pattern, length int32) []byte {
 // which would otherwise be a fresh allocation per request.
 var ndjsonWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 32<<10) }}
 
-// ndjsonWriter returns a pooled writer onto w. The handler hands it back
-// with putNDJSONWriter when it returns, having flushed what it meant to send.
-func ndjsonWriter(w io.Writer) *bufio.Writer {
+// ndjsonReply is one NDJSON reply under way, the protocol of /match/stream
+// and /match/compressed: it counts the stream while it runs, writes event
+// lines into a pooled writer, flushes them to the client every `every`
+// events (0: at segment ends only), and ends with a summary or an error
+// trailer. As a stream.MatchSink and SegmentObserver it flushes per segment.
+type ndjsonReply struct {
+	bw      *bufio.Writer
+	rc      *http.ResponseController
+	mt      *Metrics
+	every   int
+	pending int
+}
+
+// startNDJSON starts an NDJSON reply on w; the caller defers its close.
+func (s *Server) startNDJSON(w http.ResponseWriter, every int) *ndjsonReply {
+	s.metrics.streamStarted.Add(1)
+	s.metrics.streamActive.Add(1)
+	rc := http.NewResponseController(w)
+	// The body is still being read while the reply streams; on HTTP/1.x the
+	// first response write would otherwise close it. (HTTP/2 is full duplex
+	// natively; a not-supported error is fine.)
+	_ = rc.EnableFullDuplex()
+	w.Header().Set("Content-Type", "application/x-ndjson")
 	bw := ndjsonWriters.Get().(*bufio.Writer)
 	bw.Reset(w)
-	return bw
+	return &ndjsonReply{bw: bw, rc: rc, mt: s.metrics, every: every}
 }
 
-func putNDJSONWriter(bw *bufio.Writer) {
-	bw.Reset(nil)
-	ndjsonWriters.Put(bw)
-}
-
-// matchStreamSink writes NDJSON events and flushes per segment.
-type matchStreamSink struct {
-	bw *bufio.Writer
-	rc *http.ResponseController
-	mt *Metrics
-}
-
-func (k *matchStreamSink) MatchEvent(e stream.MatchEvent) error {
+func (k *ndjsonReply) MatchEvent(e stream.MatchEvent) error {
 	k.mt.streamEvents.Add(1)
 	// Encoded in place in the writer's free space when the line fits.
-	_, err := k.bw.Write(appendEvent(k.bw.AvailableBuffer(), e.Pos, e.PatternID, e.Length))
-	return err
+	if _, err := k.bw.Write(appendEvent(k.bw.AvailableBuffer(), e.Pos, e.PatternID, e.Length)); err != nil {
+		return err
+	}
+	if k.pending++; k.every == 0 || k.pending < k.every {
+		return nil
+	}
+	return k.flush()
 }
 
-func (k *matchStreamSink) SegmentDone(info stream.SegmentInfo) error {
+func (k *ndjsonReply) SegmentDone(info stream.SegmentInfo) error {
 	k.mt.streamSegments.Add(1)
 	k.mt.streamBytes.Add(int64(info.Finalized))
+	return k.flush()
+}
+
+// flush pushes what is buffered to the client now, where the HTTP buffer
+// would batch the whole stream; a writer that cannot flush is fine.
+func (k *ndjsonReply) flush() error {
+	k.pending = 0
 	if err := k.bw.Flush(); err != nil {
 		return err
 	}
-	// Push the segment's events to the client now; a sink that only fills
-	// the HTTP buffer would batch the whole stream. Not all writers can
-	// flush (e.g. some test recorders) — that is fine.
 	if err := k.rc.Flush(); err != nil && !errors.Is(err, http.ErrNotSupported) {
 		return err
 	}
 	return nil
 }
 
-// streamSummary is the NDJSON trailer on success.
-type streamSummary struct {
-	N           int64  `json:"n"`
-	Engine      string `json:"engine"` // "dense" or "tree"
-	Segments    int64  `json:"segments"`
-	Events      int64  `json:"events"`
-	Rounds      int    `json:"rounds"`
-	Work        int64  `json:"work"`
-	Depth       int64  `json:"depth"`
-	MaxResident int    `json:"maxResident"`
+// end writes the reply's last line: the summary, format filled with args,
+// when err is nil; else the error trailer — the status line is long gone —
+// or nothing when the client went away (ctx is done), which is counted.
+func (k *ndjsonReply) end(ctx context.Context, err error, summary string, args ...any) {
+	switch {
+	case err == nil:
+		fmt.Fprintf(k.bw, summary+"\n", args...)
+	case ctx.Err() != nil:
+		k.mt.timeouts.Add(1)
+		return
+	default:
+		fmt.Fprintf(k.bw, `{"error":%q}`+"\n", err.Error())
+	}
+	k.bw.Flush()
+}
+
+// close hands the writer back and counts the stream finished.
+func (k *ndjsonReply) close() {
+	k.bw.Reset(nil)
+	ndjsonWriters.Put(k.bw)
+	k.mt.streamActive.Add(-1)
 }
 
 // handleMatchStream matches a streamed text — raw bytes, chunked encoding
@@ -143,24 +171,13 @@ func (s *Server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.metrics.streamStarted.Add(1)
-	s.metrics.streamActive.Add(1)
-	defer s.metrics.streamActive.Add(-1)
-
-	rc := http.NewResponseController(w)
-	// The pipeline reads the request body while the response streams; on
-	// HTTP/1.x the first response write would otherwise close the body.
-	// (HTTP/2 is full duplex natively; a not-supported error is fine.)
-	_ = rc.EnableFullDuplex()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	sink := &matchStreamSink{bw: ndjsonWriter(w), rc: rc, mt: s.metrics}
-	defer putNDJSONWriter(sink.bw)
+	rep := s.startNDJSON(w, 0)
+	defer rep.close()
 	cfg := stream.Config{SegmentBytes: segSize}
 
 	// Engine choice, by serveMatch's rule: the compiled automaton when the
 	// entry has one, else the checked tree walk. A dense stream counts as
-	// one dense request and takes the same canary turns; a divergence ends
-	// it with an error trailer.
+	// one dense request and takes the same canary turns.
 	var st stream.Stats
 	engine := engineTree
 	if a == nil {
@@ -168,41 +185,21 @@ func (s *Server) handleMatchStream(w http.ResponseWriter, r *http.Request) {
 			s.metrics.denseFallback.Add(1)
 		}
 		tree := entryMatcher{e: e, procs: s.cfg.Procs, mt: s.metrics}
-		st, err = stream.Match(r.Context(), tree, r.Body, sink, cfg)
+		st, err = stream.Match(r.Context(), tree, r.Body, rep, cfg)
 	} else {
 		engine = engineDense
-		var canary *dense.Automaton
-		if canaryTurn(&e.denseReqs) {
-			canary = a
-		}
-		st, err = stream.MatchDense(r.Context(), a, canary, r.Body, sink, cfg)
+		c := e.canary(&e.denseReqs, a)
+		st, err = stream.MatchDense(r.Context(), a, c, r.Body, rep, cfg)
 		s.metrics.ChargePRAM("match", st.Work, st.Depth)
-		switch {
-		case errors.Is(err, stream.ErrDiverged):
-			s.metrics.denseVerifyFail.Add(1)
-			e.logf("entry %s: stream events diverged from the canary's walk; the request failed", e.ID)
-		case err == nil:
+		if c != nil {
+			err = s.settle(e, c, err, &s.metrics.denseVerifyPass, &s.metrics.denseVerifyFail)
+		}
+		if err == nil {
 			s.metrics.denseServed.Add(1)
-			if canary != nil {
-				s.metrics.denseVerifyPass.Add(1)
-			}
 		}
 	}
-	if err != nil {
-		if r.Context().Err() != nil {
-			// Client went away or the connection died: nothing to tell.
-			s.metrics.timeouts.Add(1)
-			return
-		}
-		// The status line is long gone; the error travels as the last
-		// NDJSON line instead.
-		fmt.Fprintf(sink.bw, `{"error":%q}`+"\n", err.Error())
-		sink.bw.Flush()
-		return
-	}
-	fmt.Fprintf(sink.bw, `{"summary":{"n":%d,"engine":%q,"segments":%d,"events":%d,"rounds":%d,"work":%d,"depth":%d,"maxResident":%d}}`+"\n",
+	rep.end(r.Context(), err, `{"summary":{"n":%d,"engine":%q,"segments":%d,"events":%d,"rounds":%d,"work":%d,"depth":%d,"maxResident":%d}}`,
 		st.TextBytes, engine, st.Segments, st.Events, st.Rounds, st.Work, st.Depth, st.MaxResident)
-	sink.bw.Flush()
 }
 
 // countingWriter tracks whether any body bytes were committed, so error

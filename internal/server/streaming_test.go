@@ -19,6 +19,18 @@ import (
 	"repro/internal/pram"
 )
 
+// streamSummary is the NDJSON trailer of /match/stream on success.
+type streamSummary struct {
+	N           int64  `json:"n"`
+	Engine      string `json:"engine"` // "dense" or "tree"
+	Segments    int64  `json:"segments"`
+	Events      int64  `json:"events"`
+	Rounds      int    `json:"rounds"`
+	Work        int64  `json:"work"`
+	Depth       int64  `json:"depth"`
+	MaxResident int    `json:"maxResident"`
+}
+
 // ndLine is one NDJSON line of the streaming match protocol: an event
 // (Pos set), the summary trailer, or an error trailer.
 type ndLine struct {

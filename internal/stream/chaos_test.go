@@ -100,8 +100,11 @@ func TestChaosCollisionReseedInStream(t *testing.T) {
 
 // denseEngines are the two ways a dense stream over a runs: the cursor
 // alone, and as a canary turn walking a beside it.
-func denseEngines(a *dense.Automaton) map[string]*dense.Automaton {
-	return map[string]*dense.Automaton{"dense": nil, "dense+canary": a}
+func denseEngines(a *dense.Automaton) map[string]func() *Canary {
+	return map[string]func() *Canary{
+		"dense":        func() *Canary { return nil },
+		"dense+canary": func() *Canary { return NewCanary(a) },
+	}
 }
 
 // TestChaosDenseStreamTruncation: the dense engine under an injected reader
@@ -116,7 +119,7 @@ func TestChaosDenseStreamTruncation(t *testing.T) {
 	for name, canary := range denseEngines(a) {
 		withPlan(t, 11, "stream.truncate:p=1,every=3,n=1") // die on the 3rd read
 		var sink matchCollector
-		_, err := MatchDense(context.Background(), a, canary, bytes.NewReader(text), &sink, Config{SegmentBytes: 512})
+		_, err := MatchDense(context.Background(), a, canary(), bytes.NewReader(text), &sink, Config{SegmentBytes: 512})
 		if !chaos.IsInjected(err) {
 			t.Fatalf("%s under truncation: %v, want injected error", name, err)
 		}
@@ -143,7 +146,7 @@ func TestChaosDenseStreamStallHarmless(t *testing.T) {
 	withPlan(t, 12, "stream.stall:p=1,delay=2ms")
 	for name, canary := range denseEngines(a) {
 		var sink matchCollector
-		st, err := MatchDense(context.Background(), a, canary, bytes.NewReader(text), &sink, Config{SegmentBytes: 256})
+		st, err := MatchDense(context.Background(), a, canary(), bytes.NewReader(text), &sink, Config{SegmentBytes: 256})
 		if err != nil {
 			t.Fatalf("%s under stalls: %v", name, err)
 		}

@@ -30,10 +30,10 @@ func mustCompileDense(t testing.TB, d *core.Dictionary) *dense.Automaton {
 func checkDenseLegs(t testing.TB, a *dense.Automaton, text []byte, want []MatchEvent, cfg Config, label string) {
 	t.Helper()
 	var plain Stats
-	for _, canary := range []*dense.Automaton{nil, a} {
-		leg := label + " dense"
-		if canary != nil {
-			leg += "+canary"
+	for _, turn := range []bool{false, true} {
+		leg, canary := label+" dense", (*Canary)(nil)
+		if turn {
+			leg, canary = leg+"+canary", NewCanary(a)
 		}
 		var sink matchCollector
 		st, err := MatchDense(context.Background(), a, canary, bytes.NewReader(text), &sink, cfg)
@@ -55,7 +55,7 @@ func checkDenseLegs(t testing.TB, a *dense.Automaton, text []byte, want []MatchE
 		if st.MaxResident > cfg.segmentSize() {
 			t.Fatalf("%s: MaxResident %d exceeds the segment, %d", leg, st.MaxResident, cfg.segmentSize())
 		}
-		if canary == nil {
+		if !turn {
 			plain = st
 		} else if st != plain {
 			t.Fatalf("%s: stats %+v, the run off a turn had %+v", leg, st, plain)
@@ -72,7 +72,7 @@ func TestMatchDenseDuplicatePatterns(t *testing.T) {
 	text := bytes.Repeat([]byte("adupdupbxx"), 50)
 	for _, seg := range []int{1, 4, 64} {
 		var sink matchCollector
-		if _, err := MatchDense(context.Background(), a, a, bytes.NewReader(text), &sink, Config{SegmentBytes: seg}); err != nil {
+		if _, err := MatchDense(context.Background(), a, NewCanary(a), bytes.NewReader(text), &sink, Config{SegmentBytes: seg}); err != nil {
 			t.Fatalf("seg %d: %v", seg, err)
 		}
 		for _, e := range sink.events {
@@ -107,7 +107,7 @@ func TestMatchDenseDivergenceFails(t *testing.T) {
 		}
 		for _, seg := range []int{1, 2, 7, 100, len(text) + 1} {
 			var sink matchCollector
-			_, err := MatchDense(context.Background(), wrong, right, bytes.NewReader(text), &sink, Config{SegmentBytes: seg})
+			_, err := MatchDense(context.Background(), wrong, NewCanary(right), bytes.NewReader(text), &sink, Config{SegmentBytes: seg})
 			if !errors.Is(err, ErrDiverged) {
 				t.Fatalf("%s seg %d: err = %v, want ErrDiverged", name, seg, err)
 			}
@@ -194,7 +194,7 @@ func TestTinyBodyMaxSegmentAllocation(t *testing.T) {
 			return MatchDense(context.Background(), a, nil, r, &matchCollector{}, cfg)
 		},
 		"dense+canary": func(r io.Reader) (Stats, error) {
-			return MatchDense(context.Background(), a, a, r, &matchCollector{}, cfg)
+			return MatchDense(context.Background(), a, NewCanary(a), r, &matchCollector{}, cfg)
 		},
 	}
 	for name, run := range engines {

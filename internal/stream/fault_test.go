@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/dense"
 	"repro/internal/pram"
 )
 
@@ -110,15 +109,19 @@ func TestWindowPanicContainedDense(t *testing.T) {
 	text := bytes.Repeat([]byte("ab"), 400)
 	want := oneShotMatches(m, d, text)
 
-	for _, canary := range []*dense.Automaton{nil, a} {
+	for _, turn := range []bool{false, true} {
+		var canary *Canary
+		if turn {
+			canary = NewCanary(a)
+		}
 		ps := &panicSink{panicOn: 50}
 		_, err := MatchDense(context.Background(), a, canary, bytes.NewReader(text), ps, Config{SegmentBytes: 128})
 		var wp *WindowPanicError
 		if !errors.As(err, &wp) || wp.Value != "sink boom" || len(wp.Stack) == 0 {
-			t.Fatalf("canary %v: err = %v, want *WindowPanicError", canary != nil, err)
+			t.Fatalf("canary %v: err = %v, want *WindowPanicError", turn, err)
 		}
 		if len(ps.events) != 50 || !matchEventsEqual(ps.events, want[:50]) {
-			t.Fatalf("canary %v: %d events before the panic are not the oracle's first 50", canary != nil, len(ps.events))
+			t.Fatalf("canary %v: %d events before the panic are not the oracle's first 50", turn, len(ps.events))
 		}
 	}
 }

@@ -2,12 +2,9 @@ package stream
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"slices"
 
-	"repro/internal/ahocorasick"
 	"repro/internal/core"
 	"repro/internal/dense"
 	"repro/internal/pram"
@@ -69,23 +66,15 @@ func (dm DictMatcher) MatchWindow(_ context.Context, window []byte) ([]core.Matc
 // are suppressed here and re-emitted authoritatively by the next window.
 func Match(ctx context.Context, tm TextMatcher, r io.Reader, sink MatchSink, cfg Config) (Stats, error) {
 	var st Stats
-	halo := tm.MaxPatternLen() - 1
-	if halo < 0 {
-		halo = 0
-	}
-	obs, _ := sink.(SegmentObserver)
-	err := runWindows(ctx, r, cfg.segmentSize(), halo, &st, func(window []byte, base int64, final int, last bool) error {
-		var rounds int
-		var cost pram.Counters
+	err := runWindows(ctx, r, cfg.segmentSize(), tm.MaxPatternLen()-1, &st, sink, func(window []byte, base int64, final int, last bool) error {
 		if len(window) > 0 {
-			matches, rnds, c, err := tm.MatchWindow(ctx, window)
+			matches, rounds, cost, err := tm.MatchWindow(ctx, window)
 			if err != nil {
 				return err
 			}
 			if len(matches) != len(window) {
 				return fmt.Errorf("stream: matcher returned %d positions for a %d-byte window", len(matches), len(window))
 			}
-			rounds, cost = rnds, c
 			for i := 0; i < final; i++ {
 				if matches[i].Length > 0 {
 					st.Events++
@@ -99,22 +88,10 @@ func Match(ctx context.Context, tm TextMatcher, r io.Reader, sink MatchSink, cfg
 			st.Work += cost.Work
 			st.Depth += cost.Depth
 		}
-		if obs != nil {
-			return obs.SegmentDone(SegmentInfo{
-				Index: st.Segments - 1, Base: base, WindowLen: len(window),
-				Finalized: final, Last: last, Rounds: rounds,
-				Work: cost.Work, Depth: cost.Depth,
-			})
-		}
 		return nil
 	})
 	return st, err
 }
-
-// ErrDiverged ends a canary run of MatchDense whose cursor finalized other
-// events than the canary's walk over the same bytes: a fault in the code
-// that scans the table, since the walk reads the same certified table.
-var ErrDiverged = errors.New("stream: dense events diverged from the canary walk")
 
 // MatchDense is Match on a compiled automaton: the same events as Match
 // with a checked matcher over the same dictionary, for every SegmentBytes,
@@ -124,36 +101,29 @@ var ErrDiverged = errors.New("stream: dense events diverged from the canary walk
 // positions is the only state that crosses a segment boundary. Stats follow
 // the dense convention: Rounds is 1, Work and Depth the bytes scanned.
 //
-// A non-nil canary makes the run a canary turn: canary is the certified
-// table a scans (the server passes a itself), and ahocorasick's naive walk
-// over it reads every segment after the cursor has. Both finalize position
-// i at byte i+MaxPatternLen()-1, so after each segment both have closed the
-// same positions; the cursor's events for the segment are held until the
-// walk has read its bytes, and are sent only if the walk found the same
-// ones. Otherwise the run ends with ErrDiverged and nothing of that segment
-// is sent. The segments, and so Stats, are those of a run without it.
-func MatchDense(ctx context.Context, a, canary *dense.Automaton, r io.Reader, sink MatchSink, cfg Config) (Stats, error) {
+// A non-nil canary makes the run a canary turn over a, the certified table
+// (nil off a turn): the cursor's events are held by the canary, which walks
+// each segment after the cursor has and passes an event on to sink only once
+// its walk has found the same one. A divergence ends the run with
+// ErrDiverged, and nothing of that segment is sent. The segments, and so
+// Stats, are those of a run without it.
+func MatchDense(ctx context.Context, a *dense.Automaton, canary *Canary, r io.Reader, sink MatchSink, cfg Config) (Stats, error) {
 	st := Stats{Rounds: 1}
-	obs, _ := sink.(SegmentObserver)
-	var walk *ahocorasick.Walker
-	if canary != nil {
-		walk = ahocorasick.NewWalker(canary)
+	send := func(e MatchEvent) error {
+		st.Events++
+		return sink.MatchEvent(e)
 	}
-	var held, walked []MatchEvent // a turn's segment: the cursor's events, the walk's
 	emit := func(pos int64, m core.Match) error {
 		e := MatchEvent{Pos: pos, PatternID: m.PatternID, Length: m.Length}
-		if walk != nil {
-			held = append(held, e)
+		if canary != nil {
+			canary.Hold(e)
 			return nil
 		}
 		st.Events++
 		return sink.MatchEvent(e)
 	}
-	record := func(pos int64, id int32) {
-		walked = append(walked, MatchEvent{Pos: pos, PatternID: id, Length: canary.PatternLen(id)})
-	}
 	cur := a.NewCursor()
-	err := runWindows(ctx, r, cfg.segmentSize(), 0, &st, func(segment []byte, base int64, final int, last bool) error {
+	err := runWindows(ctx, r, cfg.segmentSize(), 0, &st, sink, func(segment []byte, _ int64, _ int, last bool) error {
 		if err := cur.Feed(segment, emit); err != nil {
 			return err
 		}
@@ -164,28 +134,8 @@ func MatchDense(ctx context.Context, a, canary *dense.Automaton, r io.Reader, si
 		}
 		st.Work += int64(len(segment))
 		st.Depth += int64(len(segment))
-		if walk != nil {
-			walk.Feed(segment, record)
-			if last {
-				walk.Flush(record)
-			}
-			if !slices.Equal(held, walked) {
-				return fmt.Errorf("%w in the segment at byte %d", ErrDiverged, base)
-			}
-			for _, e := range held {
-				st.Events++
-				if err := sink.MatchEvent(e); err != nil {
-					return err
-				}
-			}
-			held, walked = held[:0], walked[:0]
-		}
-		if obs != nil {
-			return obs.SegmentDone(SegmentInfo{
-				Index: st.Segments - 1, Base: base, WindowLen: len(segment),
-				Finalized: final, Last: last, Rounds: 1,
-				Work: int64(len(segment)), Depth: int64(len(segment)),
-			})
+		if canary != nil {
+			return canary.Feed(segment, last, send)
 		}
 		return nil
 	})

@@ -39,11 +39,6 @@ type PhraseSink interface {
 // same bounded lookahead while being exact.
 func Parse(ctx context.Context, d *core.Dictionary, m *pram.Machine, r io.Reader, sink PhraseSink, cfg Config) (Stats, error) {
 	var st Stats
-	halo := d.MaxPatternLen() - 1
-	if halo < 0 {
-		halo = 0
-	}
-	obs, _ := sink.(SegmentObserver)
 
 	// Frontier FSM over absolute positions (see staticdict.FrontierParse).
 	var (
@@ -71,15 +66,13 @@ func Parse(ctx context.Context, d *core.Dictionary, m *pram.Machine, r io.Reader
 		return nil
 	}
 
-	err := runWindows(ctx, r, cfg.segmentSize(), halo, &st, func(window []byte, base int64, final int, last bool) error {
-		var cost pram.Counters
+	err := runWindows(ctx, r, cfg.segmentSize(), d.MaxPatternLen()-1, &st, sink, func(window []byte, base int64, final int, last bool) error {
 		if len(window) > 0 && final > 0 {
 			before := m.Snapshot()
 			b, refs := d.PrefixStream(m, window)
 			after := m.Snapshot()
-			cost = pram.Counters{Work: after.Work - before.Work, Depth: after.Depth - before.Depth}
-			st.Work += cost.Work
-			st.Depth += cost.Depth
+			st.Work += after.Work - before.Work
+			st.Depth += after.Depth - before.Depth
 			for i := 0; i < final; i++ {
 				a := base + int64(i)
 				if a == 0 {
@@ -109,12 +102,6 @@ func Parse(ctx context.Context, d *core.Dictionary, m *pram.Machine, r io.Reader
 			if err := emit(p, n-p, pRef); err != nil {
 				return err
 			}
-		}
-		if obs != nil {
-			return obs.SegmentDone(SegmentInfo{
-				Index: st.Segments - 1, Base: base, WindowLen: len(window),
-				Finalized: final, Last: last, Work: cost.Work, Depth: cost.Depth,
-			})
 		}
 		return nil
 	})

@@ -94,7 +94,7 @@ func TestStreamPoolAbort(t *testing.T) {
 			return err
 		},
 		"dense+oracle": func(ctx context.Context, r io.Reader, sink MatchSink) error { // a canary turn
-			_, err := MatchDense(ctx, a, a, r, sink, Config{SegmentBytes: seg})
+			_, err := MatchDense(ctx, a, NewCanary(a), r, sink, Config{SegmentBytes: seg})
 			return err
 		},
 		"tree": func(ctx context.Context, r io.Reader, sink MatchSink) error {

@@ -85,9 +85,6 @@ type SegmentInfo struct {
 	WindowLen int   // carry + fresh bytes
 	Finalized int   // positions emitted by this window
 	Last      bool
-	Rounds    int   // Las Vegas rounds for this window (match only)
-	Work      int64 // PRAM work charged by this window
-	Depth     int64 // PRAM depth charged by this window
 }
 
 // SegmentObserver is optionally implemented by sinks that want per-window
@@ -196,11 +193,13 @@ func readSegment(r io.Reader, buf []byte, segSize int) ([]byte, error) {
 }
 
 // runWindows drives the double-buffered read loop. fn sees each window
-// (carry + fresh segment), the absolute offset of its first byte, and the
-// count of finalized positions; it must not retain the window slice.
+// (carry + fresh segment; a negative halo is none), the absolute offset of
+// its first byte, and the count of finalized positions; it must not retain
+// the window slice. Then
+// sink, if it is a SegmentObserver, is told the window is done.
 // Cancellation is observed at window granularity; a blocked Read is only
 // abandoned when the underlying reader fails (e.g. the request body closes).
-func runWindows(ctx context.Context, r io.Reader, segSize, halo int, st *Stats, fn func(window []byte, base int64, final int, last bool) error) error {
+func runWindows(ctx context.Context, r io.Reader, segSize, halo int, st *Stats, sink any, fn func(window []byte, base int64, final int, last bool) error) error {
 	segs := make(chan segment, 1)
 	free := make(chan []byte, 2)
 	done := make(chan struct{})
@@ -253,7 +252,8 @@ func runWindows(ctx context.Context, r io.Reader, segSize, halo int, st *Stats, 
 		close(done)
 		reclaim(free, segs)
 	}()
-	return consumeWindows(ctx, segs, free, segSize, halo, st, fn)
+	obs, _ := sink.(SegmentObserver)
+	return consumeWindows(ctx, segs, free, segSize, max(halo, 0), st, obs, fn)
 }
 
 // reclaim gives back to the pool the segment buffers of a finished run that
@@ -278,15 +278,18 @@ func reclaim(free <-chan []byte, segs <-chan segment) {
 	}
 }
 
-// callWindow runs one window computation with panic containment (see
-// WindowPanicError).
-func callWindow(fn func([]byte, int64, int, bool) error, window []byte, base int64, final int, last bool) (err error) {
+// callWindow runs one window computation, and then obs (if any), with
+// panic containment (see WindowPanicError).
+func callWindow(fn func([]byte, int64, int, bool) error, obs SegmentObserver, window []byte, info SegmentInfo) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &WindowPanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return fn(window, base, final, last)
+	if err := fn(window, info.Base, info.Finalized, info.Last); err != nil || obs == nil {
+		return err
+	}
+	return obs.SegmentDone(info)
 }
 
 // consumeWindows is the consumer half of runWindows. With a halo it
@@ -297,7 +300,7 @@ func callWindow(fn func([]byte, int64, int, bool) error, window []byte, base int
 // bytes are copied nowhere between the reader and fn. The buffers it holds
 // when it returns, the window buffer and a segment not handed back, go to
 // the pool.
-func consumeWindows(ctx context.Context, segs <-chan segment, free chan<- []byte, segSize, halo int, st *Stats, fn func(window []byte, base int64, final int, last bool) error) error {
+func consumeWindows(ctx context.Context, segs <-chan segment, free chan<- []byte, segSize, halo int, st *Stats, obs SegmentObserver, fn func(window []byte, base int64, final int, last bool) error) error {
 	var assembled, held []byte
 	defer func() {
 		putBuf(held)
@@ -338,7 +341,8 @@ func consumeWindows(ctx context.Context, segs <-chan segment, free chan<- []byte
 		if !s.last {
 			final = max(len(window)-halo, 0)
 		}
-		if err := callWindow(fn, window, base, final, s.last); err != nil {
+		info := SegmentInfo{Index: st.Segments - 1, Base: base, WindowLen: len(window), Finalized: final, Last: s.last}
+		if err := callWindow(fn, obs, window, info); err != nil {
 			return err
 		}
 		carry = len(window) - final
